@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from collections import deque
 from collections.abc import Iterable
 
-from .digraph import Digraph, Vertex, guard_breach, scc, tarjan_sccs, vkey, vsorted
-from .balsep import BalancedSeparatorInstance, balanced_separator
+from .digraph import Digraph, Vertex, guard_breach, scc, tarjan_sccs, vsorted
+from .balsep import BalancedSeparatorInstance, balanced_separator, offending_components
 
 
 @dataclass(frozen=True)
@@ -71,15 +71,6 @@ class ArborealDecomposition:
 
     def children(self, node: int) -> list[int]:
         return sorted(v for (u, v) in self.guards if u == node)
-
-    def parent_arc(self, node: int) -> tuple[int, int] | None:
-        for arc in self.guards:
-            if arc[1] == node:
-                return arc
-        return None
-
-    def is_leaf(self, node: int) -> bool:
-        return not self.children(node)
 
     def beyond(self, arc: tuple[int, int]) -> frozenset:
         """Union of the bags at the arc's head and everything below it
@@ -291,8 +282,7 @@ def haven_eval(D: Digraph, cert: LinkedSetCertificate, Z: Iterable[Vertex]) -> f
     Zset = frozenset(Z)
     if len(Zset) > cert.k:
         raise ValueError(f"query set of size {len(Zset)} exceeds certified budget {cert.k}")
-    qualifying = [comp for comp in tarjan_sccs(D.minus(Zset))
-                  if len(comp & cert.T) >= cert.r + 1]
+    qualifying = offending_components(D, cert.T, cert.r, Zset)
     if not qualifying:
         raise ValueError("no strong component holds enough certificate vertices (corrupt certificate)")
     if len(qualifying) > 1:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from collections.abc import Iterable, Iterator
 
-from .digraph import Digraph, FlowNetwork, Vertex, tarjan_sccs, vkey, vsorted
+from .digraph import _SNK, _SRC, Digraph, Vertex, split_network, tarjan_sccs, vkey, vsorted
 from .lincut import TerminalSequence, linear_vertex_cut
 
 
@@ -85,12 +85,23 @@ def ordered_partitions(T: Iterable[Vertex], r: int) -> Iterator[TerminalSequence
         yield TerminalSequence(blocks)
 
 
+def offending_components(D: Digraph, T: Iterable[Vertex], r: int, Z: Iterable[Vertex] = ()) -> list[set]:
+    """The strong components of D minus Z holding more than r vertices of T,
+    ordered by their least terminal."""
+    Tset = frozenset(T)
+    Zset = frozenset(Z)
+    comps = tarjan_sccs(D.minus(Zset) if Zset else D)
+    heavy = [c for c in comps if len(c & Tset) > r]
+    # a negative quota also counts components without terminals; those
+    # keep their emission order ahead of the rest
+    heavy.sort(key=lambda c: min(map(vkey, c & Tset), default=()))
+    return heavy
+
+
 def is_balanced_separator(D: Digraph, T: Iterable[Vertex], r: int, Z: Iterable[Vertex]) -> bool:
     """True iff every strong component of D minus Z holds at most r vertices
     of T."""
-    Tset = set(T)
-    rest = D.minus(Z)
-    return all(len(comp & Tset) <= r for comp in tarjan_sccs(rest))
+    return not offending_components(D, T, r, Z)
 
 
 def _normalized_answer(T: frozenset, r: int, s: int) -> frozenset | None:
@@ -111,11 +122,10 @@ def _greedy_separator(D: Digraph, Tset: frozenset, r: int, s: int) -> frozenset 
     for batch in (True, False):
         Z: set = set()
         while True:
-            comps = tarjan_sccs(D.minus(Z))
-            offenders = [c for c in comps if len(c & Tset) > r]
+            offenders = offending_components(D, Tset, r, Z)
             if not offenders:
                 return frozenset(Z)
-            comp = min(offenders, key=lambda c: min(vkey(v) for v in c & Tset))
+            comp = offenders[0]
             hit = vsorted(comp & Tset)
             take = min(len(hit) - r, s - len(Z)) if batch else 1
             if take < 1:
@@ -124,18 +134,6 @@ def _greedy_separator(D: Digraph, Tset: frozenset, r: int, s: int) -> frozenset 
             if len(Z) > s:
                 break
     return None
-
-
-def _internal_flow(sub: Digraph, u: Vertex, w: Vertex, limit: int) -> int:
-    """Max internally vertex-disjoint u->w paths, capped at limit."""
-    net = FlowNetwork()
-    big = sub.n + 2
-    for v in sub.sorted_vertices():
-        net.add(("in", v), ("out", v), 1)
-    for a, b, _ in sorted(sub.edge_classes(), key=lambda e: (vkey(e[0]), vkey(e[1]))):
-        if a != b:
-            net.add(("out", a), ("in", b), big)
-    return net.max_flow(("out", u), ("in", w), limit=limit)
 
 
 def _component_lb(D: Digraph, comp: set, tc: int, r: int) -> int:
@@ -147,12 +145,16 @@ def _component_lb(D: Digraph, comp: set, tc: int, r: int) -> int:
         return 1
     sub = D.induced(comp)
     bound = min(cap, len(comp) - 1)
+    net = split_network(sub)
+    fresh = dict(net.cap)
     vs = sub.sorted_vertices()
     for u in vs:
         for w in vs:
             if u == w or sub.has_edge(u, w):
                 continue
-            f = _internal_flow(sub, u, w, bound)
+            # internally vertex-disjoint u -> w paths
+            net.cap = dict(fresh)
+            f = net.max_flow(("out", u), ("in", w), limit=bound)
             if f < bound:
                 bound = f
                 if bound <= 1:
@@ -164,23 +166,19 @@ def _offender_analysis(D: Digraph, Tset: frozenset, r: int, s: int):
     """Either the string "linked" (lower bounds already exceed the budget)
     or the offending components with their lower bounds, in canonical
     order."""
-    comps = tarjan_sccs(D)
-    offenders = [(c, len(c & Tset)) for c in comps if len(c & Tset) > r]
+    offenders = [(c, len(c & Tset)) for c in offending_components(D, Tset, r)]
     if len(offenders) > s:
         return "linked"
     bounds: dict[int, int] = {}
-    by_surplus = sorted(range(len(offenders)),
-                        key=lambda i: (-(offenders[i][1] - r),
-                                       min(vkey(v) for v in offenders[i][0] & Tset)))
+    # largest surplus first; the stable sort keeps least-terminal order on ties
+    by_surplus = sorted(range(len(offenders)), key=lambda i: -offenders[i][1])
     total = 0
     for seen, i in enumerate(by_surplus, start=1):
         bounds[i] = _component_lb(D, offenders[i][0], offenders[i][1], r)
         total += bounds[i]
         if total + (len(offenders) - seen) > s:
             return "linked"
-    order = sorted(range(len(offenders)),
-                   key=lambda i: min(vkey(v) for v in offenders[i][0] & Tset))
-    return [(offenders[i][0], offenders[i][1], bounds[i]) for i in order]
+    return [(c, tc, bounds[i]) for i, (c, tc) in enumerate(offenders)]
 
 
 def _branch_min_cut(sub: Digraph, Tc: frozenset, r: int, cap: int, lb: int) -> frozenset | None:
@@ -191,13 +189,12 @@ def _branch_min_cut(sub: Digraph, Tc: frozenset, r: int, cap: int, lb: int) -> f
         failed: set = set()
 
         def dfs(removed: frozenset, left: int) -> frozenset | None:
-            offenders = [c for c in tarjan_sccs(sub.minus(removed)) if len(c & Tc) > r]
+            offenders = offending_components(sub, Tc, r, removed)
             if not offenders:
                 return removed
             if left == 0 or removed in failed:
                 return None
-            worst = min(offenders, key=lambda c: min(vkey(v) for v in c & Tc))
-            for v in vsorted(worst):
+            for v in vsorted(offenders[0]):
                 got = dfs(removed | {v}, left - 1)
                 if got is not None:
                     return got
@@ -210,24 +207,6 @@ def _branch_min_cut(sub: Digraph, Tc: frozenset, r: int, cap: int, lb: int) -> f
     return None
 
 
-def _terminal_cut_flow(sub: Digraph, U: frozenset, rest: frozenset, limit: int) -> int:
-    """Min vertices (terminals deletable) meeting every U -> rest path,
-    as a flow capped at limit."""
-    net = FlowNetwork()
-    big = sub.n + 2
-    for v in sub.sorted_vertices():
-        net.add(("in", v), ("out", v), 1)
-    for a, b, _ in sorted(sub.edge_classes(), key=lambda e: (vkey(e[0]), vkey(e[1]))):
-        if a != b:
-            net.add(("out", a), ("in", b), big)
-    src, snk = ("src",), ("snk",)
-    for u in vsorted(U):
-        net.add(src, ("in", u), big)
-    for w in vsorted(rest):
-        net.add(("out", w), snk, big)
-    return net.max_flow(src, snk, limit=limit)
-
-
 def _partition_min_cut(sub: Digraph, Tc: frozenset, r: int, cap: int, lb: int) -> frozenset | None:
     """Exact engine for larger components: ordered partitions of the
     terminals, each priced by linear_vertex_cut.  A partition's cut meets
@@ -237,8 +216,10 @@ def _partition_min_cut(sub: Digraph, Tc: frozenset, r: int, cap: int, lb: int) -
 
     def prefix_bound(U: frozenset) -> int:
         if U not in flow_memo:
+            # min vertices (terminals deletable) meeting every U -> rest path
             rest = Tc - U
-            flow_memo[U] = _terminal_cut_flow(sub, U, rest, cap + 1) if U and rest else 0
+            flow_memo[U] = (split_network(sub, U, rest).max_flow(_SRC, _SNK, limit=cap + 1)
+                            if U and rest else 0)
         return flow_memo[U]
 
     best: frozenset | None = None
@@ -281,11 +262,6 @@ def _component_min_cut(sub: Digraph, Tc: frozenset, r: int, cap: int, lb: int) -
 
 
 def _exact_search(D: Digraph, Tset: frozenset, r: int, s: int, offenders) -> frozenset | None:
-    if r == 0:
-        # every terminal sits in its own surviving component unless deleted,
-        # so the only balanced separator contains all of T; the normalized
-        # region has s < |T|, hence Linked
-        return None
     chosen: set = set()
     spent = 0
     remaining_lb = sum(lb for _, _, lb in offenders)

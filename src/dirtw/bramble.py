@@ -14,8 +14,9 @@ from collections import deque
 from collections.abc import Iterable
 from itertools import combinations
 
-from .digraph import Digraph, Path, Vertex, menger, tarjan_sccs, vkey, vsorted
-from .balsep import BalancedSeparatorInstance, balanced_separator, is_balanced_separator
+from .digraph import Digraph, Path, Vertex, menger, vkey, vsorted
+from .balsep import (BalancedSeparatorInstance, balanced_separator, is_balanced_separator,
+                     offending_components)
 from .arboreal import LinkedSetCertificate
 
 
@@ -57,15 +58,6 @@ def complement_order_at_most(B: TBramble, X: Iterable[Vertex], s: int) -> tuple[
     return True, result.separator
 
 
-def _heavy_component(D: Digraph, T: frozenset, k: int, banned: frozenset) -> set | None:
-    """The strong component of D minus banned holding >= k terminals whose
-    least terminal is globally smallest; None when none qualifies."""
-    heavy = [c for c in tarjan_sccs(D.minus(banned)) if len(c & T) >= k]
-    if not heavy:
-        return None
-    return min(heavy, key=lambda c: min(vkey(v) for v in c & T))
-
-
 def _route(D: Digraph, start: Vertex, inside: set, target: set) -> list | None:
     """Shortest walk from start through `inside` vertices ending at the
     first contact with `target` (target vertices are never expanded)."""
@@ -92,17 +84,14 @@ def hitting_path(B: TBramble) -> Path:
     terminal-heavy strong component of D minus the path, touching it only at
     the entry vertex."""
     D, T, k = B.D, B.T, B.k
-    if is_hitting_set(B, frozenset()):
+    heavy = offending_components(D, T, k - 1)
+    if not heavy:
         return Path(D, [])
-    first = _heavy_component(D, T, k, frozenset())
-    assert first is not None
-    current = first
+    current = heavy[0]
     verts = [min(current & T, key=vkey)]
-    while not is_hitting_set(B, verts):
-        nxt = _heavy_component(D, T, k, frozenset(verts))
-        if nxt is None:
-            raise ValueError("no terminal-heavy component left yet the path is not hitting "
-                             "(input set is not linked as certified)")
+    # the path hits the bramble once no terminal-heavy component avoids it
+    while heavy := offending_components(D, T, k - 1, verts):
+        nxt = heavy[0]
         hop = _route(D, verts[-1], current - set(verts), nxt)
         if hop is None:
             raise ValueError("tip cannot reach the next terminal-heavy component "

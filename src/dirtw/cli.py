@@ -28,6 +28,7 @@ from itertools import combinations
 from .arboreal import ArborealDecomposition, LinkedSetCertificate, decompose, validate
 from .balsep import (
     BalancedSeparatorInstance,
+    _normalized_answer,
     balanced_separator,
     brute_force_balanced_separator,
     is_balanced_separator,
@@ -186,6 +187,12 @@ def _validate_certificate(D: Digraph, js: dict) -> list[str]:
     problems = [f"terminal {v!r} not in graph" for v in vsorted(cert.T) if v not in D]
     if problems:
         return problems
+    if cert.k < 0 or cert.r < 0:
+        return [f"k = {cert.k} and r = {cert.r} must be non-negative"]
+    # the degenerate arms need no search: they hold a separator at any size
+    trivial = _normalized_answer(cert.T, cert.r, cert.k)
+    if trivial is not None:
+        return [f"not ({cert.k},{cert.r})-linked: separator {vsorted(trivial)} found"]
     cap_n, cap_s = _brute_cap()
     if D.n <= cap_n and cert.k <= cap_s:
         res = brute_force_balanced_separator(D, cert.T, cert.r, cert.k)

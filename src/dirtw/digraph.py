@@ -174,17 +174,10 @@ class SccDecomposition:
     """Strong components in reverse topological order: no path runs from an
     earlier component to a later one."""
 
-    __slots__ = ("components", "_where")
+    __slots__ = ("components",)
 
     def __init__(self, components: list[frozenset]) -> None:
         self.components = components
-        self._where = {v: i for i, comp in enumerate(components) for v in comp}
-
-    def component_of(self, v: Vertex) -> frozenset:
-        return self.components[self._where[v]]
-
-    def index_of(self, v: Vertex) -> int:
-        return self._where[v]
 
     def __len__(self) -> int:
         return len(self.components)
@@ -340,7 +333,8 @@ def is_guarded(D: Digraph, S: Iterable[Vertex], Z: Iterable[Vertex]) -> bool:
 
 class FlowNetwork:
     """Integer-capacity max flow over arbitrary hashable nodes, by shortest
-    augmenting paths.  Single-use: augmenting mutates capacities in place."""
+    augmenting paths.  Augmenting mutates capacities in place; to reuse a
+    network, restore a saved copy of `cap` before the next run."""
 
     __slots__ = ("cap", "adj")
 
@@ -412,6 +406,30 @@ class FlowNetwork:
         return seen
 
 
+_SRC = ("src",)
+_SNK = ("snk",)
+
+
+def split_network(D: Digraph, sources: Iterable[Vertex] = (), sinks: Iterable[Vertex] = ()) -> FlowNetwork:
+    """The vertex-split flow network of D: v_in -> v_out with capacity one
+    per vertex, out -> in arcs for the non-loop edges, and uncapacitated
+    _SRC -> x_in and y_out -> _SNK attachments for the given terminals.
+    Arcs are added in canonical order, so augmenting paths are
+    deterministic."""
+    big = D.n + 2
+    net = FlowNetwork()
+    for v in D.sorted_vertices():
+        net.add(("in", v), ("out", v), 1)
+    for u, v, _ in sorted(D.edge_classes(), key=lambda e: (vkey(e[0]), vkey(e[1]))):
+        if u != v:
+            net.add(("out", u), ("in", v), big)
+    for x in vsorted(set(sources)):
+        net.add(_SRC, ("in", x), big)
+    for y in vsorted(set(sinks)):
+        net.add(("out", y), _SNK, big)
+    return net
+
+
 class MengerResult:
     """Exactly one of `paths` / `separator` is set."""
 
@@ -426,10 +444,6 @@ class MengerResult:
         if self.paths is not None:
             return f"MengerResult(paths={[p.vertices for p in self.paths]!r})"
         return f"MengerResult(separator={vsorted(self.separator)!r})"
-
-
-_SRC = ("src",)
-_SNK = ("snk",)
 
 
 def menger(D: Digraph, X: Iterable[Vertex], Y: Iterable[Vertex], r: int) -> MengerResult:
@@ -450,17 +464,7 @@ def menger(D: Digraph, X: Iterable[Vertex], Y: Iterable[Vertex], r: int) -> Meng
     for v in Xs + Ys:
         if v not in D:
             raise ValueError(f"terminal {v!r} not in digraph")
-    big = D.n + 2
-    net = FlowNetwork()
-    for v in D.sorted_vertices():
-        net.add(("in", v), ("out", v), 1)
-    for u, v, _ in sorted(D.edge_classes(), key=lambda e: (vkey(e[0]), vkey(e[1]))):
-        if u != v:
-            net.add(("out", u), ("in", v), big)
-    for x in Xs:
-        net.add(_SRC, ("in", x), big)
-    for y in Ys:
-        net.add(("out", y), _SNK, big)
+    net = split_network(D, Xs, Ys)
     orig = dict(net.cap)
     flow = net.max_flow(_SRC, _SNK, limit=r)
     if flow < r:

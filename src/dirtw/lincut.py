@@ -14,8 +14,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from collections.abc import Iterable
+from itertools import combinations
 
-from .digraph import Digraph, Vertex, reachable, vkey, vsorted
+from .digraph import Digraph, FlowNetwork, Vertex, reachable, vkey, vsorted
 
 
 class TerminalSequence:
@@ -145,8 +146,6 @@ def _search(D, blocks, costs, removed: frozenset, banned: frozenset,
 def _flow_lower_bound(D: Digraph, blocks, s: int) -> int | None:
     """Max-flow over every earlier/later split lower-bounds the cut cost;
     returns the largest bound, or None as soon as one split exceeds s."""
-    from .digraph import FlowNetwork
-
     classes = _sorted_classes(D)
     bound = 0
     for cutpos in range(1, len(blocks)):
@@ -281,8 +280,6 @@ def brute_force_vertex_cut(D: Digraph, T, s: int) -> CutCertificate | None:
     """Ground-truth oracle: tries every vertex subset in canonical order
     (size ascending, then lexicographic) and returns the first valid cut.
     Semantics match linear_vertex_cut, including deletable terminals."""
-    from itertools import combinations
-
     blocks = _coerce_blocks(T)
     counts: dict[Vertex, int] = {}
     for b in blocks:

@@ -17,8 +17,10 @@ from dirtw import (
     ordered_partitions,
 )
 
+from dirtw.balsep import offending_components
 from util import (
     bidirected_clique,
+    brute_scc_partition,
     path_digraph,
     random_digraph,
     triangle_gadget,
@@ -252,3 +254,18 @@ def test_solver_is_deterministic():
         first = solve(D, T, 2, 2)
         again = solve(D, T, 2, 2)
         assert first == again
+
+
+def test_offending_components_match_brute_partition():
+    rng = random.Random(11)
+    for trial in range(60):
+        D = random_digraph(rng, rng.randint(1, 8), rng.choice([0.15, 0.3, 0.5]))
+        vs = D.sorted_vertices()
+        T = frozenset(rng.sample(vs, rng.randint(0, len(vs))))
+        Z = frozenset() if trial % 2 else frozenset(rng.sample(vs, rng.randint(1, len(vs))))
+        r = rng.randint(0, 2)
+        expected = sorted((c for c in brute_scc_partition(D.minus(Z)) if len(c & T) > r),
+                          key=lambda c: min(c & T))
+        got = offending_components(D, T, r, Z)
+        assert [frozenset(c) for c in got] == expected
+        assert is_balanced_separator(D, T, r, Z) == (not expected)

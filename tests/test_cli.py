@@ -223,6 +223,19 @@ def test_validate_certificate_respects_brute_cap(tmp_path, k6, capsys, monkeypat
     assert run_cli(["validate", k6, art], capsys)[0] == 3
 
 
+@pytest.mark.parametrize("doc, reason", [
+    ({"T": [1, 2], "k": 5, "r": 0}, "separator [1, 2] found"),
+    ({"T": [1], "k": -3, "r": -1}, "must be non-negative"),
+], ids=["budget-covers-T", "negative-parameters"])
+def test_validate_rejects_trivially_unlinked_certificates(tmp_path, capsys, doc, reason):
+    # both stay above the brute cap or out of its reach, so only the
+    # parameter checks can reject them
+    pair = write(tmp_path, "pair.txt", "1 2\n2 1\n")
+    art = write(tmp_path, "cert.json", json.dumps(doc))
+    code, _, err = run_cli(["validate", pair, art], capsys)
+    assert code == 1 and reason in err
+
+
 def test_validate_welllinked_tampering(tmp_path, capsys):
     k15 = write(tmp_path, "k15.txt", serialize_edge_list(bidirected_clique(15)))
     art = write(tmp_path, "wl.json", json.dumps({"path": [1, 2, 3], "A": [3, 9]}))

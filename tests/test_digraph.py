@@ -16,6 +16,7 @@ from dirtw import (
     vkey,
     vsorted,
 )
+from dirtw.digraph import _SNK, _SRC, split_network
 from util import (
     bidirected_clique,
     brute_guarded,
@@ -220,6 +221,29 @@ def test_menger_deterministic():
     first = menger(D, {1, 2}, {4, 5}, 2)
     second = menger(D, {1, 2}, {4, 5}, 2)
     assert [p.vertices for p in first.paths] == [p.vertices for p in second.paths]
+
+
+def test_split_network_reuse_after_restoring_capacities():
+    rng = random.Random(5)
+    for _ in range(30):
+        D = random_digraph(rng, 7, 0.35)
+        vs = D.sorted_vertices()
+        X, Y = set(rng.sample(vs, 2)), set(rng.sample(vs, 2))
+        u, w = rng.sample(vs, 2)
+        limit = rng.choice([None, 1, 2])
+        net = split_network(D, X, Y)
+        fresh = dict(net.cap)
+        for s, t in [(_SRC, _SNK), (("out", u), ("in", w))]:
+            first = net.max_flow(s, t, limit=limit)
+            net.cap = dict(fresh)
+            assert net.max_flow(s, t, limit=limit) == first
+            net.cap = dict(fresh)
+            assert split_network(D, X, Y).max_flow(s, t, limit=limit) == first
+        # without the restore the saturated paths stay used up
+        if net.max_flow(_SRC, _SNK) > 0:
+            assert net.max_flow(_SRC, _SNK) == 0
+        full = split_network(D, X, Y).max_flow(_SRC, _SNK)
+        assert full == brute_min_vertex_separator(D, X, Y)
 
 
 def test_edge_list_round_trip():
