@@ -59,18 +59,21 @@ class ArborealDecomposition:
     """Arborescence + bags + arc guards.  Construction does not validate;
     `validate` reports every violated clause as data."""
 
-    __slots__ = ("root", "bags", "guards")
+    __slots__ = ("root", "bags", "guards", "_children")
 
     def __init__(self, root: int, bags: dict, guards: dict) -> None:
         self.root = root
         self.bags = {node: frozenset(bag) for node, bag in bags.items()}
         self.guards = {(int(u), int(v)): frozenset(g) for (u, v), g in guards.items()}
+        self._children: dict[int, list[int]] = {}
+        for (u, v) in sorted(self.guards):
+            self._children.setdefault(u, []).append(v)
 
     def nodes(self) -> list[int]:
         return sorted(self.bags)
 
     def children(self, node: int) -> list[int]:
-        return sorted(v for (u, v) in self.guards if u == node)
+        return list(self._children.get(node, ()))
 
     def beyond(self, arc: tuple[int, int]) -> frozenset:
         """Union of the bags at the arc's head and everything below it
@@ -191,8 +194,7 @@ def validate(D: Digraph, dec: ArborealDecomposition, nice: bool = False) -> Vali
             for arc in sorted(dec.guards):
                 guard = dec.guards[arc]
                 territory = dec.beyond(arc) - guard
-                comps = tarjan_sccs(D.minus(guard))
-                if territory not in comps:
+                if territory not in tarjan_sccs(D, guard):
                     viols.append(Violation(
                         "strong-component",
                         f"arc {arc}: beyond-arc set minus guards is not one strong component"))
@@ -252,7 +254,9 @@ def decompose(D: Digraph, k: int) -> ArborealDecomposition | LinkedSetCertificat
         free = vsorted(bags[r0] - result.separator)
         assert len(free) >= 2
         Z = frozenset(result.separator | {free[0]})
-        for comp in scc(D.minus(Z)):
+        for comp in scc(D, Z):
+            if not comp & bags[r0]:
+                continue  # its pieces all miss the split bag
             for piece in scc(D.induced(comp - T)):
                 inside = piece & bags[r0]
                 assert not inside or inside == piece  # guarded bags split cleanly

@@ -89,9 +89,7 @@ def offending_components(D: Digraph, T: Iterable[Vertex], r: int, Z: Iterable[Ve
     """The strong components of D minus Z holding more than r vertices of T,
     ordered by their least terminal."""
     Tset = frozenset(T)
-    Zset = frozenset(Z)
-    comps = tarjan_sccs(D.minus(Zset) if Zset else D)
-    heavy = [c for c in comps if len(c & Tset) > r]
+    heavy = [c for c in tarjan_sccs(D, Z) if len(c & Tset) > r]
     # a negative quota also counts components without terminals; those
     # keep their emission order ahead of the rest
     heavy.sort(key=lambda c: min(map(vkey, c & Tset), default=()))

@@ -23,7 +23,7 @@ import os
 import random
 import sys
 import time
-from itertools import combinations
+from itertools import combinations, permutations
 
 from .arboreal import ArborealDecomposition, LinkedSetCertificate, decompose, validate
 from .balsep import (
@@ -208,6 +208,8 @@ def _validate_certificate(D: Digraph, js: dict) -> list[str]:
 def _validate_separator(D: Digraph, js: dict) -> list[str]:
     T, r, Z = js["T"], js["r"], js["separator"]
     problems = [f"vertex {v!r} not in graph" for v in [*T, *Z] if v not in D]
+    if r < 0:
+        problems.append(f"r = {r} must be non-negative")
     if not problems and not is_balanced_separator(D, T, r, Z):
         problems.append(f"some strong component avoiding the separator still has "
                         f"more than {r} terminals")
@@ -250,8 +252,15 @@ def _validate_pathsystem(D: Digraph, js: dict) -> list[str]:
         for v in [*i_anchors, *o_anchors]:
             if v not in spine:
                 problems.append(f"anchor {v!r} not on spine {idx}")
+    if not isinstance(js["linkages"], dict):
+        raise TypeError("linkages must be an object")
+    count = len(spines)
+    missing = set(permutations(range(1, count + 1), 2))
     for key, paths in js["linkages"].items():
         i, j = (int(part) for part in key.split(","))
+        if not (1 <= i <= count and 1 <= j <= count):
+            raise ValueError(f"linkage {key}: spine index outside 1..{count}")
+        missing.discard((i, j))
         if len(paths) != size:
             problems.append(f"linkage {key}: expected {size} paths, got {len(paths)}")
         seen: set = set()
@@ -266,6 +275,7 @@ def _validate_pathsystem(D: Digraph, js: dict) -> list[str]:
             if seen & set(p.vertices):
                 problems.append(f"linkage {key}: paths share vertices")
             seen |= set(p.vertices)
+    problems.extend(f"linkage {i},{j} missing" for i, j in sorted(missing))
     return problems
 
 

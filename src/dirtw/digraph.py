@@ -1,6 +1,9 @@
 """Directed multigraphs plus the reachability and connectivity subroutines
 shared by every solver in this package: strong components, guardedness,
 and vertex-disjoint path computation via unit-capacity flow.
+
+Traversals delete vertices through a `banned` set instead of copying the
+graph: the strong components or reach of D minus Z are computed on D itself.
 """
 from __future__ import annotations
 
@@ -186,11 +189,13 @@ class SccDecomposition:
         return iter(self.components)
 
 
-def tarjan_sccs(D: Digraph) -> list[set]:
-    # Iterative Tarjan; emission order is already reverse-topological but not
-    # canonical across construction orders, so public callers go through scc().
+def tarjan_sccs(D: Digraph, banned: Iterable[Vertex] = ()) -> list[set]:
+    # Iterative Tarjan over D minus banned; emission order is already
+    # reverse-topological but not canonical across construction orders, so
+    # public callers go through scc().  Banned vertices start out finished
+    # and off the stack, so the walk matches one over D.minus(banned).
     succ = D._succ
-    index: dict[Vertex, int] = {}
+    index: dict[Vertex, int] = dict.fromkeys(banned, -1)
     low: dict[Vertex, int] = {}
     on: set = set()
     stack: list = []
@@ -232,24 +237,23 @@ def tarjan_sccs(D: Digraph) -> list[set]:
     return out
 
 
-def scc(D: Digraph) -> SccDecomposition:
-    """Strong components, canonically ordered.
+def scc(D: Digraph, banned: Iterable[Vertex] = ()) -> SccDecomposition:
+    """Strong components of D minus banned, canonically ordered.
 
     The order is reverse topological over the condensation; among the
     components simultaneously eligible, the one holding the smallest vertex
     id is emitted first, so the output depends only on the graph, not on
     construction order.
     """
-    raw = tarjan_sccs(D)
+    raw = tarjan_sccs(D, banned)
     where = {}
     for i, comp in enumerate(raw):
         for v in comp:
             where[v] = i
     outs: list[set[int]] = [set() for _ in raw]
-    for u, nbrs in D._succ.items():
-        iu = where[u]
-        for w in nbrs:
-            iw = where[w]
+    for u, iu in where.items():
+        for w in D._succ[u]:
+            iw = where.get(w, iu)  # a banned head adds no condensation arc
             if iu != iw:
                 outs[iu].add(iw)
     rev: list[list[int]] = [[] for _ in raw]
@@ -288,23 +292,7 @@ def _reach_set(D: Digraph, sources: Iterable[Vertex], banned: set, forward: bool
 def reachable(D: Digraph, X: Iterable[Vertex], Y: Iterable[Vertex]) -> bool:
     """True iff some vertex of X reaches some vertex of Y (a vertex reaches
     itself)."""
-    Yset = {y for y in Y if y in D}
-    if not Yset:
-        return False
-    sources = {x for x in X if x in D}
-    if sources & Yset:
-        return True
-    seen = set(sources)
-    queue = deque(sources)
-    while queue:
-        v = queue.popleft()
-        for w in D.out_neighbors(v):
-            if w not in seen:
-                if w in Yset:
-                    return True
-                seen.add(w)
-                queue.append(w)
-    return False
+    return not _reach_set(D, X, set(), forward=True).isdisjoint(Y)
 
 
 def guard_breach(D: Digraph, S: Iterable[Vertex], Z: Iterable[Vertex]) -> Vertex | None:

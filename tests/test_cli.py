@@ -226,10 +226,11 @@ def test_validate_certificate_respects_brute_cap(tmp_path, k6, capsys, monkeypat
 @pytest.mark.parametrize("doc, reason", [
     ({"T": [1, 2], "k": 5, "r": 0}, "separator [1, 2] found"),
     ({"T": [1], "k": -3, "r": -1}, "must be non-negative"),
-], ids=["budget-covers-T", "negative-parameters"])
+    ({"T": [1, 2], "r": -1, "separator": [1, 2]}, "must be non-negative"),
+], ids=["budget-covers-T", "negative-parameters", "separator-negative-r"])
 def test_validate_rejects_trivially_unlinked_certificates(tmp_path, capsys, doc, reason):
-    # both stay above the brute cap or out of its reach, so only the
-    # parameter checks can reject them
+    # each stays above the brute cap or out of its reach (or is balanced
+    # as a separator), so only the parameter checks can reject it
     pair = write(tmp_path, "pair.txt", "1 2\n2 1\n")
     art = write(tmp_path, "cert.json", json.dumps(doc))
     code, _, err = run_cli(["validate", pair, art], capsys)
@@ -255,6 +256,38 @@ def test_validate_pathsystem(tmp_path, capsys):
     bad = write(tmp_path, "ps2.json", json.dumps(js))
     code, _, err = run_cli(["validate", k6f, bad], capsys)
     assert code == 1 and "expected 1 paths" in err
+
+
+def _k6_path_system(tmp_path):
+    D = bidirected_clique(6)
+    ps = build_path_system(D, Path(D, [1, 2, 3, 4]), {1, 2, 3, 4}, 1, 2)
+    return write(tmp_path, "k6.txt", serialize_edge_list(D)), ps.to_json()
+
+
+@pytest.mark.parametrize("linkages", [
+    {"0,1": [[4, 1]]},
+    {"3,1": [[4, 1]]},
+    [],
+    "1,2",
+], ids=["spine-zero", "spine-past-p", "list", "string"])
+def test_validate_pathsystem_rejects_malformed_linkages(tmp_path, capsys, linkages):
+    k6f, js = _k6_path_system(tmp_path)
+    js["linkages"] = {**js["linkages"], **linkages} if isinstance(linkages, dict) else linkages
+    art = write(tmp_path, "ps.json", json.dumps(js))
+    code, _, err = run_cli(["validate", k6f, art], capsys)
+    assert code == 2 and "malformed pathsystem artifact" in err
+
+
+def test_validate_pathsystem_reports_missing_linkages(tmp_path, capsys):
+    k6f, js = _k6_path_system(tmp_path)
+    del js["linkages"]["2,1"]
+    art = write(tmp_path, "ps.json", json.dumps(js))
+    code, _, err = run_cli(["validate", k6f, art], capsys)
+    assert code == 1 and "linkage 2,1 missing" in err and "1,2" not in err
+    js["linkages"] = {}
+    art = write(tmp_path, "ps.json", json.dumps(js))
+    code, _, err = run_cli(["validate", k6f, art], capsys)
+    assert code == 1 and "linkage 1,2 missing" in err and "linkage 2,1 missing" in err
 
 
 def test_validate_unknown_or_broken_artifacts(tmp_path, k6, capsys):

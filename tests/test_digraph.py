@@ -16,7 +16,7 @@ from dirtw import (
     vkey,
     vsorted,
 )
-from dirtw.digraph import _SNK, _SRC, split_network
+from dirtw.digraph import _SNK, _SRC, split_network, tarjan_sccs
 from util import (
     bidirected_clique,
     brute_guarded,
@@ -120,6 +120,43 @@ def test_reachable_after_hub_removal():
     assert not reachable(rest, ["v3"], ["v2"])
     assert not dfs_path_exists(rest, ["v3"], ["v2"])
     assert reachable(rest, ["v2"], ["v3"])
+
+
+def _shuffled_digraph(rng: random.Random, n: int) -> Digraph:
+    """Random digraph with loops and parallel arcs, built in shuffled order
+    so that Tarjan's emission order is not the sorted one."""
+    D = Digraph()
+    vs = list(range(1, n + 1))
+    rng.shuffle(vs)
+    for v in vs:
+        D.add_vertex(v)
+    p = rng.random()
+    arcs = [(u, v) for u in vs for v in vs if rng.random() < p]
+    rng.shuffle(arcs)
+    for u, v in arcs:
+        D.add_edge(u, v, rng.randint(1, 2))
+    return D
+
+
+def test_banned_set_matches_deleting_by_copy():
+    rng = random.Random(33)
+    for _ in range(300):
+        D = _shuffled_digraph(rng, rng.randint(0, 8))
+        # banned ids that are not vertices of D are ignored, as by minus
+        Z = {v for v in D.vertices() if rng.random() < 0.3} | {0, "ghost", (1, 2)}
+        assert tarjan_sccs(D, Z) == tarjan_sccs(D.minus(Z))
+        assert tarjan_sccs(D, iter(sorted(Z, key=vkey))) == tarjan_sccs(D.minus(Z))
+        assert scc(D, Z).components == scc(D.minus(Z)).components
+    assert tarjan_sccs(D) == tarjan_sccs(D, ()) == tarjan_sccs(D.minus(()))
+
+
+def test_reachable_matches_dfs_oracle():
+    rng = random.Random(34)
+    for _ in range(300):
+        D = _shuffled_digraph(rng, rng.randint(0, 7))
+        X = [v for v in D.vertices() if rng.random() < 0.3] + ["ghost"]
+        Y = [v for v in D.vertices() if rng.random() < 0.3] + [0]
+        assert reachable(D, X, Y) == dfs_path_exists(D, X, Y)
 
 
 def test_is_guarded_whole_graph_and_chain():

@@ -40,3 +40,44 @@ def test_no_module_imports_a_name_it_never_uses():
     assert modules
     unused = {m.name: _unused_imports(m.read_text()) for m in modules}
     assert {name: lines for name, lines in unused.items() if lines} == {}
+
+
+# questions about D minus Z that take Z as a banned set instead of a copy
+QUESTIONS = {"tarjan_sccs", "scc", "reachable", "guard_breach",
+             "offending_components", "is_balanced_separator"}
+
+
+def _name(func: ast.expr) -> str | None:
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
+def _copies_in_questions(source: str) -> list[str]:
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and _name(node.func) in QUESTIONS):
+            continue
+        inner = [sub for arg in [*node.args, *(kw.value for kw in node.keywords)]
+                 for sub in ast.walk(arg)]
+        if any(isinstance(sub, ast.Call) and _name(sub.func) == "minus" for sub in inner):
+            out.append(f"line {node.lineno}: {_name(node.func)}")
+    return out
+
+
+def test_checker_flags_a_question_asked_of_a_copy():
+    source = ("scc(D.minus(Z))\n"
+              "x = digraph.tarjan_sccs(D.minus(Z) if Z else D)\n"
+              "reachable(D, X, Y=D.minus(Z))\n"
+              "scc(D, Z)\n"
+              "rest = D.minus(Z)\n"
+              "tarjan_sccs(rest)\n"
+              "menger(D.minus(Z), X, Y, 1)\n")
+    assert _copies_in_questions(source) == [
+        "line 1: scc", "line 2: tarjan_sccs", "line 3: reachable"]
+
+
+def test_no_question_about_d_minus_z_copies_d():
+    modules = sorted(PACKAGE.glob("*.py"))
+    found = {m.name: _copies_in_questions(m.read_text()) for m in modules}
+    assert {name: lines for name, lines in found.items() if lines} == {}
