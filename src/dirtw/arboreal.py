@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from collections import deque
 from collections.abc import Iterable
 
-from .digraph import Digraph, Vertex, guard_breach, scc, tarjan_sccs, vsorted
+from .digraph import Digraph, Vertex, _reach_set, guard_breach, scc, vkey, vsorted
 from .balsep import BalancedSeparatorInstance, balanced_separator, offending_components
 
 
@@ -194,7 +194,11 @@ def validate(D: Digraph, dec: ArborealDecomposition, nice: bool = False) -> Vali
             for arc in sorted(dec.guards):
                 guard = dec.guards[arc]
                 territory = dec.beyond(arc) - guard
-                if territory not in tarjan_sccs(D, guard):
+                # one strong component of D minus guard: the component of any
+                # territory vertex t, which is what t reaches and is reached from
+                t = min(territory, key=vkey, default=None)
+                if t is None or territory != (_reach_set(D, {t}, guard, True)
+                                              & _reach_set(D, {t}, guard, False)):
                     viols.append(Violation(
                         "strong-component",
                         f"arc {arc}: beyond-arc set minus guards is not one strong component"))

@@ -274,14 +274,21 @@ def _exact_search(D: Digraph, Tset: frozenset, r: int, s: int, offenders) -> fro
     return frozenset(chosen)
 
 
+def _checked(D: Digraph, T: frozenset, r: int, s: int, Z: frozenset) -> BalancedSeparatorResult:
+    # the post-hoc check behind every returned separator; an explicit error,
+    # so that it survives python -O
+    if len(Z) > s or not is_balanced_separator(D, T, r, Z):
+        raise RuntimeError(f"solver produced {vsorted(Z)!r}, not a balanced separator within budget {s}")
+    return BalancedSeparatorResult(Z)
+
+
 def balanced_separator(inst: BalancedSeparatorInstance) -> BalancedSeparatorResult:
     """Separator-or-Linked, exactly.  The Linked verdict means no vertex set
     of size at most s is a (T, r)-balanced separator."""
     D, T, r, s = inst.D, inst.T, inst.r, inst.s
     norm = _normalized_answer(T, r, s)
     if norm is not None:
-        assert is_balanced_separator(D, T, r, norm)
-        return BalancedSeparatorResult(norm)
+        return _checked(D, T, r, s, norm)
     if is_balanced_separator(D, T, r, frozenset()):
         return BalancedSeparatorResult(frozenset())
     if r == 0:
@@ -290,16 +297,14 @@ def balanced_separator(inst: BalancedSeparatorInstance) -> BalancedSeparatorResu
         return BalancedSeparatorResult(None)
     Z = _greedy_separator(D, T, r, s)
     if Z is not None:
-        assert len(Z) <= s and is_balanced_separator(D, T, r, Z)
-        return BalancedSeparatorResult(Z)
+        return _checked(D, T, r, s, Z)
     analysis = _offender_analysis(D, T, r, s)
     if analysis == "linked":
         return BalancedSeparatorResult(None)
     Z = _exact_search(D, T, r, s, analysis)
     if Z is None:
         return BalancedSeparatorResult(None)
-    assert len(Z) <= s and is_balanced_separator(D, T, r, Z)
-    return BalancedSeparatorResult(Z)
+    return _checked(D, T, r, s, Z)
 
 
 def brute_force_balanced_separator(D: Digraph, T: Iterable[Vertex], r: int, s: int) -> BalancedSeparatorResult:

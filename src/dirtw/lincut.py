@@ -11,12 +11,11 @@ demands it participates in.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from collections.abc import Iterable
 from itertools import combinations
 
-from .digraph import Digraph, FlowNetwork, Vertex, reachable, vkey, vsorted
+from .digraph import Digraph, FlowNetwork, Vertex, reachable, vsorted
 
 
 class TerminalSequence:
@@ -78,87 +77,116 @@ def _check_blocks_in(D: Digraph, blocks: list[frozenset]) -> None:
                 raise ValueError(f"terminal {v!r} not in digraph")
 
 
-def _sorted_classes(D: Digraph):
-    return sorted(
-        ((u, v, c) for u, v, c in D.edge_classes() if u != v),
-        key=lambda e: (vkey(e[0]), vkey(e[1])),
-    )
+class _Interned:
+    """D numbered 0..n-1 in vkey order, once per solve, so that int order is
+    vkey order.  `succ[u]` lists u's successors (loops dropped) pre-sorted;
+    `costs` maps each non-loop edge class (u, w) to its multiplicity in
+    ascending (u, w) order, which is the canonical class order; `block_of[v]`
+    is the index of v's block or -1.  Blocks must be pairwise disjoint."""
+
+    __slots__ = ("names", "succ", "costs", "blocks", "block_of")
+
+    def __init__(self, D: Digraph, blocks) -> None:
+        names = D.sorted_vertices()
+        index = {v: i for i, v in enumerate(names)}
+        self.names = names
+        self.succ = [sorted(index[w] for w in D._succ[v] if w != v) for v in names]
+        self.costs = {}
+        for u, v in enumerate(names):
+            for w in self.succ[u]:
+                self.costs[(u, w)] = D._succ[v][names[w]]
+        self.blocks = [sorted(index[v] for v in b) for b in blocks]
+        self.block_of = [-1] * len(names)
+        for j, b in enumerate(self.blocks):
+            for v in b:
+                self.block_of[v] = j
 
 
-def _violating_path(D: Digraph, blocks, removed: frozenset):
+def _violating_path(G: _Interned, removed: frozenset):
     """Canonical shortest violating path as a list of edge classes, or None.
 
-    Scans block pairs (i, j), i < j, in ascending order; for the first i
-    that still reaches a later block, takes the BFS-shortest path to the
-    smallest such j (sorted expansion keeps the choice deterministic).
+    Scans the blocks in order; for the first block i that still reaches a
+    later block, takes the BFS-shortest path to the first-discovered vertex
+    of the least such block (sorted expansion keeps the choice
+    deterministic).  Block i+1 is the least possible, so reaching it ends
+    the BFS.
     """
-    succ = D._succ
-    for i in range(len(blocks) - 1):
-        later = [(j, blocks[j]) for j in range(i + 1, len(blocks))]
-        seen = set(blocks[i])
-        parent: dict[Vertex, Vertex | None] = {v: None for v in blocks[i]}
-        queue = deque(vsorted(blocks[i]))
-        hits: dict[int, Vertex] = {}
-        while queue:
-            u = queue.popleft()
-            for w in vsorted(succ[u]):
-                if w in seen or (u, w) in removed:
+    succ, block_of = G.succ, G.block_of
+    if removed:
+        succ = succ[:]
+        for u, w in removed:
+            succ[u] = [x for x in succ[u] if x != w]
+    for i in range(len(G.blocks) - 1):
+        parent = dict.fromkeys(G.blocks[i], -1)
+        queue = list(G.blocks[i])
+        target, least = -1, len(G.blocks)
+        for u in queue:  # the BFS queue: vertices appended below are visited too
+            for w in succ[u]:
+                if w in parent:
                     continue
-                seen.add(w)
                 parent[w] = u
-                for j, blk in later:
-                    if w in blk and j not in hits:
-                        hits[j] = w
+                j = block_of[w]
+                if i < j < least:
+                    target, least = w, j
                 queue.append(w)
-        if hits:
-            target = hits[min(hits)]
+            if least == i + 1:
+                break
+        if target >= 0:
             path = []
-            node = target
-            while parent[node] is not None:
-                path.append((parent[node], node))
-                node = parent[node]
+            while parent[target] >= 0:
+                path.append((parent[target], target))
+                target = parent[target]
             path.reverse()
             return path
     return None
 
 
-def _search(D, blocks, costs, removed: frozenset, banned: frozenset,
-            spent: int, budget: int):
-    path = _violating_path(D, blocks, removed)
+def _search(G: _Interned, removed: frozenset, banned: frozenset, spent: int, budget: int):
+    path = _violating_path(G, removed)
     if path is None:
         return removed
     if spent >= budget:
         return None
-    tried = set()
-    for cls in path:
-        if cls in tried or cls in banned:
+    for cls in path:  # a BFS path never repeats a class
+        if cls in banned:
             continue
-        tried.add(cls)
-        c = costs[cls]
+        c = G.costs[cls]
         if spent + c > budget:
             continue
-        res = _search(D, blocks, costs, removed | {cls}, banned, spent + c, budget)
+        res = _search(G, removed | {cls}, banned, spent + c, budget)
         if res is not None:
             return res
     return None
 
 
-def _flow_lower_bound(D: Digraph, blocks, s: int) -> int | None:
+def _flow_lower_bound(G: _Interned, s: int) -> int | None:
     """Max-flow over every earlier/later split lower-bounds the cut cost;
-    returns the largest bound, or None as soon as one split exceeds s."""
-    classes = _sorted_classes(D)
+    returns the largest bound, or None as soon as one split exceeds s.
+    One network serves every split: all terminal arcs are built once,
+    switched off, and each split switches on its own."""
+    src, snk = len(G.names), len(G.names) + 1
+    net = FlowNetwork()
+    for (u, w), c in G.costs.items():
+        net.add(u, w, c)
+    for b in G.blocks[:-1]:
+        for x in b:
+            net.add(src, x, s + 1)
+    for b in G.blocks[1:]:
+        for y in b:
+            net.add(y, snk, s + 1)
+    fresh = dict(net.cap)
+    for arc in fresh:
+        if src in arc or snk in arc:
+            fresh[arc] = 0
     bound = 0
-    for cutpos in range(1, len(blocks)):
-        net = FlowNetwork()
-        for u, v, c in classes:
-            net.add(u, v, c)
-        src, snk = ("lb-src",), ("lb-snk",)
-        for b in blocks[:cutpos]:
-            for x in vsorted(b):
-                net.add(src, x, s + 1)
-        for b in blocks[cutpos:]:
-            for y in vsorted(b):
-                net.add(y, snk, s + 1)
+    for cutpos in range(1, len(G.blocks)):
+        net.cap = dict(fresh)
+        for b in G.blocks[:cutpos]:
+            for x in b:
+                net.cap[(src, x)] = s + 1
+        for b in G.blocks[cutpos:]:
+            for y in b:
+                net.cap[(y, snk)] = s + 1
         flow = net.max_flow(src, snk, limit=s + 1)
         if flow > s:
             return None
@@ -169,38 +197,40 @@ def _flow_lower_bound(D: Digraph, blocks, s: int) -> int | None:
 def _lec_solve(D: Digraph, blocks, s: int, canonical: bool):
     """Minimum-cost set of edge classes (cost = multiplicity) within budget
     s, or None.  With canonical=True the lexicographically least minimum cut
-    is extracted by greedy feasibility probing."""
-    costs = {(u, v): c for u, v, c in _sorted_classes(D)}
-    start = _flow_lower_bound(D, blocks, s)
+    is extracted by greedy feasibility probing.  The search runs on D
+    interned once; the cut is mapped back to vertex names at the end."""
+    G = _Interned(D, blocks)
+    start = _flow_lower_bound(G, s)
     if start is None:
         return None
-    best = None
+    cut = None
     for budget in range(start, s + 1):
-        best = _search(D, blocks, costs, frozenset(), frozenset(), 0, budget)
-        if best is not None:
+        cut = _search(G, frozenset(), frozenset(), 0, budget)
+        if cut is not None:
             break
-    if best is None:
+    if cut is None:
         return None
-    optimum = sum(costs[cls] for cls in best)
-    if not canonical or not best:
-        return best
-    chosen: set = set()
-    out: set = set()
-    spent = 0
-    for cls in sorted(costs, key=lambda e: (vkey(e[0]), vkey(e[1]))):
-        if _violating_path(D, blocks, frozenset(chosen)) is None:
-            break
-        c = costs[cls]
-        if spent + c > optimum:
-            continue
-        if _search(D, blocks, costs, frozenset(chosen | {cls}), frozenset(out),
-                   spent + c, optimum) is not None:
-            chosen.add(cls)
-            spent += c
-        else:
-            out.add(cls)
-    assert _violating_path(D, blocks, frozenset(chosen)) is None
-    return frozenset(chosen)
+    if canonical and cut:
+        optimum = sum(G.costs[cls] for cls in cut)
+        chosen: set = set()
+        out: set = set()
+        spent = 0
+        for cls, c in G.costs.items():
+            if _violating_path(G, frozenset(chosen)) is None:
+                break
+            if spent + c > optimum:
+                continue
+            if _search(G, frozenset(chosen | {cls}), frozenset(out),
+                       spent + c, optimum) is not None:
+                chosen.add(cls)
+                spent += c
+            else:
+                out.add(cls)
+        if _violating_path(G, frozenset(chosen)) is not None:
+            raise RuntimeError("lex-least extraction left a violating path")
+        cut = chosen
+    names = G.names
+    return frozenset((names[u], names[w]) for u, w in cut)
 
 
 def linear_edge_cut(D: Digraph, T, s: int, canonical: bool = True) -> CutCertificate | None:
@@ -225,20 +255,19 @@ def linear_edge_cut(D: Digraph, T, s: int, canonical: bool = True) -> CutCertifi
 
 
 def _split_reduction(D: Digraph, blocks, s0: int):
+    # construction order is free: _lec_solve interns the result in vkey order
     red = Digraph()
-    for v in D.sorted_vertices():
+    for v in D.vertices():
         red.add_edge(("in", v), ("out", v))
-    for u, v, _ in _sorted_classes(D):
-        red.add_edge(("out", u), ("in", v), s0 + 1)
+    for u, v, _ in D.edge_classes():
+        if u != v:
+            red.add_edge(("out", u), ("in", v), s0 + 1)
     red_blocks = []
     for b in blocks:
-        blk = set()
-        for v in vsorted(b):
-            t = ("term", v)
-            red.add_edge(t, ("in", v), s0 + 1)
-            red.add_edge(("out", v), t, s0 + 1)
-            blk.add(t)
-        red_blocks.append(frozenset(blk))
+        for v in b:
+            red.add_edge(("term", v), ("in", v), s0 + 1)
+            red.add_edge(("out", v), ("term", v), s0 + 1)
+        red_blocks.append(frozenset(("term", v) for v in b))
     return red, red_blocks
 
 
@@ -270,8 +299,8 @@ def linear_vertex_cut(D: Digraph, T, s: int, canonical: bool = True) -> CutCerti
         return None
     elements = set()
     for tail, head in cut:
-        assert tail[0] == "in" and head == ("out", tail[1]), \
-            "affordable reduction cuts consist of split arcs only"
+        if tail[0] != "in" or head != ("out", tail[1]):
+            raise RuntimeError("an affordable reduction cut holds a non-split arc")
         elements.add(tail[1])
     return CutCertificate("vertex-cut", frozenset(elements), forced)
 

@@ -16,8 +16,10 @@ from dirtw import (
     validate,
 )
 
+from dirtw.digraph import tarjan_sccs
 from util import (
     bidirected_clique,
+    bidirected_cycle,
     path_digraph,
     pendant_pairs_digraph,
     random_digraph,
@@ -90,6 +92,56 @@ def test_structural_violations_are_reported():
     two_parents = ArborealDecomposition(
         0, {0: {1}, 1: {2}, 2: set()}, {(0, 1): frozenset(), (0, 2): frozenset(), (1, 2): frozenset()})
     assert any("in-degree" in v.detail for v in validate(D, two_parents).violations)
+
+
+def strong_component_arcs(report) -> set[str]:
+    return {v.detail.split(":")[0] for v in report.violations if v.clause == "strong-component"}
+
+
+def tarjan_strong_component_arcs(D, dec) -> set[str]:
+    # the clause by definition: the territory is one of the strong
+    # components of D minus the guard
+    return {f"arc {arc}" for arc, guard in dec.guards.items()
+            if set(dec.beyond(arc) - guard) not in tarjan_sccs(D, guard)}
+
+
+def test_strong_component_clause_on_corrupted_territories():
+    D = bidirected_cycle(6)  # 1..6
+    cases = {
+        # D minus {1, 4} falls into {2, 3} and {5, 6}
+        "two-components": ArborealDecomposition(
+            0, {0: {1, 4}, 1: {2, 3, 5, 6}}, {(0, 1): frozenset({1, 4})}),
+        # the least territory vertex 0 and the vertex 9 are not in D
+        "id-not-in-D": ArborealDecomposition(
+            0, {0: {1, 4, 5, 6}, 1: {0, 2, 3}, 2: {9}}, {(0, 1): frozenset({1, 4}), (1, 2): frozenset({2})}),
+        # the guard swallows the whole beyond-arc set
+        "empty": ArborealDecomposition(
+            0, {0: {1, 2, 3, 4}, 1: {5, 6}}, {(0, 1): frozenset({5, 6})}),
+    }
+    expected = {"two-components": {"arc (0, 1)"}, "id-not-in-D": {"arc (0, 1)", "arc (1, 2)"},
+                "empty": {"arc (0, 1)"}}
+    for name, dec in cases.items():
+        report = validate(D, dec, nice=True)
+        assert strong_component_arcs(report) == tarjan_strong_component_arcs(D, dec) == expected[name], name
+
+
+def test_strong_component_clause_matches_tarjan_on_tampered_guards():
+    rng = random.Random(8)
+    flagged = clean = 0
+    for _ in range(40):
+        D = random_digraph(rng, rng.randint(4, 10), 0.3)
+        dec = decompose(D, 2)
+        if isinstance(dec, LinkedSetCertificate) or not dec.guards:
+            continue
+        for _ in range(4):
+            guards = {arc: frozenset(rng.sample(D.sorted_vertices(), rng.randint(0, 3)))
+                      if rng.random() < 0.5 else g for arc, g in dec.guards.items()}
+            tampered = ArborealDecomposition(dec.root, dec.bags, guards)
+            got = strong_component_arcs(validate(D, tampered, nice=True))
+            assert got == tarjan_strong_component_arcs(D, tampered)
+            flagged += bool(got)
+            clean += not got
+    assert flagged > 10 and clean > 10
 
 
 # ------------------------------------------------------------ construction

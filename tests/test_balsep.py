@@ -1,8 +1,12 @@
 """Balanced-separator layer: partition enumeration against an independent
 counting recurrence, solver verdicts against the subset-scan oracle, and the
 worked small instances with frozen outputs."""
+import os
 import random
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,8 @@ from dirtw import (
     ordered_partitions,
 )
 
+import dirtw
+from dirtw import balsep
 from dirtw.balsep import offending_components
 from util import (
     bidirected_clique,
@@ -269,3 +275,34 @@ def test_offending_components_match_brute_partition():
         got = offending_components(D, T, r, Z)
         assert [frozenset(c) for c in got] == expected
         assert is_balanced_separator(D, T, r, Z) == (not expected)
+
+
+def test_non_separator_from_a_layer_is_an_error(monkeypatch):
+    # K_5 with T = V, r = 1, s = 2 reaches the greedy layer; a greedy answer
+    # that is no separator must raise, not pass silently
+    inst = BalancedSeparatorInstance(bidirected_clique(5), frozenset(range(1, 6)), 1, 2)
+    monkeypatch.setattr(balsep, "_greedy_separator", lambda *args: frozenset({1}))
+    with pytest.raises(RuntimeError, match="not a balanced separator"):
+        balanced_separator(inst)
+
+
+def test_separator_check_survives_optimized_mode():
+    # python -O strips assert statements; the post-hoc check must remain
+    script = (
+        "from dirtw import balsep\n"
+        "from dirtw.digraph import Digraph\n"
+        "D = Digraph()\n"
+        "for i in range(1, 6):\n"
+        "    for j in range(1, 6):\n"
+        "        if i != j: D.add_edge(i, j)\n"
+        "balsep._greedy_separator = lambda *args: frozenset({1})\n"
+        "try:\n"
+        "    balsep.balanced_separator(balsep.BalancedSeparatorInstance(D, set(range(1, 6)), 1, 2))\n"
+        "except RuntimeError:\n"
+        "    print('raised')\n"
+    )
+    src = str(Path(dirtw.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised\n"

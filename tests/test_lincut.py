@@ -13,8 +13,10 @@ from dirtw import (
     linear_vertex_cut,
     reachable,
 )
-from dirtw.lincut import _split_reduction
-from util import path_digraph, random_digraph
+from dirtw import lincut
+from dirtw.digraph import vkey
+from dirtw.lincut import _Interned, _split_reduction, _violating_path
+from util import mixed_id_digraph, path_digraph, random_digraph, reference_violating_path
 
 
 def diamond() -> Digraph:
@@ -34,14 +36,19 @@ def strip_classes(D: Digraph, classes) -> Digraph:
     return out
 
 
-def brute_min_edge_cut_cost(D: Digraph, blocks, s: int):
-    """Independent oracle: all subsets of edge classes by total cost."""
-    classes = [(u, v, c) for u, v, c in D.edge_classes() if u != v]
+def brute_min_edge_cut(D: Digraph, blocks, s: int):
+    """Independent oracle over all subsets of edge classes: the least-cost
+    set within budget s killing every earlier-to-later path, ties broken by
+    the vkey-sorted list of its classes, as (cost, classes); None if there
+    is none."""
+    classes = sorted(((u, v, c) for u, v, c in D.edge_classes() if u != v),
+                     key=lambda e: (vkey(e[0]), vkey(e[1])))
     best = None
     for k in range(len(classes) + 1):
         for combo in combinations(classes, k):
             cost = sum(c for _, _, c in combo)
-            if cost > s or (best is not None and cost >= best):
+            rank = (cost, [(vkey(u), vkey(v)) for u, v, _ in combo])
+            if cost > s or (best is not None and rank >= best[0]):
                 continue
             rest = strip_classes(D, {(u, v) for u, v, _ in combo})
             if all(
@@ -49,8 +56,8 @@ def brute_min_edge_cut_cost(D: Digraph, blocks, s: int):
                 for i in range(len(blocks))
                 for j in range(i + 1, len(blocks))
             ):
-                best = cost
-    return best
+                best = (rank, frozenset((u, v) for u, v, _ in combo))
+    return None if best is None else (best[0][0], best[1])
 
 
 def test_edge_cut_chain_lex_least():
@@ -70,7 +77,7 @@ def test_edge_cut_diamond():
     assert linear_edge_cut(diamond(), [{"a"}, {"d"}], 1) is None
     cut = linear_edge_cut(diamond(), [{"a"}, {"d"}], 2)
     assert cut.elements == {("a", "b"), ("a", "c")}
-    assert brute_min_edge_cut_cost(diamond(), [frozenset("a"), frozenset("d")], 2) == 2
+    assert brute_min_edge_cut(diamond(), [frozenset("a"), frozenset("d")], 2) == (2, cut.elements)
 
 
 def test_edge_cut_overlapping_blocks_unsatisfiable():
@@ -213,3 +220,80 @@ def test_deterministic_output():
     first = linear_vertex_cut(D, blocks, 3)
     second = linear_vertex_cut(D, blocks, 3)
     assert (first is None and second is None) or first.cut_vertices() == second.cut_vertices()
+
+
+def test_mixed_ids_match_both_oracles():
+    # number order inside the solver must be vkey order: with ids of every
+    # type built in shuffled order, the lex-least cuts still match the oracles
+    rng = random.Random(17)
+    checked = {"vertex": 0, "edge": 0}
+    for _ in range(200):
+        D = mixed_id_digraph(rng, random_digraph(rng, rng.randint(2, 7), rng.random() * 0.5))
+        if rng.random() < 0.3:
+            u, v = rng.sample(D.sorted_vertices(), 2)
+            D.add_edge(u, v)  # a parallel copy or a fresh class
+            D.add_edge(v, v)
+        blocks = random_blocks(rng, D)
+        if len(blocks) < 2:
+            continue
+        s = rng.randint(0, 3)
+        fast = linear_vertex_cut(D, blocks, s)
+        slow = brute_force_vertex_cut(D, blocks, s)
+        assert (fast is None) == (slow is None)
+        if fast is not None:
+            assert fast.cut_vertices() == slow.cut_vertices() and fast.forced == slow.forced
+            checked["vertex"] += 1
+        if sum(u != v for u, v, _ in D.edge_classes()) <= 10:  # oracle tries 2^classes sets
+            edge = linear_edge_cut(D, blocks, s)
+            want = brute_min_edge_cut(D, blocks, s)
+            assert (edge is None) == (want is None)
+            if edge is not None:
+                assert (sum(D.mult(u, v) for u, v in edge.elements), edge.elements) == want
+                checked["edge"] += 1
+    assert checked["vertex"] > 60 and checked["edge"] > 40
+
+
+def test_violating_path_matches_vertex_keyed_reference():
+    rng = random.Random(5)
+    found = beyond_next = 0
+    for _ in range(300):
+        D = mixed_id_digraph(rng, random_digraph(rng, rng.randint(2, 9), rng.random() * 0.6))
+        blocks = [frozenset(b) for b in random_blocks(rng, D, max_blocks=5)]
+        if len(blocks) < 2:
+            continue
+        classes = [(u, v) for u, v, _ in D.edge_classes() if u != v]
+        removed = frozenset(rng.sample(classes, rng.randint(0, len(classes) // 2)))
+        G = _Interned(D, blocks)
+        index = {v: i for i, v in enumerate(G.names)}
+        got = _violating_path(G, frozenset((index[u], index[v]) for u, v in removed))
+        want = reference_violating_path(D, blocks, removed)
+        if got is not None:
+            got = [(G.names[u], G.names[v]) for u, v in got]
+            found += 1
+            start = next(i for i, b in enumerate(blocks) if got[0][0] in b)
+            beyond_next += got[-1][1] not in blocks[start + 1]
+        assert got == want
+    # paths were found, and some ended beyond the next block
+    assert found > 100 and beyond_next > 5
+
+
+def test_interning_orders_numbers_by_vkey():
+    rng = random.Random(2)
+    D = mixed_id_digraph(rng, random_digraph(rng, 9, 0.4))
+    blocks = random_blocks(rng, D)
+    G = _Interned(D, blocks)
+    assert G.names == D.sorted_vertices()
+    assert list(G.costs) == sorted(G.costs)
+    assert [(G.names[u], G.names[v], c) for (u, v), c in G.costs.items()] == sorted(
+        ((u, v, c) for u, v, c in D.edge_classes() if u != v), key=lambda e: (vkey(e[0]), vkey(e[1])))
+    for j, b in enumerate(blocks):
+        assert {G.names[v] for v in G.blocks[j]} == b
+        assert all(G.block_of[v] == j for v in G.blocks[j])
+
+
+def test_non_split_arc_in_a_reduction_cut_is_an_error(monkeypatch):
+    # the split-arcs-only guarantee is checked by an explicit error, so it
+    # holds under python -O as well
+    monkeypatch.setattr(lincut, "_lec_solve", lambda *args: frozenset({(("out", "a"), ("in", "b"))}))
+    with pytest.raises(RuntimeError, match="non-split arc"):
+        linear_vertex_cut(path_digraph("a", "b", "c"), [{"a"}, {"c"}], 1)

@@ -2,9 +2,12 @@
 from __future__ import annotations
 
 import ast
+import inspect
+import textwrap
 from pathlib import Path
 
 import dirtw
+from util import reference_violating_path
 
 PACKAGE = Path(dirtw.__file__).resolve().parent
 
@@ -81,3 +84,40 @@ def test_no_question_about_d_minus_z_copies_d():
     modules = sorted(PACKAGE.glob("*.py"))
     found = {m.name: _copies_in_questions(m.read_text()) for m in modules}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+# the linear cut's inner loops run on the interned graph: no vertex-keyed
+# sorting, no subgraph copies
+HOT = {"_violating_path", "_search"}
+NAME_KEYED = {"vkey", "vsorted"}
+COPIES = {"minus", "induced"}
+
+
+def _name_keyed_work(source: str, functions: set[str]) -> list[str]:
+    out = []
+    for fn in ast.walk(ast.parse(source)):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name in functions):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name) and node.id in NAME_KEYED:
+                out.append(f"line {node.lineno}: {fn.name} uses {node.id}")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in COPIES:
+                out.append(f"line {node.lineno}: {fn.name} calls .{node.func.attr}")
+    return out
+
+
+def test_checker_flags_the_vertex_keyed_violating_path():
+    source = textwrap.dedent(inspect.getsource(reference_violating_path))
+    assert _name_keyed_work(source, {"reference_violating_path"}) == [
+        "line 10: reference_violating_path uses vsorted",
+        "line 14: reference_violating_path uses vsorted"]
+    assert _name_keyed_work("def _search(D):\n    return sorted(D.minus(X), key=vkey)\n", HOT) == [
+        "line 2: _search calls .minus", "line 2: _search uses vkey"]
+
+
+def test_linear_cut_inner_loops_run_on_ints():
+    source = (PACKAGE / "lincut.py").read_text()
+    defined = {fn.name for fn in ast.walk(ast.parse(source)) if isinstance(fn, ast.FunctionDef)}
+    assert HOT <= defined
+    assert _name_keyed_work(source, HOT) == []

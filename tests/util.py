@@ -5,9 +5,10 @@ agreement is meaningful."""
 from __future__ import annotations
 
 import random
+from collections import deque
 from itertools import combinations
 
-from dirtw import Digraph
+from dirtw import Digraph, vsorted
 
 
 # -- named instances --------------------------------------------------------
@@ -67,6 +68,28 @@ def path_digraph(*names) -> Digraph:
     for u, v in zip(names, names[1:]):
         D.add_edge(u, v)
     return D
+
+
+def mixed_id_digraph(rng: random.Random, D: Digraph) -> Digraph:
+    """A copy of D on a random injective choice of int, str and tuple ids,
+    built in shuffled order, so construction order and id type say nothing
+    about vkey order.  Multiplicities and loops are kept."""
+    pool = ([rng.randrange(-50, 50) for _ in range(3)] + [f"v{rng.randrange(50)}" for _ in range(3)]
+            + [("t", rng.randrange(9)), (rng.randrange(9), "x"), ((1, "a"), rng.randrange(9)), ()])
+    pool += [f"w{i}" for i in range(D.n)]
+    pool = list(dict.fromkeys(pool))
+    rng.shuffle(pool)
+    name = dict(zip(D.sorted_vertices(), pool))
+    order = D.sorted_vertices()
+    rng.shuffle(order)
+    out = Digraph()
+    for v in order:
+        out.add_vertex(name[v])
+    classes = list(D.edge_classes())
+    rng.shuffle(classes)
+    for u, v, c in classes:
+        out.add_edge(name[u], name[v], c)
+    return out
 
 
 def random_digraph(rng: random.Random, n: int, p: float, isolated_ok: bool = True) -> Digraph:
@@ -173,3 +196,37 @@ def brute_min_vertex_separator(D: Digraph, X, Y) -> int:
             if not dfs_path_exists(D.minus(S), set(X) - S, set(Y) - S):
                 return size
     raise AssertionError("deleting all vertices always separates")
+
+
+def reference_violating_path(D: Digraph, blocks, removed: frozenset):
+    """The vertex-keyed violating-path search that lincut._violating_path
+    replaced, kept verbatim as its reference: re-sorts every successor list
+    on every BFS step and scans all later blocks for each new vertex."""
+    succ = D._succ
+    for i in range(len(blocks) - 1):
+        later = [(j, blocks[j]) for j in range(i + 1, len(blocks))]
+        seen = set(blocks[i])
+        parent = {v: None for v in blocks[i]}
+        queue = deque(vsorted(blocks[i]))
+        hits = {}
+        while queue:
+            u = queue.popleft()
+            for w in vsorted(succ[u]):
+                if w in seen or (u, w) in removed:
+                    continue
+                seen.add(w)
+                parent[w] = u
+                for j, blk in later:
+                    if w in blk and j not in hits:
+                        hits[j] = w
+                queue.append(w)
+        if hits:
+            target = hits[min(hits)]
+            path = []
+            node = target
+            while parent[node] is not None:
+                path.append((parent[node], node))
+                node = parent[node]
+            path.reverse()
+            return path
+    return None
