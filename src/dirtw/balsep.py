@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from collections.abc import Iterable, Iterator
 
-from .digraph import _SNK, _SRC, Digraph, Vertex, split_network, tarjan_sccs, vkey, vsorted
+from .digraph import (Digraph, Interned, Vertex, split_network, tarjan_sccs, terminal_flow, vkey,
+                      vsorted)
 from .lincut import TerminalSequence, linear_vertex_cut
 
 
@@ -141,18 +142,21 @@ def _component_lb(D: Digraph, comp: set, tc: int, r: int) -> int:
     cap = tc - r
     if cap <= 1 or len(comp) == 1:
         return 1
-    sub = D.induced(comp)
     bound = min(cap, len(comp) - 1)
-    net = split_network(sub)
-    fresh = dict(net.cap)
-    vs = sub.sorted_vertices()
-    for u in vs:
-        for w in vs:
-            if u == w or sub.has_edge(u, w):
+    if all(len(comp.intersection(D.out_neighbors(v))) - D.has_edge(v, v) == len(comp) - 1
+           for v in comp):
+        return bound
+    G = Interned(D, comp)
+    n = len(G.names)
+    net = split_network(G)
+    for u in range(n):
+        near = set(G.succ[u])
+        for w in range(n):
+            if u == w or w in near:
                 continue
             # internally vertex-disjoint u -> w paths
-            net.cap = dict(fresh)
-            f = net.max_flow(("out", u), ("in", w), limit=bound)
+            net.reset()
+            f = net.max_flow(n + u, w, limit=bound)
             if f < bound:
                 bound = f
                 if bound <= 1:
@@ -211,12 +215,14 @@ def _partition_min_cut(sub: Digraph, Tc: frozenset, r: int, cap: int, lb: int) -
     every path from a prefix of its blocks to the remaining terminals, so a
     memoized prefix flow prunes whole families of partitions at once."""
     flow_memo: dict = {}
+    G = Interned(sub, sub.vertices())
+    net = split_network(G)
 
     def prefix_bound(U: frozenset) -> int:
         if U not in flow_memo:
             # min vertices (terminals deletable) meeting every U -> rest path
             rest = Tc - U
-            flow_memo[U] = (split_network(sub, U, rest).max_flow(_SRC, _SNK, limit=cap + 1)
+            flow_memo[U] = (terminal_flow(net, G.ids(U), G.ids(rest), limit=cap + 1)
                             if U and rest else 0)
         return flow_memo[U]
 

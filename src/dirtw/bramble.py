@@ -14,7 +14,7 @@ from collections import deque
 from collections.abc import Iterable
 from itertools import combinations
 
-from .digraph import Digraph, Path, Vertex, menger, vkey, vsorted
+from .digraph import Digraph, Interned, Path, Vertex, menger, split_network, terminal_flow, vkey
 from .balsep import (BalancedSeparatorInstance, balanced_separator, is_balanced_separator,
                      offending_components)
 from .arboreal import LinkedSetCertificate
@@ -189,12 +189,14 @@ def verify_well_linked(D: Digraph, A: Iterable[Vertex]) -> bool:
     """Exhaustive Menger check: every pair of disjoint equal-size subsets
     X, Y of A is joined by |X| vertex-disjoint X -> Y paths.  Exponential in
     |A|; meant for small anchor sets."""
-    items = vsorted(A)
+    G = Interned(D, D.vertices())
+    net = split_network(G)
+    items = sorted(G.ids(A))
     for size in range(1, len(items) // 2 + 1):
         for X in combinations(items, size):
             rest = [v for v in items if v not in X]
             for Y in combinations(rest, size):
-                if menger(D, X, Y, size).separator is not None:
+                if terminal_flow(net, X, Y, limit=size) < size:
                     return False
     return True
 

@@ -307,6 +307,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
     kind = _detect_artifact(js)
     if kind is None:
         return _fail(2, "unrecognized artifact shape")
+    for key in ("T", "separator", "path", "A"):  # a string would pass as a list of characters
+        if key in js and not isinstance(js[key], list):
+            return _fail(2, f"malformed {kind} artifact: {key} must be a list")
     try:
         problems = {
             "decomposition": lambda: _validate_decomposition(D, js, args.nice),

@@ -272,7 +272,8 @@ def scc(D: Digraph, banned: Iterable[Vertex] = ()) -> SccDecomposition:
             pending[p] -= 1
             if pending[p] == 0:
                 heapq.heappush(heap, (minkey[p], p))
-    assert len(ordered) == len(raw)
+    if len(ordered) != len(raw):
+        raise RuntimeError("the condensation order left out a strong component")
     return SccDecomposition(ordered)
 
 
@@ -319,103 +320,122 @@ def is_guarded(D: Digraph, S: Iterable[Vertex], Z: Iterable[Vertex]) -> bool:
     return guard_breach(D, S, Z) is None
 
 
+class Interned:
+    """A vertex set of D numbered 0..n-1 in vkey order, so that int order is
+    vkey order.  `names[i]` is vertex i and `index` maps names back;
+    `succ[i]` lists i's successors inside the set, loops dropped, in
+    ascending order."""
+
+    __slots__ = ("names", "index", "succ")
+
+    def __init__(self, D: Digraph, vertices: Iterable[Vertex]) -> None:
+        self.names = vsorted(vertices)
+        self.index = index = {v: i for i, v in enumerate(self.names)}
+        self.succ = [sorted(index[w] for w in D._succ[v] if w != v and w in index)
+                     for v in self.names]
+
+    def ids(self, vs: Iterable[Vertex]) -> list[int]:
+        """The numbers of vs; a vertex outside the set is a ValueError."""
+        try:
+            return [self.index[v] for v in vs]
+        except KeyError as exc:
+            raise ValueError(f"terminal {exc.args[0]!r} not in digraph") from None
+
+
 class FlowNetwork:
-    """Integer-capacity max flow over arbitrary hashable nodes, by shortest
-    augmenting paths.  Augmenting mutates capacities in place; to reuse a
-    network, restore a saved copy of `cap` before the next run."""
+    """Integer-capacity max flow over the int nodes 0..size-1, by shortest
+    augmenting paths.  Arcs come in pairs: `add` returns the even id a of
+    the arc u -> v, and a ^ 1 is its reverse, built with capacity 0.
+    `head[a]` is an arc's head, `cap[a]` its residual capacity, and `adj[u]`
+    lists the arcs leaving u in the order they were added, so augmenting
+    paths are deterministic.  Augmenting mutates `cap`; `reset()` restores
+    the capacities as built, so one network serves many flow questions."""
 
-    __slots__ = ("cap", "adj")
+    __slots__ = ("adj", "head", "cap", "built")
 
-    def __init__(self) -> None:
-        self.cap: dict[tuple, int] = {}
-        self.adj: dict = {}
+    def __init__(self, size: int) -> None:
+        self.adj: list[list[int]] = [[] for _ in range(size)]
+        self.head, self.cap, self.built = [], [], []  # indexed by arc id
 
-    def add(self, u, v, c: int) -> None:
-        if c <= 0:
-            return
-        if u not in self.adj:
-            self.adj[u] = []
-        if v not in self.adj:
-            self.adj[v] = []
-        if (u, v) not in self.cap:
-            self.cap[(u, v)] = 0
-            self.adj[u].append(v)
-            if (v, u) not in self.cap:
-                self.cap[(v, u)] = 0
-                self.adj[v].append(u)
-        self.cap[(u, v)] += c
+    def add(self, u: int, v: int, c: int) -> int:
+        a = len(self.head)
+        self.adj[u].append(a)
+        self.adj[v].append(a + 1)
+        self.head += (v, u)
+        self.cap += (c, 0)
+        self.built += (c, 0)
+        return a
 
-    def max_flow(self, s, t, limit: int | None = None) -> int:
-        cap = self.cap
-        adj = self.adj
-        if s not in adj or t not in adj:
-            return 0
-        flow = 0
-        while limit is None or flow < limit:
-            parent = {s: None}
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                if u == t:
-                    break
-                for w in adj[u]:
-                    if w not in parent and cap[(u, w)] > 0:
-                        parent[w] = u
-                        queue.append(w)
-            if t not in parent:
+    def reset(self) -> None:
+        self.cap[:] = self.built
+
+    def _bfs(self, s: int, t: int) -> list[int]:
+        """BFS from s over positive residual arcs until t leaves the queue:
+        the arc each node was first reached by, -2 at s, -1 if unreached."""
+        adj, head, cap = self.adj, self.head, self.cap
+        via = [-1] * len(adj)
+        via[s] = -2
+        queue = [s]
+        for u in queue:  # the BFS queue: nodes appended below are visited too
+            if u == t:
                 break
-            bottleneck = None
+            for a in adj[u]:
+                if cap[a] > 0 and via[head[a]] == -1:
+                    via[head[a]] = a
+                    queue.append(head[a])
+        return via
+
+    def max_flow(self, s: int, t: int, limit: int | None = None) -> int:
+        head, cap = self.head, self.cap
+        room = float("inf") if limit is None else limit
+        flow = 0
+        while flow < room:
+            via = self._bfs(s, t)
+            if via[t] == -1:
+                break
+            path = []
             node = t
-            while parent[node] is not None:
-                c = cap[(parent[node], node)]
-                if bottleneck is None or c < bottleneck:
-                    bottleneck = c
-                node = parent[node]
-            if limit is not None and flow + bottleneck > limit:
-                bottleneck = limit - flow
-            node = t
-            while parent[node] is not None:
-                p = parent[node]
-                cap[(p, node)] -= bottleneck
-                cap[(node, p)] += bottleneck
-                node = p
+            while node != s:
+                path.append(via[node])
+                node = head[via[node] ^ 1]
+            bottleneck = min(room - flow, *(cap[a] for a in path))
+            for a in path:
+                cap[a] -= bottleneck
+                cap[a ^ 1] += bottleneck
             flow += bottleneck
         return flow
 
-    def residual_side(self, s) -> set:
-        seen = {s}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in self.adj.get(u, ()):
-                if w not in seen and self.cap[(u, w)] > 0:
-                    seen.add(w)
-                    queue.append(w)
-        return seen
 
-
-_SRC = ("src",)
-_SNK = ("snk",)
-
-
-def split_network(D: Digraph, sources: Iterable[Vertex] = (), sinks: Iterable[Vertex] = ()) -> FlowNetwork:
-    """The vertex-split flow network of D: v_in -> v_out with capacity one
-    per vertex, out -> in arcs for the non-loop edges, and uncapacitated
-    _SRC -> x_in and y_out -> _SNK attachments for the given terminals.
-    Arcs are added in canonical order, so augmenting paths are
-    deterministic."""
-    big = D.n + 2
-    net = FlowNetwork()
-    for v in D.sorted_vertices():
-        net.add(("in", v), ("out", v), 1)
-    for u, v, _ in sorted(D.edge_classes(), key=lambda e: (vkey(e[0]), vkey(e[1]))):
-        if u != v:
-            net.add(("out", u), ("in", v), big)
-    for x in vsorted(set(sources)):
-        net.add(_SRC, ("in", x), big)
-    for y in vsorted(set(sinks)):
-        net.add(("out", y), _SNK, big)
+def split_network(G: Interned) -> FlowNetwork:
+    """The vertex-split flow network of G's n vertices, laid out as v_in = v,
+    v_out = n + v, source 2n, sink 2n + 1.  v_in -> v_out has capacity one,
+    each non-loop edge gives an uncapacitated out -> in arc, and each vertex
+    a source -> v_in and a v_out -> sink arc, built switched off (capacity 0
+    both ways) for `terminal_flow`.  Arcs are added in ascending order."""
+    n = len(G.names)
+    net = FlowNetwork(2 * n + 2)
+    for v in range(n):
+        net.add(v, n + v, 1)
+    for u in range(n):
+        for w in G.succ[u]:
+            net.add(n + u, w, n + 2)
+    for v in range(n):
+        net.add(2 * n, v, 0)
+        net.add(n + v, 2 * n + 1, 0)
     return net
+
+
+def terminal_flow(net: FlowNetwork, X: Iterable[int], Y: Iterable[int], limit: int | None) -> int:
+    """Reset a split network, switch on the source arcs into X and the sink
+    arcs out of Y (vertex numbers), and return the source-to-sink flow,
+    stopping at `limit`: the most vertex-disjoint X -> Y paths."""
+    net.reset()
+    n = len(net.adj) // 2 - 1
+    for x in X:
+        net.cap[net.adj[2 * n][x]] = n + 2
+    for y in Y:
+        net.cap[net.adj[2 * n + 1][y] ^ 1] = n + 2
+    return net.max_flow(2 * n, 2 * n + 1, limit=limit)
 
 
 class MengerResult:
@@ -424,7 +444,8 @@ class MengerResult:
     __slots__ = ("paths", "separator")
 
     def __init__(self, paths: list[Path] | None, separator: set | None) -> None:
-        assert (paths is None) != (separator is None)
+        if (paths is None) == (separator is None):
+            raise ValueError("exactly one of paths and separator must be set")
         self.paths = paths
         self.separator = separator
 
@@ -441,51 +462,40 @@ def menger(D: Digraph, X: Iterable[Vertex], Y: Iterable[Vertex], r: int) -> Meng
     Disjointness includes endpoints: each vertex of the graph lies on at most
     one returned path, which is what every caller (well-linkedness checks,
     linkage construction) needs.  A vertex in both X and Y yields a
-    zero-length path.  Implemented as unit-capacity flow on the split graph:
-    v_in -> v_out with capacity one for every vertex, uncapacitated
-    attachment arcs for the terminals.
+    zero-length path.  Implemented as unit-capacity flow on the split
+    network, with the terminal arcs of X and Y switched on.
     """
     if r < 1:
         raise ValueError("menger requires r >= 1")
-    Xs = vsorted({x for x in X})
-    Ys = vsorted({y for y in Y})
-    for v in Xs + Ys:
-        if v not in D:
-            raise ValueError(f"terminal {v!r} not in digraph")
-    net = split_network(D, Xs, Ys)
-    orig = dict(net.cap)
-    flow = net.max_flow(_SRC, _SNK, limit=r)
+    G = Interned(D, D.vertices())
+    n = len(G.names)
+    net = split_network(G)
+    flow = terminal_flow(net, G.ids(vsorted(X)), G.ids(vsorted(Y)), limit=r)
     if flow < r:
-        side = net.residual_side(_SRC)
-        sep = {v for v in D.vertices() if ("in", v) in side and ("out", v) not in side}
-        assert len(sep) <= r - 1
+        via = net._bfs(2 * n, -1)  # the residual side of the minimum cut
+        sep = {G.names[v] for v in range(n) if via[v] != -1 and via[n + v] == -1}
+        if len(sep) > r - 1:
+            raise RuntimeError(f"a flow of {flow} left a separator of {len(sep)} vertices")
         return MengerResult(None, sep)
 
-    used = {arc: orig[arc] - c for arc, c in net.cap.items() if orig[arc] - c > 0}
+    # decompose the flow, always stepping to the least next node (in-nodes,
+    # then out-nodes, then the sink); an arc's flow is its reverse's capacity
+    used = [net.cap[a ^ 1] if a % 2 == 0 else 0 for a in range(len(net.cap))]
     paths = []
     for _ in range(r):
         walk = []
-        node = _SRC
-        while node != _SNK:
-            nxt = None
-            for w in net.adj[node]:
-                if used.get((node, w), 0) > 0 and (nxt is None or _node_key(w) < _node_key(nxt)):
-                    nxt = w
-            assert nxt is not None, "flow decomposition ran dry"
-            used[(node, nxt)] -= 1
-            if used[(node, nxt)] == 0:
-                del used[(node, nxt)]
-            if nxt != _SNK and nxt[0] == "in":
-                walk.append(nxt[1])
-            node = nxt
+        node = 2 * n
+        while node != 2 * n + 1:
+            step = min((a for a in net.adj[node] if used[a] > 0), key=net.head.__getitem__,
+                       default=None)
+            if step is None:
+                raise RuntimeError("flow decomposition ran dry")
+            used[step] -= 1
+            node = net.head[step]
+            if node < n:
+                walk.append(G.names[node])
         paths.append(Path(D, walk))
     return MengerResult(paths, None)
-
-
-def _node_key(node):
-    if node == _SNK:
-        return (3,)
-    return (1, vkey(node[1])) if node[0] == "in" else (2, vkey(node[1]))
 
 
 # ---------------------------------------------------------------------------

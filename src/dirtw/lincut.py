@@ -11,11 +11,12 @@ demands it participates in.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from collections.abc import Iterable
 from itertools import combinations
 
-from .digraph import Digraph, FlowNetwork, Vertex, reachable, vsorted
+from .digraph import Digraph, FlowNetwork, Interned, Vertex, reachable, vsorted
 
 
 class TerminalSequence:
@@ -60,7 +61,8 @@ class CutCertificate:
         return len(self.elements) + len(self.forced)
 
     def cut_vertices(self) -> frozenset:
-        assert self.kind == "vertex-cut"
+        if self.kind != "vertex-cut":
+            raise ValueError(f"a {self.kind} certificate has no cut vertices")
         return self.elements | self.forced
 
 
@@ -77,32 +79,32 @@ def _check_blocks_in(D: Digraph, blocks: list[frozenset]) -> None:
                 raise ValueError(f"terminal {v!r} not in digraph")
 
 
-class _Interned:
-    """D numbered 0..n-1 in vkey order, once per solve, so that int order is
-    vkey order.  `succ[u]` lists u's successors (loops dropped) pre-sorted;
-    `costs` maps each non-loop edge class (u, w) to its multiplicity in
-    ascending (u, w) order, which is the canonical class order; `block_of[v]`
-    is the index of v's block or -1.  Blocks must be pairwise disjoint."""
+def _forced(blocks: list[frozenset]) -> frozenset:
+    """Vertices in two or more blocks: every vertex cut deletes them."""
+    counts = Counter(v for b in blocks for v in b)
+    return frozenset(v for v, c in counts.items() if c > 1)
 
-    __slots__ = ("names", "succ", "costs", "blocks", "block_of")
 
-    def __init__(self, D: Digraph, blocks) -> None:
-        names = D.sorted_vertices()
-        index = {v: i for i, v in enumerate(names)}
-        self.names = names
-        self.succ = [sorted(index[w] for w in D._succ[v] if w != v) for v in names]
-        self.costs = {}
-        for u, v in enumerate(names):
-            for w in self.succ[u]:
-                self.costs[(u, w)] = D._succ[v][names[w]]
-        self.blocks = [sorted(index[v] for v in b) for b in blocks]
-        self.block_of = [-1] * len(names)
+class _CutInstance:
+    """An edge-cut instance over the ints 0..N-1, numbered so that int order
+    is the canonical order.  `succ[u]` lists u's successors pre-sorted;
+    `costs` maps each edge class (u, w) to its cost in ascending (u, w)
+    order, which is the canonical class order; `block_of[v]` is the index of
+    v's block or -1.  Blocks must be pairwise disjoint."""
+
+    __slots__ = ("succ", "costs", "blocks", "block_of")
+
+    def __init__(self, succ: list[list[int]], costs: dict, blocks) -> None:
+        self.succ = succ
+        self.costs = costs
+        self.blocks = [sorted(b) for b in blocks]
+        self.block_of = [-1] * len(succ)
         for j, b in enumerate(self.blocks):
             for v in b:
                 self.block_of[v] = j
 
 
-def _violating_path(G: _Interned, removed: frozenset):
+def _violating_path(G: _CutInstance, removed: frozenset):
     """Canonical shortest violating path as a list of edge classes, or None.
 
     Scans the blocks in order; for the first block i that still reaches a
@@ -141,7 +143,7 @@ def _violating_path(G: _Interned, removed: frozenset):
     return None
 
 
-def _search(G: _Interned, removed: frozenset, banned: frozenset, spent: int, budget: int):
+def _search(G: _CutInstance, removed: frozenset, banned: frozenset, spent: int, budget: int):
     path = _violating_path(G, removed)
     if path is None:
         return removed
@@ -159,34 +161,23 @@ def _search(G: _Interned, removed: frozenset, banned: frozenset, spent: int, bud
     return None
 
 
-def _flow_lower_bound(G: _Interned, s: int) -> int | None:
+def _flow_lower_bound(G: _CutInstance, s: int) -> int | None:
     """Max-flow over every earlier/later split lower-bounds the cut cost;
     returns the largest bound, or None as soon as one split exceeds s.
     One network serves every split: all terminal arcs are built once,
     switched off, and each split switches on its own."""
-    src, snk = len(G.names), len(G.names) + 1
-    net = FlowNetwork()
+    src, snk = len(G.succ), len(G.succ) + 1
+    net = FlowNetwork(len(G.succ) + 2)
     for (u, w), c in G.costs.items():
         net.add(u, w, c)
-    for b in G.blocks[:-1]:
-        for x in b:
-            net.add(src, x, s + 1)
-    for b in G.blocks[1:]:
-        for y in b:
-            net.add(y, snk, s + 1)
-    fresh = dict(net.cap)
-    for arc in fresh:
-        if src in arc or snk in arc:
-            fresh[arc] = 0
+    into = [[net.add(src, x, 0) for x in b] for b in G.blocks[:-1]]
+    out_of = [[net.add(y, snk, 0) for y in b] for b in G.blocks[1:]]
     bound = 0
     for cutpos in range(1, len(G.blocks)):
-        net.cap = dict(fresh)
-        for b in G.blocks[:cutpos]:
-            for x in b:
-                net.cap[(src, x)] = s + 1
-        for b in G.blocks[cutpos:]:
-            for y in b:
-                net.cap[(y, snk)] = s + 1
+        net.reset()
+        for arcs in into[:cutpos] + out_of[cutpos - 1:]:
+            for a in arcs:
+                net.cap[a] = s + 1
         flow = net.max_flow(src, snk, limit=s + 1)
         if flow > s:
             return None
@@ -194,12 +185,10 @@ def _flow_lower_bound(G: _Interned, s: int) -> int | None:
     return bound
 
 
-def _lec_solve(D: Digraph, blocks, s: int, canonical: bool):
-    """Minimum-cost set of edge classes (cost = multiplicity) within budget
-    s, or None.  With canonical=True the lexicographically least minimum cut
-    is extracted by greedy feasibility probing.  The search runs on D
-    interned once; the cut is mapped back to vertex names at the end."""
-    G = _Interned(D, blocks)
+def _lec_solve(G: _CutInstance, s: int, canonical: bool):
+    """Minimum-cost set of edge classes within budget s, or None.  With
+    canonical=True the lexicographically least minimum cut is extracted by
+    greedy feasibility probing."""
     start = _flow_lower_bound(G, s)
     if start is None:
         return None
@@ -229,8 +218,7 @@ def _lec_solve(D: Digraph, blocks, s: int, canonical: bool):
         if _violating_path(G, frozenset(chosen)) is not None:
             raise RuntimeError("lex-least extraction left a violating path")
         cut = chosen
-    names = G.names
-    return frozenset((names[u], names[w]) for u, w in cut)
+    return frozenset(cut)
 
 
 def linear_edge_cut(D: Digraph, T, s: int, canonical: bool = True) -> CutCertificate | None:
@@ -244,31 +232,37 @@ def linear_edge_cut(D: Digraph, T, s: int, canonical: bool = True) -> CutCertifi
     _check_blocks_in(D, blocks)
     if len(blocks) < 2:
         return CutCertificate("edge-cut", frozenset())
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            if blocks[i] & blocks[j]:
-                return None
-    cut = _lec_solve(D, blocks, s, canonical)
+    if _forced(blocks):
+        return None
+    G = Interned(D, D.vertices())
+    cut = _lec_solve(_edge_instance(D, G, blocks), s, canonical)
     if cut is None:
         return None
-    return CutCertificate("edge-cut", frozenset(cut))
+    return CutCertificate("edge-cut", frozenset((G.names[u], G.names[w]) for u, w in cut))
 
 
-def _split_reduction(D: Digraph, blocks, s0: int):
-    # construction order is free: _lec_solve interns the result in vkey order
-    red = Digraph()
-    for v in D.vertices():
-        red.add_edge(("in", v), ("out", v))
-    for u, v, _ in D.edge_classes():
-        if u != v:
-            red.add_edge(("out", u), ("in", v), s0 + 1)
-    red_blocks = []
-    for b in blocks:
-        for v in b:
-            red.add_edge(("term", v), ("in", v), s0 + 1)
-            red.add_edge(("out", v), ("term", v), s0 + 1)
-        red_blocks.append(frozenset(("term", v) for v in b))
-    return red, red_blocks
+def _edge_instance(D: Digraph, G: Interned, blocks) -> _CutInstance:
+    """D's edge-cut instance on G's numbering: each non-loop edge class
+    costs its multiplicity."""
+    names = G.names
+    costs = {(u, w): D.mult(names[u], names[w]) for u in range(len(names)) for w in G.succ[u]}
+    return _CutInstance(G.succ, costs, [G.ids(b) for b in blocks])
+
+
+def _reduction(G: Interned, blocks, s0: int) -> _CutInstance:
+    """The vertex-split reduction of G in the split layout: v_in = v,
+    v_out = n + v, and the gadget of the j-th least terminal at 2n + j.
+    v_in -> v_out costs one; edge arcs and the arcs between a terminal and
+    its gadget cost s0 + 1, so affordable cuts hold split arcs only."""
+    n = len(G.names)
+    terms = sorted(G.ids(v for b in blocks for v in b))
+    gadget = {v: 2 * n + j for j, v in enumerate(terms)}
+    succ = [[n + v] for v in range(n)]
+    succ += [G.succ[v] + ([gadget[v]] if v in gadget else []) for v in range(n)]
+    succ += [[v] for v in terms]
+    # an in-node's one arc is its split arc
+    costs = {(u, w): 1 if u < n else s0 + 1 for u, heads in enumerate(succ) for w in heads}
+    return _CutInstance(succ, costs, [[gadget[v] for v in G.ids(b)] for b in blocks])
 
 
 def linear_vertex_cut(D: Digraph, T, s: int, canonical: bool = True) -> CutCertificate | None:
@@ -279,29 +273,25 @@ def linear_vertex_cut(D: Digraph, T, s: int, canonical: bool = True) -> CutCerti
     blocks = _coerce_blocks(T)
     _check_blocks_in(D, blocks)
 
-    counts: dict[Vertex, int] = {}
-    for b in blocks:
-        for v in b:
-            counts[v] = counts.get(v, 0) + 1
-    forced = frozenset(v for v, c in counts.items() if c > 1)
+    forced = _forced(blocks)
     if len(forced) > s:
         return None
-    body = D.minus(forced) if forced else D
     blocks = [b - forced for b in blocks]
     blocks = [b for b in blocks if b]
     s0 = s - len(forced)
     if len(blocks) < 2:
         return CutCertificate("vertex-cut", frozenset(), forced)
 
-    red, red_blocks = _split_reduction(body, blocks, s0)
-    cut = _lec_solve(red, red_blocks, s0, canonical)
+    body = Interned(D, [v for v in D.vertices() if v not in forced])
+    n = len(body.names)
+    cut = _lec_solve(_reduction(body, blocks, s0), s0, canonical)
     if cut is None:
         return None
     elements = set()
     for tail, head in cut:
-        if tail[0] != "in" or head != ("out", tail[1]):
+        if tail >= n or head != n + tail:
             raise RuntimeError("an affordable reduction cut holds a non-split arc")
-        elements.add(tail[1])
+        elements.add(body.names[tail])
     return CutCertificate("vertex-cut", frozenset(elements), forced)
 
 
@@ -310,11 +300,7 @@ def brute_force_vertex_cut(D: Digraph, T, s: int) -> CutCertificate | None:
     (size ascending, then lexicographic) and returns the first valid cut.
     Semantics match linear_vertex_cut, including deletable terminals."""
     blocks = _coerce_blocks(T)
-    counts: dict[Vertex, int] = {}
-    for b in blocks:
-        for v in b:
-            counts[v] = counts.get(v, 0) + 1
-    forced = frozenset(v for v, c in counts.items() if c > 1)
+    forced = _forced(blocks)
 
     universe = D.sorted_vertices()
     for size in range(0, min(s, len(universe)) + 1):

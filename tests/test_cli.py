@@ -237,6 +237,21 @@ def test_validate_rejects_trivially_unlinked_certificates(tmp_path, capsys, doc,
     assert code == 1 and reason in err
 
 
+@pytest.mark.parametrize("doc, kind", [
+    ({"T": "12", "k": 1, "r": 1}, "certificate"),
+    ({"T": "12", "r": 1, "separator": []}, "separator"),
+    ({"T": [1, 2], "r": 1, "separator": "1"}, "separator"),
+    ({"path": [1, 2], "A": "12"}, "welllinked"),
+    ({"path": "12", "A": [1, 2]}, "welllinked"),
+], ids=["certificate-T", "separator-T", "separator-separator", "welllinked-A", "welllinked-path"])
+def test_validate_rejects_strings_for_vertex_lists(tmp_path, capsys, doc, kind):
+    # a string would be read character by character as a list of vertices
+    pair = write(tmp_path, "pair.txt", "1 2\n2 1\n")
+    art = write(tmp_path, "art.json", json.dumps(doc))
+    code, _, err = run_cli(["validate", pair, art], capsys)
+    assert code == 2 and f"malformed {kind} artifact" in err and "must be a list" in err
+
+
 def test_validate_welllinked_tampering(tmp_path, capsys):
     k15 = write(tmp_path, "k15.txt", serialize_edge_list(bidirected_clique(15)))
     art = write(tmp_path, "wl.json", json.dumps({"path": [1, 2, 3], "A": [3, 9]}))

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+
+import dirtw
 
 from dirtw import (
     Digraph,
@@ -16,16 +21,18 @@ from dirtw import (
     vkey,
     vsorted,
 )
-from dirtw.digraph import _SNK, _SRC, split_network, tarjan_sccs
+from dirtw.digraph import Interned, split_network, tarjan_sccs, terminal_flow
 from util import (
     bidirected_clique,
     brute_guarded,
     brute_min_vertex_separator,
     brute_scc_partition,
     dfs_path_exists,
+    mixed_id_digraph,
     path_digraph,
     pendant_pairs_digraph,
     random_digraph,
+    reference_menger,
     subsets_up_to,
     triangle_gadget,
 )
@@ -260,27 +267,89 @@ def test_menger_deterministic():
     assert [p.vertices for p in first.paths] == [p.vertices for p in second.paths]
 
 
+def test_menger_matches_tuple_keyed_reference():
+    rng = random.Random(13)
+    found = {"paths": 0, "separator": 0, "shared": 0}
+    for _ in range(300):
+        D = mixed_id_digraph(rng, random_digraph(rng, rng.randint(1, 9), rng.random() * 0.5))
+        vs = D.sorted_vertices()
+        for _ in range(rng.randint(0, 3)):
+            u, v = rng.choice(vs), rng.choice(vs)
+            D.add_edge(u, v, rng.randint(1, 2))  # loops and parallel copies
+        X = set(rng.sample(vs, rng.randint(1, min(3, len(vs)))))
+        Y = set(rng.sample(vs, rng.randint(1, min(3, len(vs)))))
+        r = rng.randint(1, 3)
+        got, want = menger(D, X, Y, r), reference_menger(D, X, Y, r)
+        assert got.separator == want.separator
+        assert (got.paths is None) == (want.paths is None)
+        if got.paths is not None:
+            assert [p.vertices for p in got.paths] == [p.vertices for p in want.paths]
+        found["paths" if got.paths is not None else "separator"] += 1
+        found["shared"] += bool(X & Y)
+    assert min(found.values()) > 30
+
+
+def test_flow_guards_survive_optimized_mode():
+    # python -O strips assert statements; these guards are explicit errors
+    script = (
+        "from dirtw import CutCertificate, MengerResult, digraph\n"
+        "D = digraph.Digraph()\n"
+        "D.add_bidirected(1, 2)\n"
+        "checks = [lambda: MengerResult(None, None),\n"
+        "          lambda: CutCertificate('edge-cut', frozenset()).cut_vertices()]\n"
+        "def broken(*args):\n"
+        "    digraph.tarjan_sccs = lambda D, banned=(): [{1}, {2}]  # a cyclic condensation\n"
+        "    digraph.scc(D)\n"
+        "def unrouted(*args):\n"
+        "    digraph.terminal_flow = lambda net, X, Y, limit=None: limit  # a flow never routed\n"
+        "    digraph.menger(D, {1}, {2}, 1)\n"
+        "for check in checks + [broken, unrouted]:\n"
+        "    try:\n"
+        "        check()\n"
+        "    except (ValueError, RuntimeError) as exc:\n"
+        "        print(type(exc).__name__)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dirtw.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ValueError", "ValueError", "RuntimeError", "RuntimeError"]
+
+
 def test_split_network_reuse_after_restoring_capacities():
     rng = random.Random(5)
     for _ in range(30):
         D = random_digraph(rng, 7, 0.35)
+        G = Interned(D, D.vertices())
+        n = len(G.names)
         vs = D.sorted_vertices()
         X, Y = set(rng.sample(vs, 2)), set(rng.sample(vs, 2))
-        u, w = rng.sample(vs, 2)
+        Xi, Yi = G.ids(X), G.ids(Y)
+        u, w = rng.sample(range(n), 2)
         limit = rng.choice([None, 1, 2])
-        net = split_network(D, X, Y)
-        fresh = dict(net.cap)
-        for s, t in [(_SRC, _SNK), (("out", u), ("in", w))]:
-            first = net.max_flow(s, t, limit=limit)
-            net.cap = dict(fresh)
-            assert net.max_flow(s, t, limit=limit) == first
-            net.cap = dict(fresh)
-            assert split_network(D, X, Y).max_flow(s, t, limit=limit) == first
+        src, snk = 2 * n, 2 * n + 1
+        net = split_network(G)
+        first = terminal_flow(net, Xi, Yi, limit=limit)
+        assert terminal_flow(net, Xi, Yi, limit=limit) == first
+        assert terminal_flow(split_network(G), Xi, Yi, limit=limit) == first
         # without the restore the saturated paths stay used up
-        if net.max_flow(_SRC, _SNK) > 0:
-            assert net.max_flow(_SRC, _SNK) == 0
-        full = split_network(D, X, Y).max_flow(_SRC, _SNK)
-        assert full == brute_min_vertex_separator(D, X, Y)
+        if net.max_flow(src, snk) > 0:
+            assert net.max_flow(src, snk) == 0
+        assert terminal_flow(net, Xi, Yi, None) == brute_min_vertex_separator(D, X, Y)
+        # an inner flow with the terminals attached; switching them on again
+        # restores the network
+        terminal_flow(net, Xi, Yi, limit=0)
+        first = net.max_flow(n + u, w, limit=limit)
+        terminal_flow(net, Xi, Yi, limit=0)
+        assert net.max_flow(n + u, w, limit=limit) == first
+        fresh = split_network(G)
+        terminal_flow(fresh, Xi, Yi, limit=0)
+        assert fresh.max_flow(n + u, w, limit=limit) == first
+        # reset() restores the capacities as built: terminal arcs off
+        net.reset()
+        assert net.max_flow(src, snk) == 0
+        net.reset()
+        assert net.max_flow(n + u, w) == split_network(G).max_flow(n + u, w)
 
 
 def test_edge_list_round_trip():

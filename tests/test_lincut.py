@@ -14,8 +14,8 @@ from dirtw import (
     reachable,
 )
 from dirtw import lincut
-from dirtw.digraph import vkey
-from dirtw.lincut import _Interned, _split_reduction, _violating_path
+from dirtw.digraph import Interned, vkey
+from dirtw.lincut import _edge_instance, _reduction, _violating_path
 from util import mixed_id_digraph, path_digraph, random_digraph, reference_violating_path
 
 
@@ -150,15 +150,22 @@ def test_rejects_negative_budget_and_empty_block():
 
 
 def test_split_reduction_structure():
+    # the split layout: v_in = v, v_out = n + v, terminal gadgets from 2n up
     D = diamond()
+    G = Interned(D, D.vertices())
     blocks = [frozenset("a"), frozenset("d")]
-    red, red_blocks = _split_reduction(D, blocks, 2)
-    assert red.n == 2 * D.n + 2
-    assert red_blocks == [frozenset({("term", "a")}), frozenset({("term", "d")})]
-    assert red.mult(("in", "a"), ("out", "a")) == 1
-    assert red.mult(("out", "a"), ("in", "b")) == 3
-    assert red.mult(("term", "a"), ("in", "a")) == 3
-    assert red.mult(("out", "a"), ("term", "a")) == 3
+    red = _reduction(G, blocks, 2)
+    n, a, b, d = D.n, G.index["a"], G.index["b"], G.index["d"]
+    assert len(red.succ) == 2 * n + 2
+    assert red.blocks == [[2 * n], [2 * n + 1]]
+    assert red.block_of[2 * n:] == [0, 1] and set(red.block_of[:2 * n]) == {-1}
+    assert red.costs[(a, n + a)] == 1
+    assert red.costs[(n + a, b)] == 3
+    assert red.costs[(2 * n, a)] == 3
+    assert red.costs[(n + a, 2 * n)] == 3
+    assert red.costs[(n + d, 2 * n + 1)] == 3
+    assert list(red.costs) == sorted(red.costs)
+    assert len(red.costs) == n + D.m + 2 * 2
 
 
 def random_blocks(rng: random.Random, D: Digraph, max_blocks: int = 4):
@@ -263,9 +270,9 @@ def test_violating_path_matches_vertex_keyed_reference():
             continue
         classes = [(u, v) for u, v, _ in D.edge_classes() if u != v]
         removed = frozenset(rng.sample(classes, rng.randint(0, len(classes) // 2)))
-        G = _Interned(D, blocks)
-        index = {v: i for i, v in enumerate(G.names)}
-        got = _violating_path(G, frozenset((index[u], index[v]) for u, v in removed))
+        G = Interned(D, D.vertices())
+        got = _violating_path(_edge_instance(D, G, blocks),
+                              frozenset((G.index[u], G.index[v]) for u, v in removed))
         want = reference_violating_path(D, blocks, removed)
         if got is not None:
             got = [(G.names[u], G.names[v]) for u, v in got]
@@ -281,19 +288,29 @@ def test_interning_orders_numbers_by_vkey():
     rng = random.Random(2)
     D = mixed_id_digraph(rng, random_digraph(rng, 9, 0.4))
     blocks = random_blocks(rng, D)
-    G = _Interned(D, blocks)
+    G = Interned(D, D.vertices())
     assert G.names == D.sorted_vertices()
-    assert list(G.costs) == sorted(G.costs)
-    assert [(G.names[u], G.names[v], c) for (u, v), c in G.costs.items()] == sorted(
+    assert all(G.index[v] == i for i, v in enumerate(G.names))
+    inst = _edge_instance(D, G, blocks)
+    assert list(inst.costs) == sorted(inst.costs)
+    assert [(G.names[u], G.names[v], c) for (u, v), c in inst.costs.items()] == sorted(
         ((u, v, c) for u, v, c in D.edge_classes() if u != v), key=lambda e: (vkey(e[0]), vkey(e[1])))
+    assert all(succ == sorted(succ) for succ in inst.succ)
     for j, b in enumerate(blocks):
-        assert {G.names[v] for v in G.blocks[j]} == b
-        assert all(G.block_of[v] == j for v in G.blocks[j])
+        assert {G.names[v] for v in inst.blocks[j]} == b
+        assert all(inst.block_of[v] == j for v in inst.blocks[j])
+    # a vertex subset keeps vkey order and drops the edges leaving it
+    keep = G.names[::2]
+    sub = Interned(D, keep)
+    assert sub.names == keep
+    assert [[sub.names[w] for w in succ] for succ in sub.succ] == [
+        [w for w in G.names if w in keep and w != v and D.has_edge(v, w)] for v in keep]
 
 
 def test_non_split_arc_in_a_reduction_cut_is_an_error(monkeypatch):
     # the split-arcs-only guarantee is checked by an explicit error, so it
     # holds under python -O as well
-    monkeypatch.setattr(lincut, "_lec_solve", lambda *args: frozenset({(("out", "a"), ("in", "b"))}))
+    # the arc out_a -> in_b of the three-vertex reduction: out_a = 3 + 0, in_b = 1
+    monkeypatch.setattr(lincut, "_lec_solve", lambda *args: frozenset({(3, 1)}))
     with pytest.raises(RuntimeError, match="non-split arc"):
         linear_vertex_cut(path_digraph("a", "b", "c"), [{"a"}, {"c"}], 1)

@@ -121,3 +121,50 @@ def test_linear_cut_inner_loops_run_on_ints():
     defined = {fn.name for fn in ast.walk(ast.parse(source)) if isinstance(fn, ast.FunctionDef)}
     assert HOT <= defined
     assert _name_keyed_work(source, HOT) == []
+
+
+# the split layout belongs to digraph: no other module names split nodes by
+# tuples or imports the old source and sink nodes
+SPLIT_TAGS = {"in", "out", "term"}
+TERMINAL_NODES = {"_SRC", "_SNK"}
+
+# excerpts of balsep.py from before the split layout moved into digraph
+TUPLE_KEYED_BALSEP = '''
+from .digraph import _SNK, _SRC, Digraph, Vertex, split_network, tarjan_sccs, vkey, vsorted
+
+
+def _component_lb(D, comp, tc, r):
+    sub = D.induced(comp)
+    net = split_network(sub)
+    fresh = dict(net.cap)
+    for u in sub.sorted_vertices():
+        for w in sub.sorted_vertices():
+            net.cap = dict(fresh)
+            f = net.max_flow(("out", u), ("in", w), limit=tc - r)
+'''
+
+
+def _split_tuple_nodes(source: str) -> list[str]:
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Tuple) and len(node.elts) >= 2
+                and isinstance(node.elts[0], ast.Constant) and node.elts[0].value in SPLIT_TAGS):
+            out.append(f"line {node.lineno}: ({node.elts[0].value!r}, ...)")
+        elif isinstance(node, ast.ImportFrom):
+            out.extend(f"line {node.lineno}: imports {alias.name}" for alias in node.names
+                       if alias.name in TERMINAL_NODES)
+    return out
+
+
+def test_checker_flags_the_tuple_keyed_split_nodes():
+    assert _split_tuple_nodes(TUPLE_KEYED_BALSEP) == [
+        "line 2: imports _SNK", "line 2: imports _SRC",
+        "line 12: ('out', ...)", "line 12: ('in', ...)"]
+    assert _split_tuple_nodes("red.add_edge(('term', v), ('in', v))\nx = ('in',)\n") == [
+        "line 1: ('term', ...)", "line 1: ('in', ...)"]
+
+
+def test_no_module_builds_tuple_keyed_split_nodes():
+    modules = sorted(PACKAGE.glob("*.py"))
+    found = {m.name: _split_tuple_nodes(m.read_text()) for m in modules}
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -8,7 +8,7 @@ import random
 from collections import deque
 from itertools import combinations
 
-from dirtw import Digraph, vsorted
+from dirtw import Digraph, MengerResult, Path, vkey, vsorted
 
 
 # -- named instances --------------------------------------------------------
@@ -230,3 +230,136 @@ def reference_violating_path(D: Digraph, blocks, removed: frozenset):
             path.reverse()
             return path
     return None
+
+
+class _TupleFlowNetwork:
+    """The dict-keyed flow network that digraph.FlowNetwork replaced, kept
+    verbatim for reference_menger: nodes are arbitrary hashables and each
+    ordered node pair has one capacity entry."""
+
+    def __init__(self) -> None:
+        self.cap: dict[tuple, int] = {}
+        self.adj: dict = {}
+
+    def add(self, u, v, c: int) -> None:
+        if c <= 0:
+            return
+        if u not in self.adj:
+            self.adj[u] = []
+        if v not in self.adj:
+            self.adj[v] = []
+        if (u, v) not in self.cap:
+            self.cap[(u, v)] = 0
+            self.adj[u].append(v)
+            if (v, u) not in self.cap:
+                self.cap[(v, u)] = 0
+                self.adj[v].append(u)
+        self.cap[(u, v)] += c
+
+    def max_flow(self, s, t, limit: int | None = None) -> int:
+        cap = self.cap
+        adj = self.adj
+        if s not in adj or t not in adj:
+            return 0
+        flow = 0
+        while limit is None or flow < limit:
+            parent = {s: None}
+            queue = deque([s])
+            while queue:
+                u = queue.popleft()
+                if u == t:
+                    break
+                for w in adj[u]:
+                    if w not in parent and cap[(u, w)] > 0:
+                        parent[w] = u
+                        queue.append(w)
+            if t not in parent:
+                break
+            bottleneck = None
+            node = t
+            while parent[node] is not None:
+                c = cap[(parent[node], node)]
+                if bottleneck is None or c < bottleneck:
+                    bottleneck = c
+                node = parent[node]
+            if limit is not None and flow + bottleneck > limit:
+                bottleneck = limit - flow
+            node = t
+            while parent[node] is not None:
+                p = parent[node]
+                cap[(p, node)] -= bottleneck
+                cap[(node, p)] += bottleneck
+                node = p
+            flow += bottleneck
+        return flow
+
+    def residual_side(self, s) -> set:
+        seen = {s}
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for w in self.adj.get(u, ()):
+                if w not in seen and self.cap[(u, w)] > 0:
+                    seen.add(w)
+                    queue.append(w)
+        return seen
+
+
+_SRC = ("src",)
+_SNK = ("snk",)
+
+
+def _tuple_split_network(D: Digraph, sources=(), sinks=()) -> _TupleFlowNetwork:
+    big = D.n + 2
+    net = _TupleFlowNetwork()
+    for v in D.sorted_vertices():
+        net.add(("in", v), ("out", v), 1)
+    for u, v, _ in sorted(D.edge_classes(), key=lambda e: (vkey(e[0]), vkey(e[1]))):
+        if u != v:
+            net.add(("out", u), ("in", v), big)
+    for x in vsorted(set(sources)):
+        net.add(_SRC, ("in", x), big)
+    for y in vsorted(set(sinks)):
+        net.add(("out", y), _SNK, big)
+    return net
+
+
+def _node_key(node):
+    if node == _SNK:
+        return (3,)
+    return (1, vkey(node[1])) if node[0] == "in" else (2, vkey(node[1]))
+
+
+def reference_menger(D: Digraph, X, Y, r: int) -> MengerResult:
+    """The tuple-keyed menger that the int-indexed split network replaced,
+    kept verbatim as its reference: split nodes ("in", v) and ("out", v),
+    one network built per call, and a path decomposition that always steps
+    to the least next node."""
+    Xs = vsorted({x for x in X})
+    Ys = vsorted({y for y in Y})
+    net = _tuple_split_network(D, Xs, Ys)
+    orig = dict(net.cap)
+    flow = net.max_flow(_SRC, _SNK, limit=r)
+    if flow < r:
+        side = net.residual_side(_SRC)
+        sep = {v for v in D.vertices() if ("in", v) in side and ("out", v) not in side}
+        return MengerResult(None, sep)
+
+    used = {arc: orig[arc] - c for arc, c in net.cap.items() if orig[arc] - c > 0}
+    paths = []
+    for _ in range(r):
+        walk = []
+        node = _SRC
+        while node != _SNK:
+            nxt = None
+            for w in net.adj[node]:
+                if used.get((node, w), 0) > 0 and (nxt is None or _node_key(w) < _node_key(nxt)):
+                    nxt = w
+            used[(node, nxt)] -= 1
+            if used[(node, nxt)] == 0:
+                del used[(node, nxt)]
+            if nxt != _SNK and nxt[0] == "in":
+                walk.append(nxt[1])
+            node = nxt
+        paths.append(Path(D, walk))
+    return MengerResult(paths, None)
