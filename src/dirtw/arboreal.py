@@ -253,17 +253,20 @@ def decompose(D: Digraph, k: int) -> ArborealDecomposition | LinkedSetCertificat
         T = guards[arc0] if arc0 is not None else frozenset()
         result = balanced_separator(BalancedSeparatorInstance(D, T, k - 1, k - 1))
         if result.linked:
-            assert len(T) == 2 * k - 1
+            if len(T) != 2 * k - 1:
+                raise RuntimeError(f"linked guard of size {len(T)}, not {2 * k - 1}")
             return LinkedSetCertificate(frozenset(T), k - 1, k - 1)
         free = vsorted(bags[r0] - result.separator)
-        assert len(free) >= 2
+        if len(free) < 2:
+            raise RuntimeError(f"separator leaves {len(free)} free vertices in bag {r0}")
         Z = frozenset(result.separator | {free[0]})
         for comp in scc(D, Z):
             if not comp & bags[r0]:
                 continue  # its pieces all miss the split bag
             for piece in scc(D.induced(comp - T)):
                 inside = piece & bags[r0]
-                assert not inside or inside == piece  # guarded bags split cleanly
+                if inside and inside != piece:  # guarded bags split cleanly
+                    raise RuntimeError(f"a piece straddles bag {r0}")
                 if not inside:
                     continue
                 node = len(bags)
@@ -273,11 +276,14 @@ def decompose(D: Digraph, k: int) -> ArborealDecomposition | LinkedSetCertificat
                 arc = (r0, node)
                 parent[node] = arc
                 guards[arc] = frozenset(Z | (comp & T))
-                assert len(guards[arc]) <= 2 * k - 1
+                if len(guards[arc]) > 2 * k - 1:
+                    raise RuntimeError(f"guard of size {len(guards[arc])} above {2 * k - 1}")
         bags[r0] &= Z
-        assert bags[r0] and coverage_size(r0) <= 3 * k - 1
+        if not bags[r0] or coverage_size(r0) > 3 * k - 1:
+            raise RuntimeError(f"split bag {r0} is empty or covers more than {3 * k - 1}")
         next_measure = sum(len(bags[node]) for node in too_large_leaves())
-        assert next_measure < measure
+        if next_measure >= measure:
+            raise RuntimeError(f"leaf measure did not decrease ({measure} -> {next_measure})")
         measure = next_measure
 
     return ArborealDecomposition(0, bags, guards)

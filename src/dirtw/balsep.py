@@ -11,19 +11,20 @@ deletions leave C strongly connected and therefore still holding more than r
 terminals.  Only when all of that is inconclusive does the exact layer run,
 independently per offending component: small components use offender-hitting
 branch and bound; larger ones try every ordered partition of their terminals
-into blocks of size at most r against linear_vertex_cut, keeping the
+into blocks of size at most r, each priced as a linear cut, keeping the
 cheapest cut (the partition/linear-cut equivalence makes this exhaustive
 search complete, so a returned Linked verdict is exact).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from collections.abc import Iterable, Iterator
+from functools import cache
+from itertools import accumulate, combinations
+from collections.abc import Callable, Iterable, Iterator
 
 from .digraph import (Digraph, Interned, Vertex, split_network, tarjan_sccs, terminal_flow, vkey,
                       vsorted)
-from .lincut import TerminalSequence, linear_vertex_cut
+from .lincut import TerminalSequence, _CutInstance, _cheapest, _reduction, _split_vertices
 
 
 @dataclass
@@ -63,27 +64,32 @@ class BalancedSeparatorResult:
         return f"BalancedSeparatorResult(Z={vsorted(self.separator)!r})"
 
 
-def ordered_partitions(T: Iterable[Vertex], r: int) -> Iterator[TerminalSequence]:
-    """Every ordered partition of T into non-empty blocks of size <= r,
-    exactly once.  Canonical order: blocks are chosen left to right, larger
-    blocks first, lexicographic within a size."""
-    if r < 1:
-        raise ValueError("block size bound must be >= 1")
-    items = tuple(vsorted(set(T)))
+def _partitions(items: tuple, r: int, keep: Callable[[frozenset], bool]) -> Iterator[tuple]:
+    """Every ordered partition of the sorted tuple `items` into non-empty
+    blocks of size <= r, exactly once, in canonical order: blocks are chosen
+    left to right, larger blocks first, lexicographic within a size.  The
+    walk asks `keep` of each union of leading blocks it reaches; a false
+    answer skips every partition starting with those blocks."""
 
-    def rec(remaining: tuple):
+    def rec(remaining: tuple, blocks: tuple, U: frozenset):
         if not remaining:
-            yield ()
-            return
+            yield blocks
         for size in range(min(r, len(remaining)), 0, -1):
             for combo in combinations(remaining, size):
                 block = frozenset(combo)
-                rest = tuple(v for v in remaining if v not in block)
-                for tail in rec(rest):
-                    yield (block,) + tail
+                if keep(U | block):
+                    rest = tuple(v for v in remaining if v not in block)
+                    yield from rec(rest, blocks + (block,), U | block)
 
-    for blocks in rec(items):
-        yield TerminalSequence(blocks)
+    return rec(items, (), frozenset())
+
+
+def ordered_partitions(T: Iterable[Vertex], r: int) -> Iterator[TerminalSequence]:
+    """Every ordered partition of T into non-empty blocks of size <= r,
+    exactly once, in the canonical order of `_partitions`."""
+    if r < 1:
+        raise ValueError("block size bound must be >= 1")
+    return map(TerminalSequence, _partitions(tuple(vsorted(set(T))), r, lambda U: True))
 
 
 def offending_components(D: Digraph, T: Iterable[Vertex], r: int, Z: Iterable[Vertex] = ()) -> list[set]:
@@ -211,46 +217,36 @@ def _branch_min_cut(sub: Digraph, Tc: frozenset, r: int, cap: int, lb: int) -> f
 
 def _partition_min_cut(sub: Digraph, Tc: frozenset, r: int, cap: int, lb: int) -> frozenset | None:
     """Exact engine for larger components: ordered partitions of the
-    terminals, each priced by linear_vertex_cut.  A partition's cut meets
-    every path from a prefix of its blocks to the remaining terminals, so a
-    memoized prefix flow prunes whole families of partitions at once."""
-    flow_memo: dict = {}
+    terminals, each priced as a linear cut on one vertex-split reduction of
+    the component.  A partition's cut meets every path from a prefix of its
+    blocks to the remaining terminals, so a memoized prefix flow prunes whole
+    families of partitions at once and starts the search for a cut."""
     G = Interned(sub, sub.vertices())
     net = split_network(G)
-
-    def prefix_bound(U: frozenset) -> int:
-        if U not in flow_memo:
-            # min vertices (terminals deletable) meeting every U -> rest path
-            rest = Tc - U
-            flow_memo[U] = (terminal_flow(net, G.ids(U), G.ids(rest), limit=cap + 1)
-                            if U and rest else 0)
-        return flow_memo[U]
-
+    terms = sorted(G.ids(Tc))
+    # edge and gadget arcs cost cap + 1, more than any budget below
+    red = _reduction(G, [Tc], cap)
+    gadget = dict(zip(terms, red.blocks[0]))
     best: frozenset | None = None
+    budget = cap
 
-    def rec(remaining: tuple, blocks: tuple, U: frozenset) -> bool:
-        nonlocal best
-        budget = cap if best is None else min(cap, len(best) - 1)
-        if budget < lb:
-            return True
-        if U and prefix_bound(U) > budget:
-            return False
-        if not remaining:
-            cut = linear_vertex_cut(sub, TerminalSequence(blocks), budget, canonical=False)
-            if cut is not None:
-                got = cut.cut_vertices()
-                if best is None or len(got) < len(best):
-                    best = got
-            return best is not None and len(best) <= lb
-        for size in range(min(r, len(remaining)), 0, -1):
-            for combo in combinations(remaining, size):
-                block = frozenset(combo)
-                rest = tuple(x for x in remaining if x not in block)
-                if rec(rest, blocks + (block,), U | block):
-                    return True
-        return False
+    @cache
+    def prefix_bound(U: frozenset) -> int:
+        # min vertices (terminals deletable) meeting every U -> rest path;
+        # within budget it equals the reduction's flow for the same split
+        rest = [v for v in terms if v not in U]
+        return terminal_flow(net, U, rest, limit=cap + 1) if rest else 0
 
-    rec(tuple(vsorted(Tc)), (), frozenset())
+    for blocks in _partitions(tuple(terms), r, lambda U: prefix_bound(U) <= budget):
+        start = max(prefix_bound(U) for U in accumulate(blocks, frozenset.union))
+        inst = _CutInstance(red.succ, red.costs, [[gadget[v] for v in b] for b in blocks])
+        cut = _cheapest(inst, start, budget)
+        if cut is not None:
+            # it costs at most the budget, so it beats best
+            best = _split_vertices(G, cut)
+            budget = len(best) - 1
+            if budget < lb:
+                break
     return best
 
 

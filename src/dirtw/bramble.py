@@ -181,7 +181,8 @@ def well_linked_set(D: Digraph, cert: LinkedSetCertificate, k: int) -> tuple[Pat
     for _ in range(k):
         state = extend_split(state)
     anchors = frozenset(state.anchors)
-    assert len(anchors) == k and anchors <= set(path.vertices)
+    if len(anchors) != k or not anchors <= set(path.vertices):
+        raise RuntimeError(f"split gave {len(anchors)} anchors, not {k} on the hitting path")
     return path, anchors
 
 
@@ -248,7 +249,8 @@ def build_path_system(D: Digraph, P: Path, A: Iterable[Vertex], link_size: int, 
         outs.append(tuple(seg[link_size:]))
 
     for a, b in combinations(range(order), 2):
-        assert not set(spines[a].vertices) & set(spines[b].vertices)
+        if set(spines[a].vertices) & set(spines[b].vertices):
+            raise RuntimeError(f"spines {a + 1} and {b + 1} share vertices")
 
     linkages: dict = {}
     for i in range(order):
@@ -259,7 +261,9 @@ def build_path_system(D: Digraph, P: Path, A: Iterable[Vertex], link_size: int, 
             if res.separator is not None:
                 raise ValueError(f"no size-{link_size} linkage from spine {i + 1} to spine "
                                  f"{j + 1}: the anchor set is not well-linked")
-            assert len(res.paths) == link_size
+            if len(res.paths) != link_size:
+                raise RuntimeError(f"linkage from spine {i + 1} to spine {j + 1} has "
+                                   f"{len(res.paths)} paths, not {link_size}")
             linkages[(i + 1, j + 1)] = tuple(res.paths)
 
     return PathSystem(tuple(spines), tuple(ins), tuple(outs), linkages, link_size)

@@ -38,6 +38,8 @@ from .digraph import Digraph, Path, parse_edge_list, serialize_edge_list, vsorte
 from .digraph import _parse_token
 
 BRUTE_CAP_DEFAULT = (12, 4)
+# anchor sets up to this size get the exhaustive Menger check
+MENGER_CAP = 8
 
 
 def _brute_cap() -> tuple[int, int]:
@@ -163,7 +165,7 @@ def cmd_welllinked(args: argparse.Namespace) -> int:
                          f"exists at parameter {g}, so no size-{args.k} well-linked "
                          "set is certified")
     P, A = well_linked_set(D, result, args.k)
-    if len(A) <= 8 and not verify_well_linked(D, A):
+    if len(A) <= MENGER_CAP and not verify_well_linked(D, A):
         return _fail(1, "internal error: emitted set failed Menger re-verification")
     _emit(json.dumps({"path": list(P.vertices), "A": vsorted(A)}, indent=2),
           args.output)
@@ -225,7 +227,7 @@ def _validate_welllinked(D: Digraph, js: dict) -> list[str]:
     problems = [f"anchor {v!r} not on the path" for v in A if v not in P]
     if problems:
         return problems
-    if len(A) <= 8:
+    if len(A) <= MENGER_CAP:
         if not verify_well_linked(D, A):
             return ["anchor set is not well-linked (Menger check failed)"]
         print("anchors Menger-verified", file=sys.stderr)
@@ -234,17 +236,24 @@ def _validate_welllinked(D: Digraph, js: dict) -> list[str]:
     return []
 
 
+def _as_list(value, what: str) -> list:
+    # a string would pass as a list of characters
+    if not isinstance(value, list):
+        raise TypeError(f"{what} must be a list")
+    return value
+
+
 def _validate_pathsystem(D: Digraph, js: dict) -> list[str]:
     problems: list[str] = []
     try:
-        spines = [Path(D, vs) for vs in js["spines"]]
+        spines = [Path(D, _as_list(vs, "spine")) for vs in _as_list(js["spines"], "spines")]
     except ValueError as exc:
         return [f"spine: {exc}"]
     for a, b in combinations(range(len(spines)), 2):
         if set(spines[a].vertices) & set(spines[b].vertices):
             problems.append(f"spines {a + 1} and {b + 1} share vertices")
-    ins = [list(a) for a in js["anchors_in"]]
-    outs = [list(a) for a in js["anchors_out"]]
+    ins = [_as_list(a, "anchor row") for a in _as_list(js["anchors_in"], "anchors_in")]
+    outs = [_as_list(a, "anchor row") for a in _as_list(js["anchors_out"], "anchors_out")]
     if len(ins) != len(spines) or len(outs) != len(spines):
         return ["anchor row count does not match spine count"]
     size = len(ins[0]) if ins else 0
@@ -261,12 +270,12 @@ def _validate_pathsystem(D: Digraph, js: dict) -> list[str]:
         if not (1 <= i <= count and 1 <= j <= count):
             raise ValueError(f"linkage {key}: spine index outside 1..{count}")
         missing.discard((i, j))
-        if len(paths) != size:
+        if len(_as_list(paths, f"linkage {key}")) != size:
             problems.append(f"linkage {key}: expected {size} paths, got {len(paths)}")
         seen: set = set()
         for vs in paths:
             try:
-                p = Path(D, vs)
+                p = Path(D, _as_list(vs, "linkage path"))
             except ValueError as exc:
                 problems.append(f"linkage {key}: {exc}")
                 continue
@@ -307,10 +316,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
     kind = _detect_artifact(js)
     if kind is None:
         return _fail(2, "unrecognized artifact shape")
-    for key in ("T", "separator", "path", "A"):  # a string would pass as a list of characters
-        if key in js and not isinstance(js[key], list):
-            return _fail(2, f"malformed {kind} artifact: {key} must be a list")
     try:
+        for key in ("T", "separator", "path", "A"):
+            if key in js:
+                _as_list(js[key], key)
         problems = {
             "decomposition": lambda: _validate_decomposition(D, js, args.nice),
             "certificate": lambda: _validate_certificate(D, js),

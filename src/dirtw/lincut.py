@@ -161,9 +161,9 @@ def _search(G: _CutInstance, removed: frozenset, banned: frozenset, spent: int, 
     return None
 
 
-def _flow_lower_bound(G: _CutInstance, s: int) -> int | None:
+def _flow_lower_bound(G: _CutInstance, s: int) -> int:
     """Max-flow over every earlier/later split lower-bounds the cut cost;
-    returns the largest bound, or None as soon as one split exceeds s.
+    returns the largest bound, stopping as soon as one split exceeds s.
     One network serves every split: all terminal arcs are built once,
     switched off, and each split switches on its own."""
     src, snk = len(G.succ), len(G.succ) + 1
@@ -178,50 +178,50 @@ def _flow_lower_bound(G: _CutInstance, s: int) -> int | None:
         for arcs in into[:cutpos] + out_of[cutpos - 1:]:
             for a in arcs:
                 net.cap[a] = s + 1
-        flow = net.max_flow(src, snk, limit=s + 1)
-        if flow > s:
-            return None
-        bound = max(bound, flow)
+        bound = max(bound, net.max_flow(src, snk, limit=s + 1))
+        if bound > s:
+            break
     return bound
 
 
-def _lec_solve(G: _CutInstance, s: int, canonical: bool):
-    """Minimum-cost set of edge classes within budget s, or None.  With
-    canonical=True the lexicographically least minimum cut is extracted by
-    greedy feasibility probing."""
-    start = _flow_lower_bound(G, s)
-    if start is None:
-        return None
-    cut = None
+def _cheapest(G: _CutInstance, start: int, s: int):
+    """Minimum-cost set of edge classes within budget s, or None, by
+    iterative deepening from `start`, a lower bound on that cost."""
     for budget in range(start, s + 1):
         cut = _search(G, frozenset(), frozenset(), 0, budget)
         if cut is not None:
+            return cut
+    return None
+
+
+def _lec_solve(G: _CutInstance, s: int):
+    """The lexicographically least minimum-cost set of edge classes within
+    budget s, or None, extracted from a minimum cut by greedy feasibility
+    probing."""
+    cut = _cheapest(G, _flow_lower_bound(G, s), s)
+    if not cut:
+        return cut
+    optimum = sum(G.costs[cls] for cls in cut)
+    chosen: set = set()
+    out: set = set()
+    spent = 0
+    for cls, c in G.costs.items():
+        if _violating_path(G, frozenset(chosen)) is None:
             break
-    if cut is None:
-        return None
-    if canonical and cut:
-        optimum = sum(G.costs[cls] for cls in cut)
-        chosen: set = set()
-        out: set = set()
-        spent = 0
-        for cls, c in G.costs.items():
-            if _violating_path(G, frozenset(chosen)) is None:
-                break
-            if spent + c > optimum:
-                continue
-            if _search(G, frozenset(chosen | {cls}), frozenset(out),
-                       spent + c, optimum) is not None:
-                chosen.add(cls)
-                spent += c
-            else:
-                out.add(cls)
-        if _violating_path(G, frozenset(chosen)) is not None:
-            raise RuntimeError("lex-least extraction left a violating path")
-        cut = chosen
-    return frozenset(cut)
+        if spent + c > optimum:
+            continue
+        if _search(G, frozenset(chosen | {cls}), frozenset(out),
+                   spent + c, optimum) is not None:
+            chosen.add(cls)
+            spent += c
+        else:
+            out.add(cls)
+    if _violating_path(G, frozenset(chosen)) is not None:
+        raise RuntimeError("lex-least extraction left a violating path")
+    return frozenset(chosen)
 
 
-def linear_edge_cut(D: Digraph, T, s: int, canonical: bool = True) -> CutCertificate | None:
+def linear_edge_cut(D: Digraph, T, s: int) -> CutCertificate | None:
     """Minimum edge cut of cost at most s killing every earlier-to-later
     terminal path, or None.  A vertex shared by two blocks makes the demand
     unsatisfiable by edge deletions (the zero-length path survives), so such
@@ -235,7 +235,7 @@ def linear_edge_cut(D: Digraph, T, s: int, canonical: bool = True) -> CutCertifi
     if _forced(blocks):
         return None
     G = Interned(D, D.vertices())
-    cut = _lec_solve(_edge_instance(D, G, blocks), s, canonical)
+    cut = _lec_solve(_edge_instance(D, G, blocks), s)
     if cut is None:
         return None
     return CutCertificate("edge-cut", frozenset((G.names[u], G.names[w]) for u, w in cut))
@@ -265,7 +265,16 @@ def _reduction(G: Interned, blocks, s0: int) -> _CutInstance:
     return _CutInstance(succ, costs, [[gadget[v] for v in G.ids(b)] for b in blocks])
 
 
-def linear_vertex_cut(D: Digraph, T, s: int, canonical: bool = True) -> CutCertificate | None:
+def _split_vertices(G: Interned, cut) -> frozenset:
+    """The vertices of G whose split arcs make up a cut of its reduction."""
+    n = len(G.names)
+    for tail, head in cut:
+        if tail >= n or head != n + tail:
+            raise RuntimeError("an affordable reduction cut holds a non-split arc")
+    return frozenset(G.names[tail] for tail, _ in cut)
+
+
+def linear_vertex_cut(D: Digraph, T, s: int) -> CutCertificate | None:
     """Minimum vertex cut of size at most s (terminals deletable) killing
     every earlier-to-later terminal path, or None."""
     if s < 0:
@@ -283,16 +292,10 @@ def linear_vertex_cut(D: Digraph, T, s: int, canonical: bool = True) -> CutCerti
         return CutCertificate("vertex-cut", frozenset(), forced)
 
     body = Interned(D, [v for v in D.vertices() if v not in forced])
-    n = len(body.names)
-    cut = _lec_solve(_reduction(body, blocks, s0), s0, canonical)
+    cut = _lec_solve(_reduction(body, blocks, s0), s0)
     if cut is None:
         return None
-    elements = set()
-    for tail, head in cut:
-        if tail >= n or head != n + tail:
-            raise RuntimeError("an affordable reduction cut holds a non-split arc")
-        elements.add(body.names[tail])
-    return CutCertificate("vertex-cut", frozenset(elements), forced)
+    return CutCertificate("vertex-cut", _split_vertices(body, cut), forced)
 
 
 def brute_force_vertex_cut(D: Digraph, T, s: int) -> CutCertificate | None:

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import accumulate
 from math import comb
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from dirtw import (
     brute_force_balanced_separator,
     is_balanced_separator,
     ordered_partitions,
+    vsorted,
 )
 
 import dirtw
@@ -27,8 +29,10 @@ from dirtw.balsep import offending_components
 from util import (
     bidirected_clique,
     brute_scc_partition,
+    mixed_id_digraph,
     path_digraph,
     random_digraph,
+    reference_partition_min_cut,
     triangle_gadget,
     two_cycle_tail,
 )
@@ -99,6 +103,24 @@ def test_partition_bound_must_be_positive():
 
 def test_empty_terminal_set_has_one_partition():
     assert list(ordered_partitions([], 3)) == [TerminalSequence([])]
+
+
+def test_pruned_walk_equals_filtered_ordered_partitions():
+    # skipping a prefix family drops exactly the partitions that start with
+    # it, and changes neither the order nor the other partitions
+    rng = random.Random(17)
+    for _ in range(60):
+        items = tuple(sorted(rng.sample(range(20), rng.randint(0, 6))))
+        r = rng.randint(1, 4)
+        rejected = {frozenset(rng.sample(items, rng.randint(1, len(items))))
+                    for _ in range(rng.randint(0, 4)) if items}
+
+        def keep(U):
+            return U not in rejected
+
+        want = [p.blocks for p in ordered_partitions(items, r)
+                if all(keep(U) for U in accumulate(p.blocks, frozenset.union))]
+        assert list(balsep._partitions(items, r, keep)) == want, (items, r, rejected)
 
 
 # ---------------------------------------------------------- balance checking
@@ -275,6 +297,33 @@ def test_offending_components_match_brute_partition():
         got = offending_components(D, T, r, Z)
         assert [frozenset(c) for c in got] == expected
         assert is_balanced_separator(D, T, r, Z) == (not expected)
+
+
+def random_strong_component(rng: random.Random, n: int) -> Digraph:
+    # a Hamiltonian cycle in random order keeps it strongly connected
+    D = Digraph()
+    order = rng.sample(range(1, n + 1), n)
+    for u, v in zip(order, order[1:] + order[:1]):
+        D.add_edge(u, v)
+    p = rng.uniform(0.05, 0.3)
+    for u in range(1, n + 1):
+        for v in range(1, n + 1):
+            if u != v and rng.random() < p:
+                D.add_edge(u, v)
+    return mixed_id_digraph(rng, D)
+
+
+def test_partition_engine_matches_the_reference_engine():
+    rng = random.Random(23)
+    for i in range(300):
+        D = random_strong_component(rng, rng.randint(13, 22))
+        r = rng.randint(1, 3)
+        Tc = frozenset(rng.sample(D.sorted_vertices(), rng.randint(r + 1, min(5, r + 2))))
+        cap = rng.randint(1, 4)
+        lb = rng.randint(1, cap)
+        assert (balsep._partition_min_cut(D, Tc, r, cap, lb)
+                == reference_partition_min_cut(D, Tc, r, cap, lb)), \
+            (i, vsorted(Tc), r, cap, lb)
 
 
 def test_non_separator_from_a_layer_is_an_error(monkeypatch):

@@ -1,9 +1,13 @@
 """Terminal brambles, hitting paths, the split iteration, well-linked sets,
 and path systems, checked against the explicit-enumeration oracle."""
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import dirtw
 from dirtw import (
     Digraph,
     LinkedSetCertificate,
@@ -336,3 +340,39 @@ def test_path_system_needs_well_linked_anchors():
     D = path_digraph(1, 2, 3, 4)
     with pytest.raises(ValueError, match="not well-linked"):
         build_path_system(D, Path(D, [1, 2, 3, 4]), {1, 2, 3, 4}, 1, 2)
+
+
+def test_result_guards_survive_optimized_mode():
+    # python -O strips assert statements; the guards behind decompose,
+    # well_linked_set and build_path_system are explicit errors
+    script = (
+        "from dirtw import LinkedSetCertificate, Path, arboreal, bramble\n"
+        "from dirtw.balsep import BalancedSeparatorResult\n"
+        "from dirtw.digraph import Digraph, MengerResult\n"
+        "D = Digraph()\n"
+        "for i in range(1, 13):\n"
+        "    for j in range(i + 1, 13):\n"
+        "        D.add_bidirected(i, j)\n"
+        "def linked_without_guard():\n"
+        "    arboreal.balanced_separator = lambda inst: BalancedSeparatorResult(None)\n"
+        "    arboreal.decompose(D, 2)\n"
+        "def no_anchor_planted():\n"
+        "    bramble.extend_split = lambda state: state\n"
+        "    bramble.well_linked_set(D, LinkedSetCertificate(frozenset(range(1, 10)), 4, 4), 2)\n"
+        "def empty_linkage():\n"
+        "    bramble.menger = lambda D, X, Y, r: MengerResult([], None)\n"
+        "    bramble.build_path_system(D, Path(D, [1, 2, 3, 4]), {1, 2, 3, 4}, 1, 2)\n"
+        "for check in [linked_without_guard, no_anchor_planted, empty_linkage]:\n"
+        "    try:\n"
+        "        check()\n"
+        "    except RuntimeError as exc:\n"
+        "        print(exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dirtw.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "linked guard of size 0, not 3",
+        "split gave 0 anchors, not 2 on the hitting path",
+        "linkage from spine 1 to spine 2 has 0 paths, not 1"]

@@ -243,7 +243,12 @@ def test_validate_rejects_trivially_unlinked_certificates(tmp_path, capsys, doc,
     ({"T": [1, 2], "r": 1, "separator": "1"}, "separator"),
     ({"path": [1, 2], "A": "12"}, "welllinked"),
     ({"path": "12", "A": [1, 2]}, "welllinked"),
-], ids=["certificate-T", "separator-T", "separator-separator", "welllinked-A", "welllinked-path"])
+    ({"spines": ["12"], "anchors_in": [[1]], "anchors_out": [[2]], "linkages": {}}, "pathsystem"),
+    ({"spines": [[1, 2]], "anchors_in": ["1"], "anchors_out": [[2]], "linkages": {}}, "pathsystem"),
+    ({"spines": [[1], [2]], "anchors_in": [[1], [2]], "anchors_out": [[1], [2]],
+      "linkages": {"1,2": ["12"], "2,1": [[2, 1]]}}, "pathsystem"),
+], ids=["certificate-T", "separator-T", "separator-separator", "welllinked-A", "welllinked-path",
+        "pathsystem-spine", "pathsystem-anchor-row", "pathsystem-linkage-path"])
 def test_validate_rejects_strings_for_vertex_lists(tmp_path, capsys, doc, kind):
     # a string would be read character by character as a list of vertices
     pair = write(tmp_path, "pair.txt", "1 2\n2 1\n")

@@ -168,3 +168,34 @@ def test_no_module_builds_tuple_keyed_split_nodes():
     modules = sorted(PACKAGE.glob("*.py"))
     found = {m.name: _split_tuple_nodes(m.read_text()) for m in modules}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+# python -O strips assert statements, so no result may rest on one
+# an excerpt of arboreal.decompose from before its guards became errors
+ASSERTING_DECOMPOSE = '''
+def split(D, T, k, bags, r0, result):
+    if result.linked:
+        assert len(T) == 2 * k - 1
+        return T
+    free = vsorted(bags[r0] - result.separator)
+    assert len(free) >= 2
+    for piece in scc(D.induced(bags[r0] - T)):
+        inside = piece & bags[r0]
+        assert not inside or inside == piece  # guarded bags split cleanly
+'''
+
+
+def _asserts(source: str) -> list[str]:
+    return [f"line {line}" for line in sorted(node.lineno for node in ast.walk(ast.parse(source))
+                                              if isinstance(node, ast.Assert))]
+
+
+def test_checker_flags_the_asserting_decompose():
+    assert _asserts(ASSERTING_DECOMPOSE) == ["line 4", "line 7", "line 10"]
+    assert _asserts("if x:\n    raise RuntimeError('assert x')\n") == []
+
+
+def test_no_module_uses_assert():
+    modules = sorted(PACKAGE.glob("*.py"))
+    found = {m.name: _asserts(m.read_text()) for m in modules}
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -8,7 +8,10 @@ import random
 from collections import deque
 from itertools import combinations
 
-from dirtw import Digraph, MengerResult, Path, vkey, vsorted
+from dirtw import Digraph, MengerResult, Path, TerminalSequence, vkey, vsorted
+from dirtw.digraph import Interned, split_network, terminal_flow
+from dirtw.lincut import (CutCertificate, _check_blocks_in, _coerce_blocks, _flow_lower_bound, _forced,
+                          _reduction, _search)
 
 
 # -- named instances --------------------------------------------------------
@@ -363,3 +366,87 @@ def reference_menger(D: Digraph, X, Y, r: int) -> MengerResult:
             node = nxt
         paths.append(Path(D, walk))
     return MengerResult(paths, None)
+
+
+def reference_noncanonical_vertex_cut(D: Digraph, T, s: int) -> CutCertificate | None:
+    """linear_vertex_cut along the canonical=False solve path it had before
+    the partition engine built its own reduction, kept for
+    reference_partition_min_cut: the first minimum cut that iterative
+    deepening from the flow lower bound finds, with no lex-least
+    extraction."""
+    if s < 0:
+        raise ValueError("budget must be non-negative")
+    blocks = _coerce_blocks(T)
+    _check_blocks_in(D, blocks)
+
+    forced = _forced(blocks)
+    if len(forced) > s:
+        return None
+    blocks = [b - forced for b in blocks]
+    blocks = [b for b in blocks if b]
+    s0 = s - len(forced)
+    if len(blocks) < 2:
+        return CutCertificate("vertex-cut", frozenset(), forced)
+
+    body = Interned(D, [v for v in D.vertices() if v not in forced])
+    n = len(body.names)
+    G = _reduction(body, blocks, s0)
+    cut = None
+    # a bound above s0 leaves this range empty (it was reported as None)
+    for budget in range(_flow_lower_bound(G, s0), s0 + 1):
+        cut = _search(G, frozenset(), frozenset(), 0, budget)
+        if cut is not None:
+            break
+    if cut is None:
+        return None
+    elements = set()
+    for tail, head in cut:
+        if tail >= n or head != n + tail:
+            raise RuntimeError("an affordable reduction cut holds a non-split arc")
+        elements.add(body.names[tail])
+    return CutCertificate("vertex-cut", frozenset(elements), forced)
+
+
+def reference_partition_min_cut(sub: Digraph, Tc: frozenset, r: int, cap: int, lb: int) -> frozenset | None:
+    """The partition engine that called linear_vertex_cut once per ordered
+    partition, kept verbatim as the reference of balsep._partition_min_cut:
+    its own partition recursion, one interning and one reduction per
+    partition, and a fresh flow lower bound per partition."""
+    flow_memo: dict = {}
+    G = Interned(sub, sub.vertices())
+    net = split_network(G)
+
+    def prefix_bound(U: frozenset) -> int:
+        if U not in flow_memo:
+            # min vertices (terminals deletable) meeting every U -> rest path
+            rest = Tc - U
+            flow_memo[U] = (terminal_flow(net, G.ids(U), G.ids(rest), limit=cap + 1)
+                            if U and rest else 0)
+        return flow_memo[U]
+
+    best: frozenset | None = None
+
+    def rec(remaining: tuple, blocks: tuple, U: frozenset) -> bool:
+        nonlocal best
+        budget = cap if best is None else min(cap, len(best) - 1)
+        if budget < lb:
+            return True
+        if U and prefix_bound(U) > budget:
+            return False
+        if not remaining:
+            cut = reference_noncanonical_vertex_cut(sub, TerminalSequence(blocks), budget)
+            if cut is not None:
+                got = cut.cut_vertices()
+                if best is None or len(got) < len(best):
+                    best = got
+            return best is not None and len(best) <= lb
+        for size in range(min(r, len(remaining)), 0, -1):
+            for combo in combinations(remaining, size):
+                block = frozenset(combo)
+                rest = tuple(x for x in remaining if x not in block)
+                if rec(rest, blocks + (block,), U | block):
+                    return True
+        return False
+
+    rec(tuple(vsorted(Tc)), (), frozenset())
+    return best
