@@ -19,6 +19,21 @@ from .digraph import Digraph, Vertex, _reach_set, guard_breach, scc, vkey, vsort
 from .balsep import BalancedSeparatorInstance, balanced_separator, offending_components
 
 
+def _as_list(value, what: str) -> list:
+    # a JSON string would pass as a list of characters
+    if not isinstance(value, list):
+        raise TypeError(f"{what} must be a list")
+    return value
+
+
+def _as_int(value, what: str) -> int:
+    # int() would truncate a float, overflow on an infinite one, parse a
+    # string and take a bool
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer")
+    return value
+
+
 @dataclass(frozen=True)
 class LinkedSetCertificate:
     """A set T with no (T, r)-balanced separator of size <= k.  Pipeline
@@ -34,7 +49,7 @@ class LinkedSetCertificate:
     @classmethod
     def from_json(cls, doc: dict) -> "LinkedSetCertificate":
         try:
-            return cls(frozenset(doc["T"]), int(doc["k"]), int(doc["r"]))
+            return cls(frozenset(_as_list(doc["T"], "T")), _as_int(doc["k"], "k"), _as_int(doc["r"], "r"))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed certificate document: {exc}") from exc
 
@@ -117,9 +132,11 @@ class ArborealDecomposition:
     @classmethod
     def from_json(cls, doc: dict) -> "ArborealDecomposition":
         try:
-            bags = {int(nd["id"]): frozenset(nd["bag"]) for nd in doc["nodes"]}
-            guards = {(int(a["from"]), int(a["to"])): frozenset(a["guard"]) for a in doc["arcs"]}
-            return cls(int(doc["root"]), bags, guards)
+            bags = {_as_int(nd["id"], "node id"): frozenset(_as_list(nd["bag"], "bag"))
+                    for nd in _as_list(doc["nodes"], "nodes")}
+            guards = {(_as_int(a["from"], "arc tail"), _as_int(a["to"], "arc head")):
+                      frozenset(_as_list(a["guard"], "guard")) for a in _as_list(doc["arcs"], "arcs")}
+            return cls(_as_int(doc["root"], "root"), bags, guards)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed decomposition document: {exc}") from exc
 
@@ -225,7 +242,8 @@ def decompose(D: Digraph, k: int) -> ArborealDecomposition | LinkedSetCertificat
     if k < 1:
         raise ValueError("parameter k must be >= 1 for a non-empty digraph")
 
-    bags: dict[int, set] = {0: set(D.vertices())}
+    V = frozenset(D.vertices())
+    bags: dict[int, set] = {0: set(V)}
     guards: dict[tuple[int, int], frozenset] = {}
     parent: dict[int, tuple[int, int]] = {}
     children: dict[int, list[int]] = {0: []}
@@ -263,7 +281,7 @@ def decompose(D: Digraph, k: int) -> ArborealDecomposition | LinkedSetCertificat
         for comp in scc(D, Z):
             if not comp & bags[r0]:
                 continue  # its pieces all miss the split bag
-            for piece in scc(D.induced(comp - T)):
+            for piece in scc(D, V - comp | T):  # the strong pieces of comp - T
                 inside = piece & bags[r0]
                 if inside and inside != piece:  # guarded bags split cleanly
                     raise RuntimeError(f"a piece straddles bag {r0}")

@@ -120,24 +120,23 @@ def _normalized_answer(T: frozenset, r: int, s: int) -> frozenset | None:
     return None
 
 
-def _greedy_separator(D: Digraph, Tset: frozenset, r: int, s: int) -> frozenset | None:
+def _greedy_separator(D: Digraph, Tset: frozenset, r: int, s: int, X: frozenset, heavy) -> frozenset | None:
     # two passes: delete the whole terminal surplus of the worst component at
     # once (right on robust components), or one terminal at a time (right
     # when single deletions shatter components)
     for batch in (True, False):
-        Z: set = set()
-        while True:
-            offenders = offending_components(D, Tset, r, Z)
-            if not offenders:
-                return frozenset(Z)
-            comp = offenders[0]
-            hit = vsorted(comp & Tset)
+        Z, current = set(), heavy
+        while current:
+            hit = vsorted(current[0] & Tset)
             take = min(len(hit) - r, s - len(Z)) if batch else 1
             if take < 1:
                 break
             Z.update(hit[:take])
             if len(Z) > s:
                 break
+            current = offending_components(D, Tset, r, X | Z)
+        else:
+            return frozenset(Z)
     return None
 
 
@@ -170,11 +169,11 @@ def _component_lb(D: Digraph, comp: set, tc: int, r: int) -> int:
     return max(1, min(cap, bound))
 
 
-def _offender_analysis(D: Digraph, Tset: frozenset, r: int, s: int):
+def _offender_analysis(D: Digraph, Tset: frozenset, r: int, s: int, heavy):
     """Either the string "linked" (lower bounds already exceed the budget)
     or the offending components with their lower bounds, in canonical
     order."""
-    offenders = [(c, len(c & Tset)) for c in offending_components(D, Tset, r)]
+    offenders = [(c, len(c & Tset)) for c in heavy]
     if len(offenders) > s:
         return "linked"
     bounds: dict[int, int] = {}
@@ -276,10 +275,10 @@ def _exact_search(D: Digraph, Tset: frozenset, r: int, s: int, offenders) -> fro
     return frozenset(chosen)
 
 
-def _checked(D: Digraph, T: frozenset, r: int, s: int, Z: frozenset) -> BalancedSeparatorResult:
+def _checked(D: Digraph, T: frozenset, r: int, s: int, X: frozenset, Z: frozenset) -> BalancedSeparatorResult:
     # the post-hoc check behind every returned separator; an explicit error,
     # so that it survives python -O
-    if len(Z) > s or not is_balanced_separator(D, T, r, Z):
+    if len(Z) > s or not is_balanced_separator(D, T, r, Z | X):
         raise RuntimeError(f"solver produced {vsorted(Z)!r}, not a balanced separator within budget {s}")
     return BalancedSeparatorResult(Z)
 
@@ -287,26 +286,32 @@ def _checked(D: Digraph, T: frozenset, r: int, s: int, Z: frozenset) -> Balanced
 def balanced_separator(inst: BalancedSeparatorInstance) -> BalancedSeparatorResult:
     """Separator-or-Linked, exactly.  The Linked verdict means no vertex set
     of size at most s is a (T, r)-balanced separator."""
-    D, T, r, s = inst.D, inst.T, inst.r, inst.s
+    return _solve(inst.D, inst.T, inst.r, inst.s, frozenset())
+
+
+def _solve(D: Digraph, T: frozenset, r: int, s: int, X: frozenset) -> BalancedSeparatorResult:
+    """`balanced_separator` on D minus X, with X a banned set instead of a
+    copy; T must avoid X.  The separator returned avoids X too."""
     norm = _normalized_answer(T, r, s)
     if norm is not None:
-        return _checked(D, T, r, s, norm)
-    if is_balanced_separator(D, T, r, frozenset()):
+        return _checked(D, T, r, s, X, norm)
+    offenders = offending_components(D, T, r, X)  # every layer below starts from these
+    if not offenders:
         return BalancedSeparatorResult(frozenset())
     if r == 0:
         # a terminal outside Z always keeps its own component offending, so
         # any separator contains all of T — out of budget here (s < |T|)
         return BalancedSeparatorResult(None)
-    Z = _greedy_separator(D, T, r, s)
+    Z = _greedy_separator(D, T, r, s, X, offenders)
     if Z is not None:
-        return _checked(D, T, r, s, Z)
-    analysis = _offender_analysis(D, T, r, s)
+        return _checked(D, T, r, s, X, Z)
+    analysis = _offender_analysis(D, T, r, s, offenders)
     if analysis == "linked":
         return BalancedSeparatorResult(None)
     Z = _exact_search(D, T, r, s, analysis)
     if Z is None:
         return BalancedSeparatorResult(None)
-    return _checked(D, T, r, s, Z)
+    return _checked(D, T, r, s, X, Z)
 
 
 def brute_force_balanced_separator(D: Digraph, T: Iterable[Vertex], r: int, s: int) -> BalancedSeparatorResult:

@@ -15,8 +15,7 @@ from collections.abc import Iterable
 from itertools import combinations
 
 from .digraph import Digraph, Interned, Path, Vertex, menger, split_network, terminal_flow, vkey
-from .balsep import (BalancedSeparatorInstance, balanced_separator, is_balanced_separator,
-                     offending_components)
+from .balsep import _solve, is_balanced_separator, offending_components
 from .arboreal import LinkedSetCertificate
 
 
@@ -47,12 +46,11 @@ def is_hitting_set(B: TBramble, X: Iterable[Vertex]) -> bool:
 def complement_order_at_most(B: TBramble, X: Iterable[Vertex], s: int) -> tuple[bool, frozenset | None]:
     """Decide whether the bramble elements avoiding X can be hit by s
     vertices; on success the witness hitting set comes back too.  Reduces to
-    a balanced-separator run on D minus X."""
+    a balanced-separator run on D minus X, banning X instead of copying."""
     if s < 0:
         return False, None
     Xset = frozenset(X)
-    rest = B.D.minus(Xset)
-    result = balanced_separator(BalancedSeparatorInstance(rest, B.T - Xset, B.k - 1, s))
+    result = _solve(B.D, B.T - Xset, B.k - 1, s, Xset)
     if result.linked:
         return False, None
     return True, result.separator

@@ -25,7 +25,7 @@ import sys
 import time
 from itertools import combinations, permutations
 
-from .arboreal import ArborealDecomposition, LinkedSetCertificate, decompose, validate
+from .arboreal import ArborealDecomposition, LinkedSetCertificate, _as_int, _as_list, decompose, validate
 from .balsep import (
     BalancedSeparatorInstance,
     _normalized_answer,
@@ -208,7 +208,7 @@ def _validate_certificate(D: Digraph, js: dict) -> list[str]:
 
 
 def _validate_separator(D: Digraph, js: dict) -> list[str]:
-    T, r, Z = js["T"], js["r"], js["separator"]
+    T, r, Z = js["T"], _as_int(js["r"], "r"), js["separator"]
     problems = [f"vertex {v!r} not in graph" for v in [*T, *Z] if v not in D]
     if r < 0:
         problems.append(f"r = {r} must be non-negative")
@@ -234,13 +234,6 @@ def _validate_welllinked(D: Digraph, js: dict) -> list[str]:
     else:
         print("anchor set above Menger cap: shape-checked only", file=sys.stderr)
     return []
-
-
-def _as_list(value, what: str) -> list:
-    # a string would pass as a list of characters
-    if not isinstance(value, list):
-        raise TypeError(f"{what} must be a list")
-    return value
 
 
 def _validate_pathsystem(D: Digraph, js: dict) -> list[str]:
@@ -279,7 +272,7 @@ def _validate_pathsystem(D: Digraph, js: dict) -> list[str]:
             except ValueError as exc:
                 problems.append(f"linkage {key}: {exc}")
                 continue
-            if p.first not in outs[i - 1] or p.last not in ins[j - 1]:
+            if not p or p.first not in outs[i - 1] or p.last not in ins[j - 1]:
                 problems.append(f"linkage {key}: path endpoints off the anchor sets")
             if seen & set(p.vertices):
                 problems.append(f"linkage {key}: paths share vertices")

@@ -326,6 +326,70 @@ def test_partition_engine_matches_the_reference_engine():
             (i, vsorted(Tc), r, cap, lb)
 
 
+def _record_layers(monkeypatch, seen: dict) -> None:
+    # each layer's answer, as the solver saw it
+    for name in ("_normalized_answer", "_greedy_separator", "_offender_analysis", "_exact_search"):
+        def spy(*args, _real=getattr(balsep, name), _name=name):
+            seen[_name] = out = _real(*args)
+            return out
+        monkeypatch.setattr(balsep, name, spy)
+
+
+def _deciding_layer(seen: dict, r: int) -> str:
+    if seen.get("_normalized_answer") is not None:
+        return "normalized"
+    for name, layer in [("_exact_search", "exact"), ("_offender_analysis", "linked by bounds"),
+                        ("_greedy_separator", "greedy")]:
+        if name in seen:
+            return layer
+    return "r = 0" if r == 0 else "empty"
+
+
+def test_banned_set_solve_matches_solving_the_copy(monkeypatch):
+    # the solver on D with X banned answers as balanced_separator on D - X,
+    # at every layer; X may hold terminals and ids that are not in D
+    seen: dict = {}
+    _record_layers(monkeypatch, seen)
+    rng = random.Random(0xD0C5)
+    layers: dict = {}
+    for i in range(400):
+        D = mixed_id_digraph(rng, random_digraph(rng, rng.randint(2, 11), rng.uniform(0.15, 0.9)))
+        vs = D.sorted_vertices()
+        for _ in range(rng.randint(0, 3)):
+            D.add_edge(rng.choice(vs), rng.choice(vs), rng.randint(1, 2))  # loops and parallel copies
+        X = frozenset({v for v in vs if rng.random() < 0.2} | {"ghost", (3, "y")})
+        T = frozenset(rng.sample(vs, rng.randint(len(vs) // 2, len(vs))))
+        r, s = rng.randint(0, 2), rng.randint(0, 3)
+        seen.clear()
+        got = balsep._solve(D, T - X, r, s, X)
+        layer = _deciding_layer(seen, r)
+        layers[layer] = layers.get(layer, 0) + 1
+        assert got == solve(D.minus(X), T - X, r, s), (i, layer)
+    assert len(layers) == 6 and min(layers.values()) >= 8, layers
+
+
+def test_one_offender_pass_before_the_exact_layer(monkeypatch):
+    # the empty check, both greedy passes and the lower bounds share the
+    # offending components of D - X instead of computing them each
+    real, exact = balsep.offending_components, balsep._exact_search
+    calls: list = []
+    before_exact: list = []
+    monkeypatch.setattr(balsep, "offending_components",
+                        lambda D, T, r, Z=(): calls.append(frozenset(Z)) or real(D, T, r, Z))
+    monkeypatch.setattr(balsep, "_exact_search",
+                        lambda *args: before_exact.append(list(calls)) or exact(*args))
+    D = Digraph()
+    for leaf in ("t1", "t2", "t3", "t4", "x1", "x2"):
+        D.add_bidirected("c", leaf)
+    T = frozenset({"t1", "t2", "t3", "t4", "x1"})
+    # the star needs its centre: greedy fails and the bounds are inconclusive
+    for X in (frozenset(), frozenset({"x1", "x2", "ghost"})):
+        calls.clear()
+        got = balsep._solve(D, T - X, 1, 1, X) if X else solve(D, T, 1, 1)
+        assert got.separator == frozenset({"c"})
+        assert before_exact.pop().count(X) == 1
+
+
 def test_non_separator_from_a_layer_is_an_error(monkeypatch):
     # K_5 with T = V, r = 1, s = 2 reaches the greedy layer; a greedy answer
     # that is no separator must raise, not pass silently

@@ -23,6 +23,7 @@ from dirtw import (
     is_hitting_set,
     order_parameter,
     verify_well_linked,
+    vsorted,
     well_linked_set,
 )
 
@@ -32,8 +33,10 @@ from util import (
     brute_bramble_elements,
     brute_bramble_hits,
     brute_bramble_order,
+    mixed_id_digraph,
     path_digraph,
     random_digraph,
+    reference_complement_order_at_most,
 )
 
 
@@ -149,6 +152,28 @@ def test_complement_order_on_clique():
     assert ok and len(witness) <= 2
     elements = brute_bramble_elements(D, B.T, 3)
     assert brute_bramble_hits([e for e in elements if not e & {1}], witness)
+
+
+def test_complement_order_matches_the_copying_reference():
+    # X is banned inside the solver instead of copied away; the verdict and
+    # the witness must be those of the copy, whatever X holds
+    rng = random.Random(0xC0FE)
+    found = {"passed": 0, "failed": 0, "negative": 0, "blocks a terminal": 0}
+    for _ in range(300):
+        D = mixed_id_digraph(rng, random_digraph(rng, rng.randint(1, 9), rng.uniform(0.1, 0.6)))
+        vs = D.sorted_vertices()
+        for _ in range(rng.randint(0, 3)):
+            D.add_edge(rng.choice(vs), rng.choice(vs), rng.randint(1, 2))  # loops and parallel copies
+        T = frozenset(rng.sample(vs, rng.randint(1, len(vs))))
+        B = TBramble(D, T, rng.randint(1, 3))
+        X = {v for v in vs if rng.random() < 0.25} | {"ghost", (7, "x")}
+        s = rng.randint(-1, 3)
+        got = complement_order_at_most(B, X, s)
+        assert got == reference_complement_order_at_most(B, X, s), (vs, vsorted(T), B.k, X, s)
+        found["passed" if got[0] else "failed"] += 1
+        found["negative"] += s < 0
+        found["blocks a terminal"] += bool(X & T)
+    assert min(found.values()) > 30, found
 
 
 # -- hitting paths -----------------------------------------------------------

@@ -3,6 +3,7 @@ generator determinism, and the bench CSV."""
 import json
 import os
 import pathlib
+import random
 import shutil
 import subprocess
 import sys
@@ -247,14 +248,53 @@ def test_validate_rejects_trivially_unlinked_certificates(tmp_path, capsys, doc,
     ({"spines": [[1, 2]], "anchors_in": ["1"], "anchors_out": [[2]], "linkages": {}}, "pathsystem"),
     ({"spines": [[1], [2]], "anchors_in": [[1], [2]], "anchors_out": [[1], [2]],
       "linkages": {"1,2": ["12"], "2,1": [[2, 1]]}}, "pathsystem"),
+    ({"nodes": [{"id": 0, "bag": "12"}], "arcs": [], "root": 0}, "decomposition"),
+    ({"nodes": [{"id": 0, "bag": [1]}, {"id": 1, "bag": [2]}],
+      "arcs": [{"from": 0, "to": 1, "guard": "1"}], "root": 0}, "decomposition"),
 ], ids=["certificate-T", "separator-T", "separator-separator", "welllinked-A", "welllinked-path",
-        "pathsystem-spine", "pathsystem-anchor-row", "pathsystem-linkage-path"])
+        "pathsystem-spine", "pathsystem-anchor-row", "pathsystem-linkage-path",
+        "decomposition-bag", "decomposition-guard"])
 def test_validate_rejects_strings_for_vertex_lists(tmp_path, capsys, doc, kind):
     # a string would be read character by character as a list of vertices
     pair = write(tmp_path, "pair.txt", "1 2\n2 1\n")
     art = write(tmp_path, "art.json", json.dumps(doc))
     code, _, err = run_cli(["validate", pair, art], capsys)
     assert code == 2 and f"malformed {kind} artifact" in err and "must be a list" in err
+
+
+def test_validate_rejects_a_string_bag_that_spells_the_graph(tmp_path, capsys):
+    # read character by character, "ab" would be the bag {a, b}: a valid
+    # decomposition of the pair
+    pair = write(tmp_path, "pair.txt", "a b\nb a\n")
+    art = write(tmp_path, "dec.json", '{"nodes":[{"id":0,"bag":"ab"}],"arcs":[],"root":0}')
+    code, out, err = run_cli(["validate", pair, art], capsys)
+    assert code == 2 and out == "" and "bag must be a list" in err
+
+
+@pytest.mark.parametrize("text, kind", [
+    ('{"T": [1, 2], "k": 1e400, "r": 0}', "certificate"),
+    ('{"T": [1, 2], "k": 1.5, "r": 0}', "certificate"),
+    ('{"T": [1, 2], "k": true, "r": 0}', "certificate"),
+    ('{"T": [1, 2], "k": 1, "r": "0"}', "certificate"),
+    ('{"T": [1, 2], "r": 1e400, "separator": []}', "separator"),
+    ('{"T": [1, 2], "r": 1.0, "separator": []}', "separator"),
+    ('{"nodes": [{"id": 1e400, "bag": [1, 2]}], "arcs": [], "root": 0}', "decomposition"),
+    ('{"nodes": [{"id": "0", "bag": [1, 2]}], "arcs": [], "root": 0}', "decomposition"),
+    ('{"nodes": [{"id": 0, "bag": [1, 2]}], "arcs": [], "root": false}', "decomposition"),
+    ('{"nodes": [{"id": 0, "bag": [1]}, {"id": 1, "bag": [2]}],'
+     ' "arcs": [{"from": 0.0, "to": 1, "guard": [1]}], "root": 0}', "decomposition"),
+    ('{"nodes": [{"id": 0, "bag": [1]}, {"id": 1, "bag": [2]}],'
+     ' "arcs": [{"from": 0, "to": Infinity, "guard": [1]}], "root": 0}', "decomposition"),
+], ids=["certificate-k-overflow", "certificate-k-float", "certificate-k-bool", "certificate-r-string",
+        "separator-r-overflow", "separator-r-float", "node-id-overflow", "node-id-string",
+        "root-bool", "arc-from-float", "arc-to-infinity"])
+def test_validate_rejects_non_integer_fields(tmp_path, capsys, text, kind):
+    # int() would truncate 1.5, overflow on 1e400 and parse "0"
+    pair = write(tmp_path, "pair.txt", "1 2\n2 1\n")
+    art = write(tmp_path, "art.json", text)
+    code, out, err = run_cli(["validate", pair, art], capsys)
+    assert code == 2 and out == "" and f"malformed {kind} artifact" in err
+    assert "must be an integer" in err
 
 
 def test_validate_welllinked_tampering(tmp_path, capsys):
@@ -298,6 +338,15 @@ def test_validate_pathsystem_rejects_malformed_linkages(tmp_path, capsys, linkag
     assert code == 2 and "malformed pathsystem artifact" in err
 
 
+def test_validate_pathsystem_rejects_an_empty_linkage_path(tmp_path, capsys):
+    # an empty path has no endpoints to sit on the anchor sets
+    k6f, js = _k6_path_system(tmp_path)
+    js["linkages"]["1,2"] = [[]]
+    art = write(tmp_path, "ps.json", json.dumps(js))
+    code, _, err = run_cli(["validate", k6f, art], capsys)
+    assert code == 1 and "linkage 1,2: path endpoints off the anchor sets" in err
+
+
 def test_validate_pathsystem_reports_missing_linkages(tmp_path, capsys):
     k6f, js = _k6_path_system(tmp_path)
     del js["linkages"]["2,1"]
@@ -315,6 +364,65 @@ def test_validate_unknown_or_broken_artifacts(tmp_path, k6, capsys):
     assert run_cli(["validate", k6, weird], capsys)[0] == 2
     broken = write(tmp_path, "y.json", "{nope")
     assert run_cli(["validate", k6, broken], capsys)[0] == 2
+
+
+# artifact shapes for the fuzz test: "int" is a small integer and
+# "vertices" a short list of vertices of K_4, a list holds up to three
+# items of its one shape, and any part may be replaced by a random value
+FUZZ_SHAPES = {
+    "decomposition": {"nodes": [{"id": "int", "bag": "vertices"}],
+                      "arcs": [{"from": "int", "to": "int", "guard": "vertices"}], "root": "int"},
+    "pathsystem": {"spines": ["vertices"], "anchors_in": ["vertices"], "anchors_out": ["vertices"],
+                   "linkages": {"1,2": ["vertices"], "2,1": ["vertices"]}},
+    "separator": {"T": "vertices", "r": "int", "separator": "vertices"},
+    "certificate": {"T": "vertices", "k": "int", "r": "int"},
+    "welllinked": {"path": "vertices", "A": "vertices"},
+}
+FUZZ_ATOMS = [0, 1, 2, 3, 4, 5, -1, 10 ** 30, 1.5, 2.0, float("inf"), float("-inf"), float("nan"),
+              True, False, "1", "12", "a", "", "1,2", None]
+
+
+def _fuzz_value(rng: random.Random, depth: int = 0):
+    roll = rng.random()
+    if depth < 3 and roll < 0.2:
+        return [_fuzz_value(rng, depth + 1) for _ in range(rng.randrange(4))]
+    if depth < 3 and roll < 0.3:
+        return {rng.choice(["id", "bag", "from", "to", "guard", "1,2", "0,1", "x"]):
+                _fuzz_value(rng, depth + 1) for _ in range(rng.randrange(3))}
+    return rng.choice(FUZZ_ATOMS)
+
+
+def _fuzz_shaped(rng: random.Random, shape, top: bool = False):
+    if not top and rng.random() < 0.15:
+        return _fuzz_value(rng)
+    if shape == "int":
+        return rng.randrange(-1, 4)
+    if shape == "vertices":
+        return [rng.randrange(0, 6) for _ in range(rng.randrange(5))]
+    if isinstance(shape, list):
+        return [_fuzz_shaped(rng, shape[0]) for _ in range(rng.randrange(4))]
+    # the artifact's own keys stay, so that its kind is detected
+    return {key: _fuzz_shaped(rng, sub) for key, sub in shape.items() if top or rng.random() > 0.1}
+
+
+def test_validate_fuzzed_artifacts_never_raise(tmp_path, capsys):
+    k4 = write(tmp_path, "k4.txt", serialize_edge_list(bidirected_clique(4)))
+    rng = random.Random(0xF022)
+    codes: dict = {}
+    for kind, shape in FUZZ_SHAPES.items():
+        for i in range(300):
+            doc = _fuzz_shaped(rng, shape, top=True)
+            art = write(tmp_path, "art.json", json.dumps(doc))
+            try:
+                code, _, _ = run_cli(["validate", k4, art], capsys)
+            except Exception as exc:
+                raise AssertionError(f"{kind} #{i}: {json.dumps(doc)}") from exc
+            assert code in (0, 1, 2, 3), (kind, i, doc, code)
+            codes[kind, code] = codes.get((kind, code), 0) + 1
+    # every kind is rejected as malformed and as invalid; the shapes reach
+    # past the parsing
+    for kind in FUZZ_SHAPES:
+        assert codes.get((kind, 1), 0) >= 10 and codes.get((kind, 2), 0) >= 10, codes
 
 
 # -- bench --------------------------------------------------------------------

@@ -123,6 +123,56 @@ def test_linear_cut_inner_loops_run_on_ints():
     assert _name_keyed_work(source, HOT) == []
 
 
+# subgraph copies: outside the graph's own methods only the exact layer's
+# per-component subgraph and the brute-force cut oracle copy D
+COPY_OWNERS = {("digraph.py", "Digraph"), ("balsep.py", "_exact_search"),
+               ("lincut.py", "brute_force_vertex_cut")}
+
+# excerpts of arboreal.decompose and bramble.complement_order_at_most from
+# before they banned vertices instead of copying D
+COPYING_EXCERPTS = '''
+def decompose(D, k):
+    for comp in scc(D, Z):
+        for piece in scc(D.induced(comp - T)):
+            bags[node] = set(piece)
+
+
+def complement_order_at_most(B, X, s):
+    Xset = frozenset(X)
+    rest = B.D.minus(Xset)
+    result = balanced_separator(BalancedSeparatorInstance(rest, B.T - Xset, B.k - 1, s))
+'''
+
+
+def _subgraph_copies(module: str, source: str) -> list[str]:
+    out = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        if (module, owner) in COPY_OWNERS:
+            continue
+        out.extend(f"line {node.lineno}: {owner} calls .{node.func.attr}" for node in ast.walk(top)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and node.func.attr in COPIES)
+    return out
+
+
+def test_checker_flags_the_copying_decompose_and_complement_order():
+    assert _subgraph_copies("arboreal.py", COPYING_EXCERPTS) == [
+        "line 4: decompose calls .induced", "line 10: complement_order_at_most calls .minus"]
+    # the narrower check on questions asked of a copy misses both
+    assert _copies_in_questions(COPYING_EXCERPTS) == []
+    assert _subgraph_copies("balsep.py", "def _exact_search(D):\n    D.induced(C)\n") == []
+    assert _subgraph_copies("bramble.py", "def _exact_search(D):\n    D.induced(C)\n") == [
+        "line 2: _exact_search calls .induced"]
+    assert _subgraph_copies("x.py", "G = D.minus(Z)\n") == ["line 1: None calls .minus"]
+
+
+def test_only_the_graph_core_copies_subgraphs():
+    modules = sorted(PACKAGE.glob("*.py"))
+    found = {m.name: _subgraph_copies(m.name, m.read_text()) for m in modules}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 # the split layout belongs to digraph: no other module names split nodes by
 # tuples or imports the old source and sink nodes
 SPLIT_TAGS = {"in", "out", "term"}

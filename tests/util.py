@@ -8,7 +8,8 @@ import random
 from collections import deque
 from itertools import combinations
 
-from dirtw import Digraph, MengerResult, Path, TerminalSequence, vkey, vsorted
+from dirtw import (BalancedSeparatorInstance, Digraph, MengerResult, Path, TBramble, TerminalSequence,
+                   balanced_separator, vkey, vsorted)
 from dirtw.digraph import Interned, split_network, terminal_flow
 from dirtw.lincut import (CutCertificate, _check_blocks_in, _coerce_blocks, _flow_lower_bound, _forced,
                           _reduction, _search)
@@ -450,3 +451,16 @@ def reference_partition_min_cut(sub: Digraph, Tc: frozenset, r: int, cap: int, l
 
     rec(tuple(vsorted(Tc)), (), frozenset())
     return best
+
+
+def reference_complement_order_at_most(B: TBramble, X, s: int) -> tuple[bool, frozenset | None]:
+    """complement_order_at_most as it was when it copied D minus X, kept
+    verbatim as the reference of the banned-set version."""
+    if s < 0:
+        return False, None
+    Xset = frozenset(X)
+    rest = B.D.minus(Xset)
+    result = balanced_separator(BalancedSeparatorInstance(rest, B.T - Xset, B.k - 1, s))
+    if result.linked:
+        return False, None
+    return True, result.separator
