@@ -22,8 +22,8 @@ from functools import cache
 from itertools import accumulate, combinations
 from collections.abc import Callable, Iterable, Iterator
 
-from .digraph import (Digraph, Interned, Vertex, split_network, tarjan_sccs, terminal_flow, vkey,
-                      vsorted)
+from .digraph import (Digraph, Interned, Vertex, _spans, split_network, tarjan_sccs, terminal_flow,
+                      vkey, vsorted)
 from .lincut import TerminalSequence, _CutInstance, _cheapest, _reduction, _split_vertices
 
 
@@ -103,10 +103,37 @@ def offending_components(D: Digraph, T: Iterable[Vertex], r: int, Z: Iterable[Ve
     return heavy
 
 
+def _refine_offenders(D: Digraph, Tset: frozenset, r: int, heavy: list[set], W: Iterable[Vertex]) -> list[set]:
+    """The offending components of D minus (Z | W), from `heavy`, those of D
+    minus Z, without a pass over the whole graph.  Deleting W only splits
+    the components it meets: a component C it misses is kept, and C - W,
+    if it still holds more than r terminals, is kept whole when two walks
+    from one of its vertices see all of it, and split by Tarjan within it
+    otherwise.  Equals offending_components(D, Tset, r, Z | W) for r >= 0."""
+    W = set(W)
+    out = []
+    for C in heavy:
+        if C.isdisjoint(W):
+            out.append(C)
+            continue
+        rest = C - W
+        if len(rest & Tset) <= r:
+            continue
+        start = next(iter(rest))
+        if _spans(D, start, rest, True) and _spans(D, start, rest, False):
+            out.append(rest)
+        else:
+            out.extend(c for c in tarjan_sccs(D, within=rest) if len(c & Tset) > r)
+    out.sort(key=lambda c: min(map(vkey, c & Tset)))
+    return out
+
+
 def is_balanced_separator(D: Digraph, T: Iterable[Vertex], r: int, Z: Iterable[Vertex]) -> bool:
     """True iff every strong component of D minus Z holds at most r vertices
     of T."""
-    return not offending_components(D, T, r, Z)
+    Z, Tset = set(Z), frozenset(T)
+    # no component holds more terminals than survive the deletion
+    return len(Tset - Z) <= r or not offending_components(D, Tset, r, Z)
 
 
 def _normalized_answer(T: frozenset, r: int, s: int) -> frozenset | None:
@@ -120,7 +147,7 @@ def _normalized_answer(T: frozenset, r: int, s: int) -> frozenset | None:
     return None
 
 
-def _greedy_separator(D: Digraph, Tset: frozenset, r: int, s: int, X: frozenset, heavy) -> frozenset | None:
+def _greedy_separator(D: Digraph, Tset: frozenset, r: int, s: int, heavy) -> frozenset | None:
     # two passes: delete the whole terminal surplus of the worst component at
     # once (right on robust components), or one terminal at a time (right
     # when single deletions shatter components)
@@ -134,7 +161,7 @@ def _greedy_separator(D: Digraph, Tset: frozenset, r: int, s: int, X: frozenset,
             Z.update(hit[:take])
             if len(Z) > s:
                 break
-            current = offending_components(D, Tset, r, X | Z)
+            current = _refine_offenders(D, Tset, r, current, hit[:take])
         else:
             return frozenset(Z)
     return None
@@ -192,23 +219,23 @@ def _branch_min_cut(sub: Digraph, Tc: frozenset, r: int, cap: int, lb: int) -> f
     """Exact engine for small components: iterative-deepening branch and
     bound.  Any valid deletion set must hit every currently offending strong
     component, so branching over the canonical offender is complete."""
+    heavy = offending_components(sub, Tc, r)
     for b in range(max(lb, 1), cap + 1):
         failed: set = set()
 
-        def dfs(removed: frozenset, left: int) -> frozenset | None:
-            offenders = offending_components(sub, Tc, r, removed)
+        def dfs(removed: frozenset, offenders: list, left: int) -> frozenset | None:
             if not offenders:
                 return removed
             if left == 0 or removed in failed:
                 return None
             for v in vsorted(offenders[0]):
-                got = dfs(removed | {v}, left - 1)
+                got = dfs(removed | {v}, _refine_offenders(sub, Tc, r, offenders, (v,)), left - 1)
                 if got is not None:
                     return got
             failed.add(removed)
             return None
 
-        got = dfs(frozenset(), b)
+        got = dfs(frozenset(), heavy, b)
         if got is not None:
             return got
     return None
@@ -289,9 +316,9 @@ def balanced_separator(inst: BalancedSeparatorInstance) -> BalancedSeparatorResu
     return _solve(inst.D, inst.T, inst.r, inst.s, frozenset())
 
 
-def _solve(D: Digraph, T: frozenset, r: int, s: int, X: frozenset) -> BalancedSeparatorResult:
-    """`balanced_separator` on D minus X, with X a banned set instead of a
-    copy; T must avoid X.  The separator returned avoids X too."""
+def _cheap_layers(D: Digraph, T: frozenset, r: int, s: int, X: frozenset) -> BalancedSeparatorResult | list[set]:
+    """The normalize, empty and greedy layers of `_solve`: their verdict, or
+    the offending components of D minus X when none of them decides."""
     norm = _normalized_answer(T, r, s)
     if norm is not None:
         return _checked(D, T, r, s, X, norm)
@@ -302,9 +329,18 @@ def _solve(D: Digraph, T: frozenset, r: int, s: int, X: frozenset) -> BalancedSe
         # a terminal outside Z always keeps its own component offending, so
         # any separator contains all of T — out of budget here (s < |T|)
         return BalancedSeparatorResult(None)
-    Z = _greedy_separator(D, T, r, s, X, offenders)
+    Z = _greedy_separator(D, T, r, s, offenders)
     if Z is not None:
         return _checked(D, T, r, s, X, Z)
+    return offenders
+
+
+def _solve(D: Digraph, T: frozenset, r: int, s: int, X: frozenset) -> BalancedSeparatorResult:
+    """`balanced_separator` on D minus X, with X a banned set instead of a
+    copy; T must avoid X.  The separator returned avoids X too."""
+    offenders = _cheap_layers(D, T, r, s, X)
+    if isinstance(offenders, BalancedSeparatorResult):
+        return offenders
     analysis = _offender_analysis(D, T, r, s, offenders)
     if analysis == "linked":
         return BalancedSeparatorResult(None)

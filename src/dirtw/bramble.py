@@ -15,7 +15,7 @@ from collections.abc import Iterable
 from itertools import combinations
 
 from .digraph import Digraph, Interned, Path, Vertex, menger, split_network, terminal_flow, vkey
-from .balsep import _solve, is_balanced_separator, offending_components
+from .balsep import _refine_offenders, _solve, is_balanced_separator, offending_components
 from .arboreal import LinkedSetCertificate
 
 
@@ -87,14 +87,17 @@ def hitting_path(B: TBramble) -> Path:
         return Path(D, [])
     current = heavy[0]
     verts = [min(current & T, key=vkey)]
-    # the path hits the bramble once no terminal-heavy component avoids it
-    while heavy := offending_components(D, T, k - 1, verts):
+    added = list(verts)
+    # the path hits the bramble once no terminal-heavy component avoids it;
+    # each hop refines the components of D minus the path it extends
+    while heavy := _refine_offenders(D, T, k - 1, heavy, added):
         nxt = heavy[0]
         hop = _route(D, verts[-1], current - set(verts), nxt)
         if hop is None:
             raise ValueError("tip cannot reach the next terminal-heavy component "
                              "(input set is not linked as certified)")
-        verts.extend(hop[1:])
+        added = hop[1:]
+        verts.extend(added)
         current = nxt
     return Path(D, verts)
 

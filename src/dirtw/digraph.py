@@ -189,11 +189,12 @@ class SccDecomposition:
         return iter(self.components)
 
 
-def tarjan_sccs(D: Digraph, banned: Iterable[Vertex] = ()) -> list[set]:
+def tarjan_sccs(D: Digraph, banned: Iterable[Vertex] = (), within: set | None = None) -> list[set]:
     # Iterative Tarjan over D minus banned; emission order is already
     # reverse-topological but not canonical across construction orders, so
     # public callers go through scc().  Banned vertices start out finished
-    # and off the stack, so the walk matches one over D.minus(banned).
+    # and off the stack, so the walk matches one over D.minus(banned).  With
+    # `within`, the walk is one over D.induced(within) minus banned.
     succ = D._succ
     index: dict[Vertex, int] = dict.fromkeys(banned, -1)
     low: dict[Vertex, int] = {}
@@ -201,14 +202,15 @@ def tarjan_sccs(D: Digraph, banned: Iterable[Vertex] = ()) -> list[set]:
     stack: list = []
     out: list[set] = []
     counter = 0
-    for root in succ:
+    inside = None if within is None else within.__contains__
+    for root in succ if within is None else within:
         if root in index:
             continue
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
         on.add(root)
-        work: list = [(root, iter(succ[root]))]
+        work: list = [(root, filter(inside, succ[root]) if inside else iter(succ[root]))]
         while work:
             v, it = work[-1]
             w = next(it, None)
@@ -218,7 +220,7 @@ def tarjan_sccs(D: Digraph, banned: Iterable[Vertex] = ()) -> list[set]:
                     counter += 1
                     stack.append(w)
                     on.add(w)
-                    work.append((w, iter(succ[w])))
+                    work.append((w, filter(inside, succ[w]) if inside else iter(succ[w])))
                 elif w in on and index[w] < low[v]:
                     low[v] = index[w]
                 continue
@@ -288,6 +290,22 @@ def _reach_set(D: Digraph, sources: Iterable[Vertex], banned: set, forward: bool
                 seen.add(w)
                 queue.append(w)
     return seen
+
+
+def _spans(D: Digraph, start: Vertex, inside: set, forward: bool) -> bool:
+    """True iff walks from `start` (forward) or into it (backward) through
+    `inside` meet all of `inside`; stops as soon as they have."""
+    adj = D._succ if forward else D._pred
+    seen = {start}
+    queue = [start]
+    for v in queue:  # the BFS queue: vertices appended below are visited too
+        for w in adj[v]:
+            if w not in seen and w in inside:
+                seen.add(w)
+                if len(seen) == len(inside):
+                    return True
+                queue.append(w)
+    return len(seen) == len(inside)
 
 
 def reachable(D: Digraph, X: Iterable[Vertex], Y: Iterable[Vertex]) -> bool:
@@ -528,9 +546,15 @@ def parse_edge_list(text: str) -> Digraph:
 
 
 def serialize_edge_list(D: Digraph) -> str:
-    def text(v: Vertex) -> str:
+    """The edge-list text of D; a ValueError for a vertex whose text would
+    not parse back to itself (a tuple, whitespace, an empty or int-looking
+    string, or a line-leading "vertex" or "#...")."""
+
+    def text(v: Vertex, leads: bool = False) -> str:
         s = str(v)
-        if " " in s or isinstance(v, tuple):
+        plain = isinstance(v, int) or (isinstance(v, str) and s.split() == [s]
+                                       and isinstance(_parse_token(s), str))
+        if not plain or leads and (s == "vertex" or s.startswith("#")):
             raise ValueError(f"vertex {v!r} has no edge-list representation")
         return s
 
@@ -539,5 +563,5 @@ def serialize_edge_list(D: Digraph) -> str:
         if not D._succ[v] and not D._pred[v]:
             lines.append(f"vertex {text(v)}")
     for u, v, c in sorted(D.edge_classes(), key=lambda e: (vkey(e[0]), vkey(e[1]))):
-        lines.extend([f"{text(u)} {text(v)}"] * c)
+        lines.extend([f"{text(u, leads=True)} {text(v)}"] * c)
     return "\n".join(lines) + ("\n" if lines else "")

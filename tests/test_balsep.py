@@ -28,6 +28,7 @@ from dirtw import balsep
 from dirtw.balsep import offending_components
 from util import (
     bidirected_clique,
+    bidirected_cycle,
     brute_scc_partition,
     mixed_id_digraph,
     path_digraph,
@@ -388,6 +389,87 @@ def test_one_offender_pass_before_the_exact_layer(monkeypatch):
         got = balsep._solve(D, T - X, 1, 1, X) if X else solve(D, T, 1, 1)
         assert got.separator == frozenset({"c"})
         assert before_exact.pop().count(X) == 1
+
+
+def random_multigraph(rng: random.Random, n: int) -> Digraph:
+    D = random_digraph(rng, n, rng.choice([0.15, 0.3, 0.5]))
+    for _ in range(rng.randint(0, 3)):
+        D.add_edge(rng.randint(1, n), rng.randint(1, n), rng.randint(1, 2))  # loops, parallel arcs
+    return mixed_id_digraph(rng, D)
+
+
+def test_refined_offenders_equal_a_fresh_pass_after_every_deletion():
+    rng = random.Random(29)
+    multi_hops = splits = 0
+    for trial in range(400):
+        D = random_multigraph(rng, rng.randint(1, 9))
+        vs = D.sorted_vertices()
+        T = frozenset(rng.sample(vs, rng.randint(0, len(vs))))
+        r = trial % 3
+        heavy, Z = offending_components(D, T, r), set()
+        order = rng.sample(vs, len(vs))
+        while order:
+            # a hop of up to three vertices may meet several components
+            W = [order.pop() for _ in range(min(len(order), rng.randint(1, 3)))]
+            met = [C for C in heavy if not C.isdisjoint(W)]
+            Z.update(W)
+            got = balsep._refine_offenders(D, T, r, heavy, W)
+            assert got == offending_components(D, T, r, Z), (trial, vsorted(Z))
+            assert ({frozenset(c) for c in got}
+                    == {c for c in brute_scc_partition(D.minus(Z)) if len(c & T) > r})
+            multi_hops += len(met) > 1
+            splits += any(sum(c <= C for c in got) > 1 for C in met)
+            heavy = got
+    assert multi_hops and splits
+
+
+def test_counting_settles_the_separator_check_as_tarjan_would(monkeypatch):
+    rng = random.Random(31)
+    passes: list = []
+    real = balsep.tarjan_sccs
+    monkeypatch.setattr(balsep, "tarjan_sccs", lambda *args: passes.append(args) or real(*args))
+    settled = 0
+    for trial in range(300):
+        D = random_multigraph(rng, rng.randint(1, 8))
+        vs = D.sorted_vertices()
+        T = set(rng.sample(vs, rng.randint(0, len(vs))))
+        # Z overlapping T, with ids that are not in D
+        Z = set(rng.sample(vs, rng.randint(0, len(vs))))
+        Z |= set(rng.sample(["ghost", ("g", 1), 99], rng.randint(0, 2)))
+        r = rng.randint(-1, 3)
+        passes.clear()
+        got = is_balanced_separator(D, T, r, iter(Z))
+        if len(T - Z) <= r:
+            assert passes == []
+            settled += 1
+        assert got == (not offending_components(D, T, r, Z))
+    assert settled
+
+
+def test_deletion_loops_make_no_whole_graph_pass_per_deleted_vertex(monkeypatch):
+    whole: list = []
+    real = balsep.tarjan_sccs
+
+    def spy(D, banned=(), within=None):
+        if within is None:
+            whole.append(D)
+        return real(D, banned, within)
+
+    monkeypatch.setattr(balsep, "tarjan_sccs", spy)
+    K8 = bidirected_clique(8)
+    T8 = frozenset(K8.vertices())
+    heavy = offending_components(K8, T8, 1)
+    whole.clear()
+    # both greedy passes fail after deleting 5 and then 6 terminals of K_8
+    assert balsep._greedy_separator(K8, T8, 1, 5, heavy) is None
+    assert whole == []
+    # K_6 needs five deletions: iterative deepening walks every tree up to four
+    K6 = bidirected_clique(6)
+    assert balsep._branch_min_cut(K6, frozenset(K6.vertices()), 1, 4, 1) is None
+    assert len(whole) == 1
+    whole.clear()
+    P = dirtw.hitting_path(dirtw.TBramble(bidirected_cycle(9), frozenset(range(1, 10)), 3))
+    assert len(P) > 1 and len(whole) == 1
 
 
 def test_non_separator_from_a_layer_is_an_error(monkeypatch):

@@ -219,9 +219,27 @@ def test_validate_certificate_respects_brute_cap(tmp_path, k6, capsys, monkeypat
     assert run_cli(["decompose", "-k", "2", k6, "-o", art], capsys)[0] == 10
     monkeypatch.setenv("DIRTW_BRUTE_CAP", "3,1")
     code, _, err = run_cli(["validate", k6, art], capsys)
-    assert code == 0 and "shape-checked only" in err
+    assert code == 0 and "only the cheap layers ran" in err
     monkeypatch.setenv("DIRTW_BRUTE_CAP", "oops")
     assert run_cli(["validate", k6, art], capsys)[0] == 3
+
+
+def test_validate_refutes_a_false_certificate_above_the_brute_cap(tmp_path, capsys):
+    # a DAG's strong components are single vertices: the empty set separates
+    dag = str(tmp_path / "dag.txt")
+    assert run_cli(["gen", "dag", "20", "--seed", "1", "-o", dag], capsys)[0] == 0
+    art = write(tmp_path, "cert.json", json.dumps({"T": [1, 2, 3], "k": 1, "r": 1}))
+    code, _, err = run_cli(["validate", dag, art], capsys)
+    assert code == 1 and "not (1,1)-linked: separator [] found" in err
+
+
+def test_validate_refutes_by_the_greedy_layer_above_the_brute_cap(tmp_path, capsys, monkeypatch):
+    arcs = [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4)]
+    triangles = write(tmp_path, "tri.txt", "".join(f"{u} {v}\n{v} {u}\n" for u, v in arcs))
+    art = write(tmp_path, "cert.json", json.dumps({"T": [1, 2, 4, 5], "k": 2, "r": 1}))
+    monkeypatch.setenv("DIRTW_BRUTE_CAP", "3,1")
+    code, _, err = run_cli(["validate", triangles, art], capsys)
+    assert code == 1 and "not (2,1)-linked: separator [1, 4] found" in err
 
 
 @pytest.mark.parametrize("doc, reason", [

@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dirtw
 
@@ -21,7 +22,7 @@ from dirtw import (
     vkey,
     vsorted,
 )
-from dirtw.digraph import Interned, split_network, tarjan_sccs, terminal_flow
+from dirtw.digraph import Interned, _reach_set, _spans, split_network, tarjan_sccs, terminal_flow
 from util import (
     bidirected_clique,
     brute_guarded,
@@ -155,6 +156,22 @@ def test_banned_set_matches_deleting_by_copy():
         assert tarjan_sccs(D, iter(sorted(Z, key=vkey))) == tarjan_sccs(D.minus(Z))
         assert scc(D, Z).components == scc(D.minus(Z)).components
     assert tarjan_sccs(D) == tarjan_sccs(D, ()) == tarjan_sccs(D.minus(()))
+
+
+def test_walks_within_a_vertex_set_match_the_induced_subgraph():
+    rng = random.Random(37)
+    for _ in range(300):
+        D = _shuffled_digraph(rng, rng.randint(1, 8))
+        vs = D.sorted_vertices()
+        S = set(rng.sample(vs, rng.randint(1, len(vs))))
+        Z = set(rng.sample(vs, rng.randint(0, min(2, len(vs)))))
+        sub = D.induced(S)
+        assert ({frozenset(c) for c in tarjan_sccs(D, Z, within=S)}
+                == {frozenset(c) for c in tarjan_sccs(sub.minus(Z))})
+        start = rng.choice(vs)
+        if start in S:
+            for forward in (True, False):
+                assert _spans(D, start, S, forward) == (_reach_set(sub, {start}, set(), forward) == S)
 
 
 def test_reachable_matches_dfs_oracle():
@@ -375,3 +392,64 @@ def test_edge_list_numeric_tokens():
     D = parse_edge_list("007 3\n")
     assert "007" in D and 3 in D
     assert serialize_edge_list(D) == "007 3\n"
+
+
+@pytest.mark.parametrize("edge", [
+    ("vertex", "a"),  # would read back as the isolated vertex a
+    ("#x", "a"),  # would read back as a comment
+    ("10", "a"),  # would read back as the int 10
+    ("a\tb", "a"),  # these would not parse at all
+    ("a", "a\xa0b"),
+    ("", "a"),
+], ids=["vertex-tail", "comment-tail", "int-looking", "tab", "nbsp", "empty"])
+def test_edge_list_refuses_vertices_that_would_not_read_back(edge):
+    D = Digraph()
+    D.add_edge(*edge)
+    with pytest.raises(ValueError, match="no edge-list representation"):
+        serialize_edge_list(D)
+
+
+def test_edge_list_keeps_tokens_that_are_special_only_at_a_line_start():
+    D = Digraph()
+    D.add_edge("a", "vertex")
+    D.add_edge("b", "#x")
+    D.add_vertex("#y")
+    text = serialize_edge_list(D)
+    assert text == "vertex #y\na vertex\nb #x\n"
+    assert parse_edge_list(text) == D
+
+
+# text built from the format's own tokens and separators, mixed with any
+# character at all
+TEXT = st.lists(st.one_of(st.sampled_from(["a", "1", "0", "-", "#", " ", "\t", "\n", "\r", "\xa0",
+                                           "\x85", "\u2028", "vertex ", "vertex", "10", "007"]),
+                          st.characters()), max_size=30).map("".join)
+IDS = st.one_of(st.integers(-20, 20), st.text(max_size=4),
+                st.sampled_from(["vertex", "#", "#x", "10", "007", "-0", "a b"]))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(TEXT)
+def test_parsed_edge_lists_read_back_or_raise_value_error(text):
+    try:
+        D = parse_edge_list(text)
+    except ValueError:
+        return
+    out = serialize_edge_list(D)
+    assert parse_edge_list(out) == D
+    assert serialize_edge_list(parse_edge_list(out)) == out
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.lists(IDS, max_size=4), st.lists(st.tuples(IDS, IDS), max_size=6))
+def test_drawn_digraphs_serialize_faithfully_or_raise_value_error(isolated, edges):
+    D = Digraph()
+    for v in isolated:
+        D.add_vertex(v)
+    for u, v in edges:
+        D.add_edge(u, v)
+    try:
+        text = serialize_edge_list(D)
+    except ValueError:
+        return
+    assert parse_edge_list(text) == D
