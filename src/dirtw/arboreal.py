@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from collections import deque
 from collections.abc import Iterable
 
-from .digraph import Digraph, Vertex, _reach_set, guard_breach, scc, vkey, vsorted
+from .digraph import Digraph, Vertex, _strongly_connected, guard_breach, scc, vsorted
 from .balsep import BalancedSeparatorInstance, balanced_separator, offending_components
 
 
@@ -201,24 +201,22 @@ def validate(D: Digraph, dec: ArborealDecomposition, nice: bool = False) -> Vali
                 viols.append(Violation("guard", f"guard vertex {v!r} of arc {arc} not in digraph"))
 
     if structure_ok:
+        strong: list[Violation] = []
         for arc in sorted(dec.guards):
+            guard = dec.guards[arc]
             S = dec.beyond(arc)
-            breach = guard_breach(D, S, dec.guards[arc])
+            breach = guard_breach(D, S, guard)
             if breach is not None:
                 viols.append(Violation(
                     "guarded", f"arc {arc}: walk leaves the beyond-arc set and re-enters via {breach!r}"))
+            # one strong component of D minus guard: strongly connected inside,
+            # with no outside vertex (a breach) on a closed walk through it
+            if nice and (breach is not None or not _strongly_connected(D, S - guard)):
+                strong.append(Violation(
+                    "strong-component",
+                    f"arc {arc}: beyond-arc set minus guards is not one strong component"))
+        viols += strong
         if nice:
-            for arc in sorted(dec.guards):
-                guard = dec.guards[arc]
-                territory = dec.beyond(arc) - guard
-                # one strong component of D minus guard: the component of any
-                # territory vertex t, which is what t reaches and is reached from
-                t = min(territory, key=vkey, default=None)
-                if t is None or territory != (_reach_set(D, {t}, guard, True)
-                                              & _reach_set(D, {t}, guard, False)):
-                    viols.append(Violation(
-                        "strong-component",
-                        f"arc {arc}: beyond-arc set minus guards is not one strong component"))
             for node in dec.nodes():
                 incident = frozenset().union(
                     *(g for arc, g in dec.guards.items() if node in arc)) if dec.guards else frozenset()
@@ -242,8 +240,7 @@ def decompose(D: Digraph, k: int) -> ArborealDecomposition | LinkedSetCertificat
     if k < 1:
         raise ValueError("parameter k must be >= 1 for a non-empty digraph")
 
-    V = frozenset(D.vertices())
-    bags: dict[int, set] = {0: set(V)}
+    bags: dict[int, set] = {0: set(D.vertices())}
     guards: dict[tuple[int, int], frozenset] = {}
     parent: dict[int, tuple[int, int]] = {}
     children: dict[int, list[int]] = {0: []}
@@ -281,7 +278,7 @@ def decompose(D: Digraph, k: int) -> ArborealDecomposition | LinkedSetCertificat
         for comp in scc(D, Z):
             if not comp & bags[r0]:
                 continue  # its pieces all miss the split bag
-            for piece in scc(D, V - comp | T):  # the strong pieces of comp - T
+            for piece in scc(D, within=comp - T):
                 inside = piece & bags[r0]
                 if inside and inside != piece:  # guarded bags split cleanly
                     raise RuntimeError(f"a piece straddles bag {r0}")

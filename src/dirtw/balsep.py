@@ -22,8 +22,7 @@ from functools import cache
 from itertools import accumulate, combinations
 from collections.abc import Callable, Iterable, Iterator
 
-from .digraph import (Digraph, Interned, Vertex, _spans, split_network, tarjan_sccs, terminal_flow,
-                      vkey, vsorted)
+from .digraph import Digraph, Interned, Vertex, split_network, tarjan_sccs, terminal_flow, vkey, vsorted
 from .lincut import TerminalSequence, _CutInstance, _cheapest, _reduction, _split_vertices
 
 
@@ -107,9 +106,8 @@ def _refine_offenders(D: Digraph, Tset: frozenset, r: int, heavy: list[set], W: 
     """The offending components of D minus (Z | W), from `heavy`, those of D
     minus Z, without a pass over the whole graph.  Deleting W only splits
     the components it meets: a component C it misses is kept, and C - W,
-    if it still holds more than r terminals, is kept whole when two walks
-    from one of its vertices see all of it, and split by Tarjan within it
-    otherwise.  Equals offending_components(D, Tset, r, Z | W) for r >= 0."""
+    if it still holds more than r terminals, is split into its own strong
+    pieces.  Equals offending_components(D, Tset, r, Z | W) for r >= 0."""
     W = set(W)
     out = []
     for C in heavy:
@@ -119,11 +117,7 @@ def _refine_offenders(D: Digraph, Tset: frozenset, r: int, heavy: list[set], W: 
         rest = C - W
         if len(rest & Tset) <= r:
             continue
-        start = next(iter(rest))
-        if _spans(D, start, rest, True) and _spans(D, start, rest, False):
-            out.append(rest)
-        else:
-            out.extend(c for c in tarjan_sccs(D, within=rest) if len(c & Tset) > r)
+        out.extend(c for c in tarjan_sccs(D, within=rest) if len(c & Tset) > r)
     out.sort(key=lambda c: min(map(vkey, c & Tset)))
     return out
 
@@ -215,11 +209,11 @@ def _offender_analysis(D: Digraph, Tset: frozenset, r: int, s: int, heavy):
     return [(c, tc, bounds[i]) for i, (c, tc) in enumerate(offenders)]
 
 
-def _branch_min_cut(sub: Digraph, Tc: frozenset, r: int, cap: int, lb: int) -> frozenset | None:
+def _branch_min_cut(D: Digraph, comp: set, Tc: frozenset, r: int, cap: int, lb: int) -> frozenset | None:
     """Exact engine for small components: iterative-deepening branch and
     bound.  Any valid deletion set must hit every currently offending strong
     component, so branching over the canonical offender is complete."""
-    heavy = offending_components(sub, Tc, r)
+    heavy = [set(comp)]  # an offending strong component is its own offender list
     for b in range(max(lb, 1), cap + 1):
         failed: set = set()
 
@@ -229,7 +223,7 @@ def _branch_min_cut(sub: Digraph, Tc: frozenset, r: int, cap: int, lb: int) -> f
             if left == 0 or removed in failed:
                 return None
             for v in vsorted(offenders[0]):
-                got = dfs(removed | {v}, _refine_offenders(sub, Tc, r, offenders, (v,)), left - 1)
+                got = dfs(removed | {v}, _refine_offenders(D, Tc, r, offenders, (v,)), left - 1)
                 if got is not None:
                     return got
             failed.add(removed)
@@ -241,13 +235,13 @@ def _branch_min_cut(sub: Digraph, Tc: frozenset, r: int, cap: int, lb: int) -> f
     return None
 
 
-def _partition_min_cut(sub: Digraph, Tc: frozenset, r: int, cap: int, lb: int) -> frozenset | None:
+def _partition_min_cut(D: Digraph, comp: set, Tc: frozenset, r: int, cap: int, lb: int) -> frozenset | None:
     """Exact engine for larger components: ordered partitions of the
     terminals, each priced as a linear cut on one vertex-split reduction of
     the component.  A partition's cut meets every path from a prefix of its
     blocks to the remaining terminals, so a memoized prefix flow prunes whole
     families of partitions at once and starts the search for a cut."""
-    G = Interned(sub, sub.vertices())
+    G = Interned(D, comp)
     net = split_network(G)
     terms = sorted(G.ids(Tc))
     # edge and gadget arcs cost cap + 1, more than any budget below
@@ -276,15 +270,15 @@ def _partition_min_cut(sub: Digraph, Tc: frozenset, r: int, cap: int, lb: int) -
     return best
 
 
-def _component_min_cut(sub: Digraph, Tc: frozenset, r: int, cap: int, lb: int) -> frozenset | None:
+def _component_min_cut(D: Digraph, comp: set, Tc: frozenset, r: int, cap: int, lb: int) -> frozenset | None:
     """Exact minimum set of deletions making every strong component of the
-    (strongly connected) input hold <= r terminals, or None if it exceeds
-    cap.  Both engines stop early once the lower bound is met."""
+    strongly connected D.induced(comp) hold <= r terminals, or None if it
+    exceeds cap.  Both engines stop early once the lower bound is met."""
     if cap < lb:
         return None
-    if sub.n <= 12:
-        return _branch_min_cut(sub, Tc, r, cap, lb)
-    return _partition_min_cut(sub, Tc, r, cap, lb)
+    if len(comp) <= 12:
+        return _branch_min_cut(D, comp, Tc, r, cap, lb)
+    return _partition_min_cut(D, comp, Tc, r, cap, lb)
 
 
 def _exact_search(D: Digraph, Tset: frozenset, r: int, s: int, offenders) -> frozenset | None:
@@ -293,8 +287,7 @@ def _exact_search(D: Digraph, Tset: frozenset, r: int, s: int, offenders) -> fro
     remaining_lb = sum(lb for _, _, lb in offenders)
     for comp, _, lb in offenders:
         remaining_lb -= lb
-        cut = _component_min_cut(D.induced(comp), frozenset(comp & Tset), r,
-                                 s - spent - remaining_lb, lb)
+        cut = _component_min_cut(D, comp, frozenset(comp & Tset), r, s - spent - remaining_lb, lb)
         if cut is None:
             return None
         chosen.update(cut)

@@ -64,6 +64,8 @@ class Digraph:
         return v in self._succ
 
     def add_vertex(self, v: Vertex) -> None:
+        if type(v) is not int and type(v) is not str:  # parsed ids skip the call
+            vkey(v)  # a TypeError for an id the package cannot order, such as a bool
         if v not in self._succ:
             self._succ[v] = {}
             self._pred[v] = {}
@@ -71,6 +73,8 @@ class Digraph:
     def add_edge(self, u: Vertex, v: Vertex, mult: int = 1) -> None:
         if mult < 1:
             raise ValueError("edge multiplicity must be positive")
+        if type(v) is not int and type(v) is not str:
+            vkey(v)  # both ids are checked before either is added
         self.add_vertex(u)
         self.add_vertex(v)
         self._succ[u][v] = self._succ[u].get(v, 0) + mult
@@ -105,9 +109,6 @@ class Digraph:
         for u, nbrs in self._succ.items():
             for v, c in nbrs.items():
                 yield (u, v, c)
-
-    def copy(self) -> Digraph:
-        return self.induced(self._succ)
 
     def induced(self, keep: Iterable[Vertex]) -> Digraph:
         keep = set(keep)
@@ -189,12 +190,37 @@ class SccDecomposition:
         return iter(self.components)
 
 
+def _strongly_connected(D: Digraph, X: set) -> bool:
+    """True iff X is a non-empty vertex set of D, strongly connected inside
+    itself: walks from one of its vertices, forward and backward within X,
+    each meet all of X (they never meet an id outside D), stopping once they have."""
+    start = next(iter(X), None)
+    if not X or start not in D._succ:
+        return False
+    for adj in (D._succ, D._pred):
+        seen = {start}
+        queue = [start]
+        for v in queue:  # the BFS queue: vertices appended below are visited too
+            if len(seen) == len(X):
+                break
+            for w in adj[v]:
+                if w not in seen and w in X:
+                    seen.add(w)
+                    queue.append(w)
+        if len(seen) != len(X):
+            return False
+    return True
+
+
 def tarjan_sccs(D: Digraph, banned: Iterable[Vertex] = (), within: set | None = None) -> list[set]:
     # Iterative Tarjan over D minus banned; emission order is already
     # reverse-topological but not canonical across construction orders, so
     # public callers go through scc().  Banned vertices start out finished
     # and off the stack, so the walk matches one over D.minus(banned).  With
-    # `within`, the walk is one over D.induced(within) minus banned.
+    # `within`, a vertex set of D, the walk is one over D.induced(within)
+    # minus banned, and a set the two walks find strongly connected needs none.
+    if within is not None and not banned and _strongly_connected(D, within):
+        return [set(within)]
     succ = D._succ
     index: dict[Vertex, int] = dict.fromkeys(banned, -1)
     low: dict[Vertex, int] = {}
@@ -239,15 +265,16 @@ def tarjan_sccs(D: Digraph, banned: Iterable[Vertex] = (), within: set | None = 
     return out
 
 
-def scc(D: Digraph, banned: Iterable[Vertex] = ()) -> SccDecomposition:
-    """Strong components of D minus banned, canonically ordered.
+def scc(D: Digraph, banned: Iterable[Vertex] = (), within: set | None = None) -> SccDecomposition:
+    """Strong components of D minus banned (inside the vertex set `within`
+    of D, when given), canonically ordered.
 
     The order is reverse topological over the condensation; among the
     components simultaneously eligible, the one holding the smallest vertex
     id is emitted first, so the output depends only on the graph, not on
     construction order.
     """
-    raw = tarjan_sccs(D, banned)
+    raw = tarjan_sccs(D, banned, within)
     where = {}
     for i, comp in enumerate(raw):
         for v in comp:
@@ -255,7 +282,7 @@ def scc(D: Digraph, banned: Iterable[Vertex] = ()) -> SccDecomposition:
     outs: list[set[int]] = [set() for _ in raw]
     for u, iu in where.items():
         for w in D._succ[u]:
-            iw = where.get(w, iu)  # a banned head adds no condensation arc
+            iw = where.get(w, iu)  # a head banned or outside `within` adds no arc
             if iu != iw:
                 outs[iu].add(iw)
     rev: list[list[int]] = [[] for _ in raw]
@@ -290,22 +317,6 @@ def _reach_set(D: Digraph, sources: Iterable[Vertex], banned: set, forward: bool
                 seen.add(w)
                 queue.append(w)
     return seen
-
-
-def _spans(D: Digraph, start: Vertex, inside: set, forward: bool) -> bool:
-    """True iff walks from `start` (forward) or into it (backward) through
-    `inside` meet all of `inside`; stops as soon as they have."""
-    adj = D._succ if forward else D._pred
-    seen = {start}
-    queue = [start]
-    for v in queue:  # the BFS queue: vertices appended below are visited too
-        for w in adj[v]:
-            if w not in seen and w in inside:
-                seen.add(w)
-                if len(seen) == len(inside):
-                    return True
-                queue.append(w)
-    return len(seen) == len(inside)
 
 
 def reachable(D: Digraph, X: Iterable[Vertex], Y: Iterable[Vertex]) -> bool:

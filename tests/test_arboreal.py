@@ -117,12 +117,19 @@ def test_strong_component_clause_on_corrupted_territories():
         # the guard swallows the whole beyond-arc set
         "empty": ArborealDecomposition(
             0, {0: {1, 2, 3, 4}, 1: {5, 6}}, {(0, 1): frozenset({5, 6})}),
+        # {5, 6} is strongly connected inside, but the guard {4} leaves 1 on
+        # the closed walk 6 -> 1 -> 6
+        "breached": ArborealDecomposition(
+            0, {0: {1, 2, 3, 4}, 1: {5, 6}}, {(0, 1): frozenset({4})}),
     }
     expected = {"two-components": {"arc (0, 1)"}, "id-not-in-D": {"arc (0, 1)", "arc (1, 2)"},
-                "empty": {"arc (0, 1)"}}
+                "empty": {"arc (0, 1)"}, "breached": {"arc (0, 1)"}}
     for name, dec in cases.items():
         report = validate(D, dec, nice=True)
         assert strong_component_arcs(report) == tarjan_strong_component_arcs(D, dec) == expected[name], name
+    breached = validate(D, cases["breached"], nice=True).violations
+    assert [v.clause for v in breached] == ["guarded", "strong-component"]
+    assert breached[0].detail.endswith("re-enters via 1")
 
 
 def test_strong_component_clause_matches_tarjan_on_tampered_guards():

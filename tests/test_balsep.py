@@ -322,7 +322,7 @@ def test_partition_engine_matches_the_reference_engine():
         Tc = frozenset(rng.sample(D.sorted_vertices(), rng.randint(r + 1, min(5, r + 2))))
         cap = rng.randint(1, 4)
         lb = rng.randint(1, cap)
-        assert (balsep._partition_min_cut(D, Tc, r, cap, lb)
+        assert (balsep._partition_min_cut(D, set(D.vertices()), Tc, r, cap, lb)
                 == reference_partition_min_cut(D, Tc, r, cap, lb)), \
             (i, vsorted(Tc), r, cap, lb)
 
@@ -465,9 +465,8 @@ def test_deletion_loops_make_no_whole_graph_pass_per_deleted_vertex(monkeypatch)
     assert whole == []
     # K_6 needs five deletions: iterative deepening walks every tree up to four
     K6 = bidirected_clique(6)
-    assert balsep._branch_min_cut(K6, frozenset(K6.vertices()), 1, 4, 1) is None
-    assert len(whole) == 1
-    whole.clear()
+    assert balsep._branch_min_cut(K6, set(K6.vertices()), frozenset(K6.vertices()), 1, 4, 1) is None
+    assert whole == []
     P = dirtw.hitting_path(dirtw.TBramble(bidirected_cycle(9), frozenset(range(1, 10)), 3))
     assert len(P) > 1 and len(whole) == 1
 

@@ -22,7 +22,7 @@ from dirtw import (
     vkey,
     vsorted,
 )
-from dirtw.digraph import Interned, _reach_set, _spans, split_network, tarjan_sccs, terminal_flow
+from dirtw.digraph import Interned, _strongly_connected, split_network, tarjan_sccs, terminal_flow
 from util import (
     bidirected_clique,
     brute_guarded,
@@ -57,6 +57,20 @@ def test_digraph_counts_and_multiplicity():
     assert sorted(D.edges()) == [("a", "b")] * 3 + [("b", "b")]
 
 
+@pytest.mark.parametrize("bad", [True, False, 1.5, None, (1, 2.5)])
+def test_ids_that_have_no_vertex_order_are_refused_when_added(bad):
+    # True == 1 and False == 0, so a bool would alias an int vertex
+    D = Digraph()
+    D.add_edge(0, 1)
+    D.add_vertex("a")
+    before = serialize_edge_list(D)
+    for add in (lambda: D.add_vertex(bad), lambda: D.add_edge(bad, 1), lambda: D.add_edge(1, bad),
+                lambda: D.add_edge(bad, "new"), lambda: D.add_edge("new", bad)):
+        with pytest.raises(TypeError, match="unsupported vertex id"):
+            add()
+        assert serialize_edge_list(D) == before and D.n == 3 and D.m == 1
+
+
 def test_induced_subgraph_keeps_multiplicities():
     D = Digraph()
     D.add_edge(1, 2, 3)
@@ -64,7 +78,6 @@ def test_induced_subgraph_keeps_multiplicities():
     D.add_edge(3, 1)
     sub = D.minus({3})
     assert sub.n == 2 and sub.m == 3 and sub.mult(1, 2) == 3
-    assert D.copy() == D
 
 
 def test_path_validates_against_host():
@@ -158,20 +171,28 @@ def test_banned_set_matches_deleting_by_copy():
     assert tarjan_sccs(D) == tarjan_sccs(D, ()) == tarjan_sccs(D.minus(()))
 
 
-def test_walks_within_a_vertex_set_match_the_induced_subgraph():
+def test_strong_pieces_within_a_vertex_set_match_banning_its_complement():
     rng = random.Random(37)
+    kinds = dict.fromkeys(["strongly connected", "split", "singleton", "empty"], 0)
     for _ in range(300):
-        D = _shuffled_digraph(rng, rng.randint(1, 8))
+        D = mixed_id_digraph(rng, _shuffled_digraph(rng, rng.randint(1, 8)))
         vs = D.sorted_vertices()
-        S = set(rng.sample(vs, rng.randint(1, len(vs))))
-        Z = set(rng.sample(vs, rng.randint(0, min(2, len(vs)))))
-        sub = D.induced(S)
-        assert ({frozenset(c) for c in tarjan_sccs(D, Z, within=S)}
-                == {frozenset(c) for c in tarjan_sccs(sub.minus(Z))})
-        start = rng.choice(vs)
-        if start in S:
-            for forward in (True, False):
-                assert _spans(D, start, S, forward) == (_reach_set(sub, {start}, set(), forward) == S)
+        V = set(vs)
+        for X in (set(rng.sample(vs, rng.randint(1, len(vs)))), set(rng.choice(scc(D).components)),
+                  {rng.choice(vs)}, set()):
+            connected = _strongly_connected(D, X)
+            assert connected == (len(brute_scc_partition(D.induced(X))) == 1)
+            assert ({frozenset(c) for c in tarjan_sccs(D, within=X)}
+                    == {frozenset(c) for c in tarjan_sccs(D, V - X)})
+            assert scc(D, within=X).components == scc(D, V - X).components
+            Z = set(rng.sample(vs, rng.randint(1, min(2, len(vs)))))
+            assert ({frozenset(c) for c in tarjan_sccs(D, Z, within=X)}
+                    == {frozenset(c) for c in tarjan_sccs(D, V - X | Z)})
+            kinds["empty" if not X else "singleton" if len(X) == 1
+                  else "strongly connected" if connected else "split"] += 1
+        # an id outside D
+        assert not _strongly_connected(D, {"ghost"}) and not _strongly_connected(D, {vs[0], "ghost"})
+    assert min(kinds.values()) > 30, kinds
 
 
 def test_reachable_matches_dfs_oracle():
@@ -315,7 +336,7 @@ def test_flow_guards_survive_optimized_mode():
         "checks = [lambda: MengerResult(None, None),\n"
         "          lambda: CutCertificate('edge-cut', frozenset()).cut_vertices()]\n"
         "def broken(*args):\n"
-        "    digraph.tarjan_sccs = lambda D, banned=(): [{1}, {2}]  # a cyclic condensation\n"
+        "    digraph.tarjan_sccs = lambda D, banned=(), within=None: [{1}, {2}]  # a cyclic condensation\n"
         "    digraph.scc(D)\n"
         "def unrouted(*args):\n"
         "    digraph.terminal_flow = lambda net, X, Y, limit=None: limit  # a flow never routed\n"

@@ -123,10 +123,9 @@ def test_linear_cut_inner_loops_run_on_ints():
     assert _name_keyed_work(source, HOT) == []
 
 
-# subgraph copies: outside the graph's own methods only the exact layer's
-# per-component subgraph and the brute-force cut oracle copy D
-COPY_OWNERS = {("digraph.py", "Digraph"), ("balsep.py", "_exact_search"),
-               ("lincut.py", "brute_force_vertex_cut")}
+# subgraph copies: outside the graph's own methods only the brute-force cut
+# oracle copies D
+COPY_OWNERS = {("digraph.py", "Digraph"), ("lincut.py", "brute_force_vertex_cut")}
 
 # excerpts of arboreal.decompose and bramble.complement_order_at_most from
 # before they banned vertices instead of copying D
@@ -161,9 +160,10 @@ def test_checker_flags_the_copying_decompose_and_complement_order():
         "line 4: decompose calls .induced", "line 10: complement_order_at_most calls .minus"]
     # the narrower check on questions asked of a copy misses both
     assert _copies_in_questions(COPYING_EXCERPTS) == []
-    assert _subgraph_copies("balsep.py", "def _exact_search(D):\n    D.induced(C)\n") == []
-    assert _subgraph_copies("bramble.py", "def _exact_search(D):\n    D.induced(C)\n") == [
-        "line 2: _exact_search calls .induced"]
+    for module in ("balsep.py", "bramble.py"):
+        assert _subgraph_copies(module, "def _exact_search(D):\n    D.induced(C)\n") == [
+            "line 2: _exact_search calls .induced"]
+    assert _subgraph_copies("lincut.py", "def brute_force_vertex_cut(D):\n    D.minus(C)\n") == []
     assert _subgraph_copies("x.py", "G = D.minus(Z)\n") == ["line 1: None calls .minus"]
 
 
