@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from collections import deque
 from collections.abc import Iterable
 
-from .digraph import Digraph, Vertex, _strongly_connected, guard_breach, scc, vsorted
+from .digraph import Digraph, Vertex, guard_breach, guard_screen, scc, vsorted
 from .balsep import BalancedSeparatorInstance, balanced_separator, offending_components
 
 
@@ -74,15 +74,19 @@ class ArborealDecomposition:
     """Arborescence + bags + arc guards.  Construction does not validate;
     `validate` reports every violated clause as data."""
 
-    __slots__ = ("root", "bags", "guards", "_children")
+    __slots__ = ("root", "bags", "guards", "_children", "_incident")
 
     def __init__(self, root: int, bags: dict, guards: dict) -> None:
         self.root = root
         self.bags = {node: frozenset(bag) for node, bag in bags.items()}
         self.guards = {(int(u), int(v)): frozenset(g) for (u, v), g in guards.items()}
         self._children: dict[int, list[int]] = {}
+        incident: dict[int, set] = {}  # node -> the guards of its arcs, united
         for (u, v) in sorted(self.guards):
             self._children.setdefault(u, []).append(v)
+            incident.setdefault(u, set()).update(self.guards[(u, v)])
+            incident.setdefault(v, set()).update(self.guards[(u, v)])
+        self._incident = {node: frozenset(g) for node, g in incident.items()}
 
     def nodes(self) -> list[int]:
         return sorted(self.bags)
@@ -107,11 +111,7 @@ class ArborealDecomposition:
 
     def coverage(self, node: int) -> frozenset:
         """The node's bag together with the guards of every incident arc."""
-        cov = set(self.bags.get(node, frozenset()))
-        for arc, guard in self.guards.items():
-            if node in arc:
-                cov |= guard
-        return frozenset(cov)
+        return self.bags.get(node, frozenset()) | self._incident.get(node, frozenset())
 
     @property
     def width(self) -> int:
@@ -180,6 +180,7 @@ def validate(D: Digraph, dec: ArborealDecomposition, nice: bool = False) -> Vali
     structure_ok = not viols
 
     placement: dict = {}
+    disjoint = True  # every bag vertex lies in D and in one bag only
     for node in dec.nodes():
         bag = dec.bags[node]
         if not bag:
@@ -187,8 +188,10 @@ def validate(D: Digraph, dec: ArborealDecomposition, nice: bool = False) -> Vali
         for v in vsorted(bag):
             if v not in D:
                 viols.append(Violation("partition", f"bag vertex {v!r} not in digraph"))
+                disjoint = False
             elif v in placement:
                 viols.append(Violation("partition", f"vertex {v!r} in bags {placement[v]} and {node}"))
+                disjoint = False
             else:
                 placement[v] = node
     missing = [v for v in D.sorted_vertices() if v not in placement]
@@ -201,25 +204,54 @@ def validate(D: Digraph, dec: ArborealDecomposition, nice: bool = False) -> Vali
                 viols.append(Violation("guard", f"guard vertex {v!r} of arc {arc} not in digraph"))
 
     if structure_ok:
+        # number the tree in preorder: the beyond set of an arc is then the
+        # bags of a run of nodes, a slice of `flat`
+        order, stack = [], [dec.root]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            stack.extend(reversed(dec._children.get(node, ())))
+        flat: list = []
+        start = {}
+        for node in order:
+            start[node] = len(flat)
+            flat += dec.bags[node]
+        stop = {}  # where a node's subtree ends in `flat`
+        for node in reversed(order):
+            kids = dec._children.get(node)
+            stop[node] = stop[kids[-1]] if kids else start[node] + len(dec.bags[node])
+
+        # siblings sharing a guard are screened together: their beyond sets
+        # are disjoint when the bags are
+        groups: dict = {}
+        for arc in sorted(dec.guards):
+            groups.setdefault((arc[0], dec.guards[arc]) if disjoint else arc, []).append(arc)
+        screened = {}
+        for arcs in groups.values():
+            guard = dec.guards[arcs[0]]
+            parts = [set(flat[start[v]:stop[v]]) for _, v in arcs]
+            for arc, S, one in zip(arcs, parts, guard_screen(D, guard, parts)):
+                breach = None if one is not None else guard_breach(D, S, guard)
+                if one is None and breach is None:
+                    raise RuntimeError(f"the guard screen flagged the guarded arc {arc}")
+                screened[arc] = breach, one
+
         strong: list[Violation] = []
         for arc in sorted(dec.guards):
-            guard = dec.guards[arc]
-            S = dec.beyond(arc)
-            breach = guard_breach(D, S, guard)
+            breach, one = screened[arc]
             if breach is not None:
                 viols.append(Violation(
                     "guarded", f"arc {arc}: walk leaves the beyond-arc set and re-enters via {breach!r}"))
-            # one strong component of D minus guard: strongly connected inside,
-            # with no outside vertex (a breach) on a closed walk through it
-            if nice and (breach is not None or not _strongly_connected(D, S - guard)):
+            # one strong component of D minus guard: guarded, and strongly
+            # connected inside
+            if nice and not one:
                 strong.append(Violation(
                     "strong-component",
                     f"arc {arc}: beyond-arc set minus guards is not one strong component"))
         viols += strong
         if nice:
             for node in dec.nodes():
-                incident = frozenset().union(
-                    *(g for arc, g in dec.guards.items() if node in arc)) if dec.guards else frozenset()
+                incident = dec._incident.get(node, frozenset())
                 for child in dec.children(node):
                     overlap = dec.bags.get(child, frozenset()) & incident
                     if overlap:

@@ -275,6 +275,8 @@ def scc(D: Digraph, banned: Iterable[Vertex] = (), within: set | None = None) ->
     construction order.
     """
     raw = tarjan_sccs(D, banned, within)
+    if len(raw) == 1:  # nothing to order
+        return SccDecomposition([frozenset(raw[0])])
     where = {}
     for i, comp in enumerate(raw):
         for v in comp:
@@ -347,6 +349,89 @@ def is_guarded(D: Digraph, S: Iterable[Vertex], Z: Iterable[Vertex]) -> bool:
     """True iff no directed walk in D minus Z starts and ends in S while
     visiting a vertex outside S and Z (S meaning S minus Z throughout)."""
     return guard_breach(D, S, Z) is None
+
+
+def guard_screen(D: Digraph, Z: Iterable[Vertex], parts: Sequence[set]) -> list[bool | None]:
+    """Per vertex set S of `parts`: None when S is not Z-guarded (when
+    `guard_breach(D, S, Z)` names a vertex), else whether S minus Z is one
+    strong component of D minus Z.  Two or more parts must hold vertices of
+    D only and be pairwise disjoint outside Z.
+
+    One part costs one walk: from the out-arcs of S - Z through vertices
+    outside S and Z, stopping at the first arc back into S, since the first
+    outside stretch of any S -> S walk is such a path.  Several parts share
+    one Tarjan pass over D minus Z, each vertex labelled by its part.  A part
+    is breached iff a strong component holds its vertices and others, or a
+    path of the condensation leaves the part and comes back to it."""
+    Zset = Z if isinstance(Z, (set, frozenset)) else set(Z)
+    succ = D._succ
+    if len(parts) == 1:
+        S = parts[0]
+        X = S - Zset
+        seen: set = set()
+        queue = []
+        for v in X:
+            for w in succ.get(v, ()):
+                if w not in S and w not in Zset and w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        for v in queue:  # the BFS queue: vertices appended below are visited too
+            for w in succ[v]:
+                if w in Zset:
+                    continue
+                if w in S:
+                    return [None]
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        return [_strongly_connected(D, X)]
+
+    label = {}
+    for i, S in enumerate(parts):
+        for v in S:
+            if v not in Zset:
+                label[v] = 1 << i
+    comps = tarjan_sccs(D, Zset)
+    where: dict = {}
+    labels = []  # per component, the bits of the parts it meets
+    breached = once = twice = 0
+    for c, comp in enumerate(comps):
+        bits = labelled = 0
+        for v in comp:
+            where[v] = c
+            b = label.get(v, 0)
+            if b:
+                bits |= b
+                labelled += 1
+        if bits & (bits - 1) or bits and labelled < len(comp):
+            breached |= bits  # the component straddles its parts
+        twice |= once & bits
+        once |= bits
+        labels.append(bits)
+    # a path out of a part and back to the component it left would put the
+    # vertices it passes into that component, so only the parts met by
+    # several components need the walk over the condensation.  In
+    # topological order (Tarjan's emission order reversed): `reached`
+    # holds the parts a component is reached from, `left` those it is
+    # reached from by a path that left the part before entering it; a path
+    # has left a part once it passes a component outside the part
+    several = twice & ~breached
+    reached = [bits & several for bits in labels] if several else []
+    left = [0] * len(reached)
+    for c in range(len(reached) - 1, -1, -1):
+        a = reached[c]
+        if not a:
+            continue
+        breached |= left[c] & labels[c]
+        gone = left[c] | a & ~labels[c]
+        for v in comps[c]:
+            for w in succ[v]:
+                d = where.get(w, c)  # a banned head adds no arc
+                if d != c:
+                    reached[d] |= a
+                    left[d] |= gone
+    return [None if breached >> i & 1 else bool(once >> i & 1 and not twice >> i & 1)
+            for i in range(len(parts))]
 
 
 class Interned:

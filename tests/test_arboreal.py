@@ -16,13 +16,19 @@ from dirtw import (
     validate,
 )
 
+from dirtw import arboreal, digraph
+from dirtw.cli import _gen_graph
 from dirtw.digraph import tarjan_sccs
 from util import (
     bidirected_clique,
     bidirected_cycle,
+    mixed_id_digraph,
     path_digraph,
     pendant_pairs_digraph,
     random_digraph,
+    reference_validate,
+    shuffled_digraph,
+    tampered_decompositions,
 )
 
 
@@ -149,6 +155,44 @@ def test_strong_component_clause_matches_tarjan_on_tampered_guards():
             flagged += bool(got)
             clean += not got
     assert flagged > 10 and clean > 10
+
+
+def test_reports_equal_the_per_arc_reference_validator():
+    rng = random.Random(12)
+    decs = 0
+    clauses = dict.fromkeys(["guarded", "strong-component", "child-guard", "partition", "arborescence"], 0)
+    while decs < 2000:
+        D = mixed_id_digraph(rng, shuffled_digraph(rng, rng.randint(1, 10)))
+        for dec in tampered_decompositions(rng, D):
+            decs += 1
+            for nice in (False, True):
+                report = validate(D, dec, nice)
+                assert report == reference_validate(D, dec, nice)
+                for clause in {v.clause for v in report.violations}:
+                    clauses[clause] += 1
+    assert min(clauses.values()) > 50, clauses
+
+
+def test_validate_screens_each_sibling_group_with_one_pass(monkeypatch):
+    # dag 150 at k = 2 decomposes into one split: 149 sibling arcs sharing
+    # one guard, so one Tarjan pass and no per-arc walk
+    D = _gen_graph("dag", 150, 1, None)
+    dec = decompose(D, 2)
+    assert len(dec.guards) == 149 and len(set(dec.guards.values())) == 1
+    calls = {"tarjan_sccs": 0, "guard_breach": 0}
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    spy(digraph, "tarjan_sccs")
+    spy(arboreal, "guard_breach")
+    assert validate(D, dec, nice=True).ok
+    assert calls == {"tarjan_sccs": 1, "guard_breach": 0}
 
 
 # ------------------------------------------------------------ construction

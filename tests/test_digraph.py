@@ -22,7 +22,9 @@ from dirtw import (
     vkey,
     vsorted,
 )
-from dirtw.digraph import Interned, _strongly_connected, split_network, tarjan_sccs, terminal_flow
+from dirtw.arboreal import _structure_violations
+from dirtw.digraph import (Interned, _strongly_connected, guard_breach, guard_screen, split_network, tarjan_sccs,
+                           terminal_flow)
 from util import (
     bidirected_clique,
     brute_guarded,
@@ -34,7 +36,9 @@ from util import (
     pendant_pairs_digraph,
     random_digraph,
     reference_menger,
+    shuffled_digraph,
     subsets_up_to,
+    tampered_decompositions,
     triangle_gadget,
 )
 
@@ -143,26 +147,10 @@ def test_reachable_after_hub_removal():
     assert reachable(rest, ["v2"], ["v3"])
 
 
-def _shuffled_digraph(rng: random.Random, n: int) -> Digraph:
-    """Random digraph with loops and parallel arcs, built in shuffled order
-    so that Tarjan's emission order is not the sorted one."""
-    D = Digraph()
-    vs = list(range(1, n + 1))
-    rng.shuffle(vs)
-    for v in vs:
-        D.add_vertex(v)
-    p = rng.random()
-    arcs = [(u, v) for u in vs for v in vs if rng.random() < p]
-    rng.shuffle(arcs)
-    for u, v in arcs:
-        D.add_edge(u, v, rng.randint(1, 2))
-    return D
-
-
 def test_banned_set_matches_deleting_by_copy():
     rng = random.Random(33)
     for _ in range(300):
-        D = _shuffled_digraph(rng, rng.randint(0, 8))
+        D = shuffled_digraph(rng, rng.randint(0, 8))
         # banned ids that are not vertices of D are ignored, as by minus
         Z = {v for v in D.vertices() if rng.random() < 0.3} | {0, "ghost", (1, 2)}
         assert tarjan_sccs(D, Z) == tarjan_sccs(D.minus(Z))
@@ -175,7 +163,7 @@ def test_strong_pieces_within_a_vertex_set_match_banning_its_complement():
     rng = random.Random(37)
     kinds = dict.fromkeys(["strongly connected", "split", "singleton", "empty"], 0)
     for _ in range(300):
-        D = mixed_id_digraph(rng, _shuffled_digraph(rng, rng.randint(1, 8)))
+        D = mixed_id_digraph(rng, shuffled_digraph(rng, rng.randint(1, 8)))
         vs = D.sorted_vertices()
         V = set(vs)
         for X in (set(rng.sample(vs, rng.randint(1, len(vs)))), set(rng.choice(scc(D).components)),
@@ -198,7 +186,7 @@ def test_strong_pieces_within_a_vertex_set_match_banning_its_complement():
 def test_reachable_matches_dfs_oracle():
     rng = random.Random(34)
     for _ in range(300):
-        D = _shuffled_digraph(rng, rng.randint(0, 7))
+        D = shuffled_digraph(rng, rng.randint(0, 7))
         X = [v for v in D.vertices() if rng.random() < 0.3] + ["ghost"]
         Y = [v for v in D.vertices() if rng.random() < 0.3] + [0]
         assert reachable(D, X, Y) == dfs_path_exists(D, X, Y)
@@ -229,6 +217,45 @@ def test_is_guarded_matches_walk_oracle():
         Z = {v for v in vs if rng.random() < 0.3}
         S = {v for v in vs if v not in Z and rng.random() < 0.5}
         assert is_guarded(D, S, Z) == brute_guarded(D, S, Z)
+
+
+def test_guard_screen_matches_guard_breach_and_the_strong_components():
+    # the screen's answer per part, by definition: None iff guard_breach
+    # names a vertex, else whether S - Z is a strong component of D - Z
+    rng = random.Random(41)
+    seen = dict.fromkeys(["grouped None", "grouped True", "grouped False", "single None",
+                          "single True", "single False", "left and came back"], 0)
+    for _ in range(500):
+        D = mixed_id_digraph(rng, shuffled_digraph(rng, rng.randint(1, 10)))
+        for dec in tampered_decompositions(rng, D):
+            if _structure_violations(dec):
+                continue
+            groups: dict = {}
+            for arc, guard in sorted(dec.guards.items()):
+                groups.setdefault((arc[0], guard), []).append(dec.beyond(arc))
+            # and parts made of whole strong components, which only a path
+            # out of a part and back can breach
+            Z = frozenset(rng.sample(D.sorted_vertices(), rng.randint(0, min(2, D.n))))
+            comps = tarjan_sccs(D, Z)
+            rng.shuffle(comps)
+            cut = sorted(rng.randint(0, len(comps)) for _ in range(3))
+            groups[(None, Z)] = [set().union(*comps[i:j]) for i, j in zip(cut, cut[1:])]
+            for (_, Z), parts in groups.items():
+                comps = tarjan_sccs(D, Z)
+                want = [None if guard_breach(D, S, Z) is not None else set(S - Z) in comps for S in parts]
+                assert [guard_screen(D, Z, [S])[0] for S in parts] == want
+                for S, w in zip(parts, want):
+                    seen[f"single {w}"] += 1
+                outside = [S - Z for S in parts]
+                if len(parts) < 2 or not all(v in D for S in outside for v in S) \
+                        or sum(map(len, outside)) != len(set().union(*outside)):
+                    continue  # a duplicated or foreign vertex: not a group
+                assert guard_screen(D, set(Z), parts) == guard_screen(D, iter(Z), parts) == want
+                for X, w in zip(outside, want):
+                    seen[f"grouped {w}"] += 1
+                    # breached, yet every strong component lies inside X or off it
+                    seen["left and came back"] += w is None and all(c <= X or not c & X for c in comps)
+    assert min(seen.values()) > 30, seen
 
 
 def test_menger_single_path():

@@ -46,7 +46,7 @@ def test_no_module_imports_a_name_it_never_uses():
 
 
 # questions about D minus Z that take Z as a banned set instead of a copy
-QUESTIONS = {"tarjan_sccs", "scc", "reachable", "guard_breach",
+QUESTIONS = {"tarjan_sccs", "scc", "reachable", "guard_breach", "guard_screen",
              "offending_components", "is_balanced_separator"}
 
 

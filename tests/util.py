@@ -9,8 +9,9 @@ from collections import deque
 from itertools import combinations
 
 from dirtw import (BalancedSeparatorInstance, Digraph, MengerResult, Path, TBramble, TerminalSequence,
-                   balanced_separator, vkey, vsorted)
-from dirtw.digraph import Interned, split_network, terminal_flow
+                   balanced_separator, decompose, vkey, vsorted)
+from dirtw.arboreal import ArborealDecomposition, ValidationReport, Violation, _structure_violations
+from dirtw.digraph import Interned, _strongly_connected, guard_breach, split_network, terminal_flow
 from dirtw.lincut import (CutCertificate, _check_blocks_in, _coerce_blocks, _flow_lower_bound, _forced,
                           _reduction, _search)
 
@@ -96,6 +97,22 @@ def mixed_id_digraph(rng: random.Random, D: Digraph) -> Digraph:
     return out
 
 
+def shuffled_digraph(rng: random.Random, n: int) -> Digraph:
+    """Random digraph with loops and parallel arcs, built in shuffled order
+    so that Tarjan's emission order is not the sorted one."""
+    D = Digraph()
+    vs = list(range(1, n + 1))
+    rng.shuffle(vs)
+    for v in vs:
+        D.add_vertex(v)
+    p = rng.random()
+    arcs = [(u, v) for u in vs for v in vs if rng.random() < p]
+    rng.shuffle(arcs)
+    for u, v in arcs:
+        D.add_edge(u, v, rng.randint(1, 2))
+    return D
+
+
 def random_digraph(rng: random.Random, n: int, p: float, isolated_ok: bool = True) -> Digraph:
     D = Digraph()
     for v in range(1, n + 1):
@@ -110,6 +127,73 @@ def random_digraph(rng: random.Random, n: int, p: float, isolated_ok: bool = Tru
             if not any(True for _ in D.out_neighbors(v)):
                 D.add_edge(v, rng.choice([w for w in vs if w != v]))
     return D
+
+
+def random_decomposition(rng: random.Random, D: Digraph) -> ArborealDecomposition:
+    """A random tree over a random partition of D's vertices into non-empty
+    bags.  The children of a node share one random guard half of the time."""
+    vs = D.sorted_vertices()
+    rng.shuffle(vs)
+    t = rng.randint(1, max(1, len(vs)))
+    bags = {node: set() for node in range(t)}
+    for i, v in enumerate(vs):
+        bags[i if i < t else rng.randrange(t)].add(v)
+    shared = {}
+    guards = {}
+    for node in range(1, t):
+        tail = rng.randrange(node)
+        if tail not in shared:
+            shared[tail] = frozenset(rng.sample(vs, rng.randint(0, min(3, len(vs))))) \
+                if rng.random() < 0.5 else None
+        guard = shared[tail]
+        guards[(tail, node)] = guard if guard is not None else frozenset(
+            rng.sample(vs, rng.randint(0, min(3, len(vs)))))
+    return ArborealDecomposition(0, bags, guards)
+
+
+def tampered_decompositions(rng: random.Random, D: Digraph) -> list[ArborealDecomposition]:
+    """Decompositions of D for validator tests: `decompose` at a random k
+    (when it decomposes) and a random decomposition, each as built and after
+    one random tampering: replaced guards, one guard on every arc, guards
+    drawn from the beyond sets they guard, a moved, duplicated or foreign bag
+    vertex, a dropped or an extra arc."""
+    vs = D.sorted_vertices()
+    out = [random_decomposition(rng, D)]
+    if vs:
+        dec = decompose(D, rng.randint(1, 3))
+        if isinstance(dec, ArborealDecomposition):
+            out.append(dec)
+    for dec in list(out):
+        bags = {node: set(bag) for node, bag in dec.bags.items()}
+        guards = dict(dec.guards)
+        arcs = sorted(guards)
+        nodes = sorted(bags)
+        kind = rng.choice(["guards", "one guard", "overlap", "move", "duplicate", "foreign", "arcs"])
+        if kind == "guards":
+            guards = {arc: frozenset(rng.sample(vs, rng.randint(0, min(3, len(vs)))))
+                      if rng.random() < 0.5 else g for arc, g in guards.items()}
+        elif kind == "one guard":
+            one = frozenset(rng.sample(vs, rng.randint(0, min(3, len(vs)))))
+            guards = dict.fromkeys(guards, one)
+        elif kind == "overlap":
+            for arc in arcs:
+                beyond = vsorted(dec.beyond(arc))
+                guards[arc] = frozenset(rng.sample(beyond, rng.randint(0, len(beyond))))
+        elif kind in ("move", "duplicate") and vs:
+            v = rng.choice(vs)
+            if kind == "move":
+                for bag in bags.values():
+                    bag.discard(v)
+            bags[rng.choice(nodes)].add(v)
+        elif kind == "foreign":
+            bags[rng.choice(nodes)].add(rng.choice(["ghost", -99, ("g", 1)]))
+        elif kind == "arcs":
+            if arcs and rng.random() < 0.5:
+                del guards[rng.choice(arcs)]
+            else:
+                guards[(rng.choice(nodes), rng.choice(nodes))] = frozenset(vs[:1])
+        out.append(ArborealDecomposition(dec.root, bags, guards))
+    return out
 
 
 # -- independent oracles -----------------------------------------------------
@@ -464,3 +548,61 @@ def reference_complement_order_at_most(B: TBramble, X, s: int) -> tuple[bool, fr
     if result.linked:
         return False, None
     return True, result.separator
+
+
+def reference_validate(D: Digraph, dec: ArborealDecomposition, nice: bool = False) -> ValidationReport:
+    """validate as it was with two whole-graph walks per arc (`guard_breach`
+    on each arc's beyond set) and widths from a scan of every guard per node,
+    kept as the reference of the grouped guard screen."""
+    viols = _structure_violations(dec)
+    structure_ok = not viols
+
+    placement: dict = {}
+    for node in dec.nodes():
+        bag = dec.bags[node]
+        if not bag:
+            viols.append(Violation("partition", f"bag of node {node} is empty"))
+        for v in vsorted(bag):
+            if v not in D:
+                viols.append(Violation("partition", f"bag vertex {v!r} not in digraph"))
+            elif v in placement:
+                viols.append(Violation("partition", f"vertex {v!r} in bags {placement[v]} and {node}"))
+            else:
+                placement[v] = node
+    missing = [v for v in D.sorted_vertices() if v not in placement]
+    for v in missing:
+        viols.append(Violation("partition", f"vertex {v!r} in no bag"))
+
+    for arc in sorted(dec.guards):
+        for v in vsorted(dec.guards[arc]):
+            if v not in D:
+                viols.append(Violation("guard", f"guard vertex {v!r} of arc {arc} not in digraph"))
+
+    def incident(node) -> frozenset:
+        return frozenset().union(*(g for arc, g in dec.guards.items() if node in arc))
+
+    if structure_ok:
+        strong: list[Violation] = []
+        for arc in sorted(dec.guards):
+            guard = dec.guards[arc]
+            S = dec.beyond(arc)
+            breach = guard_breach(D, S, guard)
+            if breach is not None:
+                viols.append(Violation(
+                    "guarded", f"arc {arc}: walk leaves the beyond-arc set and re-enters via {breach!r}"))
+            if nice and (breach is not None or not _strongly_connected(D, S - guard)):
+                strong.append(Violation(
+                    "strong-component",
+                    f"arc {arc}: beyond-arc set minus guards is not one strong component"))
+        viols += strong
+        if nice:
+            for node in dec.nodes():
+                for child in dec.children(node):
+                    overlap = dec.bags.get(child, frozenset()) & incident(node)
+                    if overlap:
+                        viols.append(Violation(
+                            "child-guard",
+                            f"bag of child {child} meets guards incident to {node} at {vsorted(overlap)!r}"))
+
+    width = max((len(dec.bags[node] | incident(node)) for node in dec.bags), default=0) - 1
+    return ValidationReport(width, tuple(viols))
