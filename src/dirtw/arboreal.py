@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from collections import deque
 from collections.abc import Iterable
 
-from .digraph import Digraph, Vertex, guard_breach, guard_screen, scc, vsorted
+from .digraph import Digraph, Vertex, _reach_set, guard_breach, guard_screen, scc, vkey, vsorted
 from .balsep import BalancedSeparatorInstance, balanced_separator, offending_components
 
 
@@ -230,7 +230,7 @@ def validate(D: Digraph, dec: ArborealDecomposition, nice: bool = False) -> Vali
         for arcs in groups.values():
             guard = dec.guards[arcs[0]]
             parts = [set(flat[start[v]:stop[v]]) for _, v in arcs]
-            for arc, S, one in zip(arcs, parts, guard_screen(D, guard, parts)):
+            for arc, S, one in zip(arcs, parts, guard_screen(D, guard, parts, strong=nice)):
                 breach = None if one is not None else guard_breach(D, S, guard)
                 if one is None and breach is None:
                     raise RuntimeError(f"the guard screen flagged the guarded arc {arc}")
@@ -290,11 +290,9 @@ def decompose(D: Digraph, k: int) -> ArborealDecomposition | LinkedSetCertificat
         return [node for node in sorted(bags)
                 if not children[node] and coverage_size(node) >= 3 * k]
 
-    measure = sum(len(bags[node]) for node in too_large_leaves())
-    while True:
-        pending = too_large_leaves()
-        if not pending:
-            break
+    pending = too_large_leaves()
+    measure = sum(len(bags[node]) for node in pending)
+    while pending:
         r0 = pending[0]
         arc0 = parent.get(r0)
         T = guards[arc0] if arc0 is not None else frozenset()
@@ -303,14 +301,18 @@ def decompose(D: Digraph, k: int) -> ArborealDecomposition | LinkedSetCertificat
             if len(T) != 2 * k - 1:
                 raise RuntimeError(f"linked guard of size {len(T)}, not {2 * k - 1}")
             return LinkedSetCertificate(frozenset(T), k - 1, k - 1)
-        free = vsorted(bags[r0] - result.separator)
+        free = bags[r0] - result.separator
         if len(free) < 2:
             raise RuntimeError(f"separator leaves {len(free)} free vertices in bag {r0}")
-        Z = frozenset(result.separator | {free[0]})
-        for comp in scc(D, Z):
+        Z = frozenset(result.separator | {min(free, key=vkey)})
+        # the strong components of D - Z that the bag reaches are those of
+        # its forward closure, and they come in the order scc(D, Z) gives
+        # them: no arc leaves the closure, so the components outside it never
+        # hold back one inside it
+        for comp in scc(D, within=_reach_set(D, bags[r0], Z, forward=True)):
             if not comp & bags[r0]:
                 continue  # its pieces all miss the split bag
-            for piece in scc(D, within=comp - T):
+            for piece in scc(D, within=comp - T) if comp & T else [comp]:
                 inside = piece & bags[r0]
                 if inside and inside != piece:  # guarded bags split cleanly
                     raise RuntimeError(f"a piece straddles bag {r0}")
@@ -328,7 +330,8 @@ def decompose(D: Digraph, k: int) -> ArborealDecomposition | LinkedSetCertificat
         bags[r0] &= Z
         if not bags[r0] or coverage_size(r0) > 3 * k - 1:
             raise RuntimeError(f"split bag {r0} is empty or covers more than {3 * k - 1}")
-        next_measure = sum(len(bags[node]) for node in too_large_leaves())
+        pending = too_large_leaves()
+        next_measure = sum(len(bags[node]) for node in pending)
         if next_measure >= measure:
             raise RuntimeError(f"leaf measure did not decrease ({measure} -> {next_measure})")
         measure = next_measure

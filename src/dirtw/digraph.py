@@ -351,7 +351,8 @@ def is_guarded(D: Digraph, S: Iterable[Vertex], Z: Iterable[Vertex]) -> bool:
     return guard_breach(D, S, Z) is None
 
 
-def guard_screen(D: Digraph, Z: Iterable[Vertex], parts: Sequence[set]) -> list[bool | None]:
+def guard_screen(D: Digraph, Z: Iterable[Vertex], parts: Sequence[set],
+                 strong: bool = True) -> list[bool | None]:
     """Per vertex set S of `parts`: None when S is not Z-guarded (when
     `guard_breach(D, S, Z)` names a vertex), else whether S minus Z is one
     strong component of D minus Z.  Two or more parts must hold vertices of
@@ -359,7 +360,10 @@ def guard_screen(D: Digraph, Z: Iterable[Vertex], parts: Sequence[set]) -> list[
 
     One part costs one walk: from the out-arcs of S - Z through vertices
     outside S and Z, stopping at the first arc back into S, since the first
-    outside stretch of any S -> S walk is such a path.  Several parts share
+    outside stretch of any S -> S walk is such a path.  Two more walks,
+    inside S - Z, tell whether a guarded part is one strong component; a
+    caller that needs only guardedness turns `strong` off and reads False
+    there instead.  Several parts share
     one Tarjan pass over D minus Z, each vertex labelled by its part.  A part
     is breached iff a strong component holds its vertices and others, or a
     path of the condensation leaves the part and comes back to it."""
@@ -384,7 +388,7 @@ def guard_screen(D: Digraph, Z: Iterable[Vertex], parts: Sequence[set]) -> list[
                 if w not in seen:
                     seen.add(w)
                     queue.append(w)
-        return [_strongly_connected(D, X)]
+        return [strong and _strongly_connected(D, X)]
 
     label = {}
     for i, S in enumerate(parts):
@@ -626,18 +630,42 @@ def _parse_token(tok: str) -> Vertex:
 
 
 def parse_edge_list(text: str) -> Digraph:
+    """The digraph of an edge-list text, with its vertices and arcs in the
+    order of the text: the one `add_vertex` and `add_edge` calls, line by
+    line, would build.  A line with other than two tokens is a ValueError."""
     D = Digraph()
+    succ, pred = D._succ, D._pred
+    ids: dict[str, Vertex] = {}  # token -> vertex id, each parsed once
+    m = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        toks = raw.split()
+        if not toks or toks[0][0] == "#":
             continue
-        toks = line.split()
         if len(toks) != 2:
-            raise ValueError(f"line {lineno}: expected two tokens, got {line!r}")
-        if toks[0] == "vertex":
-            D.add_vertex(_parse_token(toks[1]))
-        else:
-            D.add_edge(_parse_token(toks[0]), _parse_token(toks[1]))
+            raise ValueError(f"line {lineno}: expected two tokens, got {raw.strip()!r}")
+        a, b = toks
+        v = ids.get(b)
+        if v is None:
+            v = ids[b] = _parse_token(b)
+        if a == "vertex":
+            if v not in succ:
+                succ[v] = {}
+                pred[v] = {}
+            continue
+        u = ids.get(a)
+        if u is None:
+            u = ids[a] = _parse_token(a)
+        if u not in succ:
+            succ[u] = {}
+            pred[u] = {}
+        if v not in succ:
+            succ[v] = {}
+            pred[v] = {}
+        out, into = succ[u], pred[v]
+        out[v] = out.get(v, 0) + 1
+        into[u] = into.get(u, 0) + 1
+        m += 1
+    D._m = m
     return D
 
 

@@ -16,16 +16,18 @@ from dirtw import (
     validate,
 )
 
-from dirtw import arboreal, digraph
+from dirtw import arboreal, balsep, digraph
 from dirtw.cli import _gen_graph
 from dirtw.digraph import tarjan_sccs
 from util import (
     bidirected_clique,
     bidirected_cycle,
+    core_with_pendants,
     mixed_id_digraph,
     path_digraph,
     pendant_pairs_digraph,
     random_digraph,
+    reference_decompose,
     reference_validate,
     shuffled_digraph,
     tampered_decompositions,
@@ -173,6 +175,25 @@ def test_reports_equal_the_per_arc_reference_validator():
     assert min(clauses.values()) > 50, clauses
 
 
+def test_validate_without_nice_runs_no_strong_test(monkeypatch):
+    # bidirected cycle 30 at k = 2 decomposes into a path-like tree, one
+    # guard per arc, so every arc goes through the lone-part screen
+    D = bidirected_cycle(30)
+    dec = decompose(D, 2)
+    calls = []
+    real = digraph._strongly_connected
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(digraph, "_strongly_connected", counted)
+    assert validate(D, dec, nice=True).ok
+    assert len(calls) >= len(dec.guards) > 10
+    calls.clear()
+    assert validate(D, dec).ok
+    assert calls == []
+
+
 def test_validate_screens_each_sibling_group_with_one_pass(monkeypatch):
     # dag 150 at k = 2 decomposes into one split: 149 sibling arcs sharing
     # one guard, so one Tarjan pass and no per-arc walk
@@ -293,6 +314,47 @@ def test_dichotomy_on_random_digraphs():
             assert brute_force_balanced_separator(D, out.T, k - 1, k - 1).linked
             outcomes["cert"] += 1
     assert outcomes["dec"] and outcomes["cert"]  # both arms exercised
+
+
+def test_decompose_equals_the_whole_graph_split_reference():
+    rng = random.Random(0x5C1)
+    outcomes = {"dec": 0, "cert": 0}
+    for i in range(2000):
+        D = shuffled_digraph(rng, rng.randint(1, 12)) if i % 2 else \
+            core_with_pendants(rng, rng.randint(4, 8), rng.randint(1, 14))
+        D = mixed_id_digraph(rng, D)
+        k = rng.randint(1, 3)
+        out = decompose(D, k)
+        want = reference_decompose(D, k)
+        if isinstance(want, LinkedSetCertificate):
+            assert out == want
+            outcomes["cert"] += 1
+        else:
+            assert isinstance(out, ArborealDecomposition) and out.to_json() == want.to_json()
+            outcomes["dec"] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_decompose_splits_inside_the_forward_closure(monkeypatch):
+    # on a path-like tree a whole-graph pass per split is O(n^2) in all:
+    # every strong-component question of the split stays inside the closure
+    whole = []
+
+    def spy(module):
+        real = module.tarjan_sccs
+
+        def counted(D, banned=(), within=None):
+            if within is None:
+                whole.append(module.__name__)
+            return real(D, banned, within)
+        monkeypatch.setattr(module, "tarjan_sccs", counted)
+
+    spy(digraph)
+    spy(balsep)
+    D = bidirected_cycle(150)
+    dec = decompose(D, 2)
+    assert isinstance(dec, ArborealDecomposition) and len(dec.guards) > 100
+    assert whole == []
 
 
 def test_decomposition_json_round_trip():

@@ -36,6 +36,7 @@ from util import (
     pendant_pairs_digraph,
     random_digraph,
     reference_menger,
+    reference_parse_edge_list,
     shuffled_digraph,
     subsets_up_to,
     tampered_decompositions,
@@ -244,6 +245,9 @@ def test_guard_screen_matches_guard_breach_and_the_strong_components():
                 comps = tarjan_sccs(D, Z)
                 want = [None if guard_breach(D, S, Z) is not None else set(S - Z) in comps for S in parts]
                 assert [guard_screen(D, Z, [S])[0] for S in parts] == want
+                # without the strong test a guarded lone part reads False
+                assert [guard_screen(D, Z, [S], strong=False)[0] for S in parts] == [
+                    None if w is None else False for w in want]
                 for S, w in zip(parts, want):
                     seen[f"single {w}"] += 1
                 outside = [S - Z for S in parts]
@@ -476,13 +480,25 @@ IDS = st.one_of(st.integers(-20, 20), st.text(max_size=4),
                 st.sampled_from(["vertex", "#", "#x", "10", "007", "-0", "a b"]))
 
 
+def _layout(D: Digraph) -> tuple:
+    # the adjacency dicts with their insertion orders, which == ignores
+    return ([(v, list(nbrs.items())) for v, nbrs in D._succ.items()],
+            [(v, list(nbrs.items())) for v, nbrs in D._pred.items()], D.m)
+
+
 @settings(max_examples=400, derandomize=True, deadline=None, database=None)
 @given(TEXT)
 def test_parsed_edge_lists_read_back_or_raise_value_error(text):
+    # and equal, orders included, what add_vertex and add_edge build
     try:
-        D = parse_edge_list(text)
-    except ValueError:
+        want = reference_parse_edge_list(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            parse_edge_list(text)
+        assert str(got.value) == str(exc)
         return
+    D = parse_edge_list(text)
+    assert _layout(D) == _layout(want)
     out = serialize_edge_list(D)
     assert parse_edge_list(out) == D
     assert serialize_edge_list(parse_edge_list(out)) == out
@@ -501,3 +517,8 @@ def test_drawn_digraphs_serialize_faithfully_or_raise_value_error(isolated, edge
     except ValueError:
         return
     assert parse_edge_list(text) == D
+    assert _layout(parse_edge_list(text)) == _layout(reference_parse_edge_list(text))
+    shuffled = text.splitlines()
+    random.Random(len(text)).shuffle(shuffled)
+    text = "\n".join(shuffled)
+    assert _layout(parse_edge_list(text)) == _layout(reference_parse_edge_list(text))

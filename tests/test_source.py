@@ -249,3 +249,42 @@ def test_no_module_uses_assert():
     modules = sorted(PACKAGE.glob("*.py"))
     found = {m.name: _asserts(m.read_text()) for m in modules}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+# decompose splits one leaf at a time: its strong-component questions stay
+# inside a vertex set (the bag's forward closure, a component minus the
+# guard), never a pass over all of D - Z
+SCC_CALLS = {"scc", "tarjan_sccs"}
+
+# an excerpt of arboreal.decompose from before it split inside the bag's
+# forward closure
+WHOLE_GRAPH_DECOMPOSE = '''
+def decompose(D, k):
+    for comp in scc(D, Z):
+        for piece in digraph.scc(D, within=comp - T):
+            bags[node] = set(piece)
+    rest = tarjan_sccs(D, Z, None)
+'''
+
+
+def _whole_graph_sccs(source: str, function: str) -> list[str]:
+    out = []
+    for fn in ast.walk(ast.parse(source)):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name == function):
+            continue
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Call) and _name(node.func) in SCC_CALLS
+                    and not any(kw.arg == "within" for kw in node.keywords)):
+                out.append(f"line {node.lineno}: {_name(node.func)}")
+    return out
+
+
+def test_checker_flags_the_whole_graph_split():
+    assert _whole_graph_sccs(WHOLE_GRAPH_DECOMPOSE, "decompose") == ["line 3: scc", "line 6: tarjan_sccs"]
+    assert _whole_graph_sccs(WHOLE_GRAPH_DECOMPOSE, "validate") == []
+
+
+def test_decompose_asks_every_strong_component_question_inside_a_set():
+    source = (PACKAGE / "arboreal.py").read_text()
+    assert "decompose" in {fn.name for fn in ast.walk(ast.parse(source)) if isinstance(fn, ast.FunctionDef)}
+    assert _whole_graph_sccs(source, "decompose") == []

@@ -10,8 +10,10 @@ from itertools import combinations
 
 from dirtw import (BalancedSeparatorInstance, Digraph, MengerResult, Path, TBramble, TerminalSequence,
                    balanced_separator, decompose, vkey, vsorted)
-from dirtw.arboreal import ArborealDecomposition, ValidationReport, Violation, _structure_violations
-from dirtw.digraph import Interned, _strongly_connected, guard_breach, split_network, terminal_flow
+from dirtw.arboreal import (ArborealDecomposition, LinkedSetCertificate, ValidationReport, Violation,
+                            _structure_violations)
+from dirtw.digraph import (Interned, _parse_token, _strongly_connected, guard_breach, scc, split_network,
+                           terminal_flow)
 from dirtw.lincut import (CutCertificate, _check_blocks_in, _coerce_blocks, _flow_lower_bound, _forced,
                           _reduction, _search)
 
@@ -107,6 +109,29 @@ def shuffled_digraph(rng: random.Random, n: int) -> Digraph:
         D.add_vertex(v)
     p = rng.random()
     arcs = [(u, v) for u in vs for v in vs if rng.random() < p]
+    rng.shuffle(arcs)
+    for u, v in arcs:
+        D.add_edge(u, v, rng.randint(1, 2))
+    return D
+
+
+def core_with_pendants(rng: random.Random, n: int, extra: int) -> Digraph:
+    """A random core of n vertices, with loops and parallel arcs, and
+    `extra` pendant vertices, each joined to the core by one to three arcs,
+    mostly out of it; built in shuffled order.  Splits of such a graph
+    reach deep bags whose pieces lead out to vertices that never lead back."""
+    D = Digraph()
+    core = list(range(1, n + 1))
+    pend = list(range(n + 1, n + extra + 1))
+    vs = core + pend
+    rng.shuffle(vs)
+    for v in vs:
+        D.add_vertex(v)
+    p = rng.uniform(0.15, 0.45)
+    arcs = [(u, v) for u in core for v in core if rng.random() < p]
+    for x in pend:
+        for _ in range(rng.randint(1, 3)):
+            arcs.append((rng.choice(core), x) if rng.random() < 0.7 else (x, rng.choice(core)))
     rng.shuffle(arcs)
     for u, v in arcs:
         D.add_edge(u, v, rng.randint(1, 2))
@@ -606,3 +631,95 @@ def reference_validate(D: Digraph, dec: ArborealDecomposition, nice: bool = Fals
 
     width = max((len(dec.bags[node] | incident(node)) for node in dec.bags), default=0) - 1
     return ValidationReport(width, tuple(viols))
+
+
+def reference_decompose(D: Digraph, k: int) -> ArborealDecomposition | LinkedSetCertificate:
+    """decompose as it was when each split took the strong components of all
+    of D minus Z, and every piece by a within-query, kept as the reference
+    of the split inside the bag's forward closure."""
+    if D.n == 0:
+        raise ValueError("cannot decompose the empty digraph (bags must be non-empty)")
+    if k < 1:
+        raise ValueError("parameter k must be >= 1 for a non-empty digraph")
+
+    bags: dict[int, set] = {0: set(D.vertices())}
+    guards: dict[tuple[int, int], frozenset] = {}
+    parent: dict[int, tuple[int, int]] = {}
+    children: dict[int, list[int]] = {0: []}
+
+    def coverage_size(node: int) -> int:
+        cov = set(bags[node])
+        arc = parent.get(node)
+        if arc is not None:
+            cov |= guards[arc]
+        for child in children[node]:
+            cov |= guards[(node, child)]
+        return len(cov)
+
+    def too_large_leaves() -> list[int]:
+        return [node for node in sorted(bags)
+                if not children[node] and coverage_size(node) >= 3 * k]
+
+    measure = sum(len(bags[node]) for node in too_large_leaves())
+    while True:
+        pending = too_large_leaves()
+        if not pending:
+            break
+        r0 = pending[0]
+        arc0 = parent.get(r0)
+        T = guards[arc0] if arc0 is not None else frozenset()
+        result = balanced_separator(BalancedSeparatorInstance(D, T, k - 1, k - 1))
+        if result.linked:
+            if len(T) != 2 * k - 1:
+                raise RuntimeError(f"linked guard of size {len(T)}, not {2 * k - 1}")
+            return LinkedSetCertificate(frozenset(T), k - 1, k - 1)
+        free = vsorted(bags[r0] - result.separator)
+        if len(free) < 2:
+            raise RuntimeError(f"separator leaves {len(free)} free vertices in bag {r0}")
+        Z = frozenset(result.separator | {free[0]})
+        for comp in scc(D, Z):
+            if not comp & bags[r0]:
+                continue  # its pieces all miss the split bag
+            for piece in scc(D, within=comp - T):
+                inside = piece & bags[r0]
+                if inside and inside != piece:  # guarded bags split cleanly
+                    raise RuntimeError(f"a piece straddles bag {r0}")
+                if not inside:
+                    continue
+                node = len(bags)
+                bags[node] = set(piece)
+                children[node] = []
+                children[r0].append(node)
+                arc = (r0, node)
+                parent[node] = arc
+                guards[arc] = frozenset(Z | (comp & T))
+                if len(guards[arc]) > 2 * k - 1:
+                    raise RuntimeError(f"guard of size {len(guards[arc])} above {2 * k - 1}")
+        bags[r0] &= Z
+        if not bags[r0] or coverage_size(r0) > 3 * k - 1:
+            raise RuntimeError(f"split bag {r0} is empty or covers more than {3 * k - 1}")
+        next_measure = sum(len(bags[node]) for node in too_large_leaves())
+        if next_measure >= measure:
+            raise RuntimeError(f"leaf measure did not decrease ({measure} -> {next_measure})")
+        measure = next_measure
+
+    return ArborealDecomposition(0, bags, guards)
+
+
+def reference_parse_edge_list(text: str) -> Digraph:
+    """parse_edge_list as it was with one `add_vertex` or `add_edge` call
+    per line, kept as the reference of the parser that fills the adjacency
+    dicts itself."""
+    D = Digraph()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        toks = line.split()
+        if len(toks) != 2:
+            raise ValueError(f"line {lineno}: expected two tokens, got {line!r}")
+        if toks[0] == "vertex":
+            D.add_vertex(_parse_token(toks[1]))
+        else:
+            D.add_edge(_parse_token(toks[0]), _parse_token(toks[1]))
+    return D
