@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from collections import deque
 from collections.abc import Iterable
 
-from .digraph import Digraph, Vertex, _reach_set, guard_breach, guard_screen, scc, vkey, vsorted
+from .digraph import Digraph, Vertex, _reach_set, guard_breach, guard_screen, scc, vsorted
 from .balsep import BalancedSeparatorInstance, balanced_separator, offending_components
 
 
@@ -286,11 +286,10 @@ def decompose(D: Digraph, k: int) -> ArborealDecomposition | LinkedSetCertificat
             cov |= guards[(node, child)]
         return len(cov)
 
-    def too_large_leaves() -> list[int]:
-        return [node for node in sorted(bags)
-                if not children[node] and coverage_size(node) >= 3 * k]
-
-    pending = too_large_leaves()
+    rank = {v: i for i, v in enumerate(D.sorted_vertices())}
+    # the too-large leaves in ascending order; a split changes only the
+    # split leaf and its new children, whose ids exceed every other
+    pending = [0] if coverage_size(0) >= 3 * k else []
     measure = sum(len(bags[node]) for node in pending)
     while pending:
         r0 = pending[0]
@@ -304,7 +303,8 @@ def decompose(D: Digraph, k: int) -> ArborealDecomposition | LinkedSetCertificat
         free = bags[r0] - result.separator
         if len(free) < 2:
             raise RuntimeError(f"separator leaves {len(free)} free vertices in bag {r0}")
-        Z = frozenset(result.separator | {min(free, key=vkey)})
+        Z = frozenset(result.separator | {min(free, key=rank.__getitem__)})
+        first = len(bags)
         # the strong components of D - Z that the bag reaches are those of
         # its forward closure, and they come in the order scc(D, Z) gives
         # them: no arc leaves the closure, so the components outside it never
@@ -330,7 +330,7 @@ def decompose(D: Digraph, k: int) -> ArborealDecomposition | LinkedSetCertificat
         bags[r0] &= Z
         if not bags[r0] or coverage_size(r0) > 3 * k - 1:
             raise RuntimeError(f"split bag {r0} is empty or covers more than {3 * k - 1}")
-        pending = too_large_leaves()
+        pending = pending[1:] + [node for node in range(first, len(bags)) if coverage_size(node) >= 3 * k]
         next_measure = sum(len(bags[node]) for node in pending)
         if next_measure >= measure:
             raise RuntimeError(f"leaf measure did not decrease ({measure} -> {next_measure})")

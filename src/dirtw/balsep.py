@@ -22,8 +22,8 @@ from functools import cache
 from itertools import accumulate, combinations
 from collections.abc import Callable, Iterable, Iterator
 
-from .digraph import Digraph, Interned, Vertex, split_network, tarjan_sccs, terminal_flow, vkey, vsorted
-from .lincut import TerminalSequence, _CutInstance, _cheapest, _reduction, _split_vertices
+from .digraph import Digraph, Interned, Vertex, split_network, tarjan_sccs, vkey, vsorted
+from .lincut import TerminalSequence, _CutInstance, _CutOracle, _cheapest, _reduction, _split_vertices
 
 
 @dataclass
@@ -238,35 +238,39 @@ def _branch_min_cut(D: Digraph, comp: set, Tc: frozenset, r: int, cap: int, lb: 
 def _partition_min_cut(D: Digraph, comp: set, Tc: frozenset, r: int, cap: int, lb: int) -> frozenset | None:
     """Exact engine for larger components: ordered partitions of the
     terminals, each priced as a linear cut on one vertex-split reduction of
-    the component.  A partition's cut meets every path from a prefix of its
-    blocks to the remaining terminals, so a memoized prefix flow prunes whole
-    families of partitions at once and starts the search for a cut."""
+    the component, with one cut oracle answering on it.  A partition's cut
+    meets every path from a prefix of its blocks to the remaining terminals,
+    so a memoized prefix flow prunes whole families of partitions at once.
+    The oracle turns down every other partition without a cut within
+    budget, and the search for a cut runs only on those it accepts, starting
+    at their largest prefix flow."""
     G = Interned(D, comp)
-    net = split_network(G)
     terms = sorted(G.ids(Tc))
     # edge and gadget arcs cost cap + 1, more than any budget below
     red = _reduction(G, [Tc], cap)
     gadget = dict(zip(terms, red.blocks[0]))
+    oracle = _CutOracle(red)
     best: frozenset | None = None
     budget = cap
 
     @cache
     def prefix_bound(U: frozenset) -> int:
-        # min vertices (terminals deletable) meeting every U -> rest path;
-        # within budget it equals the reduction's flow for the same split
-        rest = [v for v in terms if v not in U]
-        return terminal_flow(net, U, rest, limit=cap + 1) if rest else 0
+        # min vertices (terminals deletable) meeting every U -> rest path
+        return oracle.lower_bound([[gadget[v] for v in U], [gadget[v] for v in terms if v not in U]], cap)
 
     for blocks in _partitions(tuple(terms), r, lambda U: prefix_bound(U) <= budget):
+        gblocks = [[gadget[v] for v in b] for b in blocks]
+        if not oracle.feasible(gblocks, (), (), budget):
+            continue
         start = max(prefix_bound(U) for U in accumulate(blocks, frozenset.union))
-        inst = _CutInstance(red.succ, red.costs, [[gadget[v] for v in b] for b in blocks])
-        cut = _cheapest(inst, start, budget)
-        if cut is not None:
-            # it costs at most the budget, so it beats best
-            best = _split_vertices(G, cut)
-            budget = len(best) - 1
-            if budget < lb:
-                break
+        cut = _cheapest(_CutInstance(red.succ, red.costs, gblocks), start, budget)
+        if cut is None:
+            raise RuntimeError("the cut oracle accepted a partition with no cut within budget")
+        # it costs at most the budget, so it beats best
+        best = _split_vertices(G, cut)
+        budget = len(best) - 1
+        if budget < lb:
+            break
     return best
 
 

@@ -8,6 +8,11 @@ copies, and each terminal hangs off a fresh gadget vertex attached by s+1
 arcs each way, so affordable cuts consist of split arcs only.  Vertices are
 deletable even when they are terminals; deleting a terminal discharges the
 demands it participates in.
+
+Both variants are solved exactly by `_CutOracle`, a yes/no test for a cut
+within budget that branches over important cuts: the optimum is the least
+budget it accepts, and the lexicographically least cheapest cut is read off
+its answers one edge class at a time.
 """
 from __future__ import annotations
 
@@ -161,29 +166,6 @@ def _search(G: _CutInstance, removed: frozenset, banned: frozenset, spent: int, 
     return None
 
 
-def _flow_lower_bound(G: _CutInstance, s: int) -> int:
-    """Max-flow over every earlier/later split lower-bounds the cut cost;
-    returns the largest bound, stopping as soon as one split exceeds s.
-    One network serves every split: all terminal arcs are built once,
-    switched off, and each split switches on its own."""
-    src, snk = len(G.succ), len(G.succ) + 1
-    net = FlowNetwork(len(G.succ) + 2)
-    for (u, w), c in G.costs.items():
-        net.add(u, w, c)
-    into = [[net.add(src, x, 0) for x in b] for b in G.blocks[:-1]]
-    out_of = [[net.add(y, snk, 0) for y in b] for b in G.blocks[1:]]
-    bound = 0
-    for cutpos in range(1, len(G.blocks)):
-        net.reset()
-        for arcs in into[:cutpos] + out_of[cutpos - 1:]:
-            for a in arcs:
-                net.cap[a] = s + 1
-        bound = max(bound, net.max_flow(src, snk, limit=s + 1))
-        if bound > s:
-            break
-    return bound
-
-
 def _cheapest(G: _CutInstance, start: int, s: int):
     """Minimum-cost set of edge classes within budget s, or None, by
     iterative deepening from `start`, a lower bound on that cost."""
@@ -194,24 +176,148 @@ def _cheapest(G: _CutInstance, start: int, s: int):
     return None
 
 
+class _CutOracle:
+    """Exact yes/no answers about the graph of one _CutInstance: is there a
+    set of edge classes of cost at most b, avoiding `banned`, whose removal
+    together with `removed` kills every path from an earlier block to a
+    later one?  The blocks are asked per question, so one oracle serves
+    every ordering of the instance's terminals.
+
+    A linear cut is Skew Edge Multicut, so by the pushing lemma (Chen, Liu,
+    Lu, O'Sullivan and Razgon, JACM 2008) some cheapest solution contains an
+    important (B_1, B_2 ∪ … ∪ B_t)-cut (Marx, TCS 2006).  The oracle branches
+    over a superset of those cuts within budget, then recurses on B_2..B_t
+    with the cut removed; the cost grows with the budget, not with the
+    graph.  Every flow runs on one FlowNetwork: the class arcs at their
+    costs, and source and sink arcs built switched off.  Removed classes
+    get capacity 0 and banned ones the flow limit, b + 1, which no cut
+    within budget can pay, as it cannot pay a class that costs more than
+    b.  The lists of cuts are memoized for the oracle's life."""
+
+    __slots__ = ("net", "arc", "into", "out_of", "memo")
+
+    def __init__(self, G: _CutInstance) -> None:
+        N = len(G.succ)
+        net = FlowNetwork(N + 2)
+        self.arc = {(u, w): net.add(u, w, c) for (u, w), c in G.costs.items()}
+        self.into = [net.add(N, v, 0) for v in range(N)]
+        self.out_of = {y: net.add(y, N + 1, 0) for b in G.blocks for y in b}
+        self.net = net
+        self.memo: dict = {}
+
+    def feasible(self, blocks, removed, banned, budget: int) -> bool:
+        """Whether some set of classes outside `banned`, of cost at most
+        `budget`, kills every earlier-to-later path between `blocks` (lists
+        of the instance's terminals) once the classes in `removed` are
+        gone."""
+        arc = self.arc
+        return self._decide([tuple(b) for b in blocks], frozenset(arc[c] for c in removed),
+                            frozenset(arc[c] for c in banned), budget)
+
+    def lower_bound(self, blocks, s: int) -> int:
+        """Max-flow over every earlier/later split of `blocks` lower-bounds
+        the cut cost; returns the largest bound, stopping as soon as one
+        split exceeds s."""
+        bound = 0
+        for cut in range(1, len(blocks)):
+            earlier = [x for b in blocks[:cut] for x in b]
+            later = [y for b in blocks[cut:] for y in b]
+            bound = max(bound, self._flow(earlier, later, frozenset(), frozenset(), s))
+            if bound > s:
+                break
+        return bound
+
+    def _decide(self, blocks: list, removed: frozenset, banned: frozenset, budget: int) -> bool:
+        if len(blocks) < 2:
+            return True
+        sinks = frozenset(y for b in blocks[1:] for y in b)
+        if len(blocks) == 2:  # any cut of the last pair will do
+            return self._flow(blocks[0], sinks, removed, banned, budget) <= budget
+        key = (blocks[0], sinks, budget, removed, banned)
+        cuts = self.memo.get(key)
+        if cuts is None:
+            found: list = []
+            self._important(blocks[0], sinks, removed, banned, frozenset(), budget, found)
+            built = self.net.built
+            cuts = self.memo[key] = [(F, sum(built[a] for a in F)) for F in dict.fromkeys(found)]
+        return any(self._decide(blocks[1:], removed | F, banned, budget - cost) for F, cost in cuts)
+
+    def _important(self, X, Y: frozenset, removed: frozenset, banned: frozenset,
+                   F: frozenset, budget: int, found: list) -> None:
+        """Append to `found` every arc set F ∪ C that a branch reaches,
+        with C of cost at most `budget` cutting X from Y once `removed` and
+        F are gone: a superset of the important cuts.  Each step takes the
+        furthest minimum cut R and the least arc leaving it, then either
+        cuts the arc or moves its head to the source side; both raise
+        2 * budget - flow, so the branching ends."""
+        flow = self._flow(X, Y, removed | F, banned, budget)
+        if flow > budget:
+            return
+        if flow == 0:
+            found.append(F)
+            return
+        net = self.net
+        adj, head, cap = net.adj, net.head, net.cap
+        N = len(self.into)
+        # the furthest minimum cut: the nodes that cannot reach the sink in
+        # the residual network
+        reaches = [False] * (N + 2)
+        reaches[N + 1] = True
+        queue = [N + 1]
+        for y in queue:  # the BFS queue: nodes appended below are visited too
+            for a in adj[y]:
+                x = head[a]
+                if not reaches[x] and cap[a ^ 1] > 0:
+                    reaches[x] = True
+                    queue.append(x)
+        R = [v for v in range(N) if not reaches[v]]
+        # its least leaving class arc: arcs leaving R are saturated, so
+        # they carry flow, and removed ones carry none
+        e = next(a for u in R for a in adj[u] if not a & 1 and reaches[head[a]] and cap[a ^ 1] > 0)
+        # it costs at most the flow, so within budget
+        self._important(R, Y, removed, banned, F | {e}, budget - net.built[e], found)
+        if head[e] not in Y:
+            self._important(R + [head[e]], Y, removed, banned, F, budget, found)
+
+    def _flow(self, X, Y, cut: frozenset, banned: frozenset, budget: int) -> int:
+        """The X -> Y max flow with the arcs in `cut` gone and those in
+        `banned` uncuttable, stopping once it exceeds `budget`."""
+        net = self.net
+        net.reset()
+        cap, into, out_of = net.cap, self.into, self.out_of
+        room = budget + 1
+        for a in banned:
+            cap[a] = room
+        for a in cut:
+            cap[a] = 0
+        for x in X:
+            cap[into[x]] = room
+        for y in Y:
+            cap[out_of[y]] = room
+        return net.max_flow(len(into), len(into) + 1, limit=room)
+
+
 def _lec_solve(G: _CutInstance, s: int):
     """The lexicographically least minimum-cost set of edge classes within
-    budget s, or None, extracted from a minimum cut by greedy feasibility
-    probing."""
-    cut = _cheapest(G, _flow_lower_bound(G, s), s)
-    if not cut:
-        return cut
-    optimum = sum(G.costs[cls] for cls in cut)
+    budget s, or None: the least budget the oracle accepts from the flow
+    lower bound on, then each class in canonical order, kept iff a cheapest
+    cut extends the classes kept so far by it and avoids the ones left
+    out."""
+    oracle = _CutOracle(G)
+    optimum = next((b for b in range(oracle.lower_bound(G.blocks, s), s + 1)
+                    if oracle.feasible(G.blocks, (), (), b)), None)
+    if optimum is None:
+        return None
     chosen: set = set()
     out: set = set()
     spent = 0
     for cls, c in G.costs.items():
-        if _violating_path(G, frozenset(chosen)) is None:
+        # classes cost at least one, so a set at the optimum is a whole cut
+        if spent == optimum:
             break
         if spent + c > optimum:
             continue
-        if _search(G, frozenset(chosen | {cls}), frozenset(out),
-                   spent + c, optimum) is not None:
+        if oracle.feasible(G.blocks, chosen | {cls}, out, optimum - spent - c):
             chosen.add(cls)
             spent += c
         else:

@@ -24,7 +24,8 @@ from dirtw import (
 )
 
 import dirtw
-from dirtw import balsep
+import dirtw.cli
+from dirtw import balsep, lincut
 from dirtw.balsep import offending_components
 from util import (
     bidirected_clique,
@@ -325,6 +326,29 @@ def test_partition_engine_matches_the_reference_engine():
         assert (balsep._partition_min_cut(D, set(D.vertices()), Tc, r, cap, lb)
                 == reference_partition_min_cut(D, Tc, r, cap, lb)), \
             (i, vsorted(Tc), r, cap, lb)
+
+
+def test_partition_engine_searches_only_where_a_cut_exists(monkeypatch):
+    # balsep-exact's n = 20, t = 4 Linked query (generator seed 2): the
+    # partition engine prices hundreds of orderings, and the important-cut
+    # oracle turns every one down before the path search runs
+    D = dirtw.cli._gen_graph("random", 20, 2, 60)
+    engine, paths = [], []
+    real_engine, real_path = balsep._partition_min_cut, lincut._violating_path
+
+    def spy_engine(*args):
+        engine.append(real_engine(*args))
+        return engine[-1]
+
+    def spy_path(*args):
+        paths.append(args)
+        return real_path(*args)
+
+    monkeypatch.setattr(balsep, "_partition_min_cut", spy_engine)
+    monkeypatch.setattr(lincut, "_violating_path", spy_path)
+    assert solve(D, D.sorted_vertices()[:4], 1, 2).linked
+    assert engine and all(cut is None for cut in engine)
+    assert paths == []
 
 
 def _record_layers(monkeypatch, seen: dict) -> None:

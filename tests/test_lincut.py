@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -15,8 +16,8 @@ from dirtw import (
 )
 from dirtw import lincut
 from dirtw.digraph import Interned, vkey
-from dirtw.lincut import _edge_instance, _reduction, _violating_path
-from util import mixed_id_digraph, path_digraph, random_digraph, reference_violating_path
+from dirtw.lincut import _CutInstance, _CutOracle, _edge_instance, _reduction, _search, _violating_path
+from util import mixed_id_digraph, path_digraph, random_digraph, reference_violating_path, shuffled_digraph
 
 
 def diamond() -> Digraph:
@@ -282,6 +283,38 @@ def test_violating_path_matches_vertex_keyed_reference():
         assert got == want
     # paths were found, and some ended beyond the next block
     assert found > 100 and beyond_next > 5
+
+
+def test_cut_oracle_matches_the_search():
+    # the important-cut oracle against _search's branching on violating
+    # paths, on edge instances and vertex-split reductions of mixed-id
+    # multigraphs with loops; like the partition engine, one oracle holds
+    # every terminal and answers several orderings, removed and banned sets
+    # and budgets, so its memo is shared between questions
+    rng = random.Random(31)
+    seen: Counter = Counter()
+    for _ in range(3000):
+        D = mixed_id_digraph(rng, shuffled_digraph(rng, rng.randint(2, 7)))
+        blocks = []
+        while len(blocks) < 2:
+            blocks = random_blocks(rng, D)
+        G = Interned(D, D.vertices())
+        kind = rng.choice(["edge", "vertex"])
+        inst = _edge_instance(D, G, blocks) if kind == "edge" else _reduction(G, blocks, rng.randint(1, 3))
+        oracle = _CutOracle(_CutInstance(inst.succ, inst.costs, [sum(inst.blocks, [])]))
+        classes = list(inst.costs)
+        for _ in range(4):
+            order = rng.sample(inst.blocks, len(inst.blocks))
+            removed = frozenset(c for c in classes if rng.random() < 0.15)
+            banned = frozenset(c for c in classes if c not in removed and rng.random() < 0.2)
+            budget = rng.randint(0, 4)
+            want = _search(_CutInstance(inst.succ, inst.costs, order), removed, banned, 0, budget) is not None
+            assert oracle.feasible(order, removed, banned, budget) == want, (kind, order, removed, banned, budget)
+            seen[kind, want, len(order) > 2, bool(removed), bool(banned)] += 1
+    # both answers on both kinds, with three or more blocks, with removed
+    # and banned classes
+    assert min(seen[kind, want, True, True, True] for kind in ("edge", "vertex")
+               for want in (False, True)) > 50
 
 
 def test_interning_orders_numbers_by_vkey():

@@ -86,9 +86,10 @@ def test_no_question_about_d_minus_z_copies_d():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
-# the linear cut's inner loops run on the interned graph: no vertex-keyed
-# sorting, no subgraph copies
-HOT = {"_violating_path", "_search"}
+# the linear cut's inner loops, the path search and the important-cut
+# oracle, run on the interned graph: no vertex-keyed sorting, no subgraph
+# copies
+HOT = {"_violating_path", "_search", "feasible", "_decide", "_important", "_flow"}
 NAME_KEYED = {"vkey", "vsorted"}
 COPIES = {"minus", "induced"}
 

@@ -14,8 +14,8 @@ from dirtw.arboreal import (ArborealDecomposition, LinkedSetCertificate, Validat
                             _structure_violations)
 from dirtw.digraph import (Interned, _parse_token, _strongly_connected, guard_breach, scc, split_network,
                            terminal_flow)
-from dirtw.lincut import (CutCertificate, _check_blocks_in, _coerce_blocks, _flow_lower_bound, _forced,
-                          _reduction, _search)
+from dirtw.lincut import (CutCertificate, _CutOracle, _check_blocks_in, _coerce_blocks, _forced, _reduction,
+                          _search)
 
 
 # -- named instances --------------------------------------------------------
@@ -503,7 +503,7 @@ def reference_noncanonical_vertex_cut(D: Digraph, T, s: int) -> CutCertificate |
     G = _reduction(body, blocks, s0)
     cut = None
     # a bound above s0 leaves this range empty (it was reported as None)
-    for budget in range(_flow_lower_bound(G, s0), s0 + 1):
+    for budget in range(_CutOracle(G).lower_bound(G.blocks, s0), s0 + 1):
         cut = _search(G, frozenset(), frozenset(), 0, budget)
         if cut is not None:
             break
