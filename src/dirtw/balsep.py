@@ -23,7 +23,7 @@ from itertools import accumulate, combinations
 from collections.abc import Callable, Iterable, Iterator
 
 from .digraph import Digraph, Interned, Vertex, split_network, tarjan_sccs, vkey, vsorted
-from .lincut import TerminalSequence, _CutInstance, _CutOracle, _cheapest, _reduction, _split_vertices
+from .lincut import TerminalSequence, _CutOracle, _lec_solve, _reduction, _split_vertices
 
 
 @dataclass
@@ -242,8 +242,10 @@ def _partition_min_cut(D: Digraph, comp: set, Tc: frozenset, r: int, cap: int, l
     meets every path from a prefix of its blocks to the remaining terminals,
     so a memoized prefix flow prunes whole families of partitions at once.
     The oracle turns down every other partition without a cut within
-    budget, and the search for a cut runs only on those it accepts, starting
-    at their largest prefix flow."""
+    budget; on one it accepts, the lex-least extraction of linear cuts runs
+    from its largest prefix flow.  The cut returned is thus the lex-least
+    cheapest cut of the last partition that improved on the budget: what
+    `linear_vertex_cut` gives on that partition."""
     G = Interned(D, comp)
     terms = sorted(G.ids(Tc))
     # edge and gadget arcs cost cap + 1, more than any budget below
@@ -263,7 +265,7 @@ def _partition_min_cut(D: Digraph, comp: set, Tc: frozenset, r: int, cap: int, l
         if not oracle.feasible(gblocks, (), (), budget):
             continue
         start = max(prefix_bound(U) for U in accumulate(blocks, frozenset.union))
-        cut = _cheapest(_CutInstance(red.succ, red.costs, gblocks), start, budget)
+        cut = _lec_solve(oracle, gblocks, start, budget)
         if cut is None:
             raise RuntimeError("the cut oracle accepted a partition with no cut within budget")
         # it costs at most the budget, so it beats best

@@ -336,6 +336,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 # -- gen ---------------------------------------------------------------------
 
+GEN_FAMILIES = ("dag", "biclique", "bicycle", "random")
+
+
 def _gen_graph(family: str, n: int, seed: int, edges: int | None) -> Digraph:
     rng = random.Random(seed)
     D = Digraph()
@@ -398,12 +401,21 @@ def cmd_bench(args: argparse.Namespace) -> int:
     rows = []
     for entry in entries:
         try:
-            family, n = entry["family"], entry["n"]
-            seed, t = entry["seed"], entry["t"]
-            r, s = entry["r"], entry["s"]
-        except (TypeError, KeyError) as exc:
+            family, n = entry["family"], _as_int(entry["n"], "n")
+            seed, t = _as_int(entry["seed"], "seed"), _as_int(entry["t"], "t")
+            r, s = _as_int(entry["r"], "r"), _as_int(entry["s"], "s")
+            edges = entry.get("edges")
+            if edges is not None:
+                _as_int(edges, "edges")
+        except KeyError as exc:
             return _fail(2, f"suite entry {entry!r} is missing {exc}")
-        D = _gen_graph(family, n, seed, entry.get("edges"))
+        except TypeError as exc:
+            return _fail(2, f"malformed suite entry {entry!r}: {exc}")
+        if family not in GEN_FAMILIES:
+            return _fail(2, f"suite entry {entry!r} has unknown family {family!r}")
+        if n < 1 or t < 0 or (edges is not None and edges < 0):
+            return _fail(3, f"suite entry {entry!r}: n must be at least 1, t and edges non-negative")
+        D = _gen_graph(family, n, seed, edges)
         T = D.sorted_vertices()[:t]
         label = f"{family}-n{n}-seed{seed}"
         start = time.perf_counter()
@@ -471,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("gen", help="generate a deterministic instance")
-    p.add_argument("family", choices=["dag", "biclique", "bicycle", "random"])
+    p.add_argument("family", choices=GEN_FAMILIES)
     p.add_argument("size", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--edges", type=int, default=None,

@@ -9,10 +9,13 @@ arcs each way, so affordable cuts consist of split arcs only.  Vertices are
 deletable even when they are terminals; deleting a terminal discharges the
 demands it participates in.
 
-Both variants are solved exactly by `_CutOracle`, a yes/no test for a cut
-within budget that branches over important cuts: the optimum is the least
-budget it accepts, and the lexicographically least cheapest cut is read off
-its answers one edge class at a time.
+Both variants, and every ordered partition that the balanced-separator
+engine prices, are solved exactly by one extraction, `_lec_solve`, on
+`_CutOracle`, a yes/no test for a cut within budget that branches over
+important cuts: the optimum is the least budget it accepts from a lower
+bound on, and the lexicographically least cheapest cut is read off its
+answers one edge class at a time.  So every cut returned is the lex-least
+cheapest one.
 """
 from __future__ import annotations
 
@@ -94,23 +97,20 @@ class _CutInstance:
     """An edge-cut instance over the ints 0..N-1, numbered so that int order
     is the canonical order.  `succ[u]` lists u's successors pre-sorted;
     `costs` maps each edge class (u, w) to its cost in ascending (u, w)
-    order, which is the canonical class order; `block_of[v]` is the index of
-    v's block or -1.  Blocks must be pairwise disjoint."""
+    order, which is the canonical class order.  `blocks` are the terminals,
+    pairwise disjoint; a question may order them into other blocks."""
 
-    __slots__ = ("succ", "costs", "blocks", "block_of")
+    __slots__ = ("succ", "costs", "blocks")
 
     def __init__(self, succ: list[list[int]], costs: dict, blocks) -> None:
         self.succ = succ
         self.costs = costs
         self.blocks = [sorted(b) for b in blocks]
-        self.block_of = [-1] * len(succ)
-        for j, b in enumerate(self.blocks):
-            for v in b:
-                self.block_of[v] = j
 
 
-def _violating_path(G: _CutInstance, removed: frozenset):
-    """Canonical shortest violating path as a list of edge classes, or None.
+def _violating_path(G: _CutInstance, blocks, removed: frozenset):
+    """Shortest violating path between `blocks`, lists of G's terminals, as
+    a list of edge classes, or None; canonical when the lists are sorted.
 
     Scans the blocks in order; for the first block i that still reaches a
     later block, takes the BFS-shortest path to the first-discovered vertex
@@ -118,15 +118,19 @@ def _violating_path(G: _CutInstance, removed: frozenset):
     deterministic).  Block i+1 is the least possible, so reaching it ends
     the BFS.
     """
-    succ, block_of = G.succ, G.block_of
+    succ = G.succ
+    block_of = [-1] * len(succ)
+    for j, b in enumerate(blocks):
+        for v in b:
+            block_of[v] = j
     if removed:
         succ = succ[:]
         for u, w in removed:
             succ[u] = [x for x in succ[u] if x != w]
-    for i in range(len(G.blocks) - 1):
-        parent = dict.fromkeys(G.blocks[i], -1)
-        queue = list(G.blocks[i])
-        target, least = -1, len(G.blocks)
+    for i in range(len(blocks) - 1):
+        parent = dict.fromkeys(blocks[i], -1)
+        queue = list(blocks[i])
+        target, least = -1, len(blocks)
         for u in queue:  # the BFS queue: vertices appended below are visited too
             for w in succ[u]:
                 if w in parent:
@@ -148,34 +152,6 @@ def _violating_path(G: _CutInstance, removed: frozenset):
     return None
 
 
-def _search(G: _CutInstance, removed: frozenset, banned: frozenset, spent: int, budget: int):
-    path = _violating_path(G, removed)
-    if path is None:
-        return removed
-    if spent >= budget:
-        return None
-    for cls in path:  # a BFS path never repeats a class
-        if cls in banned:
-            continue
-        c = G.costs[cls]
-        if spent + c > budget:
-            continue
-        res = _search(G, removed | {cls}, banned, spent + c, budget)
-        if res is not None:
-            return res
-    return None
-
-
-def _cheapest(G: _CutInstance, start: int, s: int):
-    """Minimum-cost set of edge classes within budget s, or None, by
-    iterative deepening from `start`, a lower bound on that cost."""
-    for budget in range(start, s + 1):
-        cut = _search(G, frozenset(), frozenset(), 0, budget)
-        if cut is not None:
-            return cut
-    return None
-
-
 class _CutOracle:
     """Exact yes/no answers about the graph of one _CutInstance: is there a
     set of edge classes of cost at most b, avoiding `banned`, whose removal
@@ -194,9 +170,10 @@ class _CutOracle:
     within budget can pay, as it cannot pay a class that costs more than
     b.  The lists of cuts are memoized for the oracle's life."""
 
-    __slots__ = ("net", "arc", "into", "out_of", "memo")
+    __slots__ = ("G", "net", "arc", "into", "out_of", "memo")
 
     def __init__(self, G: _CutInstance) -> None:
+        self.G = G
         N = len(G.succ)
         net = FlowNetwork(N + 2)
         self.arc = {(u, w): net.add(u, w, c) for (u, w), c in G.costs.items()}
@@ -297,32 +274,30 @@ class _CutOracle:
         return net.max_flow(len(into), len(into) + 1, limit=room)
 
 
-def _lec_solve(G: _CutInstance, s: int):
-    """The lexicographically least minimum-cost set of edge classes within
-    budget s, or None: the least budget the oracle accepts from the flow
-    lower bound on, then each class in canonical order, kept iff a cheapest
-    cut extends the classes kept so far by it and avoids the ones left
-    out."""
-    oracle = _CutOracle(G)
-    optimum = next((b for b in range(oracle.lower_bound(G.blocks, s), s + 1)
-                    if oracle.feasible(G.blocks, (), (), b)), None)
+def _lec_solve(oracle: _CutOracle, blocks, start: int, budget: int):
+    """The lexicographically least minimum-cost set of the oracle's edge
+    classes that cuts `blocks` within `budget`, or None: the least budget
+    from `start`, a lower bound on the cost, that the oracle accepts, then
+    each class in canonical order, kept iff a cheapest cut extends the
+    classes kept so far by it and avoids the ones left out."""
+    optimum = next((b for b in range(start, budget + 1) if oracle.feasible(blocks, (), (), b)), None)
     if optimum is None:
         return None
     chosen: set = set()
     out: set = set()
     spent = 0
-    for cls, c in G.costs.items():
+    for cls, c in oracle.G.costs.items():
         # classes cost at least one, so a set at the optimum is a whole cut
         if spent == optimum:
             break
         if spent + c > optimum:
             continue
-        if oracle.feasible(G.blocks, chosen | {cls}, out, optimum - spent - c):
+        if oracle.feasible(blocks, chosen | {cls}, out, optimum - spent - c):
             chosen.add(cls)
             spent += c
         else:
             out.add(cls)
-    if _violating_path(G, frozenset(chosen)) is not None:
+    if _violating_path(oracle.G, blocks, frozenset(chosen)) is not None:
         raise RuntimeError("lex-least extraction left a violating path")
     return frozenset(chosen)
 
@@ -341,7 +316,8 @@ def linear_edge_cut(D: Digraph, T, s: int) -> CutCertificate | None:
     if _forced(blocks):
         return None
     G = Interned(D, D.vertices())
-    cut = _lec_solve(_edge_instance(D, G, blocks), s)
+    oracle = _CutOracle(_edge_instance(D, G, blocks))
+    cut = _lec_solve(oracle, oracle.G.blocks, oracle.lower_bound(oracle.G.blocks, s), s)
     if cut is None:
         return None
     return CutCertificate("edge-cut", frozenset((G.names[u], G.names[w]) for u, w in cut))
@@ -398,7 +374,8 @@ def linear_vertex_cut(D: Digraph, T, s: int) -> CutCertificate | None:
         return CutCertificate("vertex-cut", frozenset(), forced)
 
     body = Interned(D, [v for v in D.vertices() if v not in forced])
-    cut = _lec_solve(_reduction(body, blocks, s0), s0)
+    oracle = _CutOracle(_reduction(body, blocks, s0))
+    cut = _lec_solve(oracle, oracle.G.blocks, oracle.lower_bound(oracle.G.blocks, s0), s0)
     if cut is None:
         return None
     return CutCertificate("vertex-cut", _split_vertices(body, cut), forced)

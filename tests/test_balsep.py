@@ -331,7 +331,8 @@ def test_partition_engine_matches_the_reference_engine():
 def test_partition_engine_searches_only_where_a_cut_exists(monkeypatch):
     # balsep-exact's n = 20, t = 4 Linked query (generator seed 2): the
     # partition engine prices hundreds of orderings, and the important-cut
-    # oracle turns every one down before the path search runs
+    # oracle turns every one down before any cut is extracted, so the
+    # extraction's violating-path check never runs
     D = dirtw.cli._gen_graph("random", 20, 2, 60)
     engine, paths = [], []
     real_engine, real_path = balsep._partition_min_cut, lincut._violating_path

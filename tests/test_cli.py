@@ -485,6 +485,14 @@ def test_bench_rejects_malformed_suites(tmp_path, capsys):
                    capsys)[0] == 2
     assert run_cli(["bench", write(tmp_path, "b.json", '[{"family": "random"}]')],
                    capsys)[0] == 2
+    good = {"family": "random", "n": 5, "seed": 1, "t": 2, "r": 1, "s": 1}
+    for bad, code in [({"family": "nope"}, 2), ({"family": ["random"]}, 2), ({"n": "5"}, 2),
+                      ({"seed": 1.0}, 2), ({"t": 2.5}, 2), ({"r": True}, 2), ({"s": "1"}, 2),
+                      ({"edges": "7"}, 2), ({"n": -3}, 3), ({"n": 0}, 3), ({"t": -1}, 3),
+                      ({"edges": -2}, 3), ({"r": -1}, 3)]:
+        suite = write(tmp_path, "c.json", json.dumps([{**good, **bad}]))
+        assert run_cli(["bench", suite], capsys)[0] == code, bad
+    assert run_cli(["bench", write(tmp_path, "d.json", json.dumps([{**good, "edges": 7}]))], capsys)[0] == 0
 
 
 # -- console entry point --------------------------------------------------------

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -16,8 +20,9 @@ from dirtw import (
 )
 from dirtw import lincut
 from dirtw.digraph import Interned, vkey
-from dirtw.lincut import _CutInstance, _CutOracle, _edge_instance, _reduction, _search, _violating_path
-from util import mixed_id_digraph, path_digraph, random_digraph, reference_violating_path, shuffled_digraph
+from dirtw.lincut import _CutInstance, _CutOracle, _edge_instance, _reduction, _violating_path
+from util import (mixed_id_digraph, path_digraph, random_digraph, reference_path_search, reference_violating_path,
+                  shuffled_digraph)
 
 
 def diamond() -> Digraph:
@@ -159,7 +164,6 @@ def test_split_reduction_structure():
     n, a, b, d = D.n, G.index["a"], G.index["b"], G.index["d"]
     assert len(red.succ) == 2 * n + 2
     assert red.blocks == [[2 * n], [2 * n + 1]]
-    assert red.block_of[2 * n:] == [0, 1] and set(red.block_of[:2 * n]) == {-1}
     assert red.costs[(a, n + a)] == 1
     assert red.costs[(n + a, b)] == 3
     assert red.costs[(2 * n, a)] == 3
@@ -272,8 +276,8 @@ def test_violating_path_matches_vertex_keyed_reference():
         classes = [(u, v) for u, v, _ in D.edge_classes() if u != v]
         removed = frozenset(rng.sample(classes, rng.randint(0, len(classes) // 2)))
         G = Interned(D, D.vertices())
-        got = _violating_path(_edge_instance(D, G, blocks),
-                              frozenset((G.index[u], G.index[v]) for u, v in removed))
+        inst = _edge_instance(D, G, blocks)
+        got = _violating_path(inst, inst.blocks, frozenset((G.index[u], G.index[v]) for u, v in removed))
         want = reference_violating_path(D, blocks, removed)
         if got is not None:
             got = [(G.names[u], G.names[v]) for u, v in got]
@@ -286,9 +290,9 @@ def test_violating_path_matches_vertex_keyed_reference():
 
 
 def test_cut_oracle_matches_the_search():
-    # the important-cut oracle against _search's branching on violating
-    # paths, on edge instances and vertex-split reductions of mixed-id
-    # multigraphs with loops; like the partition engine, one oracle holds
+    # the important-cut oracle against the search that branches on
+    # violating paths, on edge instances and vertex-split reductions of
+    # mixed-id multigraphs with loops; like the partition engine, one oracle holds
     # every terminal and answers several orderings, removed and banned sets
     # and budgets, so its memo is shared between questions
     rng = random.Random(31)
@@ -308,7 +312,7 @@ def test_cut_oracle_matches_the_search():
             removed = frozenset(c for c in classes if rng.random() < 0.15)
             banned = frozenset(c for c in classes if c not in removed and rng.random() < 0.2)
             budget = rng.randint(0, 4)
-            want = _search(_CutInstance(inst.succ, inst.costs, order), removed, banned, 0, budget) is not None
+            want = reference_path_search(inst, order, removed, banned, 0, budget) is not None
             assert oracle.feasible(order, removed, banned, budget) == want, (kind, order, removed, banned, budget)
             seen[kind, want, len(order) > 2, bool(removed), bool(banned)] += 1
     # both answers on both kinds, with three or more blocks, with removed
@@ -331,7 +335,6 @@ def test_interning_orders_numbers_by_vkey():
     assert all(succ == sorted(succ) for succ in inst.succ)
     for j, b in enumerate(blocks):
         assert {G.names[v] for v in inst.blocks[j]} == b
-        assert all(inst.block_of[v] == j for v in inst.blocks[j])
     # a vertex subset keeps vkey order and drops the edges leaving it
     keep = G.names[::2]
     sub = Interned(D, keep)
@@ -347,3 +350,29 @@ def test_non_split_arc_in_a_reduction_cut_is_an_error(monkeypatch):
     monkeypatch.setattr(lincut, "_lec_solve", lambda *args: frozenset({(3, 1)}))
     with pytest.raises(RuntimeError, match="non-split arc"):
         linear_vertex_cut(path_digraph("a", "b", "c"), [{"a"}, {"c"}], 1)
+
+
+def test_extraction_that_leaves_a_violating_path_is_an_error():
+    # an oracle that says yes to everything makes the empty set look like
+    # a cut; the check after the one extraction catches it, for the linear
+    # cut and the partition engine alike, under python -O as well
+    script = (
+        "from dirtw import balsep, lincut\n"
+        "from dirtw.digraph import Digraph\n"
+        "lincut._CutOracle.feasible = lambda self, *args: True\n"
+        "lincut._CutOracle.lower_bound = lambda self, *args: 0\n"
+        "D = Digraph()\n"
+        "for u, v in [(1, 2), (2, 3), (3, 1)]:\n"
+        "    D.add_edge(u, v)\n"
+        "for call in (lambda: lincut.linear_vertex_cut(D, [{1}, {3}], 1),\n"
+        "             lambda: balsep._partition_min_cut(D, {1, 2, 3}, frozenset({1, 2}), 1, 1, 1)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except RuntimeError as exc:\n"
+        "        print(exc)\n"
+    )
+    src = str(Path(lincut.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "lex-least extraction left a violating path\n" * 2

@@ -86,10 +86,10 @@ def test_no_question_about_d_minus_z_copies_d():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
-# the linear cut's inner loops, the path search and the important-cut
-# oracle, run on the interned graph: no vertex-keyed sorting, no subgraph
-# copies
-HOT = {"_violating_path", "_search", "feasible", "_decide", "_important", "_flow"}
+# the linear cut's inner loops, the lex-least extraction and the
+# important-cut oracle, run on the interned graph: no vertex-keyed sorting,
+# no subgraph copies
+HOT = {"_violating_path", "_lec_solve", "feasible", "_decide", "_important", "_flow"}
 NAME_KEYED = {"vkey", "vsorted"}
 COPIES = {"minus", "induced"}
 
@@ -113,8 +113,8 @@ def test_checker_flags_the_vertex_keyed_violating_path():
     assert _name_keyed_work(source, {"reference_violating_path"}) == [
         "line 10: reference_violating_path uses vsorted",
         "line 14: reference_violating_path uses vsorted"]
-    assert _name_keyed_work("def _search(D):\n    return sorted(D.minus(X), key=vkey)\n", HOT) == [
-        "line 2: _search calls .minus", "line 2: _search uses vkey"]
+    assert _name_keyed_work("def _lec_solve(D):\n    return sorted(D.minus(X), key=vkey)\n", HOT) == [
+        "line 2: _lec_solve calls .minus", "line 2: _lec_solve uses vkey"]
 
 
 def test_linear_cut_inner_loops_run_on_ints():

@@ -9,13 +9,12 @@ from collections import deque
 from itertools import combinations
 
 from dirtw import (BalancedSeparatorInstance, Digraph, MengerResult, Path, TBramble, TerminalSequence,
-                   balanced_separator, decompose, vkey, vsorted)
+                   balanced_separator, decompose, linear_vertex_cut, vkey, vsorted)
 from dirtw.arboreal import (ArborealDecomposition, LinkedSetCertificate, ValidationReport, Violation,
                             _structure_violations)
 from dirtw.digraph import (Interned, _parse_token, _strongly_connected, guard_breach, scc, split_network,
                            terminal_flow)
-from dirtw.lincut import (CutCertificate, _CutOracle, _check_blocks_in, _coerce_blocks, _forced, _reduction,
-                          _search)
+from dirtw.lincut import _CutInstance, _violating_path
 
 
 # -- named instances --------------------------------------------------------
@@ -478,50 +477,37 @@ def reference_menger(D: Digraph, X, Y, r: int) -> MengerResult:
     return MengerResult(paths, None)
 
 
-def reference_noncanonical_vertex_cut(D: Digraph, T, s: int) -> CutCertificate | None:
-    """linear_vertex_cut along the canonical=False solve path it had before
-    the partition engine built its own reduction, kept for
-    reference_partition_min_cut: the first minimum cut that iterative
-    deepening from the flow lower bound finds, with no lex-least
-    extraction."""
-    if s < 0:
-        raise ValueError("budget must be non-negative")
-    blocks = _coerce_blocks(T)
-    _check_blocks_in(D, blocks)
-
-    forced = _forced(blocks)
-    if len(forced) > s:
+def reference_path_search(G: _CutInstance, blocks, removed: frozenset, banned: frozenset, spent: int,
+                          budget: int) -> frozenset | None:
+    """The search that chose the partition engine's cuts before the
+    important-cut oracle took over, kept as the oracle's reference: it
+    branches on the classes of a violating path between `blocks`, so its
+    cost grows with the path length.  Returns `removed` plus classes outside
+    `banned` that cut `blocks`, with `spent` plus their costs at most
+    `budget`, or None."""
+    path = _violating_path(G, blocks, removed)
+    if path is None:
+        return removed
+    if spent >= budget:
         return None
-    blocks = [b - forced for b in blocks]
-    blocks = [b for b in blocks if b]
-    s0 = s - len(forced)
-    if len(blocks) < 2:
-        return CutCertificate("vertex-cut", frozenset(), forced)
-
-    body = Interned(D, [v for v in D.vertices() if v not in forced])
-    n = len(body.names)
-    G = _reduction(body, blocks, s0)
-    cut = None
-    # a bound above s0 leaves this range empty (it was reported as None)
-    for budget in range(_CutOracle(G).lower_bound(G.blocks, s0), s0 + 1):
-        cut = _search(G, frozenset(), frozenset(), 0, budget)
-        if cut is not None:
-            break
-    if cut is None:
-        return None
-    elements = set()
-    for tail, head in cut:
-        if tail >= n or head != n + tail:
-            raise RuntimeError("an affordable reduction cut holds a non-split arc")
-        elements.add(body.names[tail])
-    return CutCertificate("vertex-cut", frozenset(elements), forced)
+    for cls in path:  # a BFS path never repeats a class
+        if cls in banned:
+            continue
+        c = G.costs[cls]
+        if spent + c > budget:
+            continue
+        res = reference_path_search(G, blocks, removed | {cls}, banned, spent + c, budget)
+        if res is not None:
+            return res
+    return None
 
 
 def reference_partition_min_cut(sub: Digraph, Tc: frozenset, r: int, cap: int, lb: int) -> frozenset | None:
     """The partition engine that called linear_vertex_cut once per ordered
-    partition, kept verbatim as the reference of balsep._partition_min_cut:
-    its own partition recursion, one interning and one reduction per
-    partition, and a fresh flow lower bound per partition."""
+    partition, kept as the reference of balsep._partition_min_cut: its own
+    partition recursion, one interning and one reduction per partition, and
+    a fresh flow lower bound per partition.  Its cut is the one
+    linear_vertex_cut returns for the last partition that improved."""
     flow_memo: dict = {}
     G = Interned(sub, sub.vertices())
     net = split_network(G)
@@ -544,7 +530,7 @@ def reference_partition_min_cut(sub: Digraph, Tc: frozenset, r: int, cap: int, l
         if U and prefix_bound(U) > budget:
             return False
         if not remaining:
-            cut = reference_noncanonical_vertex_cut(sub, TerminalSequence(blocks), budget)
+            cut = linear_vertex_cut(sub, TerminalSequence(blocks), budget)
             if cut is not None:
                 got = cut.cut_vertices()
                 if best is None or len(got) < len(best):
