@@ -132,13 +132,18 @@ class ArborealDecomposition:
     @classmethod
     def from_json(cls, doc: dict) -> "ArborealDecomposition":
         try:
-            bags = {_as_int(nd["id"], "node id"): frozenset(_as_list(nd["bag"], "bag"))
-                    for nd in _as_list(doc["nodes"], "nodes")}
-            guards = {(_as_int(a["from"], "arc tail"), _as_int(a["to"], "arc head")):
-                      frozenset(_as_list(a["guard"], "guard")) for a in _as_list(doc["arcs"], "arcs")}
-            return cls(_as_int(doc["root"], "root"), bags, guards)
+            nodes = [(_as_int(nd["id"], "node id"), frozenset(_as_list(nd["bag"], "bag")))
+                     for nd in _as_list(doc["nodes"], "nodes")]
+            arcs = [((_as_int(a["from"], "arc tail"), _as_int(a["to"], "arc head")),
+                     frozenset(_as_list(a["guard"], "guard"))) for a in _as_list(doc["arcs"], "arcs")]
+            root = _as_int(doc["root"], "root")
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed decomposition document: {exc}") from exc
+        # a dict would keep the last of a repeated entry and hide the others
+        bags, guards = dict(nodes), dict(arcs)
+        if len(bags) < len(nodes) or len(guards) < len(arcs):
+            raise ValueError("malformed decomposition document: a node id or an arc is listed twice")
+        return cls(root, bags, guards)
 
 
 def _structure_violations(dec: ArborealDecomposition) -> list[Violation]:

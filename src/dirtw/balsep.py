@@ -23,7 +23,7 @@ from itertools import accumulate, combinations
 from collections.abc import Callable, Iterable, Iterator
 
 from .digraph import Digraph, Interned, Vertex, split_network, tarjan_sccs, vkey, vsorted
-from .lincut import TerminalSequence, _CutOracle, _lec_solve, _reduction, _split_vertices
+from .lincut import TerminalSequence, _CutOracle, _lec_solve
 
 
 @dataclass
@@ -161,52 +161,59 @@ def _greedy_separator(D: Digraph, Tset: frozenset, r: int, s: int, heavy) -> fro
     return None
 
 
-def _component_lb(D: Digraph, comp: set, tc: int, r: int) -> int:
-    """Sound lower bound on deletions inside an offending strong component:
-    min(kappa, tc - r), with kappa bounded from below by pairwise internal
-    connectivity (complete components need no flow calls at all)."""
-    cap = tc - r
-    if cap <= 1 or len(comp) == 1:
-        return 1
-    bound = min(cap, len(comp) - 1)
-    if all(len(comp.intersection(D.out_neighbors(v))) - D.has_edge(v, v) == len(comp) - 1
-           for v in comp):
-        return bound
+def _split(D: Digraph, comp: set, Tc: frozenset, s: int):
+    """An offending component interned, and its split network with a gadget
+    per terminal; other arcs than split arcs cost more than the budget s."""
     G = Interned(D, comp)
+    return G, split_network(G, G.ids(Tc), s + 1)
+
+
+def _component_lb(G: Interned, net, bound: int) -> int:
+    """Pairwise internal connectivity of an offending component, up to
+    `bound`: the fewest internally vertex-disjoint u -> w paths over its
+    non-adjacent pairs, as flows from out_u to in_w.  It is exact up to the
+    budget, which the network's other arcs exceed."""
     n = len(G.names)
-    net = split_network(G)
     for u in range(n):
         near = set(G.succ[u])
+        source = (net.out(u),)
         for w in range(n):
             if u == w or w in near:
                 continue
-            # internally vertex-disjoint u -> w paths
-            net.reset()
-            f = net.max_flow(n + u, w, limit=bound)
+            f = net.flow(source, (w,), bound)
             if f < bound:
                 bound = f
                 if bound <= 1:
                     return 1
-    return max(1, min(cap, bound))
+    return bound
 
 
 def _offender_analysis(D: Digraph, Tset: frozenset, r: int, s: int, heavy):
     """Either the string "linked" (lower bounds already exceed the budget)
-    or the offending components with their lower bounds, in canonical
-    order."""
+    or the offending components with their terminal counts, lower bounds and
+    split networks (None where none was built), in canonical order.  Only a
+    component whose bound needs flows, one that is not complete, is interned
+    and gets its network, once, shared with the exact engine."""
     offenders = [(c, len(c & Tset)) for c in heavy]
     if len(offenders) > s:
         return "linked"
     bounds: dict[int, int] = {}
+    splits: dict[int, tuple] = {}
     # largest surplus first; the stable sort keeps least-terminal order on ties
     by_surplus = sorted(range(len(offenders)), key=lambda i: -offenders[i][1])
     total = 0
     for seen, i in enumerate(by_surplus, start=1):
-        bounds[i] = _component_lb(D, offenders[i][0], offenders[i][1], r)
+        comp, tc = offenders[i]
+        bound = min(tc - r, len(comp) - 1)
+        if bound > 1 and not all(len(comp.intersection(D.out_neighbors(v))) - D.has_edge(v, v) == len(comp) - 1
+                                 for v in comp):
+            splits[i] = _split(D, comp, comp & Tset, s)
+            bound = _component_lb(*splits[i], bound)
+        bounds[i] = max(1, bound)
         total += bounds[i]
         if total + (len(offenders) - seen) > s:
             return "linked"
-    return [(c, tc, bounds[i]) for i, (c, tc) in enumerate(offenders)]
+    return [(c, tc, bounds[i], splits.get(i)) for i, (c, tc) in enumerate(offenders)]
 
 
 def _branch_min_cut(D: Digraph, comp: set, Tc: frozenset, r: int, cap: int, lb: int) -> frozenset | None:
@@ -235,23 +242,22 @@ def _branch_min_cut(D: Digraph, comp: set, Tc: frozenset, r: int, cap: int, lb: 
     return None
 
 
-def _partition_min_cut(D: Digraph, comp: set, Tc: frozenset, r: int, cap: int, lb: int) -> frozenset | None:
+def _partition_min_cut(D: Digraph, comp: set, Tc: frozenset, r: int, cap: int, lb: int,
+                       split: tuple | None = None) -> frozenset | None:
     """Exact engine for larger components: ordered partitions of the
-    terminals, each priced as a linear cut on one vertex-split reduction of
-    the component, with one cut oracle answering on it.  A partition's cut
-    meets every path from a prefix of its blocks to the remaining terminals,
-    so a memoized prefix flow prunes whole families of partitions at once.
-    The oracle turns down every other partition without a cut within
-    budget; on one it accepts, the lex-least extraction of linear cuts runs
-    from its largest prefix flow.  The cut returned is thus the lex-least
-    cheapest cut of the last partition that improved on the budget: what
-    `linear_vertex_cut` gives on that partition."""
-    G = Interned(D, comp)
+    terminals, each priced as a linear cut on the component's split network
+    (`split`, else built here), with one cut oracle answering on it.  A
+    partition's cut meets every path from a prefix of its blocks to the
+    remaining terminals, so a memoized prefix flow prunes whole families of
+    partitions at once.  The oracle turns down every other partition without
+    a cut within budget; on one it accepts, the lex-least extraction of
+    linear cuts runs from its largest prefix flow.  The cut returned is thus
+    the lex-least cheapest cut of the last partition that improved on the
+    budget: what `linear_vertex_cut` gives on that partition."""
+    G, net = split or _split(D, comp, Tc, cap)
     terms = sorted(G.ids(Tc))
-    # edge and gadget arcs cost cap + 1, more than any budget below
-    red = _reduction(G, [Tc], cap)
-    gadget = dict(zip(terms, red.blocks[0]))
-    oracle = _CutOracle(red)
+    gadget = net.gadget
+    oracle = _CutOracle(net)
     best: frozenset | None = None
     budget = cap
 
@@ -269,31 +275,30 @@ def _partition_min_cut(D: Digraph, comp: set, Tc: frozenset, r: int, cap: int, l
         if cut is None:
             raise RuntimeError("the cut oracle accepted a partition with no cut within budget")
         # it costs at most the budget, so it beats best
-        best = _split_vertices(G, cut)
+        best = frozenset(G.names[v] for v in net.split_vertices(cut))
         budget = len(best) - 1
         if budget < lb:
             break
     return best
 
 
-def _component_min_cut(D: Digraph, comp: set, Tc: frozenset, r: int, cap: int, lb: int) -> frozenset | None:
-    """Exact minimum set of deletions making every strong component of the
-    strongly connected D.induced(comp) hold <= r terminals, or None if it
-    exceeds cap.  Both engines stop early once the lower bound is met."""
-    if cap < lb:
-        return None
-    if len(comp) <= 12:
-        return _branch_min_cut(D, comp, Tc, r, cap, lb)
-    return _partition_min_cut(D, comp, Tc, r, cap, lb)
-
-
 def _exact_search(D: Digraph, Tset: frozenset, r: int, s: int, offenders) -> frozenset | None:
+    """Per offending component, the exact minimum set of deletions making
+    every strong component of the strongly connected D.induced(comp) hold
+    <= r terminals, within what the budget leaves it; None once one exceeds
+    that.  Both engines stop early once the lower bound is met."""
     chosen: set = set()
     spent = 0
-    remaining_lb = sum(lb for _, _, lb in offenders)
-    for comp, _, lb in offenders:
+    remaining_lb = sum(lb for _, _, lb, _ in offenders)
+    for comp, _, lb, split in offenders:
         remaining_lb -= lb
-        cut = _component_min_cut(D, comp, frozenset(comp & Tset), r, s - spent - remaining_lb, lb)
+        cap, Tc = s - spent - remaining_lb, frozenset(comp & Tset)
+        if cap < lb:
+            return None
+        if len(comp) <= 12:
+            cut = _branch_min_cut(D, comp, Tc, r, cap, lb)
+        else:
+            cut = _partition_min_cut(D, comp, Tc, r, cap, lb, split)
         if cut is None:
             return None
         chosen.update(cut)

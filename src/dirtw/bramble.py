@@ -14,7 +14,7 @@ from collections import deque
 from collections.abc import Iterable
 from itertools import combinations
 
-from .digraph import Digraph, Interned, Path, Vertex, menger, split_network, terminal_flow, vkey
+from .digraph import Digraph, Interned, Path, Vertex, menger, split_network, vkey
 from .balsep import _refine_offenders, _solve, is_balanced_separator, offending_components
 from .arboreal import LinkedSetCertificate
 
@@ -196,9 +196,9 @@ def verify_well_linked(D: Digraph, A: Iterable[Vertex]) -> bool:
     items = sorted(G.ids(A))
     for size in range(1, len(items) // 2 + 1):
         for X in combinations(items, size):
-            rest = [v for v in items if v not in X]
+            rest = [net.out(v) for v in items if v not in X]  # the sink arcs leave out-nodes
             for Y in combinations(rest, size):
-                if terminal_flow(net, X, Y, limit=size) < size:
+                if net.flow(X, Y, size) < size:
                     return False
     return True
 

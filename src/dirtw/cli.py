@@ -9,7 +9,8 @@ Exit codes are a stable contract:
     11  graph too thin for the requested well-linked set
     1   artifact failed validation
     2   unreadable input: parse failure, empty graph, malformed artifact
-    3   bad parameters (k < 1, negative budgets, terminals off the graph)
+    3   bad parameters (k < 1, negative budgets, terminals off the graph),
+        or an output path (-o, --dot) that cannot be written
 
 The brute-force oracle cap (used by `validate` on certificates and by
 `bench`) defaults to n <= 12 and s <= 4 and can be overridden with the
@@ -70,12 +71,21 @@ def _load_graph(path: str) -> Digraph | int:
         return _fail(2, f"cannot parse {path}: {exc}")
 
 
+def _write(path: str, text: str) -> None:
+    """Every output file is written here; one that cannot be exits 3."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"cannot write {path}: {exc}", file=sys.stderr)
+        raise SystemExit(3) from None
+
+
 def _emit(payload: str, out: str | None) -> None:
     if out is None:
         print(payload)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+        _write(out, payload + "\n")
 
 
 def _vertex_list(spec: str) -> list:
@@ -115,8 +125,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     print(f"decomposition of width {result.width} "
           f"({len(result.bags)} nodes)", file=sys.stderr)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(_dot_export(result))
+        _write(args.dot, _dot_export(result))
     return 0
 
 
@@ -137,15 +146,13 @@ def cmd_balsep(args: argparse.Namespace) -> int:
         if args.output:
             # the verdict certifies (s,r)-linkedness of T
             cert = LinkedSetCertificate(frozenset(T), args.s, args.r)
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(cert.to_json(), indent=2) + "\n")
+            _write(args.output, json.dumps(cert.to_json(), indent=2) + "\n")
         return 10
     Z = vsorted(result.separator)
     print(json.dumps(Z))
     if args.output:
         artifact = {"T": vsorted(T), "r": args.r, "separator": Z}
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(artifact, indent=2) + "\n")
+        _write(args.output, json.dumps(artifact, indent=2) + "\n")
     return 0
 
 
@@ -374,13 +381,13 @@ def _gen_graph(family: str, n: int, seed: int, edges: int | None) -> Digraph:
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.size < 1:
         return _fail(3, "size must be at least 1")
-    D = _gen_graph(args.family, args.size, args.seed, args.edges)
-    text = serialize_edge_list(D)
+    if args.edges is not None and args.edges < 0:
+        return _fail(3, "edges must be non-negative")
+    text = serialize_edge_list(_gen_graph(args.family, args.size, args.seed, args.edges))
     if args.output is None:
         sys.stdout.write(text)
     else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.output, text)
     return 0
 
 

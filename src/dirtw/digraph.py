@@ -461,46 +461,94 @@ class Interned:
 
 
 class FlowNetwork:
-    """Integer-capacity max flow over the int nodes 0..size-1, by shortest
-    augmenting paths.  Arcs come in pairs: `add` returns the even id a of
-    the arc u -> v, and a ^ 1 is its reverse, built with capacity 0.
-    `head[a]` is an arc's head, `cap[a]` its residual capacity, and `adj[u]`
-    lists the arcs leaving u in the order they were added, so augmenting
-    paths are deterministic.  Augmenting mutates `cap`; `reset()` restores
-    the capacities as built, so one network serves many flow questions."""
+    """Integer-capacity max flow over int nodes by shortest augmenting paths,
+    built for cut questions about its classes, the arcs a cut may remove.
+    Arc a is even and a ^ 1 its reverse, built with capacity 0; `head[a]` is
+    its head, `cap[a]` its residual capacity, and `adj[u]` lists the arcs
+    leaving u in build order, so augmenting paths are deterministic.  The
+    classes come first, in ascending (tail, head) order, as the even ids
+    below `classes`; each costs its capacity as built.  Then each node v
+    below `source` gets arcs source -> v and v -> sink, built switched off.
+    `flow`, the one way to ask a question, first restores the capacities.
+    A split network has `n` vertices and `gadget`, the gadget node of each
+    terminal (`split_network`); an edge network has n = 0 (`edge_network`)."""
 
-    __slots__ = ("adj", "head", "cap", "built")
+    __slots__ = ("adj", "head", "cap", "built", "classes", "source", "sink", "n", "gadget")
 
-    def __init__(self, size: int) -> None:
-        self.adj: list[list[int]] = [[] for _ in range(size)]
-        self.head, self.cap, self.built = [], [], []  # indexed by arc id
-
-    def add(self, u: int, v: int, c: int) -> int:
-        a = len(self.head)
-        self.adj[u].append(a)
-        self.adj[v].append(a + 1)
-        self.head += (v, u)
-        self.cap += (c, 0)
-        self.built += (c, 0)
-        return a
+    def __init__(self, nodes: int, arcs: Iterable[tuple[int, int, int]]) -> None:
+        self.adj = adj = [[] for _ in range(nodes + 2)]
+        self.head, self.cap = head, cap = [], []  # indexed by arc id
+        for u, v, c in arcs:
+            adj[u].append(len(head))
+            adj[v].append(len(head) + 1)
+            head += (v, u)
+            cap += (c, 0)
+        self.classes = a = len(head)
+        self.source, self.sink = src, snk = nodes, nodes + 1
+        # node v's source arc is classes + 4v, its sink arc classes + 4v + 2
+        for v in range(nodes):
+            adj[src].append(a)
+            adj[v] += (a + 1, a + 2)
+            adj[snk].append(a + 3)
+            head += (v, src, snk, v)
+            a += 4
+        cap += [0] * (4 * nodes)
+        self.built = cap[:]
+        self.n, self.gadget = 0, {}
 
     def reset(self) -> None:
         self.cap[:] = self.built
 
+    def flow(self, X: Iterable[int], Y: Iterable[int], limit: int,
+             cut: Iterable[int] = (), banned: Iterable[int] = ()) -> int:
+        """The max flow from the nodes X to the nodes Y, stopping at `limit`,
+        with the arcs in `cut` gone and those in `banned` uncuttable: reset
+        the network, switch on the source arcs into X and the sink arcs out
+        of Y, and give them and the banned arcs capacity `limit`, which no
+        cut that stops the flow below it can pay."""
+        self.reset()
+        cap, base = self.cap, self.classes
+        for a in banned:
+            cap[a] = limit
+        for a in cut:
+            cap[a] = 0
+        for x in X:
+            cap[base + 4 * x] = limit
+        for y in Y:
+            cap[base + 4 * y + 2] = limit
+        return self.max_flow(self.source, self.sink, limit=limit)
+
+    def ends(self, a: int) -> tuple[int, int]:
+        """The (tail, head) pair of arc a."""
+        return self.head[a ^ 1], self.head[a]
+
+    def out(self, v: int) -> int:
+        """The out-node of vertex v of a split network."""
+        return self.n + v
+
+    def split_vertices(self, arcs: Iterable[int]) -> list[int]:
+        """The vertices of a split network whose split arcs, its first n
+        classes, are `arcs`; a RuntimeError for any other arc."""
+        if any(a & 1 or a >= 2 * self.n for a in arcs):
+            raise RuntimeError("an affordable reduction cut holds a non-split arc")
+        return [a >> 1 for a in arcs]
+
     def _bfs(self, s: int, t: int) -> list[int]:
-        """BFS from s over positive residual arcs until t leaves the queue:
-        the arc each node was first reached by, -2 at s, -1 if unreached."""
+        """BFS from s over positive residual arcs until it reaches t: the arc
+        each node was first reached by, -2 at s, -1 if unreached."""
         adj, head, cap = self.adj, self.head, self.cap
         via = [-1] * len(adj)
         via[s] = -2
         queue = [s]
         for u in queue:  # the BFS queue: nodes appended below are visited too
-            if u == t:
-                break
             for a in adj[u]:
-                if cap[a] > 0 and via[head[a]] == -1:
-                    via[head[a]] = a
-                    queue.append(head[a])
+                if cap[a] > 0:
+                    w = head[a]
+                    if via[w] == -1:
+                        via[w] = a
+                        if w == t:  # its path is fixed once it is reached
+                            return via
+                        queue.append(w)
         return via
 
     def max_flow(self, s: int, t: int, limit: int | None = None) -> int:
@@ -524,36 +572,36 @@ class FlowNetwork:
         return flow
 
 
-def split_network(G: Interned) -> FlowNetwork:
-    """The vertex-split flow network of G's n vertices, laid out as v_in = v,
-    v_out = n + v, source 2n, sink 2n + 1.  v_in -> v_out has capacity one,
-    each non-loop edge gives an uncapacitated out -> in arc, and each vertex
-    a source -> v_in and a v_out -> sink arc, built switched off (capacity 0
-    both ways) for `terminal_flow`.  Arcs are added in ascending order."""
+def split_network(G: Interned, terms: Iterable[int] = (), wide: int | None = None) -> FlowNetwork:
+    """The vertex-split network of G's n vertices: in-node v = v, out-node
+    n + v, and from 2n on a gadget node per vertex of `terms` (distinct
+    vertex numbers), in ascending order.  Its classes: each split arc
+    v -> n + v costs one; each non-loop edge u -> w gives an arc n + u -> w
+    and each terminal t the arcs n + t -> gadget and gadget -> t, all
+    costing `wide`, by default n + 1, more than every split arc together.
+    A flow between gadgets counts vertex-disjoint paths between terminals
+    that may be deleted, and with `wide` above a budget, a cut within the
+    budget holds split arcs only."""
     n = len(G.names)
-    net = FlowNetwork(2 * n + 2)
-    for v in range(n):
-        net.add(v, n + v, 1)
-    for u in range(n):
-        for w in G.succ[u]:
-            net.add(n + u, w, n + 2)
-    for v in range(n):
-        net.add(2 * n, v, 0)
-        net.add(n + v, 2 * n + 1, 0)
+    wide = n + 1 if wide is None else wide
+    gadget = {t: 2 * n + j for j, t in enumerate(sorted(terms))}
+    arcs = [(v, n + v, 1) for v in range(n)]
+    for u, heads in enumerate(G.succ):
+        arcs += [(n + u, w, wide) for w in heads]
+        if u in gadget:
+            arcs.append((n + u, gadget[u], wide))
+    arcs += [(g, t, wide) for t, g in gadget.items()]
+    net = FlowNetwork(2 * n + len(gadget), arcs)
+    net.n, net.gadget = n, gadget
     return net
 
 
-def terminal_flow(net: FlowNetwork, X: Iterable[int], Y: Iterable[int], limit: int | None) -> int:
-    """Reset a split network, switch on the source arcs into X and the sink
-    arcs out of Y (vertex numbers), and return the source-to-sink flow,
-    stopping at `limit`: the most vertex-disjoint X -> Y paths."""
-    net.reset()
-    n = len(net.adj) // 2 - 1
-    for x in X:
-        net.cap[net.adj[2 * n][x]] = n + 2
-    for y in Y:
-        net.cap[net.adj[2 * n + 1][y] ^ 1] = n + 2
-    return net.max_flow(2 * n, 2 * n + 1, limit=limit)
+def edge_network(D: Digraph, G: Interned) -> FlowNetwork:
+    """The network of D's edge classes between G's vertices, on G's
+    numbering: each non-loop class is an arc costing its multiplicity."""
+    names, succ = G.names, D._succ
+    return FlowNetwork(len(names), [(u, w, succ[names[u]][names[w]])
+                                   for u, heads in enumerate(G.succ) for w in heads])
 
 
 class MengerResult:
@@ -588,9 +636,9 @@ def menger(D: Digraph, X: Iterable[Vertex], Y: Iterable[Vertex], r: int) -> Meng
     G = Interned(D, D.vertices())
     n = len(G.names)
     net = split_network(G)
-    flow = terminal_flow(net, G.ids(vsorted(X)), G.ids(vsorted(Y)), limit=r)
+    flow = net.flow(G.ids(vsorted(X)), [n + y for y in G.ids(vsorted(Y))], r)
     if flow < r:
-        via = net._bfs(2 * n, -1)  # the residual side of the minimum cut
+        via = net._bfs(net.source, -1)  # the residual side of the minimum cut
         sep = {G.names[v] for v in range(n) if via[v] != -1 and via[n + v] == -1}
         if len(sep) > r - 1:
             raise RuntimeError(f"a flow of {flow} left a separator of {len(sep)} vertices")
@@ -602,8 +650,8 @@ def menger(D: Digraph, X: Iterable[Vertex], Y: Iterable[Vertex], r: int) -> Meng
     paths = []
     for _ in range(r):
         walk = []
-        node = 2 * n
-        while node != 2 * n + 1:
+        node = net.source
+        while node != net.sink:
             step = min((a for a in net.adj[node] if used[a] > 0), key=net.head.__getitem__,
                        default=None)
             if step is None:

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from itertools import accumulate
 from math import comb
 from pathlib import Path
@@ -350,6 +351,36 @@ def test_partition_engine_searches_only_where_a_cut_exists(monkeypatch):
     assert solve(D, D.sorted_vertices()[:4], 1, 2).linked
     assert engine and all(cut is None for cut in engine)
     assert paths == []
+
+
+def test_each_offending_component_is_interned_and_built_once(monkeypatch):
+    # the same balsep-exact query: the offender analysis interns each
+    # component its connectivity bound needs flows for once and builds one
+    # split network on it, which the partition engine then prices on
+    D = dirtw.cli._gen_graph("random", 20, 2, 60)
+    interned, built, engine = [], [], []
+    real_interned, real_split, real_engine = balsep.Interned, balsep.split_network, balsep._partition_min_cut
+
+    def spy_interned(*args):
+        interned.append(real_interned(*args))
+        return interned[-1]
+
+    def spy_split(G, *args):
+        built.append(G)
+        return real_split(G, *args)
+
+    def spy_engine(D, comp, *args):
+        engine.append(frozenset(comp))
+        return real_engine(D, comp, *args)
+
+    monkeypatch.setattr(balsep, "Interned", spy_interned)
+    monkeypatch.setattr(balsep, "split_network", spy_split)
+    monkeypatch.setattr(balsep, "_partition_min_cut", spy_engine)
+    assert solve(D, D.sorted_vertices()[:4], 1, 2).linked
+    components = Counter(frozenset(G.names) for G in interned)
+    assert components and set(components.values()) == {1}
+    assert list(map(id, built)) == list(map(id, interned))
+    assert engine and set(engine) <= set(components)
 
 
 def _record_layers(monkeypatch, seen: dict) -> None:

@@ -67,6 +67,11 @@ def test_gen_rejects_size_zero(capsys):
     assert code == 3 and "size" in err
 
 
+def test_gen_rejects_negative_edges(capsys):
+    code, out, err = run_cli(["gen", "random", "5", "--edges", "-1"], capsys)
+    assert code == 3 and out == "" and "edges" in err
+
+
 def test_gen_random_edge_budget(capsys):
     code, out, _ = run_cli(["gen", "random", "6", "--seed", "3", "--edges", "9"], capsys)
     assert code == 0
@@ -278,6 +283,20 @@ def test_validate_rejects_strings_for_vertex_lists(tmp_path, capsys, doc, kind):
     art = write(tmp_path, "art.json", json.dumps(doc))
     code, _, err = run_cli(["validate", pair, art], capsys)
     assert code == 2 and f"malformed {kind} artifact" in err and "must be a list" in err
+
+
+@pytest.mark.parametrize("doc", [
+    # the first guard, [], is breached, and node 1 has in-degree 2
+    {"nodes": [{"id": 0, "bag": [1]}, {"id": 1, "bag": [2, 3]}],
+     "arcs": [{"from": 0, "to": 1, "guard": []}, {"from": 0, "to": 1, "guard": [1]}], "root": 0},
+    {"nodes": [{"id": 0, "bag": [1]}, {"id": 0, "bag": [1, 2, 3]}], "arcs": [], "root": 0},
+], ids=["arc", "node"])
+def test_validate_rejects_repeated_nodes_and_arcs(tmp_path, capsys, doc):
+    # a dict keeps the last of a repeated entry, and that one alone is valid
+    D = write(tmp_path, "d.txt", "1 2\n2 1\n2 3\n3 2\n")
+    art = write(tmp_path, "dec.json", json.dumps(doc))
+    code, out, err = run_cli(["validate", "--nice", D, art], capsys)
+    assert code == 2 and out == "" and "listed twice" in err
 
 
 def test_validate_rejects_a_string_bag_that_spells_the_graph(tmp_path, capsys):
@@ -493,6 +512,22 @@ def test_bench_rejects_malformed_suites(tmp_path, capsys):
         suite = write(tmp_path, "c.json", json.dumps([{**good, **bad}]))
         assert run_cli(["bench", suite], capsys)[0] == code, bad
     assert run_cli(["bench", write(tmp_path, "d.json", json.dumps([{**good, "edges": 7}]))], capsys)[0] == 0
+
+
+def test_unwritable_output_paths_exit_3(tmp_path, k6, capsys):
+    missing = str(tmp_path / "missing" / "out")
+    k15 = write(tmp_path, "k15.txt", serialize_edge_list(bidirected_clique(15)))
+    suite = write(tmp_path, "s.json", json.dumps([{"family": "random", "n": 5, "seed": 1, "t": 2, "r": 1, "s": 1}]))
+    for argv in (["decompose", "-k", "2", "-o", missing, k6],  # the certificate arm
+                 ["decompose", "-k", "6", "-o", missing, k6],
+                 ["decompose", "-k", "6", "--dot", missing, k6],
+                 ["balsep", "-T", "1,2,3", "-r", "1", "-s", "0", "-o", missing, k6],
+                 ["balsep", "-T", "1,2,3", "-r", "1", "-s", "2", "-o", missing, k6],
+                 ["welllinked", "-k", "2", "-o", missing, k15],
+                 ["gen", "random", "5", "-o", missing],
+                 ["bench", suite, "-o", missing]):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 3 and f"cannot write {missing}: " in err, argv
 
 
 # -- console entry point --------------------------------------------------------

@@ -23,8 +23,7 @@ from dirtw import (
     vsorted,
 )
 from dirtw.arboreal import _structure_violations
-from dirtw.digraph import (Interned, _strongly_connected, guard_breach, guard_screen, split_network, tarjan_sccs,
-                           terminal_flow)
+from dirtw.digraph import Interned, _strongly_connected, guard_breach, guard_screen, split_network, tarjan_sccs
 from util import (
     bidirected_clique,
     brute_guarded,
@@ -370,7 +369,7 @@ def test_flow_guards_survive_optimized_mode():
         "    digraph.tarjan_sccs = lambda D, banned=(), within=None: [{1}, {2}]  # a cyclic condensation\n"
         "    digraph.scc(D)\n"
         "def unrouted(*args):\n"
-        "    digraph.terminal_flow = lambda net, X, Y, limit=None: limit  # a flow never routed\n"
+        "    digraph.FlowNetwork.flow = lambda net, X, Y, limit, cut=(), banned=(): limit  # a flow never routed\n"
         "    digraph.menger(D, {1}, {2}, 1)\n"
         "for check in checks + [broken, unrouted]:\n"
         "    try:\n"
@@ -395,24 +394,27 @@ def test_split_network_reuse_after_restoring_capacities():
         X, Y = set(rng.sample(vs, 2)), set(rng.sample(vs, 2))
         Xi, Yi = G.ids(X), G.ids(Y)
         u, w = rng.sample(range(n), 2)
-        limit = rng.choice([None, 1, 2])
-        src, snk = 2 * n, 2 * n + 1
+        limit = rng.choice([n + 1, 1, 2])  # n + 1: more than any flow
         net = split_network(G)
-        first = terminal_flow(net, Xi, Yi, limit=limit)
-        assert terminal_flow(net, Xi, Yi, limit=limit) == first
-        assert terminal_flow(split_network(G), Xi, Yi, limit=limit) == first
+        src, snk = net.source, net.sink
+        assert (src, snk) == (2 * n, 2 * n + 1)
+        Yo = [net.out(y) for y in Yi]  # paths end on the out-nodes of Y
+        first = net.flow(Xi, Yo, limit)
+        assert net.flow(Xi, Yo, limit) == first
+        assert split_network(G).flow(Xi, Yo, limit) == first
         # without the restore the saturated paths stay used up
         if net.max_flow(src, snk) > 0:
             assert net.max_flow(src, snk) == 0
-        assert terminal_flow(net, Xi, Yi, None) == brute_min_vertex_separator(D, X, Y)
-        # an inner flow with the terminals attached; switching them on again
-        # restores the network
-        terminal_flow(net, Xi, Yi, limit=0)
-        first = net.max_flow(n + u, w, limit=limit)
-        terminal_flow(net, Xi, Yi, limit=0)
-        assert net.max_flow(n + u, w, limit=limit) == first
+        assert net.flow(Xi, Yo, n + 1) == brute_min_vertex_separator(D, X, Y)
+        # cut split arcs carry nothing; banned ones cannot be cut
+        assert net.flow(Xi, Yo, n + 1, cut=range(0, 2 * n, 2)) == 0
+        assert net.flow(Xi, Yo, 2, banned=range(0, 2 * n, 2)) == (2 if reachable(D, X, Y) else 0)
+        # an inner flow, out_u -> in_w, through the same entry point: asking
+        # again restores the network, and it equals the flow run straight
+        # between the two nodes of a fresh network
+        first = net.flow([n + u], [w], limit)
+        assert net.flow([n + u], [w], limit) == first
         fresh = split_network(G)
-        terminal_flow(fresh, Xi, Yi, limit=0)
         assert fresh.max_flow(n + u, w, limit=limit) == first
         # reset() restores the capacities as built: terminal arcs off
         net.reset()

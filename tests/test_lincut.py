@@ -19,8 +19,8 @@ from dirtw import (
     reachable,
 )
 from dirtw import lincut
-from dirtw.digraph import Interned, vkey
-from dirtw.lincut import _CutInstance, _CutOracle, _edge_instance, _reduction, _violating_path
+from dirtw.digraph import Interned, edge_network, split_network, vkey
+from dirtw.lincut import _CutOracle, _violating_path
 from util import (mixed_id_digraph, path_digraph, random_digraph, reference_path_search, reference_violating_path,
                   shuffled_digraph)
 
@@ -155,22 +155,30 @@ def test_rejects_negative_budget_and_empty_block():
         TerminalSequence([set()])
 
 
+def classes_of(net) -> dict:
+    """A cut network's classes as {(tail, head): cost}, in arc-id order."""
+    return {net.ends(c): net.built[c] for c in range(0, net.classes, 2)}
+
+
 def test_split_reduction_structure():
     # the split layout: v_in = v, v_out = n + v, terminal gadgets from 2n up
     D = diamond()
     G = Interned(D, D.vertices())
     blocks = [frozenset("a"), frozenset("d")]
-    red = _reduction(G, blocks, 2)
+    net = split_network(G, G.ids(v for b in blocks for v in b), 3)
+    costs = classes_of(net)
     n, a, b, d = D.n, G.index["a"], G.index["b"], G.index["d"]
-    assert len(red.succ) == 2 * n + 2
-    assert red.blocks == [[2 * n], [2 * n + 1]]
-    assert red.costs[(a, n + a)] == 1
-    assert red.costs[(n + a, b)] == 3
-    assert red.costs[(2 * n, a)] == 3
-    assert red.costs[(n + a, 2 * n)] == 3
-    assert red.costs[(n + d, 2 * n + 1)] == 3
-    assert list(red.costs) == sorted(red.costs)
-    assert len(red.costs) == n + D.m + 2 * 2
+    assert net.source == 2 * n + 2
+    assert [[net.gadget[v] for v in G.ids(b)] for b in blocks] == [[2 * n], [2 * n + 1]]
+    assert costs[(a, n + a)] == 1
+    assert costs[(n + a, b)] == 3
+    assert costs[(2 * n, a)] == 3
+    assert costs[(n + a, 2 * n)] == 3
+    assert costs[(n + d, 2 * n + 1)] == 3
+    assert list(costs) == sorted(costs)
+    assert len(costs) == n + D.m + 2 * 2
+    # then a source arc and a sink arc per node, switched off
+    assert len(net.head) - net.classes == 4 * net.source and not any(net.built[net.classes:])
 
 
 def random_blocks(rng: random.Random, D: Digraph, max_blocks: int = 4):
@@ -276,11 +284,13 @@ def test_violating_path_matches_vertex_keyed_reference():
         classes = [(u, v) for u, v, _ in D.edge_classes() if u != v]
         removed = frozenset(rng.sample(classes, rng.randint(0, len(classes) // 2)))
         G = Interned(D, D.vertices())
-        inst = _edge_instance(D, G, blocks)
-        got = _violating_path(inst, inst.blocks, frozenset((G.index[u], G.index[v]) for u, v in removed))
+        net = edge_network(D, G)
+        arc = {net.ends(c): c for c in range(0, net.classes, 2)}
+        got = _violating_path(net, [sorted(G.ids(b)) for b in blocks],
+                              frozenset(arc[G.index[u], G.index[v]] for u, v in removed))
         want = reference_violating_path(D, blocks, removed)
         if got is not None:
-            got = [(G.names[u], G.names[v]) for u, v in got]
+            got = [tuple(G.names[x] for x in net.ends(c)) for c in got]
             found += 1
             start = next(i for i, b in enumerate(blocks) if got[0][0] in b)
             beyond_next += got[-1][1] not in blocks[start + 1]
@@ -304,15 +314,20 @@ def test_cut_oracle_matches_the_search():
             blocks = random_blocks(rng, D)
         G = Interned(D, D.vertices())
         kind = rng.choice(["edge", "vertex"])
-        inst = _edge_instance(D, G, blocks) if kind == "edge" else _reduction(G, blocks, rng.randint(1, 3))
-        oracle = _CutOracle(_CutInstance(inst.succ, inst.costs, [sum(inst.blocks, [])]))
-        classes = list(inst.costs)
+        if kind == "edge":
+            net = edge_network(D, G)
+            terminals = [sorted(G.ids(b)) for b in blocks]
+        else:
+            net = split_network(G, G.ids(v for b in blocks for v in b), rng.randint(1, 3) + 1)
+            terminals = [sorted(net.gadget[v] for v in G.ids(b)) for b in blocks]
+        oracle = _CutOracle(net)
+        classes = list(range(0, net.classes, 2))
         for _ in range(4):
-            order = rng.sample(inst.blocks, len(inst.blocks))
+            order = rng.sample(terminals, len(terminals))
             removed = frozenset(c for c in classes if rng.random() < 0.15)
             banned = frozenset(c for c in classes if c not in removed and rng.random() < 0.2)
             budget = rng.randint(0, 4)
-            want = reference_path_search(inst, order, removed, banned, 0, budget) is not None
+            want = reference_path_search(net, order, removed, banned, 0, budget) is not None
             assert oracle.feasible(order, removed, banned, budget) == want, (kind, order, removed, banned, budget)
             seen[kind, want, len(order) > 2, bool(removed), bool(banned)] += 1
     # both answers on both kinds, with three or more blocks, with removed
@@ -328,13 +343,13 @@ def test_interning_orders_numbers_by_vkey():
     G = Interned(D, D.vertices())
     assert G.names == D.sorted_vertices()
     assert all(G.index[v] == i for i, v in enumerate(G.names))
-    inst = _edge_instance(D, G, blocks)
-    assert list(inst.costs) == sorted(inst.costs)
-    assert [(G.names[u], G.names[v], c) for (u, v), c in inst.costs.items()] == sorted(
+    costs = classes_of(edge_network(D, G))
+    assert list(costs) == sorted(costs)
+    assert [(G.names[u], G.names[v], c) for (u, v), c in costs.items()] == sorted(
         ((u, v, c) for u, v, c in D.edge_classes() if u != v), key=lambda e: (vkey(e[0]), vkey(e[1])))
-    assert all(succ == sorted(succ) for succ in inst.succ)
-    for j, b in enumerate(blocks):
-        assert {G.names[v] for v in inst.blocks[j]} == b
+    assert all(succ == sorted(succ) for succ in G.succ)
+    for b in blocks:
+        assert {G.names[v] for v in G.ids(b)} == b
     # a vertex subset keeps vkey order and drops the edges leaving it
     keep = G.names[::2]
     sub = Interned(D, keep)
@@ -346,8 +361,9 @@ def test_interning_orders_numbers_by_vkey():
 def test_non_split_arc_in_a_reduction_cut_is_an_error(monkeypatch):
     # the split-arcs-only guarantee is checked by an explicit error, so it
     # holds under python -O as well
-    # the arc out_a -> in_b of the three-vertex reduction: out_a = 3 + 0, in_b = 1
-    monkeypatch.setattr(lincut, "_lec_solve", lambda *args: frozenset({(3, 1)}))
+    # the arc out_a -> in_b of the three-vertex reduction, out_a = 3 + 0 and
+    # in_b = 1, is its class after the three split arcs: arc id 6
+    monkeypatch.setattr(lincut, "_lec_solve", lambda *args: frozenset({6}))
     with pytest.raises(RuntimeError, match="non-split arc"):
         linear_vertex_cut(path_digraph("a", "b", "c"), [{"a"}, {"c"}], 1)
 

@@ -89,7 +89,7 @@ def test_no_question_about_d_minus_z_copies_d():
 # the linear cut's inner loops, the lex-least extraction and the
 # important-cut oracle, run on the interned graph: no vertex-keyed sorting,
 # no subgraph copies
-HOT = {"_violating_path", "_lec_solve", "feasible", "_decide", "_important", "_flow"}
+HOT = {"_violating_path", "_lec_solve", "feasible", "_decide", "_important", "lower_bound"}
 NAME_KEYED = {"vkey", "vsorted"}
 COPIES = {"minus", "induced"}
 
@@ -218,6 +218,79 @@ def test_checker_flags_the_tuple_keyed_split_nodes():
 def test_no_module_builds_tuple_keyed_split_nodes():
     modules = sorted(PACKAGE.glob("*.py"))
     found = {m.name: _split_tuple_nodes(m.read_text()) for m in modules}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+# the flow networks belong to digraph, which owns their layout: no other
+# module imports, names or constructs FlowNetwork or a subclass of it, or
+# runs max_flow itself instead of asking a network through its one entry point
+FLOW_OWNER = "digraph.py"
+
+# excerpts of lincut._CutOracle.__init__ and balsep._component_lb from
+# before the cut oracle and the connectivity bound ran on digraph's network
+OWN_NETWORKS = '''
+from .digraph import Digraph, FlowNetwork, Interned, Vertex, reachable, vsorted
+
+
+class _CutOracle:
+    def __init__(self, G):
+        N = len(G.succ)
+        net = FlowNetwork(N + 2)
+        self.arc = {(u, w): net.add(u, w, c) for (u, w), c in G.costs.items()}
+        self.into = [net.add(N, v, 0) for v in range(N)]
+
+
+def _component_lb(D, comp, tc, r):
+    G = Interned(D, comp)
+    n = len(G.names)
+    net = split_network(G)
+    for u in range(n):
+        for w in range(n):
+            net.reset()
+            f = net.max_flow(n + u, w, limit=bound)
+'''
+
+
+def _flow_classes(source: str) -> set[str]:
+    """FlowNetwork and the classes a module derives from it."""
+    names = {"FlowNetwork"}
+    defined = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)]
+    while True:
+        more = {c.name for c in defined if any(_name(base) in names for base in c.bases)} - names
+        if not more:
+            return names
+        names |= more
+
+
+def _foreign_flow_networks(source: str, classes: set[str]) -> list[str]:
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            out.extend(f"line {node.lineno}: imports {alias.name}" for alias in node.names
+                       if alias.name in classes)
+        elif isinstance(node, ast.Call) and _name(node.func) in classes:
+            out.append(f"line {node.lineno}: constructs {_name(node.func)}")
+        elif isinstance(node, ast.Call) and _name(node.func) == "max_flow":
+            out.append(f"line {node.lineno}: calls .max_flow")
+    return out
+
+
+def test_checker_flags_the_oracles_own_network_and_the_direct_flow():
+    assert _foreign_flow_networks(OWN_NETWORKS, {"FlowNetwork"}) == [
+        "line 2: imports FlowNetwork", "line 8: constructs FlowNetwork", "line 20: calls .max_flow"]
+    classes = _flow_classes("class A(FlowNetwork): pass\nclass B(A): pass\nclass C: pass\n")
+    assert classes == {"FlowNetwork", "A", "B"}
+    assert _foreign_flow_networks("from .digraph import B as N\nx = digraph.A(3, [])\n", classes) == [
+        "line 1: imports B", "line 2: constructs A"]
+    # building through digraph and asking its entry point is fine
+    assert _foreign_flow_networks("net = split_network(G)\nnet.flow([u], [w], 2)\n", classes) == []
+
+
+def test_only_digraph_builds_flow_networks():
+    classes = _flow_classes((PACKAGE / FLOW_OWNER).read_text())
+    modules = sorted(m for m in PACKAGE.glob("*.py") if m.name != FLOW_OWNER)
+    assert modules
+    found = {m.name: _foreign_flow_networks(m.read_text(), classes) for m in modules}
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 

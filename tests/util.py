@@ -12,9 +12,8 @@ from dirtw import (BalancedSeparatorInstance, Digraph, MengerResult, Path, TBram
                    balanced_separator, decompose, linear_vertex_cut, vkey, vsorted)
 from dirtw.arboreal import (ArborealDecomposition, LinkedSetCertificate, ValidationReport, Violation,
                             _structure_violations)
-from dirtw.digraph import (Interned, _parse_token, _strongly_connected, guard_breach, scc, split_network,
-                           terminal_flow)
-from dirtw.lincut import _CutInstance, _violating_path
+from dirtw.digraph import Interned, _parse_token, _strongly_connected, guard_breach, scc, split_network
+from dirtw.lincut import _violating_path
 
 
 # -- named instances --------------------------------------------------------
@@ -477,15 +476,15 @@ def reference_menger(D: Digraph, X, Y, r: int) -> MengerResult:
     return MengerResult(paths, None)
 
 
-def reference_path_search(G: _CutInstance, blocks, removed: frozenset, banned: frozenset, spent: int,
+def reference_path_search(net, blocks, removed: frozenset, banned: frozenset, spent: int,
                           budget: int) -> frozenset | None:
     """The search that chose the partition engine's cuts before the
     important-cut oracle took over, kept as the oracle's reference: it
     branches on the classes of a violating path between `blocks`, so its
-    cost grows with the path length.  Returns `removed` plus classes outside
-    `banned` that cut `blocks`, with `spent` plus their costs at most
-    `budget`, or None."""
-    path = _violating_path(G, blocks, removed)
+    cost grows with the path length.  Returns `removed` plus classes of the
+    cut network `net` outside `banned` that cut `blocks`, with `spent` plus
+    their costs at most `budget`, or None."""
+    path = _violating_path(net, blocks, removed)
     if path is None:
         return removed
     if spent >= budget:
@@ -493,10 +492,10 @@ def reference_path_search(G: _CutInstance, blocks, removed: frozenset, banned: f
     for cls in path:  # a BFS path never repeats a class
         if cls in banned:
             continue
-        c = G.costs[cls]
+        c = net.built[cls]
         if spent + c > budget:
             continue
-        res = reference_path_search(G, blocks, removed | {cls}, banned, spent + c, budget)
+        res = reference_path_search(net, blocks, removed | {cls}, banned, spent + c, budget)
         if res is not None:
             return res
     return None
@@ -516,7 +515,7 @@ def reference_partition_min_cut(sub: Digraph, Tc: frozenset, r: int, cap: int, l
         if U not in flow_memo:
             # min vertices (terminals deletable) meeting every U -> rest path
             rest = Tc - U
-            flow_memo[U] = (terminal_flow(net, G.ids(U), G.ids(rest), limit=cap + 1)
+            flow_memo[U] = (net.flow(G.ids(U), [net.out(v) for v in G.ids(rest)], cap + 1)
                             if U and rest else 0)
         return flow_memo[U]
 
