@@ -50,8 +50,10 @@ class LinkedSetCertificate:
     def from_json(cls, doc: dict) -> "LinkedSetCertificate":
         try:
             return cls(frozenset(_as_list(doc["T"], "T")), _as_int(doc["k"], "k"), _as_int(doc["r"], "r"))
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed certificate document: {exc}") from exc
+        except KeyError as exc:
+            raise ValueError(f"missing field {exc}") from exc
+        except TypeError as exc:
+            raise ValueError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -137,12 +139,14 @@ class ArborealDecomposition:
             arcs = [((_as_int(a["from"], "arc tail"), _as_int(a["to"], "arc head")),
                      frozenset(_as_list(a["guard"], "guard"))) for a in _as_list(doc["arcs"], "arcs")]
             root = _as_int(doc["root"], "root")
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed decomposition document: {exc}") from exc
+        except KeyError as exc:
+            raise ValueError(f"missing field {exc}") from exc
+        except TypeError as exc:
+            raise ValueError(str(exc)) from exc
         # a dict would keep the last of a repeated entry and hide the others
         bags, guards = dict(nodes), dict(arcs)
         if len(bags) < len(nodes) or len(guards) < len(arcs):
-            raise ValueError("malformed decomposition document: a node id or an arc is listed twice")
+            raise ValueError("a node id or an arc is listed twice")
         return cls(root, bags, guards)
 
 

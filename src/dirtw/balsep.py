@@ -320,13 +320,16 @@ def balanced_separator(inst: BalancedSeparatorInstance) -> BalancedSeparatorResu
     return _solve(inst.D, inst.T, inst.r, inst.s, frozenset())
 
 
-def _cheap_layers(D: Digraph, T: frozenset, r: int, s: int, X: frozenset) -> BalancedSeparatorResult | list[set]:
+def _cheap_layers(D: Digraph, T: frozenset, r: int, s: int, X: frozenset,
+                  offenders: list[set] | None = None) -> BalancedSeparatorResult | list[set]:
     """The normalize, empty and greedy layers of `_solve`: their verdict, or
-    the offending components of D minus X when none of them decides."""
+    the offending components of D minus X when none of them decides.  A
+    caller that holds those components already passes them as `offenders`."""
     norm = _normalized_answer(T, r, s)
     if norm is not None:
         return _checked(D, T, r, s, X, norm)
-    offenders = offending_components(D, T, r, X)  # every layer below starts from these
+    if offenders is None:
+        offenders = offending_components(D, T, r, X)  # every layer below starts from these
     if not offenders:
         return BalancedSeparatorResult(frozenset())
     if r == 0:
@@ -339,10 +342,13 @@ def _cheap_layers(D: Digraph, T: frozenset, r: int, s: int, X: frozenset) -> Bal
     return offenders
 
 
-def _solve(D: Digraph, T: frozenset, r: int, s: int, X: frozenset) -> BalancedSeparatorResult:
+def _solve(D: Digraph, T: frozenset, r: int, s: int, X: frozenset,
+           offenders: list[set] | None = None) -> BalancedSeparatorResult:
     """`balanced_separator` on D minus X, with X a banned set instead of a
-    copy; T must avoid X.  The separator returned avoids X too."""
-    offenders = _cheap_layers(D, T, r, s, X)
+    copy; T must avoid X.  The separator returned avoids X too.  `offenders`,
+    when given, are the offending components of D minus X, as
+    `offending_components(D, T, r, X)` lists them; no layer mutates them."""
+    offenders = _cheap_layers(D, T, r, s, X, offenders)
     if isinstance(offenders, BalancedSeparatorResult):
         return offenders
     analysis = _offender_analysis(D, T, r, s, offenders)

@@ -9,12 +9,12 @@ path, Menger verification of well-linkedness, and the path-system builder.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from collections import deque
 from collections.abc import Iterable
 from itertools import combinations
 
-from .digraph import Digraph, Interned, Path, Vertex, menger, split_network, vkey
+from .digraph import Digraph, Interned, Path, Vertex, linkage, split_network, vkey
 from .balsep import _refine_offenders, _solve, is_balanced_separator, offending_components
 from .arboreal import LinkedSetCertificate
 
@@ -43,14 +43,18 @@ def is_hitting_set(B: TBramble, X: Iterable[Vertex]) -> bool:
     return is_balanced_separator(B.D, B.T, B.k - 1, X)
 
 
-def complement_order_at_most(B: TBramble, X: Iterable[Vertex], s: int) -> tuple[bool, frozenset | None]:
+def complement_order_at_most(B: TBramble, X: Iterable[Vertex], s: int,
+                             offenders: list[set] | None = None) -> tuple[bool, frozenset | None]:
     """Decide whether the bramble elements avoiding X can be hit by s
     vertices; on success the witness hitting set comes back too.  Reduces to
-    a balanced-separator run on D minus X, banning X instead of copying."""
+    a balanced-separator run on D minus X, banning X instead of copying.  A
+    caller holding the strong components of D minus X with k or more
+    terminals, in `offending_components` order, passes them as `offenders`
+    and spares the run its pass over the whole graph."""
     if s < 0:
         return False, None
     Xset = frozenset(X)
-    result = _solve(B.D, B.T - Xset, B.k - 1, s, Xset)
+    result = _solve(B.D, B.T - Xset, B.k - 1, s, Xset, offenders)
     if result.linked:
         return False, None
     return True, result.separator
@@ -106,7 +110,9 @@ def hitting_path(B: TBramble) -> Path:
 class SplitState:
     """Bookkeeping for the split iteration along a hitting path: consumed
     subpaths Q with their anchors, the untouched residual of the path, the
-    accumulated `blocked` set X, and the order parameter g."""
+    accumulated `blocked` set X, and the order parameter g.  `offenders`
+    caches the bramble's offending components of D minus X (None until the
+    iteration computes them); equality, hash and repr ignore it."""
 
     bramble: TBramble
     k: int
@@ -115,6 +121,7 @@ class SplitState:
     anchors: tuple
     residual: tuple
     blocked: frozenset
+    offenders: list | None = field(default=None, compare=False, hash=False, repr=False)
 
     @classmethod
     def initial(cls, bramble: TBramble, k: int, path: Path, g: int) -> "SplitState":
@@ -128,28 +135,37 @@ class SplitState:
 def extend_split(state: SplitState) -> SplitState:
     """One split iteration: walk the residual path until the bramble
     elements avoiding the blocked set become cheap to hit, then plant the
-    successor vertex as the next anchor."""
+    successor vertex as the next anchor.  The blocked set only grows, so
+    the offending components are refined by each vertex taken and carried
+    to the next state, not recomputed over the whole graph."""
+    B = state.bramble
+    D, T, r = B.D, B.T, B.k - 1
     half = state.k // 2
     threshold = state.g - state.level * (half + 1) - 1 - half
-    passed, _ = complement_order_at_most(state.bramble, state.blocked, threshold)
+    heavy = state.offenders
+    if heavy is None:
+        heavy = offending_components(D, T - state.blocked, r, state.blocked)
+    passed, _ = complement_order_at_most(B, state.blocked, threshold, heavy)
     if passed:
         raise ValueError("split entry condition violated: complement order already below "
                          "threshold before consuming any path vertex (corrupt input)")
     taken: list = []
     for idx, v in enumerate(state.residual):
         taken.append(v)
-        passed, _ = complement_order_at_most(state.bramble, state.blocked | set(taken), threshold)
+        heavy = _refine_offenders(D, T, r, heavy, (v,))
+        passed, _ = complement_order_at_most(B, state.blocked | set(taken), threshold, heavy)
         if passed:
             if idx + 1 >= len(state.residual):
                 raise ValueError("no successor left on the path for the next anchor "
                                  "(corrupt input)")
             anchor = state.residual[idx + 1]
             return SplitState(
-                state.bramble, state.k, state.g,
+                B, state.k, state.g,
                 state.subpaths + (tuple(taken),),
                 state.anchors + (anchor,),
                 state.residual[idx + 2:],
                 state.blocked | set(taken) | {anchor},
+                _refine_offenders(D, T, r, heavy, (anchor,)),
             )
     raise ValueError("residual path exhausted before the complement order dropped "
                      "(corrupt input)")
@@ -253,12 +269,15 @@ def build_path_system(D: Digraph, P: Path, A: Iterable[Vertex], link_size: int, 
         if set(spines[a].vertices) & set(spines[b].vertices):
             raise RuntimeError(f"spines {a + 1} and {b + 1} share vertices")
 
+    # one interning and one split network serve every linkage
+    G = Interned(D, D.vertices())
+    net = split_network(G)
     linkages: dict = {}
     for i in range(order):
         for j in range(order):
             if i == j:
                 continue
-            res = menger(D, outs[i], ins[j], link_size)
+            res = linkage(D, G, net, outs[i], ins[j], link_size)
             if res.separator is not None:
                 raise ValueError(f"no size-{link_size} linkage from spine {i + 1} to spine "
                                  f"{j + 1}: the anchor set is not well-linked")

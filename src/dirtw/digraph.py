@@ -465,7 +465,11 @@ class FlowNetwork:
     built for cut questions about its classes, the arcs a cut may remove.
     Arc a is even and a ^ 1 its reverse, built with capacity 0; `head[a]` is
     its head, `cap[a]` its residual capacity, and `adj[u]` lists the arcs
-    leaving u in build order, so augmenting paths are deterministic.  The
+    leaving u in build order, so augmenting paths are deterministic;
+    `fwd[u]` lists its even arcs alone, in the same order.  A reverse arc
+    has room only once flow has crossed its partner, and `marked[u]` is set
+    when that may have happened at u, so a BFS pass scans `fwd[u]` at an
+    unmarked node and skips no arc with room.  The
     classes come first, in ascending (tail, head) order, as the even ids
     below `classes`; each costs its capacity as built.  Then each node v
     below `source` gets arcs source -> v and v -> sink, built switched off.
@@ -473,13 +477,16 @@ class FlowNetwork:
     A split network has `n` vertices and `gadget`, the gadget node of each
     terminal (`split_network`); an edge network has n = 0 (`edge_network`)."""
 
-    __slots__ = ("adj", "head", "cap", "built", "classes", "source", "sink", "n", "gadget")
+    __slots__ = ("adj", "fwd", "marked", "head", "cap", "built", "classes", "source", "sink",
+                 "n", "gadget")
 
     def __init__(self, nodes: int, arcs: Iterable[tuple[int, int, int]]) -> None:
         self.adj = adj = [[] for _ in range(nodes + 2)]
+        self.fwd = fwd = [[] for _ in range(nodes + 2)]
         self.head, self.cap = head, cap = [], []  # indexed by arc id
         for u, v, c in arcs:
             adj[u].append(len(head))
+            fwd[u].append(len(head))
             adj[v].append(len(head) + 1)
             head += (v, u)
             cap += (c, 0)
@@ -488,16 +495,20 @@ class FlowNetwork:
         # node v's source arc is classes + 4v, its sink arc classes + 4v + 2
         for v in range(nodes):
             adj[src].append(a)
+            fwd[src].append(a)
             adj[v] += (a + 1, a + 2)
+            fwd[v].append(a + 2)
             adj[snk].append(a + 3)
             head += (v, src, snk, v)
             a += 4
         cap += [0] * (4 * nodes)
         self.built = cap[:]
+        self.marked = [False] * (nodes + 2)
         self.n, self.gadget = 0, {}
 
     def reset(self) -> None:
         self.cap[:] = self.built
+        self.marked[:] = [False] * len(self.marked)
 
     def flow(self, X: Iterable[int], Y: Iterable[int], limit: int,
              cut: Iterable[int] = (), banned: Iterable[int] = ()) -> int:
@@ -505,12 +516,17 @@ class FlowNetwork:
         with the arcs in `cut` gone and those in `banned` uncuttable: reset
         the network, switch on the source arcs into X and the sink arcs out
         of Y, and give them and the banned arcs capacity `limit`, which no
-        cut that stops the flow below it can pay."""
+        cut that stops the flow below it can pay.  `cut` and `banned` hold
+        even arc ids: a reverse arc given room would go unscanned."""
         self.reset()
         cap, base = self.cap, self.classes
         for a in banned:
+            if a & 1:
+                raise ValueError(f"banned arc {a} is a reverse arc")
             cap[a] = limit
         for a in cut:
+            if a & 1:
+                raise ValueError(f"cut arc {a} is a reverse arc")
             cap[a] = 0
         for x in X:
             cap[base + 4 * x] = limit
@@ -535,13 +551,14 @@ class FlowNetwork:
 
     def _bfs(self, s: int, t: int) -> list[int]:
         """BFS from s over positive residual arcs until it reaches t: the arc
-        each node was first reached by, -2 at s, -1 if unreached."""
-        adj, head, cap = self.adj, self.head, self.cap
+        each node was first reached by, -2 at s, -1 if unreached.  An
+        unmarked node's reverse arcs have no room, so it scans `fwd`."""
+        adj, fwd, marked, head, cap = self.adj, self.fwd, self.marked, self.head, self.cap
         via = [-1] * len(adj)
         via[s] = -2
         queue = [s]
         for u in queue:  # the BFS queue: nodes appended below are visited too
-            for a in adj[u]:
+            for a in adj[u] if marked[u] else fwd[u]:
                 if cap[a] > 0:
                     w = head[a]
                     if via[w] == -1:
@@ -552,7 +569,7 @@ class FlowNetwork:
         return via
 
     def max_flow(self, s: int, t: int, limit: int | None = None) -> int:
-        head, cap = self.head, self.cap
+        head, cap, marked = self.head, self.cap, self.marked
         room = float("inf") if limit is None else limit
         flow = 0
         while flow < room:
@@ -568,6 +585,8 @@ class FlowNetwork:
             for a in path:
                 cap[a] -= bottleneck
                 cap[a ^ 1] += bottleneck
+                if not a & 1:  # its reverse arc, leaving its head, has room now
+                    marked[head[a]] = True
             flow += bottleneck
         return flow
 
@@ -631,11 +650,17 @@ def menger(D: Digraph, X: Iterable[Vertex], Y: Iterable[Vertex], r: int) -> Meng
     zero-length path.  Implemented as unit-capacity flow on the split
     network, with the terminal arcs of X and Y switched on.
     """
+    G = Interned(D, D.vertices())
+    return linkage(D, G, split_network(G), X, Y, r)
+
+
+def linkage(D: Digraph, G: Interned, net: FlowNetwork, X: Iterable[Vertex], Y: Iterable[Vertex],
+            r: int) -> MengerResult:
+    """`menger(D, X, Y, r)` on G, all of D interned, and `net`, its split
+    network, which the caller builds once for many questions."""
     if r < 1:
         raise ValueError("menger requires r >= 1")
-    G = Interned(D, D.vertices())
     n = len(G.names)
-    net = split_network(G)
     flow = net.flow(G.ids(vsorted(X)), [n + y for y in G.ids(vsorted(Y))], r)
     if flow < r:
         via = net._bfs(net.source, -1)  # the residual side of the minimum cut

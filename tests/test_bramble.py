@@ -6,8 +6,11 @@ import subprocess
 import sys
 
 import pytest
+from dataclasses import fields, replace
 
 import dirtw
+from dirtw import bramble
+from dirtw.balsep import offending_components
 from dirtw import (
     Digraph,
     LinkedSetCertificate,
@@ -265,6 +268,68 @@ def test_extend_split_rejects_cheap_start():
         extend_split(corrupt)
 
 
+def test_split_iteration_carries_the_offending_components(monkeypatch):
+    # each step refines the offending components of D - X by the vertices
+    # it blocks instead of recomputing them; at every question the carried
+    # list must be the one a whole-graph pass gives, sets and order alike
+    asked, states = [], []
+    real_order, real_extend = bramble.complement_order_at_most, bramble.extend_split
+
+    def order(B, X, s, offenders=None):
+        assert offenders is not None
+        asked.append((B, frozenset(X), offenders, [frozenset(c) for c in offenders]))
+        return real_order(B, X, s, offenders)
+
+    def extend(state):
+        states.append(real_extend(state))
+        return states[-1]
+
+    monkeypatch.setattr(bramble, "complement_order_at_most", order)
+    monkeypatch.setattr(bramble, "extend_split", extend)
+    rng = random.Random(0x5B17)
+    certified = 0
+    for _ in range(12):
+        k = rng.choice([2, 2, 3])
+        g = order_parameter(k)
+        n = rng.randint(3 * g, 3 * g + 4)
+        D = random_digraph(rng, n, rng.uniform(0.75, 0.95))
+        for _ in range(rng.randint(0, 3)):
+            D.add_edge(rng.randint(1, n), rng.randint(1, n), rng.randint(1, 2))  # loops and parallel copies
+        D = mixed_id_digraph(rng, D)
+        cert = decompose(D, g)
+        if isinstance(cert, LinkedSetCertificate):
+            bramble.well_linked_set(D, cert, k)
+            certified += 1
+    # split states over random brambles and vertex orders reach lists of
+    # several components and lists that run empty
+    for _ in range(150):
+        D = mixed_id_digraph(rng, random_digraph(rng, rng.randint(4, 10), rng.uniform(0.2, 0.7)))
+        vs = D.sorted_vertices()
+        B = TBramble(D, frozenset(rng.sample(vs, rng.randint(2, len(vs)))), rng.randint(1, 3))
+        state = SplitState(B, rng.randint(1, 3), rng.randint(1, 8), (), (),
+                           tuple(rng.sample(vs, rng.randint(1, len(vs)))),
+                           frozenset(rng.sample(vs, rng.randint(0, 2))))
+        for _ in range(state.k):
+            try:
+                state = bramble.extend_split(state)
+            except ValueError:
+                break
+    found = {"certified": certified, "states": len(states), "several": 0, "none": 0}
+    for B, X, offenders, snapshot in asked:
+        assert offenders == offending_components(B.D, B.T - X, B.k - 1, X)
+        assert [frozenset(c) for c in offenders] == snapshot  # no carried set was mutated
+        found["several"] += len(offenders) > 1
+        found["none"] += not offenders
+    for state in states:
+        B, X = state.bramble, state.blocked
+        assert state.offenders == offending_components(B.D, B.T - X, B.k - 1, X)
+        bare = replace(state, offenders=None)
+        assert bare == state and repr(bare) == repr(state)
+    assert min(found.values()) >= 10, found
+    field = next(f for f in fields(SplitState) if f.name == "offenders")
+    assert not field.compare and not field.hash and not field.repr
+
+
 # -- well-linked sets --------------------------------------------------------
 
 def test_well_linked_singleton():
@@ -385,7 +450,7 @@ def test_result_guards_survive_optimized_mode():
         "    bramble.extend_split = lambda state: state\n"
         "    bramble.well_linked_set(D, LinkedSetCertificate(frozenset(range(1, 10)), 4, 4), 2)\n"
         "def empty_linkage():\n"
-        "    bramble.menger = lambda D, X, Y, r: MengerResult([], None)\n"
+        "    bramble.linkage = lambda D, G, net, X, Y, r: MengerResult([], None)\n"
         "    bramble.build_path_system(D, Path(D, [1, 2, 3, 4]), {1, 2, 3, 4}, 1, 2)\n"
         "for check in [linked_without_guard, no_anchor_planted, empty_linkage]:\n"
         "    try:\n"

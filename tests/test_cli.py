@@ -299,6 +299,21 @@ def test_validate_rejects_repeated_nodes_and_arcs(tmp_path, capsys, doc):
     assert code == 2 and out == "" and "listed twice" in err
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"nodes": [{"id": 0, "bag": [1]}, {"id": 0, "bag": [1, 2]}], "arcs": [], "root": 0},
+     "malformed decomposition artifact: a node id or an arc is listed twice"),
+    ({"T": [1, 2], "k": "1", "r": 0}, "malformed certificate artifact: k must be an integer"),
+    ({"nodes": [{"bag": [1]}], "arcs": [], "root": 0},
+     "malformed decomposition artifact: missing field 'id'"),
+], ids=["decomposition", "certificate", "missing-field"])
+def test_validate_names_a_malformed_artifact_once(tmp_path, capsys, doc, message):
+    pair = write(tmp_path, "pair.txt", "1 2\n2 1\n")
+    art = write(tmp_path, "art.json", json.dumps(doc))
+    code, out, err = run_cli(["validate", pair, art], capsys)
+    assert code == 2 and out == ""
+    assert message in err and err.count("malformed") == 1
+
+
 def test_validate_rejects_a_string_bag_that_spells_the_graph(tmp_path, capsys):
     # read character by character, "ab" would be the bag {a, b}: a valid
     # decomposition of the pair

@@ -23,7 +23,10 @@ from dirtw import (
     vsorted,
 )
 from dirtw.arboreal import _structure_violations
-from dirtw.digraph import Interned, _strongly_connected, guard_breach, guard_screen, split_network, tarjan_sccs
+from dirtw.bramble import verify_well_linked
+from dirtw.digraph import (FlowNetwork, Interned, _strongly_connected, edge_network, guard_breach, guard_screen,
+                           split_network, tarjan_sccs)
+from dirtw.lincut import _CutOracle
 from util import (
     bidirected_clique,
     brute_guarded,
@@ -35,6 +38,7 @@ from util import (
     pendant_pairs_digraph,
     random_digraph,
     reference_menger,
+    reference_bfs,
     reference_parse_edge_list,
     shuffled_digraph,
     subsets_up_to,
@@ -363,8 +367,11 @@ def test_flow_guards_survive_optimized_mode():
         "from dirtw import CutCertificate, MengerResult, digraph\n"
         "D = digraph.Digraph()\n"
         "D.add_bidirected(1, 2)\n"
+        "net = digraph.split_network(digraph.Interned(D, [1, 2]))\n"
         "checks = [lambda: MengerResult(None, None),\n"
-        "          lambda: CutCertificate('edge-cut', frozenset()).cut_vertices()]\n"
+        "          lambda: CutCertificate('edge-cut', frozenset()).cut_vertices(),\n"
+        "          lambda: net.flow([0], [3], 1, cut=[1]),  # a reverse arc\n"
+        "          lambda: net.flow([0], [3], 1, banned=[3])]\n"
         "def broken(*args):\n"
         "    digraph.tarjan_sccs = lambda D, banned=(), within=None: [{1}, {2}]  # a cyclic condensation\n"
         "    digraph.scc(D)\n"
@@ -381,7 +388,7 @@ def test_flow_guards_survive_optimized_mode():
     proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ValueError", "ValueError", "RuntimeError", "RuntimeError"]
+    assert proc.stdout.split() == ["ValueError"] * 4 + ["RuntimeError", "RuntimeError"]
 
 
 def test_split_network_reuse_after_restoring_capacities():
@@ -421,6 +428,118 @@ def test_split_network_reuse_after_restoring_capacities():
         assert net.max_flow(src, snk) == 0
         net.reset()
         assert net.max_flow(n + u, w) == split_network(G).max_flow(n + u, w)
+
+
+def _flow_kernel_outcomes(seed: int, count: int) -> tuple[list, dict]:
+    """What the flow kernel decides on `count` random mixed-id multigraphs
+    with loops and parallel arcs: flow values on split and edge networks
+    with cut and banned classes, menger's paths or separator, a
+    verify_well_linked verdict and the cut lists of a cut oracle.  Also how
+    often each kind of answer came up."""
+    rng = random.Random(seed)
+    out: list = []
+    found = {"paths": 0, "separator": 0, "flow": 0, "well-linked": 0, "ill-linked": 0, "cuts": 0}
+    for _ in range(count):
+        D = mixed_id_digraph(rng, shuffled_digraph(rng, rng.randint(1, 8)))
+        vs = D.sorted_vertices()
+        G = Interned(D, vs)
+        n = len(vs)
+        X, Y = rng.sample(vs, rng.randint(1, n)), rng.sample(vs, rng.randint(1, n))
+        res = menger(D, X, Y, rng.randint(1, 3))
+        found["paths" if res.paths is not None else "separator"] += 1
+        out.append([p.vertices for p in res.paths] if res.paths is not None else vsorted(res.separator))
+        for net, sinks in ((split_network(G), [n + y for y in G.ids(Y)]), (edge_network(D, G), G.ids(Y))):
+            classes = range(0, net.classes, 2)
+            cut = rng.sample(classes, rng.randint(0, min(2, len(classes))))
+            banned = rng.sample(classes, rng.randint(0, len(classes)))
+            flow = net.flow(G.ids(X), sinks, rng.randint(1, n + 1), cut, banned)
+            found["flow"] += flow > 1
+            out.append(flow)
+        verdict = verify_well_linked(D, rng.sample(vs, rng.randint(1, min(4, n))))
+        found["well-linked" if verdict else "ill-linked"] += 1
+        out.append(verdict)
+        if n >= 3:
+            terms = rng.sample(range(n), rng.randint(3, min(5, n)))
+            budget = rng.randint(0, 3)
+            net = split_network(G, terms, budget + 1)
+            gadgets = [net.gadget[t] for t in terms]
+            cuts = sorted(rng.sample(range(1, len(gadgets)), 2))
+            blocks = [gadgets[:cuts[0]], gadgets[cuts[0]:cuts[1]], gadgets[cuts[1]:]]
+            oracle = _CutOracle(net)
+            out.append(oracle.feasible(blocks, (), (), budget))
+            out.append(list(oracle.memo.items()))
+            found["cuts"] += any(len(cuts) > 1 for cuts in oracle.memo.values())
+    return out, found
+
+
+def test_flow_kernel_matches_the_full_scan_reference(monkeypatch):
+    # a pass scans only the forward arcs at a node no flow has entered; the
+    # reference scans every arc everywhere, so every augmenting path, the
+    # minimum cut menger reads off and every oracle branch must be the same
+    got, found = _flow_kernel_outcomes(23, 2000)
+    assert min(found.values()) > 50, found
+    monkeypatch.setattr(FlowNetwork, "_bfs", reference_bfs)
+    assert _flow_kernel_outcomes(23, 2000) == (got, found)
+
+
+class _CountedArcs(list):
+    """An arc list that, while a BFS pass runs, counts the scans of it and
+    the reverse arcs it scans at a node that is not marked."""
+
+    def __init__(self, arcs, net, node, counts):
+        super().__init__(arcs)
+        self.net, self.node, self.counts = net, node, counts
+
+    def __iter__(self):
+        if self.counts["in pass"]:
+            self.counts["scans"] += 1
+            if self.net.marked[self.node]:
+                self.counts["marked"] += 1
+            else:
+                self.counts["odd at unmarked"] += sum(a & 1 for a in list.__iter__(self))
+        return list.__iter__(self)
+
+
+def test_no_pass_scans_a_reverse_arc_at_an_unmarked_node(monkeypatch):
+    # the menger decomposition, the oracle's furthest cut and the
+    # violating-path check read adj outside the passes, and are not counted
+    counts = {"in pass": False, "scans": 0, "marked": 0, "odd at unmarked": 0}
+    real = FlowNetwork._bfs
+
+    def counted(net, s, t):
+        for name in ("adj", "fwd"):
+            lists = getattr(net, name)
+            if not isinstance(lists[0], _CountedArcs):
+                setattr(net, name, [_CountedArcs(arcs, net, u, counts) for u, arcs in enumerate(lists)])
+        counts["in pass"] = True
+        try:
+            return real(net, s, t)
+        finally:
+            counts["in pass"] = False
+
+    monkeypatch.setattr(FlowNetwork, "_bfs", counted)
+    _flow_kernel_outcomes(29, 200)
+    D = bidirected_clique(9)
+    assert verify_well_linked(D, [1, 3, 5, 7])
+    assert counts["scans"] > 10_000 and counts["marked"] > 1_000, counts
+    assert counts["odd at unmarked"] == 0
+    # the forward lists are the even arcs of adj, in adj's order, and a
+    # reset clears every mark
+    net = split_network(Interned(D, D.vertices()), [1, 2], 4)
+    net.flow([net.gadget[1]], [net.gadget[2]], 3)
+    assert any(net.marked)
+    assert [[a for a in arcs if not a & 1] for arcs in net.adj] == net.fwd
+    net.reset()
+    assert not any(net.marked)
+
+
+def test_flow_refuses_reverse_arcs_in_cut_and_banned():
+    # a reverse arc given room at an unmarked node would go unscanned
+    net = split_network(Interned(bidirected_clique(3), [1, 2, 3]))
+    for arcs in ({"cut": [0, 1]}, {"banned": [5]}):
+        with pytest.raises(ValueError, match="reverse arc"):
+            net.flow([0], [net.out(1)], 1, **arcs)
+    assert net.flow([0], [net.out(1)], 1, cut=[0], banned=[2]) == 0
 
 
 def test_edge_list_round_trip():

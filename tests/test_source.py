@@ -294,6 +294,89 @@ def test_only_digraph_builds_flow_networks():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+# the residual state of a network belongs to digraph too: a pass skips the
+# reverse arcs at a node that is not marked, which is sound only while the
+# network itself sets the capacities, the arc lists and the marks
+NETWORK_STATE = {"cap", "adj", "fwd", "marked"}
+MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"}
+
+# an excerpt of lincut._CutOracle._important that writes to its network
+# instead of asking it through `flow`
+WRITING_IMPORTANT = '''
+def _important(self, X, Y, removed, banned, F, budget, found):
+    net = self.net
+    adj, head, cap, sink = net.adj, net.head, net.cap, net.sink
+    for a in removed:
+        cap[a] = 0
+    cap[e ^ 1] += 1
+    net.marked[head[e]] = True
+    net.adj[sink].append(e)
+    net.cap = list(net.built)
+    reaches = [cap[a ^ 1] > 0 for a in adj[sink]]
+'''
+
+
+def _network_writes(source: str) -> list[str]:
+    """Writes to a network's state: assigning to, or through, an attribute
+    named in NETWORK_STATE or a local name bound to one, and calling a
+    mutating list method on them."""
+    tree = ast.parse(source)
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            pairs = []
+            for target in node.targets:
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    pairs += zip(target.elts, node.value.elts)
+                else:
+                    pairs.append((target, node.value))
+            aliases |= {t.id for t, v in pairs if isinstance(t, ast.Name)
+                        and isinstance(v, ast.Attribute) and v.attr in NETWORK_STATE}
+
+    def state(expr) -> str | None:
+        while isinstance(expr, ast.Subscript):
+            expr = expr.value
+        if isinstance(expr, ast.Attribute) and expr.attr in NETWORK_STATE:
+            return expr.attr
+        return expr.id if isinstance(expr, ast.Name) and expr.id in aliases else None
+
+    out = []
+    for node in ast.walk(tree):
+        targets = (node.targets if isinstance(node, (ast.Assign, ast.Delete))
+                   else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else [])
+        for target in targets:
+            for t in target.elts if isinstance(target, ast.Tuple) else [target]:
+                name = state(t) if isinstance(t, (ast.Subscript, ast.Attribute)) else None
+                if name:
+                    out.append(f"line {t.lineno}: writes {name}")
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in MUTATORS and state(node.func.value)):
+            out.append(f"line {node.lineno}: {node.func.attr} on {state(node.func.value)}")
+    return sorted(out, key=lambda line: int(line.split()[1][:-1]))
+
+
+def test_checker_flags_writes_to_a_network():
+    assert _network_writes(WRITING_IMPORTANT) == [
+        "line 6: writes cap", "line 7: writes cap", "line 8: writes marked",
+        "line 9: append on adj", "line 10: writes cap"]
+    # the parent's tuple-keyed connectivity bound reset its network by hand
+    assert _network_writes(TUPLE_KEYED_BALSEP) == ["line 11: writes cap"]
+    # reading the residual network, as the oracle's furthest cut does, is fine
+    assert _network_writes("cap = net.cap\nok = cap[a ^ 1] > 0 and net.adj[u][0]\ncap2 = cap\n") == []
+    # the owner's own writes are seen: the flow sets capacities and marks
+    owner = " ".join(_network_writes((PACKAGE / FLOW_OWNER).read_text()))
+    assert "writes cap" in owner and "writes marked" in owner and "append on fwd" in owner
+
+
+def test_only_digraph_writes_to_a_network():
+    modules = sorted(m for m in PACKAGE.glob("*.py") if m.name != FLOW_OWNER)
+    found = {m.name: _network_writes(m.read_text()) for m in modules}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    # the cut oracle's furthest minimum cut reads the network it asked
+    lincut = (PACKAGE / "lincut.py").read_text()
+    assert "cap[a ^ 1] > 0" in lincut and "net.cap" in lincut
+
+
 # python -O strips assert statements, so no result may rest on one
 # an excerpt of arboreal.decompose from before its guards became errors
 ASSERTING_DECOMPOSE = '''

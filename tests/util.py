@@ -343,6 +343,26 @@ def reference_violating_path(D: Digraph, blocks, removed: frozenset):
     return None
 
 
+def reference_bfs(net, s: int, t: int) -> list[int]:
+    """FlowNetwork._bfs as it was before the forward lists, kept verbatim
+    as their referee: every pass scans every arc at every node, the reverse
+    arcs without room too."""
+    adj, head, cap = net.adj, net.head, net.cap
+    via = [-1] * len(adj)
+    via[s] = -2
+    queue = [s]
+    for u in queue:  # the BFS queue: nodes appended below are visited too
+        for a in adj[u]:
+            if cap[a] > 0:
+                w = head[a]
+                if via[w] == -1:
+                    via[w] = a
+                    if w == t:  # its path is fixed once it is reached
+                        return via
+                    queue.append(w)
+    return via
+
+
 class _TupleFlowNetwork:
     """The dict-keyed flow network that digraph.FlowNetwork replaced, kept
     verbatim for reference_menger: nodes are arbitrary hashables and each
