@@ -174,6 +174,11 @@ def _component_lb(G: Interned, net, bound: int) -> int:
     non-adjacent pairs, as flows from out_u to in_w.  It is exact up to the
     budget, which the network's other arcs exceed."""
     n = len(G.names)
+    # every path from a vertex with one successor to a vertex it misses runs
+    # through that successor: connectivity 1, the least a strong component
+    # allows, with no flow
+    if n > 2 and any(len(heads) == 1 for heads in G.succ):
+        return 1
     for u in range(n):
         near = set(G.succ[u])
         source = (net.out(u),)
@@ -189,14 +194,15 @@ def _component_lb(G: Interned, net, bound: int) -> int:
 
 
 def _offender_analysis(D: Digraph, Tset: frozenset, r: int, s: int, heavy):
-    """Either the string "linked" (lower bounds already exceed the budget)
-    or the offending components with their terminal counts, lower bounds and
-    split networks (None where none was built), in canonical order.  Only a
-    component whose bound needs flows, one that is not complete, is interned
-    and gets its network, once, shared with the exact engine."""
+    """Either None, the Linked verdict (lower bounds already exceed the
+    budget), or the offending components with their terminal counts, lower
+    bounds and split networks (None where none was built), in canonical
+    order.  Only a component whose bound needs flows, one that is not
+    complete, is interned and gets its network, once, shared with the exact
+    engine."""
     offenders = [(c, len(c & Tset)) for c in heavy]
     if len(offenders) > s:
-        return "linked"
+        return None
     bounds: dict[int, int] = {}
     splits: dict[int, tuple] = {}
     # largest surplus first; the stable sort keeps least-terminal order on ties
@@ -212,7 +218,7 @@ def _offender_analysis(D: Digraph, Tset: frozenset, r: int, s: int, heavy):
         bounds[i] = max(1, bound)
         total += bounds[i]
         if total + (len(offenders) - seen) > s:
-            return "linked"
+            return None
     return [(c, tc, bounds[i], splits.get(i)) for i, (c, tc) in enumerate(offenders)]
 
 
@@ -295,6 +301,9 @@ def _exact_search(D: Digraph, Tset: frozenset, r: int, s: int, offenders) -> fro
         cap, Tc = s - spent - remaining_lb, frozenset(comp & Tset)
         if cap < lb:
             return None
+        # on a small component, branching over its vertices beats pricing
+        # every terminal partition: the partition engine alone made the exact
+        # layer 2.4x slower at r = 1 on random queries with n = 6-16
         if len(comp) <= 12:
             cut = _branch_min_cut(D, comp, Tc, r, cap, lb)
         else:
@@ -320,11 +329,12 @@ def balanced_separator(inst: BalancedSeparatorInstance) -> BalancedSeparatorResu
     return _solve(inst.D, inst.T, inst.r, inst.s, frozenset())
 
 
-def _cheap_layers(D: Digraph, T: frozenset, r: int, s: int, X: frozenset,
-                  offenders: list[set] | None = None) -> BalancedSeparatorResult | list[set]:
-    """The normalize, empty and greedy layers of `_solve`: their verdict, or
-    the offending components of D minus X when none of them decides.  A
-    caller that holds those components already passes them as `offenders`."""
+def _solve(D: Digraph, T: frozenset, r: int, s: int, X: frozenset,
+           offenders: list[set] | None = None) -> BalancedSeparatorResult:
+    """`balanced_separator` on D minus X, with X a banned set instead of a
+    copy; T must avoid X.  The separator returned avoids X too.  `offenders`,
+    when given, are the offending components of D minus X, as
+    `offending_components(D, T, r, X)` lists them; no layer mutates them."""
     norm = _normalized_answer(T, r, s)
     if norm is not None:
         return _checked(D, T, r, s, X, norm)
@@ -337,24 +347,9 @@ def _cheap_layers(D: Digraph, T: frozenset, r: int, s: int, X: frozenset,
         # any separator contains all of T — out of budget here (s < |T|)
         return BalancedSeparatorResult(None)
     Z = _greedy_separator(D, T, r, s, offenders)
-    if Z is not None:
-        return _checked(D, T, r, s, X, Z)
-    return offenders
-
-
-def _solve(D: Digraph, T: frozenset, r: int, s: int, X: frozenset,
-           offenders: list[set] | None = None) -> BalancedSeparatorResult:
-    """`balanced_separator` on D minus X, with X a banned set instead of a
-    copy; T must avoid X.  The separator returned avoids X too.  `offenders`,
-    when given, are the offending components of D minus X, as
-    `offending_components(D, T, r, X)` lists them; no layer mutates them."""
-    offenders = _cheap_layers(D, T, r, s, X, offenders)
-    if isinstance(offenders, BalancedSeparatorResult):
-        return offenders
-    analysis = _offender_analysis(D, T, r, s, offenders)
-    if analysis == "linked":
-        return BalancedSeparatorResult(None)
-    Z = _exact_search(D, T, r, s, analysis)
+    if Z is None:
+        analysis = _offender_analysis(D, T, r, s, offenders)
+        Z = None if analysis is None else _exact_search(D, T, r, s, analysis)
     if Z is None:
         return BalancedSeparatorResult(None)
     return _checked(D, T, r, s, X, Z)

@@ -6,7 +6,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import comb
 from pathlib import Path
 
@@ -32,6 +32,7 @@ from util import (
     bidirected_clique,
     bidirected_cycle,
     brute_scc_partition,
+    dfs_path_exists,
     mixed_id_digraph,
     path_digraph,
     random_digraph,
@@ -314,6 +315,30 @@ def random_strong_component(rng: random.Random, n: int) -> Digraph:
             if u != v and rng.random() < p:
                 D.add_edge(u, v)
     return mixed_id_digraph(rng, D)
+
+
+def test_component_bound_matches_brute_internal_connectivity():
+    # the bound with and without its one-successor shortcut against the
+    # fewest inner vertices whose deletion cuts u from w, over non-adjacent
+    # pairs
+    rng = random.Random(0xC0B)
+    shortcut = Counter()
+    for _ in range(150):
+        D = random_strong_component(rng, rng.randint(3, 7))
+        vs = D.sorted_vertices()
+        for _ in range(rng.randint(0, 2 * len(vs))):
+            D.add_edge(*rng.sample(vs, 2))
+        pairs = [(u, w) for u in vs for w in vs if u != w and not D.has_edge(u, w)]
+        if not pairs:
+            continue
+        truth = min(next(size for size in range(len(vs))
+                         for S in combinations(set(vs) - {u, w}, size)
+                         if not dfs_path_exists(D.minus(S), {u}, {w}))
+                    for u, w in pairs)
+        G, net = balsep._split(D, set(vs), frozenset(), len(vs))
+        assert balsep._component_lb(G, net, len(vs) - 1) == truth
+        shortcut[any(len(heads) == 1 for heads in G.succ)] += 1
+    assert min(shortcut[True], shortcut[False]) >= 30, shortcut
 
 
 def test_partition_engine_matches_the_reference_engine():

@@ -1,5 +1,6 @@
 """Command-line contract: subcommands, exit codes, artifact round-trips,
 generator determinism, and the bench CSV."""
+import argparse
 import json
 import os
 import pathlib
@@ -8,12 +9,15 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+from collections import Counter
 from importlib.metadata import EntryPoint, entry_points
 
 import pytest
 
 import dirtw
 from dirtw import build_path_system, serialize_edge_list, Path
+from dirtw import cli
+from dirtw.balsep import brute_force_balanced_separator, is_balanced_separator
 from dirtw.cli import main
 
 from util import bidirected_clique, two_cycle_tail
@@ -224,7 +228,7 @@ def test_validate_certificate_respects_brute_cap(tmp_path, k6, capsys, monkeypat
     assert run_cli(["decompose", "-k", "2", k6, "-o", art], capsys)[0] == 10
     monkeypatch.setenv("DIRTW_BRUTE_CAP", "3,1")
     code, _, err = run_cli(["validate", k6, art], capsys)
-    assert code == 0 and "only the cheap layers ran" in err
+    assert code == 0 and "decided exactly by the solver" in err
     monkeypatch.setenv("DIRTW_BRUTE_CAP", "oops")
     assert run_cli(["validate", k6, art], capsys)[0] == 3
 
@@ -245,6 +249,41 @@ def test_validate_refutes_by_the_greedy_layer_above_the_brute_cap(tmp_path, caps
     monkeypatch.setenv("DIRTW_BRUTE_CAP", "3,1")
     code, _, err = run_cli(["validate", triangles, art], capsys)
     assert code == 1 and "not (2,1)-linked: separator [1, 4] found" in err
+
+
+def test_validate_refutes_by_the_exact_layers_above_the_brute_cap(tmp_path, capsys, monkeypatch):
+    # normalize, empty and greedy all find nothing here; a check that ran
+    # only them passed this certificate
+    g = str(tmp_path / "g.txt")
+    assert run_cli(["gen", "random", "5", "--seed", "696000", "--edges", "12", "-o", g], capsys)[0] == 0
+    art = write(tmp_path, "cert.json", json.dumps({"T": [1, 2, 3], "k": 1, "r": 1}))
+    monkeypatch.setenv("DIRTW_BRUTE_CAP", "0,0")
+    code, out, err = run_cli(["validate", g, art], capsys)
+    assert code == 1 and out == "" and "not (1,1)-linked: separator [2] found" in err
+
+
+def test_validate_above_the_brute_cap_agrees_with_the_brute_oracle(tmp_path, capsys, monkeypatch):
+    # certificates of the shape decompose emits, |T| = 2k + 1 and r = k,
+    # on small random graphs, decided with the cap at zero
+    monkeypatch.setenv("DIRTW_BRUTE_CAP", "0,0")
+    rng = random.Random(0xCE27)
+    verdicts = Counter()
+    for i in range(1200):
+        n, k = rng.randint(5, 10), rng.randint(1, 2)
+        D = cli._gen_graph("random", n, rng.randrange(2**31), rng.randint(n, 4 * n))
+        T = sorted(rng.sample(D.sorted_vertices(), 2 * k + 1))
+        graph = write(tmp_path, "g.txt", serialize_edge_list(D))
+        art = write(tmp_path, "cert.json", json.dumps({"T": T, "k": k, "r": k}))
+        code, out, err = run_cli(["validate", graph, art], capsys)
+        truth = brute_force_balanced_separator(D, T, k, k)
+        if truth.linked:
+            assert (code, out) == (0, "valid certificate\n"), (i, err)
+        else:
+            assert code == 1 and out == "", (i, T, k)
+            Z = json.loads(err.split("separator ")[1].split(" found")[0])
+            assert len(Z) <= k and is_balanced_separator(D, T, k, Z), (i, err)
+        verdicts[truth.linked] += 1
+    assert min(verdicts.values()) >= 200, verdicts
 
 
 @pytest.mark.parametrize("doc, reason", [
@@ -543,6 +582,41 @@ def test_unwritable_output_paths_exit_3(tmp_path, k6, capsys):
                  ["bench", suite, "-o", missing]):
         code, _, err = run_cli(argv, capsys)
         assert code == 3 and f"cannot write {missing}: " in err, argv
+
+
+# -- parser -------------------------------------------------------------------
+
+def test_main_builds_its_parser_once_and_answers_as_a_fresh_one(tmp_path, capsys, monkeypatch):
+    # valid but not nice: the child's bag {2, 3} holds two strong components
+    D = write(tmp_path, "d.txt", "1 2\n1 3\n")
+    art = write(tmp_path, "dec.json", json.dumps(
+        {"nodes": [{"id": 0, "bag": [1]}, {"id": 1, "bag": [2, 3]}],
+         "arcs": [{"from": 0, "to": 1, "guard": []}], "root": 0}))
+    calls = [["validate", "--nice", D, art], ["validate", D, art],
+             ["decompose", "-k", "1", D], ["decompose", D], ["gen", "dag", "6", "--seed", "2"],
+             ["gen", "dag", "6"], ["gen", "cycle", "6"], ["validate", "--nice", D, art]]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run_cli(argv, capsys))
+    assert [code for code, _, _ in fresh] == [1, 0, 0, 2, 0, 0, 2, 1]
+    assert "strong-component" in fresh[0][2] and fresh[1][1] == "valid decomposition\n"
+
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def spy_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        if self.prog == "dirtw":  # not one of its subcommand parsers
+            built.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy_init)
+    cli.build_parser.cache_clear()
+    try:
+        assert [run_cli(argv, capsys) for argv in calls] == fresh
+    finally:
+        cli.build_parser.cache_clear()
+    assert len(built) == 1
 
 
 # -- console entry point --------------------------------------------------------

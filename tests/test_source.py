@@ -45,6 +45,49 @@ def test_no_module_imports_a_name_it_never_uses():
     assert {name: lines for name, lines in unused.items() if lines} == {}
 
 
+# the validator reaches the solver only through its public entry point,
+# `balanced_separator`: the command line names nothing private of balsep.
+# The import of cli.py from when the certificate check ran only the cheap
+# layers of the solver, and two more ways to reach a private name
+CHEAP_CHECK_CLI = '''
+from .balsep import (
+    BalancedSeparatorInstance,
+    _cheap_layers,
+    balanced_separator,
+)
+from . import balsep
+from dirtw.balsep import _solve as solve
+
+
+def _validate_certificate(D, js):
+    return balsep._exact_search(D, js)
+'''
+
+
+def _private_balsep_names(source: str) -> list[str]:
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "balsep":
+            out.extend(f"line {alias.lineno}: imports {alias.name}" for alias in node.names
+                       if alias.name.startswith("_"))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "balsep" and node.attr.startswith("_")):
+            out.append(f"line {node.lineno}: uses balsep.{node.attr}")
+    return out
+
+
+def test_checker_flags_the_cheap_layers_import():
+    assert _private_balsep_names(CHEAP_CHECK_CLI) == [
+        "line 4: imports _cheap_layers", "line 8: imports _solve", "line 12: uses balsep._exact_search"]
+    assert _private_balsep_names("from .digraph import _parse_token\nfrom .balsep import balanced_separator\n") == []
+
+
+def test_cli_reaches_the_solver_through_its_public_entry():
+    source = (PACKAGE / "cli.py").read_text()
+    assert "balanced_separator" in source
+    assert _private_balsep_names(source) == []
+
+
 # questions about D minus Z that take Z as a banned set instead of a copy
 QUESTIONS = {"tarjan_sccs", "scc", "reachable", "guard_breach", "guard_screen",
              "offending_components", "is_balanced_separator"}
