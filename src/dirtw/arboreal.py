@@ -11,11 +11,13 @@ incident to the parent.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from collections import deque
 from collections.abc import Iterable
 
-from .digraph import Digraph, Vertex, _reach_set, guard_breach, guard_screen, scc, vsorted
+from .digraph import (Digraph, Vertex, _covers, _reach_set, _strongly_connected, guard_breach, guard_screen,
+                      scc, vsorted)
 from .balsep import BalancedSeparatorInstance, balanced_separator, offending_components
 
 
@@ -235,15 +237,29 @@ def validate(D: Digraph, dec: ArborealDecomposition, nice: bool = False) -> Vali
         groups: dict = {}
         for arc in sorted(dec.guards):
             groups.setdefault((arc[0], dec.guards[arc]) if disjoint else arc, []).append(arc)
-        screened = {}
+        screened = {}  # arc -> (the breach guard_breach names, one strong component?)
+        lone = {}  # head -> arc, for the arcs screened alone
         for arcs in groups.values():
+            if len(arcs) == 1:
+                lone[arcs[0][1]] = arcs[0]
+                continue
             guard = dec.guards[arcs[0]]
             parts = [set(flat[start[v]:stop[v]]) for _, v in arcs]
-            for arc, S, one in zip(arcs, parts, guard_screen(D, guard, parts, strong=nice)):
-                breach = None if one is not None else guard_breach(D, S, guard)
-                if one is None and breach is None:
-                    raise RuntimeError(f"the guard screen flagged the guarded arc {arc}")
+            for arc, S, one in zip(arcs, parts, guard_screen(D, guard, parts)):
+                screened[arc] = (None if one is not None else guard_breach(D, S, guard)), one
+        if not disjoint:
+            # a vertex in two bags or none of D: each arc by the definition
+            for v, arc in lone.items():
+                guard = dec.guards[arc]
+                S = set(flat[start[v]:stop[v]])
+                breach = guard_breach(D, S, guard)
+                one = None if breach is not None else nice and _strongly_connected(D, S - guard)
                 screened[arc] = breach, one
+        elif lone:
+            _screen_lone_arcs(D, dec, order, flat, start, stop, lone, screened, nice)
+        for arc, (breach, one) in screened.items():
+            if one is None and breach is None:
+                raise RuntimeError(f"the guard screen flagged the guarded arc {arc}")
 
         strong: list[Violation] = []
         for arc in sorted(dec.guards):
@@ -269,6 +285,111 @@ def validate(D: Digraph, dec: ArborealDecomposition, nice: bool = False) -> Vali
                             f"bag of child {child} meets guards incident to {node} at {vsorted(overlap)!r}"))
 
     return ValidationReport(dec.width, tuple(viols))
+
+
+def _screen_lone_arcs(D: Digraph, dec: ArborealDecomposition, order: list, flat: list, start: dict,
+                      stop: dict, lone: dict, screened: dict, nice: bool) -> None:
+    """Screen the lone arcs (`lone` maps each head to its arc) of a
+    decomposition whose bags partition vertices of D, bottom-up over the
+    preorder `order`, whose subtrees are the slices start..stop of `flat`.
+    Into `screened` goes each arc's (breach, one) pair, its `one` read only
+    with nice; the arcs screened in groups are there already.
+
+    Each node under a lone arc keeps `leaving`: the arcs from its beyond set
+    S to outside S, its bag's plus the children's that still leave S.  The
+    first outside stretch of any S -> S walk in D - Z starts on one of them,
+    so the screen walks from those.  Whether a guarded S - Z is strongly
+    connected is asked of a graph with each child subtree contracted to one
+    node.  That keeps the answer when the child's arc is one strong
+    component and the subtree avoids its own guard and Z; when a child
+    fails that, S - Z is walked instead."""
+    succ = D._succ
+    pos = {v: i for i, v in enumerate(flat)}
+
+    def strong(node: int, Z: frozenset, below: list) -> bool:
+        lo, hi = start[node], stop[node]
+        bag, kids = dec.bags[node], dec._children.get(node, ())
+        for child in kids:
+            a, b = start[child], stop[child]
+            if not screened[(node, child)][1] or any(a <= pos.get(z, -1) < b
+                                                     for z in dec.guards[(node, child)] | Z):
+                return _strongly_connected(D, set(flat[lo:hi]) - Z)
+        # node i < len(bag) is the bag vertex at lo + i, node len(bag) + j the
+        # subtree of child j
+        mid, firsts = lo + len(bag), [start[child] for child in kids]
+        fwd: list[list[int]] = [[] for _ in range(len(bag) + len(kids))]
+        bwd: list[list[int]] = [[] for _ in fwd]
+        tails = [(pos[x] - lo, succ[x]) for x in bag if x not in Z]
+        tails += [(len(bag) + j, [w for _, w in arcs]) for j, arcs in enumerate(below)]
+        for i, heads in tails:
+            for w in heads:
+                p = pos.get(w, -1)
+                if w in Z or not lo <= p < hi:
+                    continue
+                j = p - lo if p < mid else len(bag) + bisect_right(firsts, p) - 1
+                fwd[i].append(j)
+                bwd[j].append(i)
+        nodes = {i for i, _ in tails}
+        return bool(nodes) and _covers(fwd, min(nodes), nodes) and _covers(bwd, min(nodes), nodes)
+
+    under = set()  # the nodes that keep `leaving`
+    for node in order:
+        for child in dec._children.get(node, ()):
+            if child in lone or node in under:
+                under.add(child)
+    leaving: dict = {}
+    for node in reversed(order):
+        if node not in under:
+            continue
+        lo, hi = start[node], stop[node]
+        below = [leaving.pop(child) for child in dec._children.get(node, ())]
+        out = [(x, w) for x in dec.bags[node] for w in succ[x] if not lo <= pos.get(w, -1) < hi]
+        for arcs in below:
+            out += [(x, w) for x, w in arcs if not lo <= pos.get(w, -1) < hi]
+        leaving[node] = out
+        arc = lone.get(node)
+        if arc is None:
+            continue
+        Z = dec.guards[arc]
+        if _walks_back(succ, out, Z, pos, lo, hi):
+            screened[arc] = guard_breach(D, set(flat[lo:hi]), Z), None
+        else:
+            screened[arc] = None, nice and strong(node, Z, below)
+
+
+def _walks_back(succ: dict, out: list, Z: frozenset, pos: dict, lo: int, hi: int) -> bool:
+    """True iff a walk in D - Z that starts on one of the arcs `out`, the
+    arcs leaving the slice lo..hi of positions `pos`, comes back to it."""
+    seen = {w for x, w in out if x not in Z and w not in Z}
+    queue = list(seen)
+    for v in queue:  # the BFS queue: vertices appended below are visited too
+        for w in succ[v]:
+            if w in Z:
+                continue
+            if lo <= pos.get(w, -1) < hi:
+                return True
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return False
+
+
+def _split_components(D: Digraph, bag: set, Z: frozenset) -> list[frozenset]:
+    """The strong components of D - Z that the bag reaches, in the order
+    scc(D, Z) gives them.  They are those of the bag's forward closure: no
+    arc leaves the closure, so the components outside it never hold back one
+    inside it.  The closure is walked from one free bag vertex, and from the
+    bag vertices that walk missed; when it missed none, one backward walk
+    from that vertex, stopping once it has met all of the closure, tells
+    whether the closure is one component."""
+    start = next(v for v in bag if v not in Z)
+    closure = _reach_set(D, (start,), Z, forward=True)
+    missed = [v for v in bag if v not in closure and v not in Z]
+    if missed:
+        _reach_set(D, missed, Z, forward=True, seen=closure)
+    elif _covers(D._pred, start, closure):
+        return [frozenset(closure)]
+    return scc(D, within=closure).components
 
 
 def decompose(D: Digraph, k: int) -> ArborealDecomposition | LinkedSetCertificate:
@@ -314,11 +435,7 @@ def decompose(D: Digraph, k: int) -> ArborealDecomposition | LinkedSetCertificat
             raise RuntimeError(f"separator leaves {len(free)} free vertices in bag {r0}")
         Z = frozenset(result.separator | {min(free, key=rank.__getitem__)})
         first = len(bags)
-        # the strong components of D - Z that the bag reaches are those of
-        # its forward closure, and they come in the order scc(D, Z) gives
-        # them: no arc leaves the closure, so the components outside it never
-        # hold back one inside it
-        for comp in scc(D, within=_reach_set(D, bags[r0], Z, forward=True)):
+        for comp in _split_components(D, bags[r0], Z):
             if not comp & bags[r0]:
                 continue  # its pieces all miss the split bag
             for piece in scc(D, within=comp - T) if comp & T else [comp]:

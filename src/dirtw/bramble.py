@@ -9,7 +9,7 @@ path, Menger verification of well-linkedness, and the path-system builder.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from collections import deque
 from collections.abc import Iterable
 from itertools import combinations
@@ -85,10 +85,16 @@ def hitting_path(B: TBramble) -> Path:
     component: repeatedly route from the path's tip to the next
     terminal-heavy strong component of D minus the path, touching it only at
     the entry vertex."""
+    return _hitting_path(B)[0]
+
+
+def _hitting_path(B: TBramble) -> tuple[Path, list[set]]:
+    """`hitting_path(B)` and the terminal-heavy strong components of all of
+    D it started from, which the split iteration starts from too."""
     D, T, k = B.D, B.T, B.k
-    heavy = offending_components(D, T, k - 1)
+    heavy = whole = offending_components(D, T, k - 1)
     if not heavy:
-        return Path(D, [])
+        return Path(D, []), whole
     current = heavy[0]
     verts = [min(current & T, key=vkey)]
     added = list(verts)
@@ -103,7 +109,7 @@ def hitting_path(B: TBramble) -> Path:
         added = hop[1:]
         verts.extend(added)
         current = nxt
-    return Path(D, verts)
+    return Path(D, verts), whole
 
 
 @dataclass(frozen=True)
@@ -188,13 +194,14 @@ def well_linked_set(D: Digraph, cert: LinkedSetCertificate, k: int) -> tuple[Pat
         raise ValueError(f"certificate does not match target {k}: "
                          f"need k = r = {g - 1} with |T| = {2 * g - 1}")
     bramble = TBramble(D, cert.T, g)
-    path = hitting_path(bramble)
+    path, heavy = _hitting_path(bramble)
     if k == 1:
         # the split iteration needs a successor beyond the final path
         # vertex, which a one-element hitting path cannot offer; any single
         # vertex is vacuously well-linked
         return path, frozenset({path.last})
-    state = SplitState.initial(bramble, k, path, g)
+    # nothing is blocked yet: the split starts from the components the path did
+    state = replace(SplitState.initial(bramble, k, path, g), offenders=heavy)
     for _ in range(k):
         state = extend_split(state)
     anchors = frozenset(state.anchors)

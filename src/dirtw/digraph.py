@@ -8,7 +8,6 @@ graph: the strong components or reach of D minus Z are computed on D itself.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 
 Vertex = int | str | tuple
@@ -190,26 +189,29 @@ class SccDecomposition:
         return iter(self.components)
 
 
+def _covers(adj, start: Vertex, X: set) -> bool:
+    """True iff the walk from start along `adj` (D._succ, D._pred, or lists
+    indexed by int nodes) through vertices of X meets all of X: it crosses
+    them off a `todo` set and stops once that is empty."""
+    todo = set(X)
+    todo.discard(start)
+    stack = [start]
+    while stack and todo:
+        for w in adj[stack.pop()]:
+            if w in todo:
+                todo.remove(w)
+                stack.append(w)
+    return not todo
+
+
 def _strongly_connected(D: Digraph, X: set) -> bool:
     """True iff X is a non-empty vertex set of D, strongly connected inside
     itself: walks from one of its vertices, forward and backward within X,
-    each meet all of X (they never meet an id outside D), stopping once they have."""
+    each meet all of X (they never meet an id outside D)."""
     start = next(iter(X), None)
     if not X or start not in D._succ:
         return False
-    for adj in (D._succ, D._pred):
-        seen = {start}
-        queue = [start]
-        for v in queue:  # the BFS queue: vertices appended below are visited too
-            if len(seen) == len(X):
-                break
-            for w in adj[v]:
-                if w not in seen and w in X:
-                    seen.add(w)
-                    queue.append(w)
-        if len(seen) != len(X):
-            return False
-    return True
+    return _covers(D._succ, start, X) and _covers(D._pred, start, X)
 
 
 def tarjan_sccs(D: Digraph, banned: Iterable[Vertex] = (), within: set | None = None) -> list[set]:
@@ -308,16 +310,24 @@ def scc(D: Digraph, banned: Iterable[Vertex] = (), within: set | None = None) ->
     return SccDecomposition(ordered)
 
 
-def _reach_set(D: Digraph, sources: Iterable[Vertex], banned: set, forward: bool) -> set:
-    seen = {v for v in sources if v in D and v not in banned}
-    queue = deque(seen)
-    while queue:
-        v = queue.popleft()
-        nbrs = D.out_neighbors(v) if forward else D.in_neighbors(v)
-        for w in nbrs:
+def _reach_set(D: Digraph, sources: Iterable[Vertex], banned: set, forward: bool,
+               seen: set | None = None) -> set:
+    """The vertices of D minus banned reachable from sources (backward along
+    the arcs unless `forward`).  Given `seen`, the reach of an earlier walk,
+    the walk continues it: it adds to `seen` and never re-enters it."""
+    adj = D._succ if forward else D._pred
+    new = {v for v in sources if v in adj and v not in banned}
+    if seen is None:
+        seen = new
+    else:
+        new -= seen
+        seen |= new
+    stack = list(new)
+    while stack:
+        for w in adj[stack.pop()]:
             if w not in seen and w not in banned:
                 seen.add(w)
-                queue.append(w)
+                stack.append(w)
     return seen
 
 
@@ -351,45 +361,18 @@ def is_guarded(D: Digraph, S: Iterable[Vertex], Z: Iterable[Vertex]) -> bool:
     return guard_breach(D, S, Z) is None
 
 
-def guard_screen(D: Digraph, Z: Iterable[Vertex], parts: Sequence[set],
-                 strong: bool = True) -> list[bool | None]:
+def guard_screen(D: Digraph, Z: Iterable[Vertex], parts: Sequence[set]) -> list[bool | None]:
     """Per vertex set S of `parts`: None when S is not Z-guarded (when
     `guard_breach(D, S, Z)` names a vertex), else whether S minus Z is one
-    strong component of D minus Z.  Two or more parts must hold vertices of
-    D only and be pairwise disjoint outside Z.
+    strong component of D minus Z.  The parts must hold vertices of D only
+    and be pairwise disjoint outside Z.
 
-    One part costs one walk: from the out-arcs of S - Z through vertices
-    outside S and Z, stopping at the first arc back into S, since the first
-    outside stretch of any S -> S walk is such a path.  Two more walks,
-    inside S - Z, tell whether a guarded part is one strong component; a
-    caller that needs only guardedness turns `strong` off and reads False
-    there instead.  Several parts share
-    one Tarjan pass over D minus Z, each vertex labelled by its part.  A part
-    is breached iff a strong component holds its vertices and others, or a
-    path of the condensation leaves the part and comes back to it."""
+    The parts share one Tarjan pass over D minus Z, each vertex labelled by
+    its part.  A part is breached iff a strong component holds its vertices
+    and others, or a path of the condensation leaves the part and comes back
+    to it."""
     Zset = Z if isinstance(Z, (set, frozenset)) else set(Z)
     succ = D._succ
-    if len(parts) == 1:
-        S = parts[0]
-        X = S - Zset
-        seen: set = set()
-        queue = []
-        for v in X:
-            for w in succ.get(v, ()):
-                if w not in S and w not in Zset and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        for v in queue:  # the BFS queue: vertices appended below are visited too
-            for w in succ[v]:
-                if w in Zset:
-                    continue
-                if w in S:
-                    return [None]
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return [strong and _strongly_connected(D, X)]
-
     label = {}
     for i, S in enumerate(parts):
         for v in S:

@@ -18,7 +18,7 @@ from dirtw import (
 
 from dirtw import arboreal, balsep, digraph
 from dirtw.cli import _gen_graph
-from dirtw.digraph import tarjan_sccs
+from dirtw.digraph import tarjan_sccs, vsorted
 from util import (
     bidirected_clique,
     bidirected_cycle,
@@ -26,6 +26,7 @@ from util import (
     mixed_id_digraph,
     path_digraph,
     pendant_pairs_digraph,
+    random_decomposition,
     random_digraph,
     reference_decompose,
     reference_validate,
@@ -175,23 +176,97 @@ def test_reports_equal_the_per_arc_reference_validator():
     assert min(clauses.values()) > 50, clauses
 
 
+CORRUPTIONS = ["move", "duplicate", "foreign", "drop guard", "add guard", "replace guard"]
+
+
+def corrupted(rng: random.Random, D, dec: ArborealDecomposition, kind: str) -> ArborealDecomposition:
+    """dec after one corruption: a bag vertex moved to another bag, copied
+    into a second bag or joined by an id outside D, or a guard vertex
+    dropped from an arc's guard, added to it or replaced in it."""
+    bags = {node: set(bag) for node, bag in dec.bags.items()}
+    guards = dict(dec.guards)
+    vs = D.sorted_vertices()
+    nodes = sorted(bags)
+    if kind in ("move", "duplicate"):
+        v = rng.choice(vs)
+        if kind == "move":
+            for bag in bags.values():
+                bag.discard(v)
+        bags[rng.choice(nodes)].add(v)
+    elif kind == "foreign":
+        bags[rng.choice(nodes)].add(rng.choice(["ghost", -99, ("g", 1)]))
+    elif guards:
+        arc = rng.choice(sorted(guards))
+        guard = set(guards[arc])
+        if kind != "add guard" and guard:
+            guard.discard(rng.choice(vsorted(guard)))
+        if kind != "drop guard":
+            guard.add(rng.choice(vs))
+        guards[arc] = frozenset(guard)
+    return ArborealDecomposition(dec.root, bags, guards)
+
+
+def test_reports_equal_the_per_arc_screen_on_deep_and_wide_trees():
+    # decompose builds path-like trees on bicycles, where every arc is
+    # screened alone over contracted child subtrees, and stars on dags,
+    # whose sibling arcs share a guard; random graphs give both.  Each tree,
+    # as built and corrupted, gets the report of the per-arc screen
+    rng = random.Random(18)
+    decs = 0
+    kinds = dict.fromkeys(CORRUPTIONS, 0)
+    clauses = dict.fromkeys(["guarded", "strong-component", "child-guard", "partition"], 0)
+    while decs < 2000:
+        family = rng.choice(["random", "bicycle", "dag"])
+        n = rng.randint(3, 40)
+        D = _gen_graph(family, n, rng.randrange(10**6), rng.randint(n, 3 * n) if family == "random" else None)
+        if rng.random() < 0.3:
+            D = mixed_id_digraph(rng, D)
+        built = [random_decomposition(rng, D)]
+        for k in (1, 2, 3):
+            dec = decompose(D, k)
+            if isinstance(dec, ArborealDecomposition):
+                built.append(dec)
+        for dec in built:
+            for kind in [None] + rng.sample(CORRUPTIONS, 3):
+                tampered = dec if kind is None else corrupted(rng, D, dec, kind)
+                decs += 1
+                for nice in (False, True):
+                    report = validate(D, tampered, nice)
+                    assert report == reference_validate(D, tampered, nice), (family, kind, nice)
+                    for clause in {v.clause for v in report.violations}:
+                        clauses[clause] += 1
+                if kind is not None:
+                    kinds[kind] += 1
+    assert min(kinds.values()) > 150 and min(clauses.values()) > 50, (kinds, clauses)
+
+
 def test_validate_without_nice_runs_no_strong_test(monkeypatch):
     # bidirected cycle 30 at k = 2 decomposes into a path-like tree, one
-    # guard per arc, so every arc goes through the lone-part screen
+    # guard per arc, so every arc is screened alone.  decompose asks its
+    # strong-component questions of strongly connected sets only, which
+    # tarjan_sccs answers before a pass; with nice, validate contracts each
+    # child subtree and walks no beyond set, and without it asks nothing
     D = bidirected_cycle(30)
-    dec = decompose(D, 2)
-    calls = []
-    real = digraph._strongly_connected
+    strong_calls, passes = [], []
+    real_strong, real_tarjan = digraph._strongly_connected, digraph.tarjan_sccs
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-    monkeypatch.setattr(digraph, "_strongly_connected", counted)
+    def strong(*args):
+        strong_calls.append(args)
+        return real_strong(*args)
+
+    def tarjan(G, banned=(), within=None):
+        passes.append(within is None or bool(banned) or not real_strong(G, within))
+        return real_tarjan(G, banned, within)
+    monkeypatch.setattr(digraph, "tarjan_sccs", tarjan)
+    monkeypatch.setattr(balsep, "tarjan_sccs", tarjan)
+    dec = decompose(D, 2)
+    assert len(dec.guards) > 10 and not any(passes)
+    for module in (digraph, arboreal):
+        monkeypatch.setattr(module, "_strongly_connected", strong)
     assert validate(D, dec, nice=True).ok
-    assert len(calls) >= len(dec.guards) > 10
-    calls.clear()
+    assert strong_calls == []
     assert validate(D, dec).ok
-    assert calls == []
+    assert strong_calls == []
 
 
 def test_validate_screens_each_sibling_group_with_one_pass(monkeypatch):

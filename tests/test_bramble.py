@@ -330,6 +330,28 @@ def test_split_iteration_carries_the_offending_components(monkeypatch):
     assert not field.compare and not field.hash and not field.repr
 
 
+def test_well_linked_set_makes_one_whole_graph_offender_pass(monkeypatch):
+    # the hitting path and the first split step both start from the
+    # offending components of all of D, so one pass finds them for both
+    calls = []
+    real = bramble.offending_components
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(bramble, "offending_components", counted)
+    for k in (2, 3):
+        g = order_parameter(k)
+        D = bidirected_clique(3 * g)
+        cert = decompose(D, g)
+        assert isinstance(cert, LinkedSetCertificate)
+        calls.clear()
+        path, anchors = well_linked_set(D, cert, k)
+        assert len(calls) == 1
+        assert path.vertices == hitting_path(TBramble(D, cert.T, g)).vertices
+        assert len(anchors) == k and verify_well_linked(D, anchors)
+
+
 # -- well-linked sets --------------------------------------------------------
 
 def test_well_linked_singleton():

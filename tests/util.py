@@ -580,10 +580,35 @@ def reference_complement_order_at_most(B: TBramble, X, s: int) -> tuple[bool, fr
     return True, result.separator
 
 
+def _walks_out_and_back(D: Digraph, S, Z) -> bool:
+    """True iff some walk in D minus Z leaves S minus Z and comes back to it:
+    a walk from the out-arcs of every vertex of S - Z through vertices off S
+    and Z, stopping at the first arc back into S - Z."""
+    seen: set = set()
+    queue = []
+    for v in S - Z:
+        for w in D._succ.get(v, ()):
+            if w not in S and w not in Z and w not in seen:
+                seen.add(w)
+                queue.append(w)
+    for v in queue:
+        for w in D._succ[v]:
+            if w in Z:
+                continue
+            if w in S:
+                return True
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return False
+
+
 def reference_validate(D: Digraph, dec: ArborealDecomposition, nice: bool = False) -> ValidationReport:
-    """validate as it was with two whole-graph walks per arc (`guard_breach`
-    on each arc's beyond set) and widths from a scan of every guard per node,
-    kept as the reference of the grouped guard screen."""
+    """validate as it was with one screen per arc: a walk out of the arc's
+    beyond set S from the out-arcs of every vertex of S minus the guard, then
+    `_strongly_connected` over that set, and widths from a scan of every
+    guard per node; kept as the reference of the grouped guard screen and
+    of the bottom-up screen with its contracted child subtrees."""
     viols = _structure_violations(dec)
     structure_ok = not viols
 
@@ -616,7 +641,7 @@ def reference_validate(D: Digraph, dec: ArborealDecomposition, nice: bool = Fals
         for arc in sorted(dec.guards):
             guard = dec.guards[arc]
             S = dec.beyond(arc)
-            breach = guard_breach(D, S, guard)
+            breach = guard_breach(D, S, guard) if _walks_out_and_back(D, S, guard) else None
             if breach is not None:
                 viols.append(Violation(
                     "guarded", f"arc {arc}: walk leaves the beyond-arc set and re-enters via {breach!r}"))
