@@ -438,7 +438,11 @@ def decompose(D: Digraph, k: int) -> ArborealDecomposition | LinkedSetCertificat
         for comp in _split_components(D, bags[r0], Z):
             if not comp & bags[r0]:
                 continue  # its pieces all miss the split bag
-            for piece in scc(D, within=comp - T) if comp & T else [comp]:
+            pieces = [comp]
+            if comp & T:  # two walks settle a rest that stays strongly connected
+                rest = comp - T
+                pieces = [rest] if _strongly_connected(D, rest) else scc(D, within=rest)
+            for piece in pieces:
                 inside = piece & bags[r0]
                 if inside and inside != piece:  # guarded bags split cleanly
                     raise RuntimeError(f"a piece straddles bag {r0}")

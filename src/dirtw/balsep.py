@@ -22,7 +22,8 @@ from functools import cache
 from itertools import accumulate, combinations
 from collections.abc import Callable, Iterable, Iterator
 
-from .digraph import Digraph, Interned, Vertex, split_network, tarjan_sccs, vkey, vsorted
+from .digraph import (Digraph, Interned, Vertex, _strongly_connected, split_network, tarjan_sccs, vkey,
+                      vsorted)
 from .lincut import TerminalSequence, _CutOracle, _lec_solve
 
 
@@ -98,7 +99,8 @@ def offending_components(D: Digraph, T: Iterable[Vertex], r: int, Z: Iterable[Ve
     heavy = [c for c in tarjan_sccs(D, Z) if len(c & Tset) > r]
     # a negative quota also counts components without terminals; those
     # keep their emission order ahead of the rest
-    heavy.sort(key=lambda c: min(map(vkey, c & Tset), default=()))
+    if len(heavy) > 1:
+        heavy.sort(key=lambda c: min(map(vkey, c & Tset), default=()))
     return heavy
 
 
@@ -107,7 +109,8 @@ def _refine_offenders(D: Digraph, Tset: frozenset, r: int, heavy: list[set], W: 
     minus Z, without a pass over the whole graph.  Deleting W only splits
     the components it meets: a component C it misses is kept, and C - W,
     if it still holds more than r terminals, is split into its own strong
-    pieces.  Equals offending_components(D, Tset, r, Z | W) for r >= 0."""
+    pieces, unless two walks find it still strongly connected.  Equals
+    offending_components(D, Tset, r, Z | W) for r >= 0."""
     W = set(W)
     out = []
     for C in heavy:
@@ -117,8 +120,12 @@ def _refine_offenders(D: Digraph, Tset: frozenset, r: int, heavy: list[set], W: 
         rest = C - W
         if len(rest & Tset) <= r:
             continue
-        out.extend(c for c in tarjan_sccs(D, within=rest) if len(c & Tset) > r)
-    out.sort(key=lambda c: min(map(vkey, c & Tset)))
+        if _strongly_connected(D, rest):
+            out.append(rest)
+        else:
+            out.extend(c for c in tarjan_sccs(D, within=rest) if len(c & Tset) > r)
+    if len(out) > 1:
+        out.sort(key=lambda c: min(map(vkey, c & Tset)))
     return out
 
 

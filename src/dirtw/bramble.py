@@ -14,7 +14,7 @@ from collections import deque
 from collections.abc import Iterable
 from itertools import combinations
 
-from .digraph import Digraph, Interned, Path, Vertex, linkage, split_network, vkey
+from .digraph import Digraph, Interned, Path, Vertex, _reach_set, linkage, split_network, vkey
 from .balsep import _refine_offenders, _solve, is_balanced_separator, offending_components
 from .arboreal import LinkedSetCertificate
 
@@ -210,18 +210,50 @@ def well_linked_set(D: Digraph, cert: LinkedSetCertificate, k: int) -> tuple[Pat
     return path, anchors
 
 
+def _revolving_door(n: int, t: int) -> list[tuple]:
+    """The t-subsets of range(n), each an ascending tuple, in revolving-door
+    order (Knuth, TAOCP 4A, §7.2.1.3): each differs from the one before it
+    by one element dropped and one added."""
+    if t == 0:
+        return [()]
+    if t > n:
+        return []
+    return _revolving_door(n - 1, t) + [c + (n - 1,) for c in reversed(_revolving_door(n - 1, t - 1))]
+
+
 def verify_well_linked(D: Digraph, A: Iterable[Vertex]) -> bool:
     """Exhaustive Menger check: every pair of disjoint equal-size subsets
     X, Y of A is joined by |X| vertex-disjoint X -> Y paths.  Exponential in
-    |A|; meant for small anchor sets."""
+    |A|; meant for small anchor sets.  A vertex of A outside D is a
+    ValueError; repeats in A count once.
+
+    The pairs of single vertices ask that A lie in one strong component,
+    which a forward and a backward walk from one vertex of A decide.  For a
+    larger X the Y's come in revolving-door order and share one flow: each
+    step trades one sink for another and augments once."""
+    items = list(dict.fromkeys(A))
+    for v in items:
+        if v not in D:
+            raise ValueError(f"terminal {v!r} not in digraph")
+    if len(items) < 2:
+        return True
+    for forward in (True, False):
+        if not _reach_set(D, items[:1], set(), forward).issuperset(items):
+            return False
+    if len(items) < 4:  # no pair of disjoint 2-sets
+        return True
     G = Interned(D, D.vertices())
     net = split_network(G)
-    items = sorted(G.ids(A))
-    for size in range(1, len(items) // 2 + 1):
-        for X in combinations(items, size):
-            rest = [net.out(v) for v in items if v not in X]  # the sink arcs leave out-nodes
-            for Y in combinations(rest, size):
-                if net.flow(X, Y, size) < size:
+    ids = sorted(G.ids(items))
+    for size in range(2, len(ids) // 2 + 1):
+        door = _revolving_door(len(ids) - size, size)
+        swaps = [(min(set(p) - set(q)), min(set(q) - set(p))) for p, q in zip(door, door[1:])]
+        for X in combinations(ids, size):
+            rest = [net.out(v) for v in ids if v not in X]  # the sink arcs leave out-nodes
+            if net.flow(X, [rest[i] for i in door[0]], size) < size:
+                return False
+            for old, new in swaps:
+                if not net.swap_sink(rest[old], rest[new]):
                     return False
     return True
 

@@ -233,6 +233,8 @@ def _validate_welllinked(D: Digraph, js: dict) -> list[str]:
     problems = [f"anchor {v!r} not on the path" for v in A if v not in P]
     if problems:
         return problems
+    if len(set(A)) < len(A):  # verify_well_linked counts a repeat once
+        return ["an anchor is listed twice"]
     if len(A) <= MENGER_CAP:
         if not verify_well_linked(D, A):
             return ["anchor set is not well-linked (Menger check failed)"]

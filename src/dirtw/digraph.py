@@ -220,9 +220,8 @@ def tarjan_sccs(D: Digraph, banned: Iterable[Vertex] = (), within: set | None = 
     # public callers go through scc().  Banned vertices start out finished
     # and off the stack, so the walk matches one over D.minus(banned).  With
     # `within`, a vertex set of D, the walk is one over D.induced(within)
-    # minus banned, and a set the two walks find strongly connected needs none.
-    if within is not None and not banned and _strongly_connected(D, within):
-        return [set(within)]
+    # minus banned.  A caller whose sets are often strongly connected asks
+    # `_strongly_connected` first, whose two walks then spare the pass.
     succ = D._succ
     index: dict[Vertex, int] = dict.fromkeys(banned, -1)
     low: dict[Vertex, int] = {}
@@ -314,7 +313,9 @@ def _reach_set(D: Digraph, sources: Iterable[Vertex], banned: set, forward: bool
                seen: set | None = None) -> set:
     """The vertices of D minus banned reachable from sources (backward along
     the arcs unless `forward`).  Given `seen`, the reach of an earlier walk,
-    the walk continues it: it adds to `seen` and never re-enters it."""
+    the walk continues it: it adds to `seen` and never re-enters it.  The
+    walk stops once it has seen every vertex of D minus banned, which on a
+    dense host is after the first few adjacency lists."""
     adj = D._succ if forward else D._pred
     new = {v for v in sources if v in adj and v not in banned}
     if seen is None:
@@ -322,8 +323,9 @@ def _reach_set(D: Digraph, sources: Iterable[Vertex], banned: set, forward: bool
     else:
         new -= seen
         seen |= new
+    whole = len(adj) - len(adj.keys() & banned)  # banned may hold ids outside D
     stack = list(new)
-    while stack:
+    while stack and len(seen) < whole:
         for w in adj[stack.pop()]:
             if w not in seen and w not in banned:
                 seen.add(w)
@@ -456,7 +458,8 @@ class FlowNetwork:
     classes come first, in ascending (tail, head) order, as the even ids
     below `classes`; each costs its capacity as built.  Then each node v
     below `source` gets arcs source -> v and v -> sink, built switched off.
-    `flow`, the one way to ask a question, first restores the capacities.
+    `flow`, the one way to ask a question, first restores the capacities;
+    `swap_sink` carries its flow over to the question with one sink traded.
     A split network has `n` vertices and `gadget`, the gadget node of each
     terminal (`split_network`); an edge network has n = 0 (`edge_network`)."""
 
@@ -516,6 +519,28 @@ class FlowNetwork:
         for y in Y:
             cap[base + 4 * y + 2] = limit
         return self.max_flow(self.source, self.sink, limit=limit)
+
+    def swap_sink(self, old: int, new: int) -> int:
+        """Carry the flow of the last question over to one whose sinks trade
+        node `old` for `new`, where no node carries more than one unit (so
+        on a split network's vertex nodes): cancel the unit leaving through
+        old's sink arc, walking back to the source along the arcs that carry
+        it, move that arc's capacity to new's sink arc and augment once.
+        The flow gained, 0 or 1; the flow lost is the unit cancelled."""
+        cap, head, adj = self.cap, self.head, self.adj
+        a = self.classes + 4 * old + 2
+        if cap[a ^ 1]:  # old's sink arc carries a unit
+            cap[a] += 1
+            cap[a ^ 1] -= 1
+            node = old
+            while node != self.source:
+                # the one reverse arc with room here is that of the arc carrying the unit in
+                b = next(b for b in adj[node] if b & 1 and cap[b])
+                cap[b] -= 1
+                cap[b ^ 1] += 1
+                node = head[b]
+        cap[self.classes + 4 * new + 2], cap[a] = cap[a], 0
+        return self.max_flow(self.source, self.sink, limit=1)
 
     def ends(self, a: int) -> tuple[int, int]:
         """The (tail, head) pair of arc a."""

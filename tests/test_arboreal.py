@@ -3,6 +3,7 @@ frozen shapes, tampering checks, the dichotomy property on random digraphs,
 and haven queries."""
 import json
 import random
+import sys
 
 import pytest
 
@@ -18,7 +19,7 @@ from dirtw import (
 
 from dirtw import arboreal, balsep, digraph
 from dirtw.cli import _gen_graph
-from dirtw.digraph import tarjan_sccs, vsorted
+from dirtw.digraph import scc, tarjan_sccs, vsorted
 from util import (
     bidirected_clique,
     bidirected_cycle,
@@ -408,6 +409,36 @@ def test_decompose_equals_the_whole_graph_split_reference():
             assert isinstance(out, ArborealDecomposition) and out.to_json() == want.to_json()
             outcomes["dec"] += 1
     assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_only_the_callers_that_profit_test_strong_connectivity_first(monkeypatch):
+    # a closure whose forward walk missed a bag vertex cannot be strongly
+    # connected, so the split sends it to Tarjan without two more walks;
+    # decompose's pieces and the offender refinement often are one piece
+    callers = []
+    real = digraph._strongly_connected
+
+    def spy(D, X):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(D, X)
+    for module in (digraph, arboreal, balsep):
+        monkeypatch.setattr(module, "_strongly_connected", spy)
+    D = path_digraph(1, 2, 3)
+    D.add_edge(3, 2)
+    D.add_vertex(4)
+    for bag in ({1, 2}, {2, 4}, {1, 3, 4}, {2, 3}):
+        comps = arboreal._split_components(D, bag, frozenset())
+        closure = set().union(*comps)
+        assert comps == scc(D, within=closure).components
+        assert bag <= closure
+    assert callers == []
+    balsep._refine_offenders(D, frozenset({1, 2, 3}), 1, [{2, 3}], [1])
+    assert callers == []  # the component misses the deleted vertex
+    K = bidirected_clique(6)
+    assert balsep._refine_offenders(K, frozenset(range(1, 7)), 2, [set(range(1, 7))], [6]) == [set(range(1, 6))]
+    assert callers == ["_refine_offenders"]
+    decompose(bidirected_cycle(30), 2)
+    assert set(callers) == {"_refine_offenders", "decompose"}
 
 
 def test_decompose_splits_inside_the_forward_closure(monkeypatch):

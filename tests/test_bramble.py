@@ -7,10 +7,12 @@ import sys
 
 import pytest
 from dataclasses import fields, replace
+from itertools import combinations
 
 import dirtw
 from dirtw import bramble
 from dirtw.balsep import offending_components
+from dirtw.digraph import _reach_set, scc
 from dirtw import (
     Digraph,
     LinkedSetCertificate,
@@ -40,6 +42,8 @@ from util import (
     path_digraph,
     random_digraph,
     reference_complement_order_at_most,
+    reference_verify_well_linked,
+    shuffled_digraph,
 )
 
 
@@ -389,6 +393,68 @@ def test_verify_well_linked_examples():
     assert not verify_well_linked(line, {"a", "c"})  # no way back from c
     assert verify_well_linked(bidirected_cycle(5), {1, 2})
     assert verify_well_linked(bidirected_cycle(6), {2, 5})
+
+
+def test_revolving_door_visits_each_subset_once_one_swap_apart():
+    for n in range(7):
+        for t in range(n + 2):
+            door = bramble._revolving_door(n, t)
+            assert sorted(door) == list(combinations(range(n), t))
+            assert all(len(set(p) ^ set(q)) == 2 for p, q in zip(door, door[1:]))
+
+
+def test_verify_well_linked_matches_the_per_pair_flows():
+    # the walks settle the single pairs and the revolving door carries one
+    # flow per X; the reference asks a fresh flow for every pair
+    rng = random.Random(47)
+    kinds = dict.fromkeys(["well-linked, |A| >= 5", "refused by a flow", "A over several components",
+                           "refused by the backward walk alone"], 0)
+    for _ in range(2000):
+        D = mixed_id_digraph(rng, shuffled_digraph(rng, rng.randint(1, 9)))
+        vs = D.sorted_vertices()
+        A = rng.sample(vs, rng.randint(0, min(6, len(vs))))
+        verdict = verify_well_linked(D, A)
+        assert verdict == reference_verify_well_linked(D, A), (sorted(D.edge_classes(), key=repr), A)
+        comps = {c for c in scc(D).components if not c.isdisjoint(A)}
+        if len(comps) > 1:
+            kinds["A over several components"] += 1
+            kinds["refused by the backward walk alone"] += set(A) <= _reach_set(D, A[:1], set(), True)
+        elif verdict:
+            kinds["well-linked, |A| >= 5"] += len(A) >= 5
+        else:
+            kinds["refused by a flow"] += 1
+    assert min(kinds.values()) > 50, kinds
+
+
+def test_verify_well_linked_input_contract():
+    # the walks and the early returns come before any interning: a vertex
+    # outside D is still refused, repeats count once, and python -O strips
+    # no guard
+    script = (
+        "from dirtw import Digraph, verify_well_linked\n"
+        "D = Digraph()\n"
+        "for i in range(1, 6):\n"
+        "    D.add_bidirected(i, i % 5 + 1)\n"
+        "D.add_vertex('lone')\n"
+        "for A in ([9], [1, 'ghost'], [1, 2, (9,)], [1, 2, 3, 0], [0, 1, 2, 3, 4, 5]):\n"
+        "    try:\n"
+        "        print(verify_well_linked(D, A))\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+        "for A in ([], ['lone'], [3], [1, 1], [1, 2, 1, 2], [1, 2, 3, 4, 1, 3], ['lone', 1, 'lone']):\n"
+        "    print(verify_well_linked(D, A))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dirtw.__file__)))
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "terminal 9 not in digraph", "terminal 'ghost' not in digraph", "terminal (9,) not in digraph",
+            "terminal 0 not in digraph", "terminal 0 not in digraph",
+            "True", "True", "True", "True", "True", "True", "False"]
+    D = bidirected_cycle(5)
+    assert verify_well_linked(D, [1, 2, 3, 4, 1, 3]) == reference_verify_well_linked(D, [1, 2, 3, 4])
 
 
 # -- path systems ------------------------------------------------------------

@@ -393,6 +393,10 @@ def test_validate_welllinked_tampering(tmp_path, capsys):
     art = write(tmp_path, "wl.json", json.dumps({"path": [1, 2, 3], "A": [3, 9]}))
     code, _, err = run_cli(["validate", k15, art], capsys)
     assert code == 1 and "not on the path" in err
+    for A in ([1, 2, 1], [1, 2, 3, 1]):
+        art = write(tmp_path, "wl.json", json.dumps({"path": [1, 2, 3], "A": A}))
+        code, _, err = run_cli(["validate", k15, art], capsys)
+        assert code == 1 and "an anchor is listed twice" in err
 
 
 def test_validate_pathsystem(tmp_path, capsys):

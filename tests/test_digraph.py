@@ -24,8 +24,8 @@ from dirtw import (
 )
 from dirtw.arboreal import _structure_violations
 from dirtw.bramble import verify_well_linked
-from dirtw.digraph import (FlowNetwork, Interned, _strongly_connected, edge_network, guard_breach, guard_screen,
-                           split_network, tarjan_sccs)
+from dirtw.digraph import (FlowNetwork, Interned, _reach_set, _strongly_connected, edge_network, guard_breach,
+                           guard_screen, split_network, tarjan_sccs)
 from dirtw.lincut import _CutOracle
 from util import (
     bidirected_clique,
@@ -40,6 +40,7 @@ from util import (
     reference_menger,
     reference_bfs,
     reference_parse_edge_list,
+    reference_reach_set,
     shuffled_digraph,
     subsets_up_to,
     tampered_decompositions,
@@ -194,6 +195,47 @@ def test_reachable_matches_dfs_oracle():
         X = [v for v in D.vertices() if rng.random() < 0.3] + ["ghost"]
         Y = [v for v in D.vertices() if rng.random() < 0.3] + [0]
         assert reachable(D, X, Y) == dfs_path_exists(D, X, Y)
+
+
+def test_reach_set_matches_the_full_walk():
+    # the walk stops once it has seen every vertex of D minus banned; the
+    # reference reads every list it reaches, so the sets must be equal
+    rng = random.Random(43)
+    kinds = dict.fromkeys(["all of D - banned", "part of it", "continued"], 0)
+    for _ in range(1500):
+        D = mixed_id_digraph(rng, shuffled_digraph(rng, rng.randint(1, 9)))
+        vs = D.sorted_vertices()
+        banned = set(rng.sample(vs, rng.randint(0, len(vs) // 2)))
+        banned |= set(rng.sample(["ghost", 99, (7, "x")], rng.randint(0, 2)))  # ids outside D
+        sources = rng.sample(vs, rng.randint(1, min(3, len(vs)))) + ["ghost"] * rng.randint(0, 1)
+        for forward in (True, False):
+            got = _reach_set(D, sources, banned, forward)
+            assert got == reference_reach_set(D, sources, banned, forward)
+            kinds["all of D - banned" if got == set(vs) - banned else "part of it"] += 1
+            more = rng.sample(vs, rng.randint(1, min(2, len(vs))))
+            again = _reach_set(D, more, banned, forward, seen=set(got))
+            assert again == reference_reach_set(D, more, banned, forward, seen=set(got))
+            kinds["continued"] += again != got
+    assert min(kinds.values()) > 150, kinds
+
+
+class _CountedReads(dict):
+    """An adjacency dict that counts the lists read from it."""
+
+    def __getitem__(self, v):
+        self.reads = getattr(self, "reads", 0) + 1
+        return dict.__getitem__(self, v)
+
+
+def test_reach_set_stops_once_it_has_seen_every_vertex():
+    # on a clique the first list read meets every vertex
+    for forward in (True, False):
+        D = bidirected_clique(60)
+        D._succ, D._pred = _CountedReads(D._succ), _CountedReads(D._pred)
+        assert _reach_set(D, [7], set(), forward) == set(range(1, 61))
+        assert (D._succ if forward else D._pred).reads == 1
+        assert _reach_set(D, [7], {1, 2, "ghost"}, forward) == set(range(3, 61))
+        assert (D._succ if forward else D._pred).reads == 2
 
 
 def test_is_guarded_whole_graph_and_chain():

@@ -363,6 +363,42 @@ def reference_bfs(net, s: int, t: int) -> list[int]:
     return via
 
 
+def reference_reach_set(D: Digraph, sources, banned: set, forward: bool, seen: set | None = None) -> set:
+    """digraph._reach_set as it was before its walk stopped on meeting every
+    vertex, kept verbatim as its referee: it reads the adjacency list of
+    every vertex it reaches."""
+    adj = D._succ if forward else D._pred
+    new = {v for v in sources if v in adj and v not in banned}
+    if seen is None:
+        seen = new
+    else:
+        new -= seen
+        seen |= new
+    stack = list(new)
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen and w not in banned:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def reference_verify_well_linked(D: Digraph, A) -> bool:
+    """bramble.verify_well_linked as it was before the reach walks and the
+    revolving door, kept verbatim as its referee: a fresh flow for every
+    pair X, Y, the single pairs too.  Meant for A without repeats."""
+    G = Interned(D, D.vertices())
+    net = split_network(G)
+    items = sorted(G.ids(A))
+    for size in range(1, len(items) // 2 + 1):
+        for X in combinations(items, size):
+            rest = [net.out(v) for v in items if v not in X]  # the sink arcs leave out-nodes
+            for Y in combinations(rest, size):
+                if net.flow(X, Y, size) < size:
+                    return False
+    return True
+
+
 class _TupleFlowNetwork:
     """The dict-keyed flow network that digraph.FlowNetwork replaced, kept
     verbatim for reference_menger: nodes are arbitrary hashables and each
