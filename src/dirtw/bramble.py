@@ -3,15 +3,19 @@
 The bramble over a terminal set T collects every induced strongly connected
 subgraph holding at least k terminals.  It is never materialized (it can be
 exponentially large): hitting-set and order queries reduce to strong
-components and balanced separators.  On top of it sit the hitting-path
+components and balanced separators.  The bramble finds its offending
+components, the strong components of D with k or more terminals, once;
+every question about D minus a set X refines them by X instead of passing
+over the whole graph again.  On top of it sit the hitting-path
 construction, the split iteration that plants anchor vertices along that
 path, Menger verification of well-linkedness, and the path-system builder.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from collections import deque
 from collections.abc import Iterable
+from functools import cached_property
 from itertools import combinations
 
 from .digraph import Digraph, Interned, Path, Vertex, _reach_set, linkage, split_network, vkey
@@ -36,6 +40,12 @@ class TBramble:
         if self.k < 1:
             raise ValueError("bramble threshold must be >= 1")
 
+    @cached_property
+    def offenders(self) -> list[set]:
+        """The strong components of D holding k or more terminals, in
+        `offending_components` order; found once, never mutated."""
+        return offending_components(self.D, self.T, self.k - 1)
+
 
 def is_hitting_set(B: TBramble, X: Iterable[Vertex]) -> bool:
     """True iff X meets every bramble element, i.e. no strong component of
@@ -43,18 +53,16 @@ def is_hitting_set(B: TBramble, X: Iterable[Vertex]) -> bool:
     return is_balanced_separator(B.D, B.T, B.k - 1, X)
 
 
-def complement_order_at_most(B: TBramble, X: Iterable[Vertex], s: int,
-                             offenders: list[set] | None = None) -> tuple[bool, frozenset | None]:
+def complement_order_at_most(B: TBramble, X: Iterable[Vertex], s: int) -> tuple[bool, frozenset | None]:
     """Decide whether the bramble elements avoiding X can be hit by s
     vertices; on success the witness hitting set comes back too.  Reduces to
-    a balanced-separator run on D minus X, banning X instead of copying.  A
-    caller holding the strong components of D minus X with k or more
-    terminals, in `offending_components` order, passes them as `offenders`
-    and spares the run its pass over the whole graph."""
+    a balanced-separator run on D minus X, banning X instead of copying, and
+    starting from the bramble's offending components refined by X."""
     if s < 0:
         return False, None
     Xset = frozenset(X)
-    result = _solve(B.D, B.T - Xset, B.k - 1, s, Xset, offenders)
+    D, T, r = B.D, B.T, B.k - 1
+    result = _solve(D, T - Xset, r, s, Xset, _refine_offenders(D, T, r, B.offenders, Xset))
     if result.linked:
         return False, None
     return True, result.separator
@@ -85,16 +93,10 @@ def hitting_path(B: TBramble) -> Path:
     component: repeatedly route from the path's tip to the next
     terminal-heavy strong component of D minus the path, touching it only at
     the entry vertex."""
-    return _hitting_path(B)[0]
-
-
-def _hitting_path(B: TBramble) -> tuple[Path, list[set]]:
-    """`hitting_path(B)` and the terminal-heavy strong components of all of
-    D it started from, which the split iteration starts from too."""
     D, T, k = B.D, B.T, B.k
-    heavy = whole = offending_components(D, T, k - 1)
+    heavy = B.offenders
     if not heavy:
-        return Path(D, []), whole
+        return Path(D, [])
     current = heavy[0]
     verts = [min(current & T, key=vkey)]
     added = list(verts)
@@ -109,16 +111,14 @@ def _hitting_path(B: TBramble) -> tuple[Path, list[set]]:
         added = hop[1:]
         verts.extend(added)
         current = nxt
-    return Path(D, verts), whole
+    return Path(D, verts)
 
 
 @dataclass(frozen=True)
 class SplitState:
     """Bookkeeping for the split iteration along a hitting path: consumed
     subpaths Q with their anchors, the untouched residual of the path, the
-    accumulated `blocked` set X, and the order parameter g.  `offenders`
-    caches the bramble's offending components of D minus X (None until the
-    iteration computes them); equality, hash and repr ignore it."""
+    accumulated `blocked` set X, and the order parameter g."""
 
     bramble: TBramble
     k: int
@@ -127,7 +127,6 @@ class SplitState:
     anchors: tuple
     residual: tuple
     blocked: frozenset
-    offenders: list | None = field(default=None, compare=False, hash=False, repr=False)
 
     @classmethod
     def initial(cls, bramble: TBramble, k: int, path: Path, g: int) -> "SplitState":
@@ -141,25 +140,18 @@ class SplitState:
 def extend_split(state: SplitState) -> SplitState:
     """One split iteration: walk the residual path until the bramble
     elements avoiding the blocked set become cheap to hit, then plant the
-    successor vertex as the next anchor.  The blocked set only grows, so
-    the offending components are refined by each vertex taken and carried
-    to the next state, not recomputed over the whole graph."""
+    successor vertex as the next anchor."""
     B = state.bramble
-    D, T, r = B.D, B.T, B.k - 1
     half = state.k // 2
     threshold = state.g - state.level * (half + 1) - 1 - half
-    heavy = state.offenders
-    if heavy is None:
-        heavy = offending_components(D, T - state.blocked, r, state.blocked)
-    passed, _ = complement_order_at_most(B, state.blocked, threshold, heavy)
+    passed, _ = complement_order_at_most(B, state.blocked, threshold)
     if passed:
         raise ValueError("split entry condition violated: complement order already below "
                          "threshold before consuming any path vertex (corrupt input)")
     taken: list = []
     for idx, v in enumerate(state.residual):
         taken.append(v)
-        heavy = _refine_offenders(D, T, r, heavy, (v,))
-        passed, _ = complement_order_at_most(B, state.blocked | set(taken), threshold, heavy)
+        passed, _ = complement_order_at_most(B, state.blocked | set(taken), threshold)
         if passed:
             if idx + 1 >= len(state.residual):
                 raise ValueError("no successor left on the path for the next anchor "
@@ -171,7 +163,6 @@ def extend_split(state: SplitState) -> SplitState:
                 state.anchors + (anchor,),
                 state.residual[idx + 2:],
                 state.blocked | set(taken) | {anchor},
-                _refine_offenders(D, T, r, heavy, (anchor,)),
             )
     raise ValueError("residual path exhausted before the complement order dropped "
                      "(corrupt input)")
@@ -194,14 +185,13 @@ def well_linked_set(D: Digraph, cert: LinkedSetCertificate, k: int) -> tuple[Pat
         raise ValueError(f"certificate does not match target {k}: "
                          f"need k = r = {g - 1} with |T| = {2 * g - 1}")
     bramble = TBramble(D, cert.T, g)
-    path, heavy = _hitting_path(bramble)
+    path = hitting_path(bramble)
     if k == 1:
         # the split iteration needs a successor beyond the final path
         # vertex, which a one-element hitting path cannot offer; any single
         # vertex is vacuously well-linked
         return path, frozenset({path.last})
-    # nothing is blocked yet: the split starts from the components the path did
-    state = replace(SplitState.initial(bramble, k, path, g), offenders=heavy)
+    state = SplitState.initial(bramble, k, path, g)
     for _ in range(k):
         state = extend_split(state)
     anchors = frozenset(state.anchors)

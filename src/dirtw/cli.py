@@ -152,7 +152,7 @@ def cmd_balsep(args: argparse.Namespace) -> int:
     Z = vsorted(result.separator)
     print(json.dumps(Z))
     if args.output:
-        artifact = {"T": vsorted(T), "r": args.r, "separator": Z}
+        artifact = {"T": vsorted(inst.T), "r": args.r, "separator": Z}
         _write(args.output, json.dumps(artifact, indent=2) + "\n")
     return 0
 
@@ -198,6 +198,8 @@ def _validate_certificate(D: Digraph, js: dict) -> list[str]:
     problems = [f"terminal {v!r} not in graph" for v in vsorted(cert.T) if v not in D]
     if problems:
         return problems
+    if len(cert.T) < len(js["T"]):
+        return ["a terminal is listed twice"]
     if cert.k < 0 or cert.r < 0:
         return [f"k = {cert.k} and r = {cert.r} must be non-negative"]
     cap_n, cap_s = _brute_cap()
@@ -216,6 +218,8 @@ def _validate_certificate(D: Digraph, js: dict) -> list[str]:
 def _validate_separator(D: Digraph, js: dict) -> list[str]:
     T, r, Z = js["T"], _as_int(js["r"], "r"), js["separator"]
     problems = [f"vertex {v!r} not in graph" for v in [*T, *Z] if v not in D]
+    if len(set(T)) < len(T):
+        problems.append("a terminal is listed twice")
     if r < 0:
         problems.append(f"r = {r} must be non-negative")
     if not problems and not is_balanced_separator(D, T, r, Z):
@@ -262,6 +266,10 @@ def _validate_pathsystem(D: Digraph, js: dict) -> list[str]:
         for v in [*i_anchors, *o_anchors]:
             if v not in spine:
                 problems.append(f"anchor {v!r} not on spine {idx}")
+        if any(len(row) != size or len(set(row)) < size for row in (i_anchors, o_anchors)):
+            problems.append(f"spine {idx}: an anchor row does not hold {size} distinct anchors")
+        if not set(i_anchors).isdisjoint(o_anchors):
+            problems.append(f"spine {idx}: a vertex is both an in- and an out-anchor")
     if not isinstance(js["linkages"], dict):
         raise TypeError("linkages must be an object")
     count = len(spines)
@@ -271,6 +279,9 @@ def _validate_pathsystem(D: Digraph, js: dict) -> list[str]:
         if not (1 <= i <= count and 1 <= j <= count):
             raise ValueError(f"linkage {key}: spine index outside 1..{count}")
         missing.discard((i, j))
+        if i == j:
+            problems.append(f"linkage {key}: a spine is linked to itself")
+            continue
         if len(_as_list(paths, f"linkage {key}")) != size:
             problems.append(f"linkage {key}: expected {size} paths, got {len(paths)}")
         seen: set = set()

@@ -1,12 +1,12 @@
 """Terminal brambles, hitting paths, the split iteration, well-linked sets,
 and path systems, checked against the explicit-enumeration oracle."""
+import inspect
 import os
 import random
 import subprocess
 import sys
 
 import pytest
-from dataclasses import fields, replace
 from itertools import combinations
 
 import dirtw
@@ -162,10 +162,12 @@ def test_complement_order_on_clique():
 
 
 def test_complement_order_matches_the_copying_reference():
-    # X is banned inside the solver instead of copied away; the verdict and
-    # the witness must be those of the copy, whatever X holds
+    # X is banned inside the solver instead of copied away, and the
+    # bramble's offending components are refined by X instead of found
+    # again; one bramble asked about X's that grow, shrink and jump must
+    # answer each as the copy does, whatever X holds
     rng = random.Random(0xC0FE)
-    found = {"passed": 0, "failed": 0, "negative": 0, "blocks a terminal": 0}
+    found = {"passed": 0, "failed": 0, "negative": 0, "blocks a terminal": 0, "shrinks": 0, "jumps": 0}
     for _ in range(300):
         D = mixed_id_digraph(rng, random_digraph(rng, rng.randint(1, 9), rng.uniform(0.1, 0.6)))
         vs = D.sorted_vertices()
@@ -173,14 +175,33 @@ def test_complement_order_matches_the_copying_reference():
             D.add_edge(rng.choice(vs), rng.choice(vs), rng.randint(1, 2))  # loops and parallel copies
         T = frozenset(rng.sample(vs, rng.randint(1, len(vs))))
         B = TBramble(D, T, rng.randint(1, 3))
-        X = {v for v in vs if rng.random() < 0.25} | {"ghost", (7, "x")}
-        s = rng.randint(-1, 3)
-        got = complement_order_at_most(B, X, s)
-        assert got == reference_complement_order_at_most(B, X, s), (vs, vsorted(T), B.k, X, s)
-        found["passed" if got[0] else "failed"] += 1
-        found["negative"] += s < 0
-        found["blocks a terminal"] += bool(X & T)
+        X: set = set()
+        for step in range(4):
+            if step == 0 or rng.random() < 0.3:
+                X = {v for v in vs if rng.random() < 0.25} | {"ghost", (7, "x")}
+                found["jumps"] += step > 0
+            elif X and rng.random() < 0.5:
+                X = set(rng.sample(sorted(X, key=repr), rng.randrange(len(X))))
+                found["shrinks"] += 1
+            else:
+                X = X | {rng.choice(vs)}
+            s = rng.randint(-1, 3)
+            got = complement_order_at_most(B, X, s)
+            assert got == reference_complement_order_at_most(B, X, s), (vs, vsorted(T), B.k, X, s)
+            found["passed" if got[0] else "failed"] += 1
+            found["negative"] += s < 0
+            found["blocks a terminal"] += bool(X & T)
     assert min(found.values()) > 30, found
+
+
+def test_complement_order_needs_no_offender_list():
+    # the bramble finds its offending components itself: an empty list
+    # handed in from outside once made K_6 look cheap to hit
+    B = TBramble(bidirected_clique(6), {1, 2, 3, 4, 5}, 3)
+    assert list(inspect.signature(complement_order_at_most).parameters) == ["B", "X", "s"]
+    assert complement_order_at_most(B, set(), 1) == (False, None)
+    assert B.offenders == [set(range(1, 7))]
+    assert B.offenders is B.offenders  # found once per bramble
 
 
 # -- hitting paths -----------------------------------------------------------
@@ -272,23 +293,28 @@ def test_extend_split_rejects_cheap_start():
         extend_split(corrupt)
 
 
-def test_split_iteration_carries_the_offending_components(monkeypatch):
-    # each step refines the offending components of D - X by the vertices
-    # it blocks instead of recomputing them; at every question the carried
-    # list must be the one a whole-graph pass gives, sets and order alike
-    asked, states = [], []
-    real_order, real_extend = bramble.complement_order_at_most, bramble.extend_split
+def test_bramble_questions_start_from_its_offending_components(monkeypatch):
+    # every complement-order question refines the bramble's own offending
+    # components by X; at every solver call the list must be the one a
+    # whole-graph pass over D - X gives, sets and order alike, and the
+    # bramble's list must come out of all of it unchanged
+    asked, brambles, paths = [], [], []
+    real_solve, real_path, real_extend = bramble._solve, bramble.hitting_path, bramble.extend_split
 
-    def order(B, X, s, offenders=None):
-        assert offenders is not None
-        asked.append((B, frozenset(X), offenders, [frozenset(c) for c in offenders]))
-        return real_order(B, X, s, offenders)
+    def solve(D, T, r, s, X, offenders=None):
+        asked.append((D, T, r, X, offenders, [frozenset(c) for c in offenders]))
+        return real_solve(D, T, r, s, X, offenders)
+
+    def path(B):
+        paths.append(B)
+        return real_path(B)
 
     def extend(state):
-        states.append(real_extend(state))
-        return states[-1]
+        brambles.append(state.bramble)
+        return real_extend(state)
 
-    monkeypatch.setattr(bramble, "complement_order_at_most", order)
+    monkeypatch.setattr(bramble, "_solve", solve)
+    monkeypatch.setattr(bramble, "hitting_path", path)
     monkeypatch.setattr(bramble, "extend_split", extend)
     rng = random.Random(0x5B17)
     certified = 0
@@ -302,8 +328,10 @@ def test_split_iteration_carries_the_offending_components(monkeypatch):
         D = mixed_id_digraph(rng, D)
         cert = decompose(D, g)
         if isinstance(cert, LinkedSetCertificate):
+            before = len(paths)
             bramble.well_linked_set(D, cert, k)
             certified += 1
+            assert len(paths) == before + 1  # the public hitting path, once
     # split states over random brambles and vertex orders reach lists of
     # several components and lists that run empty
     for _ in range(150):
@@ -318,20 +346,15 @@ def test_split_iteration_carries_the_offending_components(monkeypatch):
                 state = bramble.extend_split(state)
             except ValueError:
                 break
-    found = {"certified": certified, "states": len(states), "several": 0, "none": 0}
-    for B, X, offenders, snapshot in asked:
-        assert offenders == offending_components(B.D, B.T - X, B.k - 1, X)
-        assert [frozenset(c) for c in offenders] == snapshot  # no carried set was mutated
+    found = {"certified": certified, "brambles": len(set(map(id, brambles))), "several": 0, "none": 0}
+    for D, T, r, X, offenders, snapshot in asked:
+        assert offenders == offending_components(D, T, r, X)
+        assert [frozenset(c) for c in offenders] == snapshot  # no refined set was mutated
         found["several"] += len(offenders) > 1
         found["none"] += not offenders
-    for state in states:
-        B, X = state.bramble, state.blocked
-        assert state.offenders == offending_components(B.D, B.T - X, B.k - 1, X)
-        bare = replace(state, offenders=None)
-        assert bare == state and repr(bare) == repr(state)
+    for B in brambles:
+        assert B.offenders == offending_components(B.D, B.T, B.k - 1)
     assert min(found.values()) >= 10, found
-    field = next(f for f in fields(SplitState) if f.name == "offenders")
-    assert not field.compare and not field.hash and not field.repr
 
 
 def test_well_linked_set_makes_one_whole_graph_offender_pass(monkeypatch):

@@ -454,6 +454,72 @@ def test_validate_pathsystem_reports_missing_linkages(tmp_path, capsys):
     assert code == 1 and "linkage 1,2 missing" in err and "linkage 2,1 missing" in err
 
 
+def _k6_spared_path_system(tmp_path):
+    # spines [1, 2, 3] and [4, 5, 6]: each holds a vertex that is no anchor
+    D = bidirected_clique(6)
+    ps = build_path_system(D, Path(D, [1, 2, 3, 4, 5, 6]), {1, 3, 4, 6}, 1, 2)
+    return write(tmp_path, "k6.txt", serialize_edge_list(D)), ps.to_json()
+
+
+def _tamper_long_row(js):
+    js["anchors_out"][0] = [3, 2]  # 2 sits on spine 1 but is no anchor
+
+
+def _tamper_self_linkage(js):
+    js["linkages"]["1,1"] = [[3, 1]]  # spine 1's out-anchor to its own in-anchor
+
+
+def _tamper_shared_anchor(js):
+    js["anchors_in"][0] = [3]  # spine 1's out-anchor, now its in-anchor too
+    js["linkages"]["2,1"] = [[6, 3]]
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (_tamper_long_row, "spine 1: an anchor row does not hold 1 distinct anchors"),
+    (_tamper_self_linkage, "linkage 1,1: a spine is linked to itself"),
+    (_tamper_shared_anchor, "spine 1: a vertex is both an in- and an out-anchor"),
+], ids=["long-row", "self-linkage", "shared-anchor"])
+def test_validate_pathsystem_rejects_false_anchor_structure(tmp_path, capsys, tamper, message):
+    k6f, js = _k6_spared_path_system(tmp_path)
+    assert run_cli(["validate", k6f, write(tmp_path, "ps.json", json.dumps(js))], capsys)[0] == 0
+    tamper(js)
+    code, _, err = run_cli(["validate", k6f, write(tmp_path, "ps.json", json.dumps(js))], capsys)
+    assert code == 1 and message in err
+
+
+def test_validate_pathsystem_rejects_a_repeated_anchor_in_a_row(tmp_path, capsys):
+    # one spine has no linkage to other spines that a repeat would spoil
+    k6f = write(tmp_path, "k6.txt", serialize_edge_list(bidirected_clique(6)))
+    js = {"spines": [[1, 2, 3, 4]], "anchors_in": [[1, 2]], "anchors_out": [[3, 4]], "linkages": {}}
+    assert run_cli(["validate", k6f, write(tmp_path, "ps.json", json.dumps(js))], capsys)[0] == 0
+    js["anchors_in"], js["anchors_out"] = [[1, 1]], [[3, 3]]
+    code, _, err = run_cli(["validate", k6f, write(tmp_path, "ps.json", json.dumps(js))], capsys)
+    assert code == 1 and "spine 1: an anchor row does not hold 2 distinct anchors" in err
+
+
+def test_balsep_artifact_lists_each_terminal_once(tmp_path, k6, capsys):
+    art = str(tmp_path / "sep.json")
+    code, _, _ = run_cli(["balsep", "-T", "1,1,2,3,4,5,6,6", "-r", "3", "-s", "3", "-o", art, k6], capsys)
+    assert code == 0 and json.load(open(art))["T"] == [1, 2, 3, 4, 5, 6]
+    assert run_cli(["validate", k6, art], capsys)[0] == 0
+    cert = str(tmp_path / "cert.json")
+    code, _, _ = run_cli(["balsep", "-T", "1,1,2,3,4,5", "-r", "2", "-s", "2", "-o", cert, k6], capsys)
+    assert code == 10 and json.load(open(cert))["T"] == [1, 2, 3, 4, 5]
+    assert run_cli(["validate", k6, cert], capsys)[0] == 0
+
+
+@pytest.mark.parametrize("doc", [
+    {"T": [1, 1, 2, 3, 4, 5], "k": 2, "r": 2},
+    {"T": [1, 2, 3, 4, 5, 6, 1], "r": 3, "separator": [1, 2, 3]},
+], ids=["certificate", "separator"])
+def test_validate_refuses_a_repeated_terminal(tmp_path, k6, capsys, doc):
+    # each is valid with the repeat dropped
+    once = {**doc, "T": sorted(set(doc["T"]))}
+    assert run_cli(["validate", k6, write(tmp_path, "once.json", json.dumps(once))], capsys)[0] == 0
+    code, _, err = run_cli(["validate", k6, write(tmp_path, "art.json", json.dumps(doc))], capsys)
+    assert code == 1 and "a terminal is listed twice" in err
+
+
 def test_validate_unknown_or_broken_artifacts(tmp_path, k6, capsys):
     weird = write(tmp_path, "x.json", '{"zzz": 1}')
     assert run_cli(["validate", k6, weird], capsys)[0] == 2

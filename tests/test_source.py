@@ -488,3 +488,48 @@ def test_decompose_asks_every_strong_component_question_inside_a_set():
     source = (PACKAGE / "arboreal.py").read_text()
     assert "decompose" in {fn.name for fn in ast.walk(ast.parse(source)) if isinstance(fn, ast.FunctionDef)}
     assert _whole_graph_sccs(source, "decompose") == []
+
+
+# a dataclass's equality covers all of its state: no field is hidden from
+# it, so that two values that compare equal are interchangeable
+# an excerpt of bramble.SplitState from when it carried a cache of the
+# offending components that equality, hash and repr ignored
+HIDDEN_FIELD_SPLIT_STATE = '''
+from dataclasses import dataclass, field, replace
+
+
+@dataclass(frozen=True)
+class SplitState:
+    bramble: TBramble
+    k: int
+    blocked: frozenset
+    offenders: list | None = field(default=None, compare=False, hash=False, repr=False)
+'''
+
+
+def _fields_hidden_from_equality(source: str) -> list[str]:
+    out = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if (isinstance(node, ast.AnnAssign) and isinstance(node.value, ast.Call)
+                    and _name(node.value.func) == "field"
+                    and any(kw.arg == "compare" and not (isinstance(kw.value, ast.Constant) and kw.value.value)
+                            for kw in node.value.keywords)):
+                out.append(f"line {node.lineno}: {cls.name}.{node.target.id}")
+    return out
+
+
+def test_checker_flags_the_hidden_split_state_field():
+    assert _fields_hidden_from_equality(HIDDEN_FIELD_SPLIT_STATE) == ["line 10: SplitState.offenders"]
+    assert _fields_hidden_from_equality(
+        "class A:\n    x: int = dataclasses.field(compare=flag)\n"
+        "    y: frozenset = field(default_factory=frozenset)\n    z: int = field(compare=True)\n") == [
+        "line 2: A.x"]
+
+
+def test_no_dataclass_field_is_hidden_from_equality():
+    modules = sorted(PACKAGE.glob("*.py"))
+    found = {m.name: _fields_hidden_from_equality(m.read_text()) for m in modules}
+    assert {name: lines for name, lines in found.items() if lines} == {}
