@@ -3,17 +3,20 @@ every strong component of D minus Z contains at most r vertices of T, or
 certify that T is (s, r)-linked (no such Z exists).
 
 The solver is layered.  Degenerate parameters are normalized away; then an
-empty separator is tried, then a greedy one.  Next, a sound lower-bound
-argument may certify linkedness outright: the problem decomposes over the
-strong components of D, and a component C holding t > r vertices of T needs
-at least min(kappa(C), t - r) deletions, because fewer than kappa(C)
-deletions leave C strongly connected and therefore still holding more than r
-terminals.  Only when all of that is inconclusive does the exact layer run,
-independently per offending component: small components use offender-hitting
-branch and bound; larger ones try every ordered partition of their terminals
-into blocks of size at most r, each priced as a linear cut, keeping the
-cheapest cut (the partition/linear-cut equivalence makes this exhaustive
-search complete, so a returned Linked verdict is exact).
+empty separator is tried, and r = 0 is decided outright.  Sound lower bounds
+may certify linkedness: the problem decomposes over the strong components of
+D, and a component C holding t > r vertices of T needs at least
+min(kappa(C), t - r) deletions, because fewer than kappa(C) deletions leave
+C strongly connected and therefore still holding more than r terminals.  The
+bounds that need no flow (kappa is |C| - 1 on a complete C, at least 1 on
+any other) are summed before a greedy separator is tried, and flows bound
+the other components after it.  Only when all of that is inconclusive does
+the exact layer run, independently per offending component: small
+components use offender-hitting branch and bound; larger ones try every
+ordered partition of their terminals into blocks of size at most r, each
+priced as a linear cut, keeping the cheapest cut (the partition/linear-cut
+equivalence makes this exhaustive search complete, so a returned Linked
+verdict is exact).
 """
 from __future__ import annotations
 
@@ -200,33 +203,40 @@ def _component_lb(G: Interned, net, bound: int) -> int:
     return bound
 
 
-def _offender_analysis(D: Digraph, Tset: frozenset, r: int, s: int, heavy):
-    """Either None, the Linked verdict (lower bounds already exceed the
-    budget), or the offending components with their terminal counts, lower
-    bounds and split networks (None where none was built), in canonical
-    order.  Only a component whose bound needs flows, one that is not
-    complete, is interned and gets its network, once, shared with the exact
-    engine."""
-    offenders = [(c, len(c & Tset)) for c in heavy]
-    if len(offenders) > s:
+def _free_bounds(D: Digraph, Tset: frozenset, r: int, s: int, heavy) -> list[tuple] | None:
+    """None, the Linked verdict, once bounds that need no flow exceed the
+    budget; else (C, tc, bound, complete) per offending component C in
+    canonical order.  A complete C, every vertex with an arc to every other
+    (a loop is none), needs min(tc - r, |C| - 1) deletions; any other C
+    needs 1.  A sparse C fails at its first vertex on out-degree alone."""
+    if len(heavy) > s:
         return None
-    bounds: dict[int, int] = {}
+    free, total, succ = [], 0, D._succ
+    for comp in heavy:
+        tc, rest = len(comp & Tset), len(comp) - 1
+        complete = len(succ[next(iter(comp))]) >= rest and all(not comp.difference(succ[v], (v,)) for v in comp)
+        lb = min(tc - r, rest) if complete else 1
+        free.append((comp, tc, lb, complete))
+        total += lb
+    return None if total > s else free
+
+
+def _flow_bounds(D: Digraph, Tset: frozenset, r: int, s: int, free: list[tuple]):
+    """`free` with flows raising the bound of each component that is not
+    complete, or None (Linked) once the bounds exceed the budget.  Each
+    tuple ends in the split network its flows ran on, built once and shared
+    with the exact engine, or None."""
+    bounds = [lb for _, _, lb, _ in free]
     splits: dict[int, tuple] = {}
     # largest surplus first; the stable sort keeps least-terminal order on ties
-    by_surplus = sorted(range(len(offenders)), key=lambda i: -offenders[i][1])
-    total = 0
-    for seen, i in enumerate(by_surplus, start=1):
-        comp, tc = offenders[i]
-        bound = min(tc - r, len(comp) - 1)
-        if bound > 1 and not all(len(comp.intersection(D.out_neighbors(v))) - D.has_edge(v, v) == len(comp) - 1
-                                 for v in comp):
+    for i in sorted(range(len(free)), key=lambda i: -free[i][1]):
+        comp, tc, _, complete = free[i]
+        if not complete and (bound := min(tc - r, len(comp) - 1)) > 1:
             splits[i] = _split(D, comp, comp & Tset, s)
-            bound = _component_lb(*splits[i], bound)
-        bounds[i] = max(1, bound)
-        total += bounds[i]
-        if total + (len(offenders) - seen) > s:
-            return None
-    return [(c, tc, bounds[i], splits.get(i)) for i, (c, tc) in enumerate(offenders)]
+            bounds[i] = max(1, _component_lb(*splits[i], bound))
+            if sum(bounds) > s:
+                return None
+    return [(c, tc, bounds[i], splits.get(i)) for i, (c, tc, _, _) in enumerate(free)]
 
 
 def _branch_min_cut(D: Digraph, comp: set, Tc: frozenset, r: int, cap: int, lb: int) -> frozenset | None:
@@ -353,9 +363,12 @@ def _solve(D: Digraph, T: frozenset, r: int, s: int, X: frozenset,
         # a terminal outside Z always keeps its own component offending, so
         # any separator contains all of T — out of budget here (s < |T|)
         return BalancedSeparatorResult(None)
+    free = _free_bounds(D, T, r, s, offenders)
+    if free is None:
+        return BalancedSeparatorResult(None)
     Z = _greedy_separator(D, T, r, s, offenders)
     if Z is None:
-        analysis = _offender_analysis(D, T, r, s, offenders)
+        analysis = _flow_bounds(D, T, r, s, free)
         Z = None if analysis is None else _exact_search(D, T, r, s, analysis)
     if Z is None:
         return BalancedSeparatorResult(None)

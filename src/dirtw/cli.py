@@ -37,7 +37,7 @@ from .balsep import (
     is_balanced_separator,
 )
 from .bramble import order_parameter, verify_well_linked, well_linked_set
-from .digraph import Digraph, Path, parse_edge_list, serialize_edge_list, vsorted
+from .digraph import Digraph, Path, parse_edge_list, serialize_edge_list, vkey, vsorted
 from .digraph import _parse_token
 
 BRUTE_CAP_DEFAULT = (12, 4)
@@ -330,8 +330,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
         return _fail(2, "unrecognized artifact shape")
     try:
         for key in ("T", "separator", "path", "A"):
-            if key in js:
-                _as_list(js[key], key)
+            for v in _as_list(js[key], key) if key in js else ():
+                vkey(v)  # a TypeError for an id such as true or 1.0, which equal 1 in a set
         problems = {
             "decomposition": lambda: _validate_decomposition(D, js, args.nice),
             "certificate": lambda: _validate_certificate(D, js),

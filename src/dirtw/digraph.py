@@ -191,10 +191,12 @@ class SccDecomposition:
 
 def _covers(adj, start: Vertex, X: set) -> bool:
     """True iff the walk from start along `adj` (D._succ, D._pred, or lists
-    indexed by int nodes) through vertices of X meets all of X: it crosses
-    them off a `todo` set and stops once that is empty."""
+    indexed by int nodes) through X crosses all of X off a `todo` set; it
+    stops once that is empty, at once if a dict row at start holds all X."""
     todo = set(X)
     todo.discard(start)
+    if isinstance(adj, dict) and adj[start].keys() >= todo:
+        return True
     stack = [start]
     while stack and todo:
         for w in adj[stack.pop()]:

@@ -265,6 +265,37 @@ def test_verdict_agreement_with_oracle():
     assert checked == 150
 
 
+def test_flow_free_bound_agrees_with_the_oracle_on_near_complete_components():
+    # complete digraphs with loops and parallel arcs, less up to two arcs:
+    # only a component with an arc between every two distinct vertices may
+    # take the bound min(tc - r, |C| - 1), and a looped vertex that misses
+    # one arc must not pass for complete
+    rng = random.Random(0xF4EE)
+    traps = 0
+    for i in range(3000):
+        n = rng.randint(3, 7)
+        pairs = [(u, w) for u in range(1, n + 1) for w in range(1, n + 1) if u != w]
+        missing = rng.sample(pairs, rng.randint(0, 2))
+        D = Digraph()
+        for u, w in pairs:
+            if (u, w) not in missing:
+                D.add_edge(u, w, rng.choice((1, 1, 2)))
+        looped = {v for v in range(1, n + 1) if rng.random() < 0.7}
+        for v in looped:
+            D.add_edge(v, v, rng.randint(1, 2))
+        D = mixed_id_digraph(rng, D)
+        vs = D.sorted_vertices()
+        r = rng.randint(1, 3)
+        T = frozenset(rng.sample(vs, rng.randint(min(r + 1, n), n)))
+        s = rng.randint(0, max(0, len(T) - r - 1))
+        got = solve(D, T, r, s)
+        assert got.linked == brute_force_balanced_separator(D, T, r, s).linked, (i, vsorted(T), r, s)
+        if not got.linked:
+            assert len(got.separator) <= s and is_balanced_separator(D, T, r, got.separator)
+            traps += bool(missing) and all(u in looped for u, _ in missing)
+    assert traps >= 100, traps
+
+
 def test_relaxing_either_parameter_preserves_feasibility():
     rng = random.Random(0x5EA50)
     for _ in range(60):
@@ -379,7 +410,7 @@ def test_partition_engine_searches_only_where_a_cut_exists(monkeypatch):
 
 
 def test_each_offending_component_is_interned_and_built_once(monkeypatch):
-    # the same balsep-exact query: the offender analysis interns each
+    # the same balsep-exact query: the flow bounds intern each
     # component its connectivity bound needs flows for once and builds one
     # split network on it, which the partition engine then prices on
     D = dirtw.cli._gen_graph("random", 20, 2, 60)
@@ -410,7 +441,7 @@ def test_each_offending_component_is_interned_and_built_once(monkeypatch):
 
 def _record_layers(monkeypatch, seen: dict) -> None:
     # each layer's answer, as the solver saw it
-    for name in ("_normalized_answer", "_greedy_separator", "_offender_analysis", "_exact_search"):
+    for name in ("_normalized_answer", "_free_bounds", "_greedy_separator", "_flow_bounds", "_exact_search"):
         def spy(*args, _real=getattr(balsep, name), _name=name):
             seen[_name] = out = _real(*args)
             return out
@@ -420,8 +451,8 @@ def _record_layers(monkeypatch, seen: dict) -> None:
 def _deciding_layer(seen: dict, r: int) -> str:
     if seen.get("_normalized_answer") is not None:
         return "normalized"
-    for name, layer in [("_exact_search", "exact"), ("_offender_analysis", "linked by bounds"),
-                        ("_greedy_separator", "greedy")]:
+    for name, layer in [("_exact_search", "exact"), ("_flow_bounds", "linked by bounds"),
+                        ("_greedy_separator", "greedy"), ("_free_bounds", "linked by bounds")]:
         if name in seen:
             return layer
     return "r = 0" if r == 0 else "empty"
@@ -553,9 +584,9 @@ def test_deletion_loops_make_no_whole_graph_pass_per_deleted_vertex(monkeypatch)
 
 
 def test_non_separator_from_a_layer_is_an_error(monkeypatch):
-    # K_5 with T = V, r = 1, s = 2 reaches the greedy layer; a greedy answer
-    # that is no separator must raise, not pass silently
-    inst = BalancedSeparatorInstance(bidirected_clique(5), frozenset(range(1, 6)), 1, 2)
+    # the bidirected 5-cycle with T = V, r = 1, s = 2 reaches the greedy
+    # layer; a greedy answer that is no separator must raise, not pass silently
+    inst = BalancedSeparatorInstance(bidirected_cycle(5), frozenset(range(1, 6)), 1, 2)
     monkeypatch.setattr(balsep, "_greedy_separator", lambda *args: frozenset({1}))
     with pytest.raises(RuntimeError, match="not a balanced separator"):
         balanced_separator(inst)
@@ -568,8 +599,7 @@ def test_separator_check_survives_optimized_mode():
         "from dirtw.digraph import Digraph\n"
         "D = Digraph()\n"
         "for i in range(1, 6):\n"
-        "    for j in range(1, 6):\n"
-        "        if i != j: D.add_edge(i, j)\n"
+        "    D.add_bidirected(i, i % 5 + 1)\n"
         "balsep._greedy_separator = lambda *args: frozenset({1})\n"
         "try:\n"
         "    balsep.balanced_separator(balsep.BalancedSeparatorInstance(D, set(range(1, 6)), 1, 2))\n"

@@ -520,6 +520,24 @@ def test_validate_refuses_a_repeated_terminal(tmp_path, k6, capsys, doc):
     assert code == 1 and "a terminal is listed twice" in err
 
 
+@pytest.mark.parametrize("text, kind", [
+    ('{"T": [1, 2, 3], "r": 1, "separator": [true, 2]}', "separator"),
+    ('{"T": [1, 2, 3], "r": 1, "separator": [1.0, 2]}', "separator"),
+    ('{"T": [1, 2.0, 3], "r": 1, "separator": [1, 2]}', "separator"),
+    ('{"path": [1, 2, 3], "A": [1.0, 2]}', "welllinked"),
+    ('{"path": [1, 2, 3], "A": [3, true]}', "welllinked"),
+], ids=["separator-bool", "separator-float", "separator-T-float", "welllinked-A-float", "welllinked-A-bool"])
+def test_validate_refuses_non_vertex_ids(tmp_path, capsys, text, kind):
+    # true and 1.0 equal the vertex 1 in a set; each artifact is valid with
+    # its ids written as integers
+    triangle = write(tmp_path, "tri.txt", serialize_edge_list(bidirected_clique(3)))
+    fixed = text.replace("true", "1").replace(".0", "")
+    assert run_cli(["validate", triangle, write(tmp_path, "ok.json", fixed)], capsys)[0] == 0
+    code, out, err = run_cli(["validate", triangle, write(tmp_path, "art.json", text)], capsys)
+    assert code == 2 and out == ""
+    assert f"malformed {kind} artifact" in err and "unsupported vertex id" in err
+
+
 def test_validate_unknown_or_broken_artifacts(tmp_path, k6, capsys):
     weird = write(tmp_path, "x.json", '{"zzz": 1}')
     assert run_cli(["validate", k6, weird], capsys)[0] == 2
