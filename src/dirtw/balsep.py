@@ -189,17 +189,23 @@ def _component_lb(G: Interned, net, bound: int) -> int:
     # allows, with no flow
     if n > 2 and any(len(heads) == 1 for heads in G.succ):
         return 1
-    for u in range(n):
-        near = set(G.succ[u])
-        source = (net.out(u),)
-        for w in range(n):
-            if u == w or w in near:
-                continue
-            f = net.flow(source, (w,), bound)
-            if f < bound:
-                bound = f
-                if bound <= 1:
-                    return 1
+    # Even's bound: let S be a least separator, |S| < bound.  Then one of
+    # vertices 0..|S| avoids S, and it misses or is missed by some vertex of
+    # the component minus S: flows out of and into the vertices below the
+    # current bound, against all their non-adjacent partners, find |S|.
+    # Partners below u had their flows with u when they came first
+    near = [set(heads) for heads in G.succ]
+    u = 0
+    while u < min(bound, n):
+        for w in range(u + 1, n):
+            for x, y in ((u, w), (w, u)):
+                if y not in near[x]:
+                    f = net.flow((net.out(x),), (y,), bound)
+                    if f < bound:
+                        bound = f
+                        if bound <= 1:
+                            return 1
+        u += 1
     return bound
 
 

@@ -18,7 +18,7 @@ from collections.abc import Iterable
 from functools import cached_property
 from itertools import combinations
 
-from .digraph import Digraph, Interned, Path, Vertex, _reach_set, linkage, split_network, vkey
+from .digraph import Digraph, Interned, Path, Vertex, _reach_set, linkage, split_network, vkey, vsorted
 from .balsep import _refine_offenders, _solve, is_balanced_separator, offending_components
 from .arboreal import LinkedSetCertificate
 
@@ -81,7 +81,7 @@ def _route(D: Digraph, start: Vertex, inside: set, target: set) -> list | None:
                 back.append(v)
                 v = parent[v]
             return back[::-1]
-        for w in sorted(D.out_neighbors(v), key=vkey):
+        for w in vsorted(D._succ[v]):
             if w not in parent and (w in inside or w in target):
                 parent[w] = v
                 queue.append(w)

@@ -28,8 +28,15 @@ def vkey(v: Vertex):
     raise TypeError(f"unsupported vertex id: {v!r}")
 
 
+_NATIVE = ({int}, {str})  # id types whose native order is vkey order (a bool is neither)
+
+
 def vsorted(vs: Iterable[Vertex]) -> list[Vertex]:
-    return sorted(vs, key=vkey)
+    """vs in vkey order: ids all of one native type sort without vkey; any
+    other list goes through it, which raises on an id it cannot order."""
+    out = list(vs)
+    out.sort(key=None if set(map(type, out)) in _NATIVE else vkey)
+    return out
 
 
 class Digraph:
@@ -242,29 +249,29 @@ def tarjan_sccs(D: Digraph, banned: Iterable[Vertex] = (), within: set | None = 
         work: list = [(root, filter(inside, succ[root]) if inside else iter(succ[root]))]
         while work:
             v, it = work[-1]
-            w = next(it, None)
-            if w is not None:
+            for w in it:  # resumes where v's last descent left off
                 if w not in index:
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
                     on.add(w)
                     work.append((w, filter(inside, succ[w]) if inside else iter(succ[w])))
-                elif w in on and index[w] < low[v]:
+                    break
+                if w in on and index[w] < low[v]:
                     low[v] = index[w]
-                continue
-            work.pop()
-            if work and low[v] < low[work[-1][0]]:
-                low[work[-1][0]] = low[v]
-            if low[v] == index[v]:
-                comp = set()
-                while True:
-                    u = stack.pop()
-                    on.discard(u)
-                    comp.add(u)
-                    if u == v:
-                        break
-                out.append(comp)
+            else:  # v has no arc left: it is finished
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    comp = set()
+                    while True:
+                        u = stack.pop()
+                        on.discard(u)
+                        comp.add(u)
+                        if u == v:
+                            break
+                    out.append(comp)
     return out
 
 
@@ -468,28 +475,31 @@ class FlowNetwork:
     __slots__ = ("adj", "fwd", "marked", "head", "cap", "built", "classes", "source", "sink",
                  "n", "gadget")
 
-    def __init__(self, nodes: int, arcs: Iterable[tuple[int, int, int]]) -> None:
+    def __init__(self, nodes: int, arcs: Sequence[tuple[int, int, int]]) -> None:
         self.adj = adj = [[] for _ in range(nodes + 2)]
         self.fwd = fwd = [[] for _ in range(nodes + 2)]
-        self.head, self.cap = head, cap = [], []  # indexed by arc id
-        for u, v, c in arcs:
-            adj[u].append(len(head))
-            fwd[u].append(len(head))
-            adj[v].append(len(head) + 1)
-            head += (v, u)
-            cap += (c, 0)
-        self.classes = a = len(head)
+        a = 0  # the id of the next arc; the arrays indexed by it are filled below
+        for u, v, _ in arcs:
+            adj[u].append(a)
+            fwd[u].append(a)
+            adj[v].append(a + 1)
+            a += 2
+        self.classes = classes = a
         self.source, self.sink = src, snk = nodes, nodes + 1
         # node v's source arc is classes + 4v, its sink arc classes + 4v + 2
         for v in range(nodes):
-            adj[src].append(a)
-            fwd[src].append(a)
             adj[v] += (a + 1, a + 2)
             fwd[v].append(a + 2)
-            adj[snk].append(a + 3)
-            head += (v, src, snk, v)
             a += 4
-        cap += [0] * (4 * nodes)
+        adj[src], fwd[src] = list(range(classes, a, 4)), list(range(classes, a, 4))
+        adj[snk] = list(range(classes + 3, a, 4))
+        self.head, self.cap = head, cap = [0] * a, [0] * a
+        head[0:classes:2] = [v for _, v, _ in arcs]
+        head[1:classes:2] = [u for u, _, _ in arcs]
+        cap[0:classes:2] = [c for _, _, c in arcs]
+        head[classes::4] = head[classes + 3::4] = range(nodes)
+        head[classes + 1::4] = [src] * nodes
+        head[classes + 2::4] = [snk] * nodes
         self.built = cap[:]
         self.marked = [False] * (nodes + 2)
         self.n, self.gadget = 0, {}
@@ -562,10 +572,17 @@ class FlowNetwork:
     def _bfs(self, s: int, t: int) -> list[int]:
         """BFS from s over positive residual arcs until it reaches t: the arc
         each node was first reached by, -2 at s, -1 if unreached.  An
-        unmarked node's reverse arcs have no room, so it scans `fwd`."""
+        unmarked node's reverse arcs have no room, so it scans `fwd`.
+
+        Only sink arcs enter the sink, and nodes are scanned in the order
+        they are found, so from the source the sink's parent is the first
+        node found with room on its sink arc: the pass stops when it finds
+        that node, on the path a full pass would take."""
         adj, fwd, marked, head, cap = self.adj, self.fwd, self.marked, self.head, self.cap
         via = [-1] * len(adj)
         via[s] = -2
+        last = s if t == self.sink and s == self.source else 0  # nodes below it have sink arcs
+        sinkarc = self.classes + 2
         queue = [s]
         for u in queue:  # the BFS queue: nodes appended below are visited too
             for a in adj[u] if marked[u] else fwd[u]:
@@ -573,6 +590,9 @@ class FlowNetwork:
                     w = head[a]
                     if via[w] == -1:
                         via[w] = a
+                        if w < last and cap[sinkarc + 4 * w] > 0:
+                            via[t] = sinkarc + 4 * w
+                            return via
                         if w == t:  # its path is fixed once it is reached
                             return via
                         queue.append(w)
@@ -680,19 +700,21 @@ def linkage(D: Digraph, G: Interned, net: FlowNetwork, X: Iterable[Vertex], Y: I
         return MengerResult(None, sep)
 
     # decompose the flow, always stepping to the least next node (in-nodes,
-    # then out-nodes, then the sink); an arc's flow is its reverse's capacity
-    used = [net.cap[a ^ 1] if a % 2 == 0 else 0 for a in range(len(net.cap))]
+    # then out-nodes, then the sink); only forward arcs carry flow, an arc's
+    # flow being its reverse's capacity less the units `taken` from it
+    fwd, head, cap = net.fwd, net.head, net.cap
+    taken: dict[int, int] = {}
     paths = []
     for _ in range(r):
         walk = []
         node = net.source
         while node != net.sink:
-            step = min((a for a in net.adj[node] if used[a] > 0), key=net.head.__getitem__,
+            step = min((a for a in fwd[node] if cap[a ^ 1] > taken.get(a, 0)), key=head.__getitem__,
                        default=None)
             if step is None:
                 raise RuntimeError("flow decomposition ran dry")
-            used[step] -= 1
-            node = net.head[step]
+            taken[step] = taken.get(step, 0) + 1
+            node = head[step]
             if node < n:
                 walk.append(G.names[node])
         paths.append(Path(D, walk))

@@ -36,6 +36,7 @@ from util import (
     mixed_id_digraph,
     path_digraph,
     random_digraph,
+    reference_component_lb,
     reference_partition_min_cut,
     triangle_gadget,
     two_cycle_tail,
@@ -370,6 +371,24 @@ def test_component_bound_matches_brute_internal_connectivity():
         assert balsep._component_lb(G, net, len(vs) - 1) == truth
         shortcut[any(len(heads) == 1 for heads in G.succ)] += 1
     assert min(shortcut[True], shortcut[False]) >= 30, shortcut
+
+
+def test_component_bound_matches_the_all_pairs_reference():
+    # Even's bound flows only out of and into the vertices below the
+    # bound; the reference flows over every non-adjacent ordered pair
+    rng = random.Random(0xE7E)
+    below = Counter()
+    for _ in range(2000):
+        n = rng.randint(3, 10)
+        D = random_strong_component(rng, n)
+        vs = D.sorted_vertices()
+        for _ in range(int(rng.uniform(0, 1.2) * n * n)):  # dense, often not complete
+            D.add_edge(*rng.sample(vs, 2))
+        bound = rng.randint(1, n)
+        got = balsep._component_lb(*balsep._split(D, set(vs), frozenset(), n), bound)
+        assert got == reference_component_lb(*balsep._split(D, set(vs), frozenset(), n), bound)
+        below[got < bound and got > 1] += 1
+    assert below[True] > 300, below
 
 
 def test_partition_engine_matches_the_reference_engine():

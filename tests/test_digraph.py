@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -571,6 +572,72 @@ def test_no_pass_scans_a_reverse_arc_at_an_unmarked_node(monkeypatch):
     assert [[a for a in arcs if not a & 1] for arcs in net.adj] == net.fwd
     net.reset()
     assert not any(net.marked)
+
+
+class _PoppedArcs(list):
+    """An arc list that logs its node to `state["log"]`, while that is a
+    list, each time it is scanned: a BFS pass scans a node's arcs once, when
+    it pops the node."""
+
+    def __init__(self, arcs, node, state):
+        super().__init__(arcs)
+        self.node, self.state = node, state
+
+    def __iter__(self):
+        if self.state["log"] is not None:
+            self.state["log"].append(self.node)
+        return list.__iter__(self)
+
+
+def _path_to(via, head, t: int) -> list[int]:
+    path = []
+    while via[t] >= 0:
+        path.append(via[t])
+        t = head[via[t] ^ 1]
+    return path
+
+
+def test_a_pass_to_the_sink_pops_no_node_after_a_free_sink_arc_is_found(monkeypatch):
+    # a pass from the source to the sink stops on finding the first node
+    # with room on its sink arc, on the full pass's path; the residual walk
+    # menger reads its separator off still pops every node it reaches
+    state = {"log": None}
+    counts = Counter()
+    real = FlowNetwork._bfs
+
+    def counted(net, s, t):
+        for name in ("adj", "fwd"):
+            lists = getattr(net, name)
+            if not isinstance(lists[0], _PoppedArcs):
+                setattr(net, name, [_PoppedArcs(arcs, u, state) for u, arcs in enumerate(lists)])
+        state["log"] = popped = []
+        try:
+            via = real(net, s, t)
+        finally:
+            state["log"] = None
+        full = reference_bfs(net, s, t)
+        found = [w for w, a in enumerate(via) if a != -1 and w != t]
+        if t == net.sink and s == net.source:
+            assert _path_to(via, net.head, t) == _path_to(full, net.head, t)
+            free = [w for w in found if w < s and net.cap[net.classes + 4 * w + 2] > 0]
+            if via[t] == -1:
+                assert free == [] and sorted(popped) == found
+                counts["dry"] += 1
+            else:
+                goal = net.head[via[t] ^ 1]
+                assert free == [goal] and goal not in popped
+                assert popped[-1] == net.head[via[goal] ^ 1]  # its finder was the last node popped
+                counts["stopped"] += 1
+                counts["left queued"] += len(found) - len(popped)
+        else:
+            assert t == -1 and via == full and sorted(popped) == found
+            counts["residual walk"] += 1
+        return via
+
+    monkeypatch.setattr(FlowNetwork, "_bfs", counted)
+    _flow_kernel_outcomes(31, 300)
+    assert verify_well_linked(bidirected_clique(9), [1, 3, 5, 7])
+    assert min(counts.values()) > 100 and counts["left queued"] > 2 * counts["stopped"], counts
 
 
 def test_flow_refuses_reverse_arcs_in_cut_and_banned():

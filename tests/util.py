@@ -343,6 +343,140 @@ def reference_violating_path(D: Digraph, blocks, removed: frozenset):
     return None
 
 
+def reference_tarjan_sccs(D: Digraph, banned=(), within: set | None = None) -> list[set]:
+    """digraph.tarjan_sccs as it was before its loop stepped through the
+    arcs with a for loop, kept verbatim as its referee: one next() per
+    arc."""
+    succ = D._succ
+    index: dict = dict.fromkeys(banned, -1)
+    low: dict = {}
+    on: set = set()
+    stack: list = []
+    out: list[set] = []
+    counter = 0
+    inside = None if within is None else within.__contains__
+    for root in succ if within is None else within:
+        if root in index:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on.add(root)
+        work: list = [(root, filter(inside, succ[root]) if inside else iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            w = next(it, None)
+            if w is not None:
+                if w not in index:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on.add(w)
+                    work.append((w, filter(inside, succ[w]) if inside else iter(succ[w])))
+                elif w in on and index[w] < low[v]:
+                    low[v] = index[w]
+                continue
+            work.pop()
+            if work and low[v] < low[work[-1][0]]:
+                low[work[-1][0]] = low[v]
+            if low[v] == index[v]:
+                comp = set()
+                while True:
+                    u = stack.pop()
+                    on.discard(u)
+                    comp.add(u)
+                    if u == v:
+                        break
+                out.append(comp)
+    return out
+
+
+def reference_vsorted(vs) -> list:
+    """digraph.vsorted as it was before its native-sort path: every id
+    through vkey."""
+    return sorted(vs, key=vkey)
+
+
+def reference_network_init(net, nodes: int, arcs) -> None:
+    """FlowNetwork.__init__ as it was before the bulk build, kept verbatim
+    as its referee: the arrays grow arc by arc."""
+    net.adj = adj = [[] for _ in range(nodes + 2)]
+    net.fwd = fwd = [[] for _ in range(nodes + 2)]
+    net.head, net.cap = head, cap = [], []  # indexed by arc id
+    for u, v, c in arcs:
+        adj[u].append(len(head))
+        fwd[u].append(len(head))
+        adj[v].append(len(head) + 1)
+        head += (v, u)
+        cap += (c, 0)
+    net.classes = a = len(head)
+    net.source, net.sink = src, snk = nodes, nodes + 1
+    # node v's source arc is classes + 4v, its sink arc classes + 4v + 2
+    for v in range(nodes):
+        adj[src].append(a)
+        fwd[src].append(a)
+        adj[v] += (a + 1, a + 2)
+        fwd[v].append(a + 2)
+        adj[snk].append(a + 3)
+        head += (v, src, snk, v)
+        a += 4
+    cap += [0] * (4 * nodes)
+    net.built = cap[:]
+    net.marked = [False] * (nodes + 2)
+    net.n, net.gadget = 0, {}
+
+
+def reference_linkage(D: Digraph, G: Interned, net, X, Y, r: int) -> MengerResult:
+    """digraph.linkage as it was before its decomposition walked the
+    forward arcs, kept verbatim as its referee: a `used` entry per arc."""
+    if r < 1:
+        raise ValueError("menger requires r >= 1")
+    n = len(G.names)
+    flow = net.flow(G.ids(vsorted(X)), [n + y for y in G.ids(vsorted(Y))], r)
+    if flow < r:
+        via = net._bfs(net.source, -1)  # the residual side of the minimum cut
+        sep = {G.names[v] for v in range(n) if via[v] != -1 and via[n + v] == -1}
+        if len(sep) > r - 1:
+            raise RuntimeError(f"a flow of {flow} left a separator of {len(sep)} vertices")
+        return MengerResult(None, sep)
+    used = [net.cap[a ^ 1] if a % 2 == 0 else 0 for a in range(len(net.cap))]
+    paths = []
+    for _ in range(r):
+        walk = []
+        node = net.source
+        while node != net.sink:
+            step = min((a for a in net.adj[node] if used[a] > 0), key=net.head.__getitem__,
+                       default=None)
+            if step is None:
+                raise RuntimeError("flow decomposition ran dry")
+            used[step] -= 1
+            node = net.head[step]
+            if node < n:
+                walk.append(G.names[node])
+        paths.append(Path(D, walk))
+    return MengerResult(paths, None)
+
+
+def reference_component_lb(G: Interned, net, bound: int) -> int:
+    """balsep._component_lb as it was before Even's bound, kept verbatim as
+    its referee: a flow for every non-adjacent ordered pair."""
+    n = len(G.names)
+    if n > 2 and any(len(heads) == 1 for heads in G.succ):
+        return 1
+    for u in range(n):
+        near = set(G.succ[u])
+        source = (net.out(u),)
+        for w in range(n):
+            if u == w or w in near:
+                continue
+            f = net.flow(source, (w,), bound)
+            if f < bound:
+                bound = f
+                if bound <= 1:
+                    return 1
+    return bound
+
+
 def reference_bfs(net, s: int, t: int) -> list[int]:
     """FlowNetwork._bfs as it was before the forward lists, kept verbatim
     as their referee: every pass scans every arc at every node, the reverse
