@@ -95,10 +95,31 @@ def ordered_partitions(T: Iterable[Vertex], r: int) -> Iterator[TerminalSequence
     return map(TerminalSequence, _partitions(tuple(vsorted(set(T))), r, lambda U: True))
 
 
+def _one_row_component(D: Digraph, Z: set) -> set | None:
+    """D minus Z if its first vertex v has arcs to and from every other
+    vertex of it, which makes it strongly connected; else None.  A row of
+    v's shorter than |D| - |Z| - 1 misses some vertex, so a sparse host
+    fails on degrees alone, before D minus Z is built."""
+    succ, pred = D._succ, D._pred
+    v = next((u for u in succ if u not in Z), None)
+    least = len(succ) - len(Z) - 1
+    if v is None or len(succ[v]) < least or len(pred[v]) < least:
+        return None
+    rest = succ.keys() - Z
+    if rest.difference(succ[v], (v,)) or rest.difference(pred[v], (v,)):
+        return None
+    return rest
+
+
 def offending_components(D: Digraph, T: Iterable[Vertex], r: int, Z: Iterable[Vertex] = ()) -> list[set]:
     """The strong components of D minus Z holding more than r vertices of T,
-    ordered by their least terminal."""
+    ordered by their least terminal.  A dense D minus Z that one row shows
+    strongly connected needs no Tarjan pass."""
     Tset = frozenset(T)
+    Z = set(Z)
+    whole = _one_row_component(D, Z)
+    if whole is not None:
+        return [whole] if len(whole & Tset) > r else []
     heavy = [c for c in tarjan_sccs(D, Z) if len(c & Tset) > r]
     # a negative quota also counts components without terminals; those
     # keep their emission order ahead of the rest
@@ -292,7 +313,10 @@ def _partition_min_cut(D: Digraph, comp: set, Tc: frozenset, r: int, cap: int, l
 
     @cache
     def prefix_bound(U: frozenset) -> int:
-        # min vertices (terminals deletable) meeting every U -> rest path
+        # min vertices (terminals deletable) meeting every U -> rest path;
+        # with no rest there is no path to meet, and no flow to ask
+        if len(U) == len(terms):
+            return 0
         return oracle.lower_bound([[gadget[v] for v in U], [gadget[v] for v in terms if v not in U]], cap)
 
     for blocks in _partitions(tuple(terms), r, lambda U: prefix_bound(U) <= budget):

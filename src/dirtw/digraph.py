@@ -441,10 +441,15 @@ class Interned:
     __slots__ = ("names", "index", "succ")
 
     def __init__(self, D: Digraph, vertices: Iterable[Vertex]) -> None:
-        self.names = vsorted(vertices)
-        self.index = index = {v: i for i, v in enumerate(self.names)}
-        self.succ = [sorted(index[w] for w in D._succ[v] if w != v and w in index)
-                     for v in self.names]
+        self.names = names = vsorted(vertices)
+        self.index = index = {v: i for i, v in enumerate(names)}
+        succ = D._succ
+        keep = None if len(index) == len(succ) else index.__contains__  # all of D keeps every head
+        self.succ = rows = [sorted(map(index.__getitem__, filter(keep, succ[v]) if keep else succ[v]))
+                            for v in names]
+        for i, v in enumerate(names):
+            if v in succ[v]:  # a loop
+                rows[i].remove(i)
 
     def ids(self, vs: Iterable[Vertex]) -> list[int]:
         """The numbers of vs; a vertex outside the set is a ValueError."""
@@ -463,9 +468,10 @@ class FlowNetwork:
     `fwd[u]` lists its even arcs alone, in the same order.  A reverse arc
     has room only once flow has crossed its partner, and `marked[u]` is set
     when that may have happened at u, so a BFS pass scans `fwd[u]` at an
-    unmarked node and skips no arc with room.  The
-    classes come first, in ascending (tail, head) order, as the even ids
-    below `classes`; each costs its capacity as built.  Then each node v
+    unmarked node and skips no arc with room.  The classes come as three
+    parallel sequences, class i running from `tails[i]` to `heads[i]` at
+    cost `costs[i]`, in ascending (tail, head) order; they are the even ids
+    below `classes`, each costing its capacity as built.  Then each node v
     below `source` gets arcs source -> v and v -> sink, built switched off.
     `flow`, the one way to ask a question, first restores the capacities;
     `swap_sink` carries its flow over to the question with one sink traded.
@@ -475,11 +481,11 @@ class FlowNetwork:
     __slots__ = ("adj", "fwd", "marked", "head", "cap", "built", "classes", "source", "sink",
                  "n", "gadget")
 
-    def __init__(self, nodes: int, arcs: Sequence[tuple[int, int, int]]) -> None:
+    def __init__(self, nodes: int, tails: Sequence[int], heads: Sequence[int], costs: Sequence[int]) -> None:
         self.adj = adj = [[] for _ in range(nodes + 2)]
         self.fwd = fwd = [[] for _ in range(nodes + 2)]
         a = 0  # the id of the next arc; the arrays indexed by it are filled below
-        for u, v, _ in arcs:
+        for u, v in zip(tails, heads):
             adj[u].append(a)
             fwd[u].append(a)
             adj[v].append(a + 1)
@@ -494,9 +500,9 @@ class FlowNetwork:
         adj[src], fwd[src] = list(range(classes, a, 4)), list(range(classes, a, 4))
         adj[snk] = list(range(classes + 3, a, 4))
         self.head, self.cap = head, cap = [0] * a, [0] * a
-        head[0:classes:2] = [v for _, v, _ in arcs]
-        head[1:classes:2] = [u for u, _, _ in arcs]
-        cap[0:classes:2] = [c for _, _, c in arcs]
+        head[0:classes:2] = heads
+        head[1:classes:2] = tails
+        cap[0:classes:2] = costs
         head[classes::4] = head[classes + 3::4] = range(nodes)
         head[classes + 1::4] = [src] * nodes
         head[classes + 2::4] = [snk] * nodes
@@ -634,13 +640,16 @@ def split_network(G: Interned, terms: Iterable[int] = (), wide: int | None = Non
     n = len(G.names)
     wide = n + 1 if wide is None else wide
     gadget = {t: 2 * n + j for j, t in enumerate(sorted(terms))}
-    arcs = [(v, n + v, 1) for v in range(n)]
-    for u, heads in enumerate(G.succ):
-        arcs += [(n + u, w, wide) for w in heads]
+    tails, heads = list(range(n)), list(range(n, 2 * n))
+    for u, row in enumerate(G.succ):
+        tails += [n + u] * len(row)
+        heads += row
         if u in gadget:
-            arcs.append((n + u, gadget[u], wide))
-    arcs += [(g, t, wide) for t, g in gadget.items()]
-    net = FlowNetwork(2 * n + len(gadget), arcs)
+            tails.append(n + u)
+            heads.append(gadget[u])
+    tails += gadget.values()
+    heads += gadget
+    net = FlowNetwork(2 * n + len(gadget), tails, heads, [1] * n + [wide] * (len(tails) - n))
     net.n, net.gadget = n, gadget
     return net
 
@@ -649,8 +658,11 @@ def edge_network(D: Digraph, G: Interned) -> FlowNetwork:
     """The network of D's edge classes between G's vertices, on G's
     numbering: each non-loop class is an arc costing its multiplicity."""
     names, succ = G.names, D._succ
-    return FlowNetwork(len(names), [(u, w, succ[names[u]][names[w]])
-                                   for u, heads in enumerate(G.succ) for w in heads])
+    tails, heads = [], []
+    for u, row in enumerate(G.succ):
+        tails += [u] * len(row)
+        heads += row
+    return FlowNetwork(len(names), tails, heads, [succ[names[u]][names[w]] for u, w in zip(tails, heads)])
 
 
 class MengerResult:

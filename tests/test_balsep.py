@@ -26,7 +26,9 @@ from dirtw import (
 
 import dirtw
 import dirtw.cli
-from dirtw import balsep, lincut
+import util
+from dirtw import arboreal, balsep, digraph, lincut
+from dirtw.bramble import TBramble, order_parameter
 from dirtw.balsep import offending_components
 from util import (
     bidirected_clique,
@@ -37,6 +39,7 @@ from util import (
     path_digraph,
     random_digraph,
     reference_component_lb,
+    reference_offending_components,
     reference_partition_min_cut,
     triangle_gadget,
     two_cycle_tail,
@@ -335,6 +338,116 @@ def test_offending_components_match_brute_partition():
         assert is_balanced_separator(D, T, r, Z) == (not expected)
 
 
+def _near_clique(rng: random.Random) -> tuple[Digraph, set, str]:
+    """A complete digraph on up to 8 mixed ids, built in shuffled order, and
+    a deleted set Z, often leaving 0 or 1 vertices and holding ids outside
+    D; less one arc, or less every arc into or out of the first vertex of
+    D - Z (the one the offender test reads), with loops and parallel arcs."""
+    n = rng.randint(0, 8)
+    D = mixed_id_digraph(rng, random_digraph(rng, n, 0.0)) if n else Digraph()
+    vs = list(D.vertices())  # construction order
+    Z = set(rng.sample(vs, rng.randint(0, n // 2)))
+    if rng.random() < 0.2:
+        Z = set(vs[:max(0, n - rng.randint(0, 1))])
+    if rng.random() < 0.3:
+        Z |= {"absent", ("gone", 1)}
+    first = next((v for v in vs if v not in Z), None)
+    arcs = {(u, w) for u in vs for w in vs if u != w}
+    kind = rng.choice(["clique", "less one arc", "less one arc at first", "less into first", "less out of first"])
+    if kind == "less one arc" and arcs:
+        arcs.discard(rng.choice(sorted(arcs, key=repr)))
+    elif kind == "less one arc at first" and first is not None and n > 1:
+        other = rng.choice([v for v in vs if v != first])
+        arcs.discard(rng.choice([(first, other), (other, first)]))
+    elif kind == "less into first":
+        arcs = {(u, w) for u, w in arcs if w != first or (u in Z and rng.random() < 0.5)}
+    elif kind == "less out of first":
+        arcs = {(u, w) for u, w in arcs if u != first or (w in Z and rng.random() < 0.5)}
+    arcs |= {(v, v) for v in vs if rng.random() < 0.3}
+    for u, w in rng.sample(sorted(arcs, key=repr), len(arcs)):
+        D.add_edge(u, w, rng.randint(1, 3))
+    return D, Z, kind
+
+
+def test_offending_components_match_a_tarjan_only_reference():
+    # the one-row test answers for a D - Z its first vertex shows strongly
+    # connected; every other D - Z goes to Tarjan, so the lists are equal
+    rng = random.Random(0x0FFE)
+    seen = Counter()
+    for trial in range(3000):
+        D, Z, kind = _near_clique(rng)
+        vs = D.sorted_vertices()
+        T = set(rng.sample(vs, rng.randint(0, len(vs)))) | ({"absent"} if rng.random() < 0.2 else set())
+        r = rng.randint(-2, 3)
+        want = reference_offending_components(D, T, r, set(Z))
+        given = rng.choice([set, frozenset, list, tuple, iter])(Z)
+        assert offending_components(D, T, r, given) == want, (trial, kind)
+        left = len(set(vs) - Z)
+        strong = len(reference_offending_components(D, (), -1, set(Z))) == 1
+        seen[kind, left > 1 and strong, left] += 1
+    assert sum(c for (_, strong, _), c in seen.items() if strong) > 500, seen
+    for kind in ("less into first", "less out of first", "less one arc at first"):
+        assert sum(c for (k, strong, left), c in seen.items() if k == kind and left > 1 and not strong) > 25
+    assert min(sum(c for (_, _, left), c in seen.items() if left == size) for size in (0, 1)) > 100
+
+
+def _counted_tarjan(monkeypatch) -> list:
+    """A list that grows by one per tarjan_sccs call, from any module."""
+    calls, real = [], digraph.tarjan_sccs
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in (digraph, balsep, util):
+        monkeypatch.setattr(module, "tarjan_sccs", counted)
+    return calls
+
+
+def test_dense_hosts_find_their_offenders_without_tarjan(monkeypatch):
+    calls = _counted_tarjan(monkeypatch)
+    per_solve = []
+    real = arboreal.balanced_separator
+
+    def solve_counted(inst):
+        before = len(calls)
+        result = real(inst)
+        per_solve.append(len(calls) - before)
+        return result
+
+    monkeypatch.setattr(arboreal, "balanced_separator", solve_counted)
+    g = order_parameter(3)
+    for D in (bidirected_clique(3 * g), mixed_id_digraph(random.Random(5), bidirected_clique(3 * g))):
+        per_solve.clear()
+        cert = arboreal.decompose(D, g)
+        assert isinstance(cert, arboreal.LinkedSetCertificate)
+        assert per_solve[-1] == 0, per_solve  # the final solve, the one that finds T linked
+        before = len(calls)
+        assert TBramble(D, cert.T, g).offenders == [set(D.vertices())]
+        assert len(calls) == before
+        assert reference_offending_components(D, cert.T, g - 1) == [set(D.vertices())]
+        assert len(calls) == before + 1  # the pass the one-row test spares
+
+    # on sparse hosts the degrees reject at once and Tarjan runs as before
+    hosts = 0
+    for seed in range(1, 7):
+        D = dirtw.cli._gen_graph("random", 30, seed, 70)
+        before = len(calls)
+        got = arboreal.decompose(D, 2)
+        counted = len(calls) - before
+        with monkeypatch.context() as patched:
+            patched.setattr(balsep, "offending_components", reference_offending_components)
+            before = len(calls)
+            assert arboreal.decompose(D, 2) == got
+            assert counted == len(calls) - before
+        if isinstance(got, arboreal.LinkedSetCertificate):
+            before = len(calls)
+            TBramble(D, got.T, 2).offenders
+            assert len(calls) == before + 1
+            hosts += counted > 0
+    assert hosts >= 3, hosts
+
+
 def random_strong_component(rng: random.Random, n: int) -> Digraph:
     # a Hamiltonian cycle in random order keeps it strongly connected
     D = Digraph()
@@ -402,6 +515,25 @@ def test_partition_engine_matches_the_reference_engine():
         assert (balsep._partition_min_cut(D, set(D.vertices()), Tc, r, cap, lb)
                 == reference_partition_min_cut(D, Tc, r, cap, lb)), \
             (i, vsorted(Tc), r, cap, lb)
+
+
+def test_partition_engine_asks_no_flow_into_no_sinks(monkeypatch):
+    # the prefix bound of the whole terminal set is 0 with no rest to cut
+    # off; the engine knows it without asking the network
+    sinks, real = [], digraph.FlowNetwork.flow
+
+    def spy_flow(net, X, Y, limit, cut=(), banned=()):
+        sinks.append(len(Y))
+        return real(net, X, Y, limit, cut, banned)
+
+    monkeypatch.setattr(digraph.FlowNetwork, "flow", spy_flow)
+    rng = random.Random(29)
+    for _ in range(60):
+        D = random_strong_component(rng, rng.randint(13, 18))
+        r = rng.randint(1, 3)
+        Tc = frozenset(rng.sample(D.sorted_vertices(), rng.randint(r + 1, min(5, r + 2))))
+        balsep._partition_min_cut(D, set(D.vertices()), Tc, r, rng.randint(1, 4), 1)
+    assert len(sinks) > 60 and 0 not in sinks
 
 
 def test_partition_engine_searches_only_where_a_cut_exists(monkeypatch):

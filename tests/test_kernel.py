@@ -16,7 +16,10 @@ from dirtw.digraph import FlowNetwork, Interned, edge_network, linkage, split_ne
 from util import (
     mixed_id_digraph,
     reference_linkage,
+    reference_edge_classes,
+    reference_interned_rows,
     reference_network_init,
+    reference_split_classes,
     reference_tarjan_sccs,
     reference_vsorted,
     shuffled_digraph,
@@ -46,21 +49,45 @@ def test_tarjan_emission_order_matches_the_next_loop_reference():
     assert many > GRAPHS // 5, many
 
 
+def test_interned_rows_match_the_generator_form():
+    loops = partial = 0
+    for rng, D, vs in _graphs(0x1E7, GRAPHS, 12):
+        some = set(rng.sample(vs, rng.randint(0, len(vs))))
+        for chosen, want in ((D.vertices(), vs), (vs, vs), (some, vsorted(some))):
+            G = Interned(D, chosen)
+            assert G.names == want and G.index == {v: i for i, v in enumerate(want)}
+            assert G.succ == reference_interned_rows(D, G)
+        partial += len(some) < len(vs)
+        loops += any(D.has_edge(v, v) for v in some)
+    assert min(loops, partial) > GRAPHS // 4, (loops, partial)
+
+
 def _arrays(net) -> dict:
     return {name: getattr(net, name) for name in ARRAYS}
 
 
-def _networks(rng, D, vs) -> list[FlowNetwork]:
+def _columns(arcs: list[tuple]) -> tuple[list, list, list]:
+    """A (tail, head, cost) list as the three sequences FlowNetwork takes."""
+    return tuple(map(list, zip(*arcs))) if arcs else ([], [], [])
+
+
+def _networks(rng, D, vs, reference: bool = False) -> list[FlowNetwork]:
     """A split network with gadgets, an edge network and a network on a
-    random arc list, loops and parallel arcs included."""
+    random unsorted arc list, loops and parallel arcs included; with
+    `reference`, the first two built from their tuple-list classes."""
     G = Interned(D, vs)
     n = len(vs)
     terms = rng.sample(range(n), rng.randint(0, n))
     nodes = rng.randint(0, 6)
     arcs = [(rng.randrange(nodes), rng.randrange(nodes), rng.randint(0, 4))
             for _ in range(rng.randint(0, 12))] if nodes else []
-    return [split_network(G, terms, rng.choice([None, rng.randint(1, 9)])), edge_network(D, G),
-            FlowNetwork(nodes, arcs)]
+    wide = rng.choice([None, rng.randint(1, 9)])
+    if not reference:
+        return [split_network(G, terms, wide), edge_network(D, G), FlowNetwork(nodes, *_columns(arcs))]
+    split_nodes, split_arcs, gadget = reference_split_classes(G, terms, wide)
+    split = FlowNetwork(split_nodes, *_columns(split_arcs))
+    split.n, split.gadget = n, gadget
+    return [split, FlowNetwork(n, *_columns(reference_edge_classes(D, G))), FlowNetwork(nodes, *_columns(arcs))]
 
 
 def test_network_arrays_match_the_per_arc_build(monkeypatch):
@@ -71,7 +98,7 @@ def test_network_arrays_match_the_per_arc_build(monkeypatch):
         rng.setstate(state)
         with monkeypatch.context() as patched:
             patched.setattr(FlowNetwork, "__init__", reference_network_init)
-            want = [_arrays(net) for net in _networks(rng, D, vs)]
+            want = [_arrays(net) for net in _networks(rng, D, vs, reference=True)]
         assert got == want
         seen_arcs += got[0]["classes"] > 0 and got[1]["classes"] > 0 and got[2]["classes"] > 0
     assert seen_arcs > GRAPHS // 4, seen_arcs

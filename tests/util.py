@@ -12,7 +12,8 @@ from dirtw import (BalancedSeparatorInstance, Digraph, MengerResult, Path, TBram
                    balanced_separator, decompose, linear_vertex_cut, vkey, vsorted)
 from dirtw.arboreal import (ArborealDecomposition, LinkedSetCertificate, ValidationReport, Violation,
                             _structure_violations)
-from dirtw.digraph import Interned, _parse_token, _strongly_connected, guard_breach, scc, split_network
+from dirtw.digraph import (Interned, _parse_token, _strongly_connected, guard_breach, scc, split_network,
+                           tarjan_sccs)
 from dirtw.lincut import _violating_path
 
 
@@ -391,19 +392,30 @@ def reference_tarjan_sccs(D: Digraph, banned=(), within: set | None = None) -> l
     return out
 
 
+def reference_offending_components(D: Digraph, T, r: int, Z=()) -> list[set]:
+    """balsep.offending_components as it was before its one-row test, kept
+    as its referee: one Tarjan pass over D minus Z on every call."""
+    Tset = frozenset(T)
+    heavy = [c for c in tarjan_sccs(D, Z) if len(c & Tset) > r]
+    if len(heavy) > 1:
+        heavy.sort(key=lambda c: min(map(vkey, c & Tset), default=()))
+    return heavy
+
+
 def reference_vsorted(vs) -> list:
     """digraph.vsorted as it was before its native-sort path: every id
     through vkey."""
     return sorted(vs, key=vkey)
 
 
-def reference_network_init(net, nodes: int, arcs) -> None:
-    """FlowNetwork.__init__ as it was before the bulk build, kept verbatim
-    as its referee: the arrays grow arc by arc."""
+def reference_network_init(net, nodes: int, tails, heads, costs) -> None:
+    """FlowNetwork.__init__ as it was before the bulk build, kept as its
+    referee: the arrays grow arc by arc, class i running from tails[i] to
+    heads[i] at cost costs[i]."""
     net.adj = adj = [[] for _ in range(nodes + 2)]
     net.fwd = fwd = [[] for _ in range(nodes + 2)]
     net.head, net.cap = head, cap = [], []  # indexed by arc id
-    for u, v, c in arcs:
+    for u, v, c in zip(tails, heads, costs, strict=True):
         adj[u].append(len(head))
         fwd[u].append(len(head))
         adj[v].append(len(head) + 1)
@@ -424,6 +436,36 @@ def reference_network_init(net, nodes: int, arcs) -> None:
     net.built = cap[:]
     net.marked = [False] * (nodes + 2)
     net.n, net.gadget = 0, {}
+
+
+def reference_interned_rows(D: Digraph, G: Interned) -> list[list[int]]:
+    """Interned's successor rows as they were before the rows were mapped
+    in bulk, kept as their referee: a generator per vertex."""
+    index = G.index
+    return [sorted(index[w] for w in D._succ[v] if w != v and w in index) for v in G.names]
+
+
+def reference_split_classes(G: Interned, terms=(), wide: int | None = None) -> tuple[int, list, dict]:
+    """digraph.split_network's classes as it built them before the network
+    took parallel sequences, kept as their referee: (nodes, a (tail, head,
+    cost) tuple per class, the gadget map)."""
+    n = len(G.names)
+    wide = n + 1 if wide is None else wide
+    gadget = {t: 2 * n + j for j, t in enumerate(sorted(terms))}
+    arcs = [(v, n + v, 1) for v in range(n)]
+    for u, heads in enumerate(G.succ):
+        arcs += [(n + u, w, wide) for w in heads]
+        if u in gadget:
+            arcs.append((n + u, gadget[u], wide))
+    arcs += [(g, t, wide) for t, g in gadget.items()]
+    return 2 * n + len(gadget), arcs, gadget
+
+
+def reference_edge_classes(D: Digraph, G: Interned) -> list[tuple[int, int, int]]:
+    """digraph.edge_network's classes as tuples, as it built them before
+    the network took parallel sequences."""
+    names, succ = G.names, D._succ
+    return [(u, w, succ[names[u]][names[w]]) for u, heads in enumerate(G.succ) for w in heads]
 
 
 def reference_linkage(D: Digraph, G: Interned, net, X, Y, r: int) -> MengerResult:
