@@ -389,7 +389,7 @@ def _split_components(D: Digraph, bag: set, Z: frozenset) -> list[frozenset]:
         _reach_set(D, missed, Z, forward=True, seen=closure)
     elif _covers(D._pred, start, closure):
         return [frozenset(closure)]
-    return scc(D, within=closure).components
+    return scc(D, within=closure)
 
 
 def decompose(D: Digraph, k: int) -> ArborealDecomposition | LinkedSetCertificate:

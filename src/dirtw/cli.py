@@ -329,8 +329,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if kind is None:
         return _fail(2, "unrecognized artifact shape")
     try:
-        for key in ("T", "separator", "path", "A"):
-            for v in _as_list(js[key], key) if key in js else ():
+        rows = [(key, js[key]) for key in ("T", "separator", "path", "A") if key in js]
+        rows += [("anchor row", row) for key in ("anchors_in", "anchors_out") if key in js
+                 for row in _as_list(js[key], key)]
+        for what, row in rows:
+            for v in _as_list(row, what):
                 vkey(v)  # a TypeError for an id such as true or 1.0, which equal 1 in a set
         problems = {
             "decomposition": lambda: _validate_decomposition(D, js, args.nice),

@@ -97,19 +97,6 @@ class Digraph:
     def mult(self, u: Vertex, v: Vertex) -> int:
         return self._succ.get(u, {}).get(v, 0)
 
-    def out_neighbors(self, v: Vertex) -> Iterator[Vertex]:
-        return iter(self._succ[v])
-
-    def in_neighbors(self, v: Vertex) -> Iterator[Vertex]:
-        return iter(self._pred[v])
-
-    def edges(self) -> Iterator[tuple[Vertex, Vertex]]:
-        """Every edge, parallel copies yielded separately."""
-        for u, nbrs in self._succ.items():
-            for v, c in nbrs.items():
-                for _ in range(c):
-                    yield (u, v)
-
     def edge_classes(self) -> Iterator[tuple[Vertex, Vertex, int]]:
         """(tail, head, multiplicity) per distinct ordered pair."""
         for u, nbrs in self._succ.items():
@@ -178,22 +165,6 @@ class Path:
 
     def __repr__(self) -> str:
         return f"Path({self.vertices!r})"
-
-
-class SccDecomposition:
-    """Strong components in reverse topological order: no path runs from an
-    earlier component to a later one."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components: list[frozenset]) -> None:
-        self.components = components
-
-    def __len__(self) -> int:
-        return len(self.components)
-
-    def __iter__(self) -> Iterator[frozenset]:
-        return iter(self.components)
 
 
 def _covers(adj, start: Vertex, X: set) -> bool:
@@ -275,18 +246,19 @@ def tarjan_sccs(D: Digraph, banned: Iterable[Vertex] = (), within: set | None = 
     return out
 
 
-def scc(D: Digraph, banned: Iterable[Vertex] = (), within: set | None = None) -> SccDecomposition:
+def scc(D: Digraph, banned: Iterable[Vertex] = (), within: set | None = None) -> list[frozenset]:
     """Strong components of D minus banned (inside the vertex set `within`
     of D, when given), canonically ordered.
 
-    The order is reverse topological over the condensation; among the
-    components simultaneously eligible, the one holding the smallest vertex
-    id is emitted first, so the output depends only on the graph, not on
+    The order is reverse topological over the condensation, so no path runs
+    from an earlier component to a later one; among the components
+    simultaneously eligible, the one holding the smallest vertex id is
+    emitted first, so the output depends only on the graph, not on
     construction order.
     """
     raw = tarjan_sccs(D, banned, within)
     if len(raw) == 1:  # nothing to order
-        return SccDecomposition([frozenset(raw[0])])
+        return [frozenset(raw[0])]
     where = {}
     for i, comp in enumerate(raw):
         for v in comp:
@@ -315,7 +287,7 @@ def scc(D: Digraph, banned: Iterable[Vertex] = (), within: set | None = None) ->
                 heapq.heappush(heap, (minkey[p], p))
     if len(ordered) != len(raw):
         raise RuntimeError("the condensation order left out a strong component")
-    return SccDecomposition(ordered)
+    return ordered
 
 
 def _reach_set(D: Digraph, sources: Iterable[Vertex], banned: set, forward: bool,
@@ -364,12 +336,6 @@ def guard_breach(D: Digraph, S: Iterable[Vertex], Z: Iterable[Vertex]) -> Vertex
     bwd = _reach_set(D, Seff, Zset, forward=False)
     outside = [v for v in fwd & bwd if v not in Seff]
     return min(outside, key=vkey) if outside else None
-
-
-def is_guarded(D: Digraph, S: Iterable[Vertex], Z: Iterable[Vertex]) -> bool:
-    """True iff no directed walk in D minus Z starts and ends in S while
-    visiting a vertex outside S and Z (S meaning S minus Z throughout)."""
-    return guard_breach(D, S, Z) is None
 
 
 def guard_screen(D: Digraph, Z: Iterable[Vertex], parts: Sequence[set]) -> list[bool | None]:
@@ -475,8 +441,9 @@ class FlowNetwork:
     below `source` gets arcs source -> v and v -> sink, built switched off.
     `flow`, the one way to ask a question, first restores the capacities;
     `swap_sink` carries its flow over to the question with one sink traded.
-    A split network has `n` vertices and `gadget`, the gadget node of each
-    terminal (`split_network`); an edge network has n = 0 (`edge_network`)."""
+    `split_network` builds every network of the package and sets `n`, the
+    vertices whose split arcs are the first n classes, and `gadget`, the
+    gadget node of each terminal; a network built otherwise has n = 0."""
 
     __slots__ = ("adj", "fwd", "marked", "head", "cap", "built", "classes", "source", "sink",
                  "n", "gadget")
@@ -559,10 +526,6 @@ class FlowNetwork:
                 node = head[b]
         cap[self.classes + 4 * new + 2], cap[a] = cap[a], 0
         return self.max_flow(self.source, self.sink, limit=1)
-
-    def ends(self, a: int) -> tuple[int, int]:
-        """The (tail, head) pair of arc a."""
-        return self.head[a ^ 1], self.head[a]
 
     def out(self, v: int) -> int:
         """The out-node of vertex v of a split network."""
@@ -652,17 +615,6 @@ def split_network(G: Interned, terms: Iterable[int] = (), wide: int | None = Non
     net = FlowNetwork(2 * n + len(gadget), tails, heads, [1] * n + [wide] * (len(tails) - n))
     net.n, net.gadget = n, gadget
     return net
-
-
-def edge_network(D: Digraph, G: Interned) -> FlowNetwork:
-    """The network of D's edge classes between G's vertices, on G's
-    numbering: each non-loop class is an arc costing its multiplicity."""
-    names, succ = G.names, D._succ
-    tails, heads = [], []
-    for u, row in enumerate(G.succ):
-        tails += [u] * len(row)
-        heads += row
-    return FlowNetwork(len(names), tails, heads, [succ[names[u]][names[w]] for u, w in zip(tails, heads)])
 
 
 class MengerResult:

@@ -1,20 +1,20 @@
 """Exact solvers for linear cuts: given an ordered sequence of terminal
-blocks, remove at most `s` edges (or vertices) so that no directed path runs
-from an earlier block to a later one.
+blocks, remove at most `s` vertices so that no directed path runs from an
+earlier block to a later one.
 
-The vertex variant reduces to the edge variant on `digraph.split_network`:
-every vertex v becomes an arc v_in -> v_out, every original edge an arc of
-cost s+1, and each terminal hangs off a fresh gadget vertex attached by arcs
-of cost s+1 each way, so affordable cuts consist of split arcs only.  Vertices are
-deletable even when they are terminals; deleting a terminal discharges the
-demands it participates in.
+The vertex cut reduces to an arc cut on `digraph.split_network`: every
+vertex v becomes an arc v_in -> v_out of cost one, every original edge an
+arc of cost s+1, and each terminal hangs off a fresh gadget vertex attached
+by arcs of cost s+1 each way, so affordable cuts consist of split arcs only,
+one per deleted vertex.  Vertices are deletable even when they are
+terminals; deleting a terminal discharges the demands it participates in.
 
-Both variants, and every ordered partition that the balanced-separator
+The linear cut, and every ordered partition that the balanced-separator
 engine prices, are solved exactly by one extraction, `_lec_solve`, on
 `_CutOracle`, a yes/no test for a cut within budget that branches over
 important cuts: the optimum is the least budget it accepts from a lower
 bound on, and the lexicographically least cheapest cut is read off its
-answers one edge class at a time.  So every cut returned is the lex-least
+answers one split arc at a time.  So every cut returned is the lex-least
 cheapest one.
 """
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from collections.abc import Iterable
 from itertools import combinations
 
-from .digraph import Digraph, Interned, Vertex, edge_network, reachable, split_network, vsorted
+from .digraph import Digraph, Interned, Vertex, reachable, split_network, vsorted
 
 
 class TerminalSequence:
@@ -55,12 +55,10 @@ class TerminalSequence:
 
 @dataclass(frozen=True)
 class CutCertificate:
-    """A cut found within budget.  `elements` are vertices (vertex-cut) or
-    distinct edge classes as (tail, head) pairs (edge-cut; removing a class
-    removes all its parallel copies).  `forced` holds vertices pre-forced by
-    normalization because they occurred in two blocks."""
+    """A vertex cut found within budget.  `elements` are the vertices the
+    search chose; `forced` holds vertices pre-forced by normalization
+    because they occurred in two blocks."""
 
-    kind: str
     elements: frozenset
     forced: frozenset = field(default_factory=frozenset)
 
@@ -69,8 +67,6 @@ class CutCertificate:
         return len(self.elements) + len(self.forced)
 
     def cut_vertices(self) -> frozenset:
-        if self.kind != "vertex-cut":
-            raise ValueError(f"a {self.kind} certificate has no cut vertices")
         return self.elements | self.forced
 
 
@@ -137,10 +133,12 @@ def _violating_path(net, blocks, removed: frozenset):
 
 
 class _CutOracle:
-    """Exact yes/no answers about one digraph.FlowNetwork, whose classes are
-    its class arc ids: is there a set of classes of cost at most b, avoiding
-    `banned`, whose removal together with `removed` kills every path from an
-    earlier block to a later one?  The blocks are asked per question, so one
+    """Exact yes/no answers about one split network (`digraph.split_network`,
+    built with `wide` above every budget asked), whose classes are its class
+    arc ids: is there a set of at most b classes, avoiding `banned`, whose
+    removal together with `removed` kills every path from an earlier block
+    to a later one?  Only split arcs, each costing one, fit in a budget, so
+    a cut's cost is its size.  The blocks are asked per question, so one
     oracle serves every ordering of the network's terminals.
 
     A linear cut is Skew Edge Multicut, so by the pushing lemma (Chen, Liu,
@@ -150,7 +148,7 @@ class _CutOracle:
     with the cut removed; the cost grows with the budget, not with the
     graph.  Every flow asks the network with the flow limit b + 1, which
     banned classes get as capacity: no cut within budget can pay them, as it
-    cannot pay a class that costs more than b.  The lists of cuts are
+    cannot pay an arc that costs more than b.  The lists of cuts are
     memoized for the oracle's life."""
 
     __slots__ = ("net", "memo")
@@ -160,9 +158,9 @@ class _CutOracle:
         self.memo: dict = {}
 
     def feasible(self, blocks, removed, banned, budget: int) -> bool:
-        """Whether some set of classes outside `banned`, of cost at most
-        `budget`, kills every earlier-to-later path between `blocks` (lists
-        of the network's nodes) once the classes in `removed` are gone."""
+        """Whether some set of at most `budget` classes outside `banned`
+        kills every earlier-to-later path between `blocks` (lists of the
+        network's nodes) once the classes in `removed` are gone."""
         return self._decide([tuple(b) for b in blocks], frozenset(removed), frozenset(banned), budget)
 
     def lower_bound(self, blocks, s: int) -> int:
@@ -189,14 +187,13 @@ class _CutOracle:
         if cuts is None:
             found: list = []
             self._important(blocks[0], sinks, removed, banned, frozenset(), budget, found)
-            built = self.net.built
-            cuts = self.memo[key] = [(F, sum(built[a] for a in F)) for F in dict.fromkeys(found)]
-        return any(self._decide(blocks[1:], removed | F, banned, budget - cost) for F, cost in cuts)
+            cuts = self.memo[key] = list(dict.fromkeys(found))
+        return any(self._decide(blocks[1:], removed | F, banned, budget - len(F)) for F in cuts)
 
     def _important(self, X, Y: frozenset, removed: frozenset, banned: frozenset,
                    F: frozenset, budget: int, found: list) -> None:
         """Append to `found` every class set F ∪ C that a branch reaches,
-        with C of cost at most `budget` cutting X from Y once `removed` and
+        with C of at most `budget` classes cutting X from Y once `removed` and
         F are gone: a superset of the important cuts.  Each step takes the
         furthest minimum cut R and the least class leaving it, then either
         cuts the class or moves its head to the source side; both raise
@@ -224,63 +221,36 @@ class _CutOracle:
         # its least leaving class: arcs leaving R are saturated, so they
         # carry flow, and removed classes and the sink arcs of R carry none
         e = next(a for u in R for a in adj[u] if not a & 1 and reaches[head[a]] and cap[a ^ 1] > 0)
-        # it costs at most the flow, so within budget
-        self._important(R, Y, removed, banned, F | {e}, budget - net.built[e], found)
+        # it carries flow, at most the budget, so it costs no more: a split
+        # arc, unless the network's wide arcs are within the budget
+        if e >= 2 * net.n:
+            raise RuntimeError("an affordable important cut holds a non-split arc")
+        self._important(R, Y, removed, banned, F | {e}, budget - 1, found)
         if head[e] not in Y:
             self._important(R + [head[e]], Y, removed, banned, F, budget, found)
 
 
 def _lec_solve(oracle: _CutOracle, blocks, start: int, budget: int):
-    """The lexicographically least minimum-cost set of the oracle's classes
+    """The lexicographically least minimum set of the oracle's split arcs
     that cuts `blocks` within `budget`, or None: the least budget from
-    `start`, a lower bound on the cost, that the oracle accepts, then each
-    class in canonical order, kept iff a cheapest cut extends the classes
+    `start`, a lower bound on the size, that the oracle accepts, then each
+    split arc in canonical order, kept iff a smallest cut extends the arcs
     kept so far by it and avoids the ones left out."""
     optimum = next((b for b in range(start, budget + 1) if oracle.feasible(blocks, (), (), b)), None)
     if optimum is None:
         return None
-    built = oracle.net.built
     chosen: set = set()
     out: set = set()
-    spent = 0
-    for cls in range(0, oracle.net.classes, 2):
-        # classes cost at least one, so a set at the optimum is a whole cut
-        if spent == optimum:
+    for cls in range(0, 2 * oracle.net.n, 2):
+        if len(chosen) == optimum:  # a set of the optimum's size is a whole cut
             break
-        c = built[cls]
-        if spent + c > optimum:
-            continue
-        if oracle.feasible(blocks, chosen | {cls}, out, optimum - spent - c):
+        if oracle.feasible(blocks, chosen | {cls}, out, optimum - len(chosen) - 1):
             chosen.add(cls)
-            spent += c
         else:
             out.add(cls)
     if _violating_path(oracle.net, blocks, frozenset(chosen)) is not None:
         raise RuntimeError("lex-least extraction left a violating path")
     return frozenset(chosen)
-
-
-def linear_edge_cut(D: Digraph, T, s: int) -> CutCertificate | None:
-    """Minimum edge cut of cost at most s killing every earlier-to-later
-    terminal path, or None.  A vertex shared by two blocks makes the demand
-    unsatisfiable by edge deletions (the zero-length path survives), so such
-    instances report None."""
-    if s < 0:
-        raise ValueError("budget must be non-negative")
-    blocks = _coerce_blocks(T)
-    _check_blocks_in(D, blocks)
-    if len(blocks) < 2:
-        return CutCertificate("edge-cut", frozenset())
-    if _forced(blocks):
-        return None
-    G = Interned(D, D.vertices())
-    net = edge_network(D, G)
-    ids = [sorted(G.ids(b)) for b in blocks]
-    oracle = _CutOracle(net)
-    cut = _lec_solve(oracle, ids, oracle.lower_bound(ids, s), s)
-    if cut is None:
-        return None
-    return CutCertificate("edge-cut", frozenset((G.names[u], G.names[w]) for u, w in map(net.ends, cut)))
 
 
 def linear_vertex_cut(D: Digraph, T, s: int) -> CutCertificate | None:
@@ -298,7 +268,7 @@ def linear_vertex_cut(D: Digraph, T, s: int) -> CutCertificate | None:
     blocks = [b for b in blocks if b]
     s0 = s - len(forced)
     if len(blocks) < 2:
-        return CutCertificate("vertex-cut", frozenset(), forced)
+        return CutCertificate(frozenset(), forced)
 
     body = Interned(D, [v for v in D.vertices() if v not in forced])
     # edge and gadget arcs cost s0 + 1, so affordable cuts hold split arcs only
@@ -308,7 +278,7 @@ def linear_vertex_cut(D: Digraph, T, s: int) -> CutCertificate | None:
     cut = _lec_solve(oracle, gadgets, oracle.lower_bound(gadgets, s0), s0)
     if cut is None:
         return None
-    return CutCertificate("vertex-cut", frozenset(map(body.names.__getitem__, net.split_vertices(cut))), forced)
+    return CutCertificate(frozenset(map(body.names.__getitem__, net.split_vertices(cut))), forced)
 
 
 def brute_force_vertex_cut(D: Digraph, T, s: int) -> CutCertificate | None:
@@ -328,5 +298,5 @@ def brute_force_vertex_cut(D: Digraph, T, s: int) -> CutCertificate | None:
                 for i in range(len(blocks))
                 for j in range(i + 1, len(blocks))
             ):
-                return CutCertificate("vertex-cut", frozenset(C - forced), frozenset(C & forced))
+                return CutCertificate(frozenset(C - forced), frozenset(C & forced))
     return None

@@ -429,7 +429,7 @@ def test_only_the_callers_that_profit_test_strong_connectivity_first(monkeypatch
     for bag in ({1, 2}, {2, 4}, {1, 3, 4}, {2, 3}):
         comps = arboreal._split_components(D, bag, frozenset())
         closure = set().union(*comps)
-        assert comps == scc(D, within=closure).components
+        assert comps == scc(D, within=closure)
         assert bag <= closure
     assert callers == []
     balsep._refine_offenders(D, frozenset({1, 2, 3}), 1, [{2, 3}], [1])

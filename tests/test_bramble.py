@@ -438,7 +438,7 @@ def test_verify_well_linked_matches_the_per_pair_flows():
         A = rng.sample(vs, rng.randint(0, min(6, len(vs))))
         verdict = verify_well_linked(D, A)
         assert verdict == reference_verify_well_linked(D, A), (sorted(D.edge_classes(), key=repr), A)
-        comps = {c for c in scc(D).components if not c.isdisjoint(A)}
+        comps = {c for c in scc(D) if not c.isdisjoint(A)}
         if len(comps) > 1:
             kinds["A over several components"] += 1
             kinds["refused by the backward walk alone"] += set(A) <= _reach_set(D, A[:1], set(), True)

@@ -520,20 +520,31 @@ def test_validate_refuses_a_repeated_terminal(tmp_path, k6, capsys, doc):
     assert code == 1 and "a terminal is listed twice" in err
 
 
+# spines, anchors_in, anchors_out and the linkages 1,2 and 2,1 of a path
+# system of two spines on K_4
+PATH_SYSTEM = '{"spines": [%s], "anchors_in": [%s], "anchors_out": [%s], "linkages": {"1,2": [%s], "2,1": [%s]}}'
+
+
 @pytest.mark.parametrize("text, kind", [
     ('{"T": [1, 2, 3], "r": 1, "separator": [true, 2]}', "separator"),
     ('{"T": [1, 2, 3], "r": 1, "separator": [1.0, 2]}', "separator"),
     ('{"T": [1, 2.0, 3], "r": 1, "separator": [1, 2]}', "separator"),
     ('{"path": [1, 2, 3], "A": [1.0, 2]}', "welllinked"),
     ('{"path": [1, 2, 3], "A": [3, true]}', "welllinked"),
-], ids=["separator-bool", "separator-float", "separator-T-float", "welllinked-A-float", "welllinked-A-bool"])
+    (PATH_SYSTEM % ("[1, 2], [3, 4]", "[true], [3]", "[2], [4]", "[2, 3]", "[4, 1]"), "pathsystem"),
+    (PATH_SYSTEM % ("[1, 2], [3, 4]", "[1.0], [3]", "[2], [4]", "[2, 3]", "[4, 1]"), "pathsystem"),
+    (PATH_SYSTEM % ("[2, 1], [3, 4]", "[2], [3]", "[true], [4]", "[1, 3]", "[4, 2]"), "pathsystem"),
+    (PATH_SYSTEM % ("[2, 1], [3, 4]", "[2], [3]", "[1.0], [4]", "[1, 3]", "[4, 2]"), "pathsystem"),
+], ids=["separator-bool", "separator-float", "separator-T-float", "welllinked-A-float", "welllinked-A-bool",
+        "pathsystem-in-bool", "pathsystem-in-float", "pathsystem-out-bool", "pathsystem-out-float"])
 def test_validate_refuses_non_vertex_ids(tmp_path, capsys, text, kind):
-    # true and 1.0 equal the vertex 1 in a set; each artifact is valid with
-    # its ids written as integers
-    triangle = write(tmp_path, "tri.txt", serialize_edge_list(bidirected_clique(3)))
+    # true and 1.0 equal the vertex 1 in a set, and an anchor row is matched
+    # against its spine with `in`; each artifact is valid with its ids
+    # written as integers
+    k4 = write(tmp_path, "k4.txt", serialize_edge_list(bidirected_clique(4)))
     fixed = text.replace("true", "1").replace(".0", "")
-    assert run_cli(["validate", triangle, write(tmp_path, "ok.json", fixed)], capsys)[0] == 0
-    code, out, err = run_cli(["validate", triangle, write(tmp_path, "art.json", text)], capsys)
+    assert run_cli(["validate", k4, write(tmp_path, "ok.json", fixed)], capsys)[:2] == (0, f"valid {kind}\n")
+    code, out, err = run_cli(["validate", k4, write(tmp_path, "art.json", text)], capsys)
     assert code == 2 and out == ""
     assert f"malformed {kind} artifact" in err and "unsupported vertex id" in err
 

@@ -14,7 +14,6 @@ import dirtw
 from dirtw import (
     Digraph,
     Path,
-    is_guarded,
     menger,
     parse_edge_list,
     reachable,
@@ -25,8 +24,8 @@ from dirtw import (
 )
 from dirtw.arboreal import _structure_violations
 from dirtw.bramble import verify_well_linked
-from dirtw.digraph import (FlowNetwork, Interned, _reach_set, _strongly_connected, edge_network, guard_breach,
-                           guard_screen, split_network, tarjan_sccs)
+from dirtw.digraph import (FlowNetwork, Interned, _reach_set, _strongly_connected, guard_breach, guard_screen,
+                           split_network, tarjan_sccs)
 from dirtw.lincut import _CutOracle
 from util import (
     bidirected_clique,
@@ -64,7 +63,7 @@ def test_digraph_counts_and_multiplicity():
     assert D.m == 4
     assert D.mult("a", "b") == 3
     assert D.mult("b", "a") == 0
-    assert sorted(D.edges()) == [("a", "b")] * 3 + [("b", "b")]
+    assert sorted(D.edge_classes()) == [("a", "b", 3), ("b", "b", 1)]
 
 
 @pytest.mark.parametrize("bad", [True, False, 1.5, None, (1, 2.5)])
@@ -106,15 +105,14 @@ def test_path_validates_against_host():
 def test_scc_singleton_and_chain():
     single = Digraph()
     single.add_vertex("v")
-    assert scc(single).components == [frozenset({"v"})]
+    assert scc(single) == [frozenset({"v"})]
 
     chain = path_digraph("a", "b", "c")
-    assert scc(chain).components == [frozenset("c"), frozenset("b"), frozenset("a")]
+    assert scc(chain) == [frozenset("c"), frozenset("b"), frozenset("a")]
 
 
 def test_scc_strongly_connected_example():
-    dec = scc(pendant_pairs_digraph())
-    assert dec.components == [frozenset("abcdefg")]
+    assert scc(pendant_pairs_digraph()) == [frozenset("abcdefg")]
 
 
 def test_scc_order_forbids_forward_paths():
@@ -122,9 +120,9 @@ def test_scc_order_forbids_forward_paths():
     for _ in range(40):
         D = random_digraph(rng, rng.randint(1, 12), rng.random() * 0.5)
         dec = scc(D)
-        assert brute_scc_partition(D) == set(dec.components)
-        for i, earlier in enumerate(dec.components):
-            for later in dec.components[i + 1:]:
+        assert brute_scc_partition(D) == set(dec)
+        for i, earlier in enumerate(dec):
+            for later in dec[i + 1:]:
                 assert not dfs_path_exists(D, earlier, later)
 
 
@@ -135,7 +133,7 @@ def test_scc_canonical_across_construction_orders():
     right = Digraph()
     for u, v in [(4, 3), (3, 4), (2, 1), (1, 2)]:
         right.add_edge(u, v)
-    assert scc(left).components == scc(right).components
+    assert scc(left) == scc(right)
 
 
 def test_reachable_basics():
@@ -161,7 +159,7 @@ def test_banned_set_matches_deleting_by_copy():
         Z = {v for v in D.vertices() if rng.random() < 0.3} | {0, "ghost", (1, 2)}
         assert tarjan_sccs(D, Z) == tarjan_sccs(D.minus(Z))
         assert tarjan_sccs(D, iter(sorted(Z, key=vkey))) == tarjan_sccs(D.minus(Z))
-        assert scc(D, Z).components == scc(D.minus(Z)).components
+        assert scc(D, Z) == scc(D.minus(Z))
     assert tarjan_sccs(D) == tarjan_sccs(D, ()) == tarjan_sccs(D.minus(()))
 
 
@@ -172,13 +170,13 @@ def test_strong_pieces_within_a_vertex_set_match_banning_its_complement():
         D = mixed_id_digraph(rng, shuffled_digraph(rng, rng.randint(1, 8)))
         vs = D.sorted_vertices()
         V = set(vs)
-        for X in (set(rng.sample(vs, rng.randint(1, len(vs)))), set(rng.choice(scc(D).components)),
+        for X in (set(rng.sample(vs, rng.randint(1, len(vs)))), set(rng.choice(scc(D))),
                   {rng.choice(vs)}, set()):
             connected = _strongly_connected(D, X)
             assert connected == (len(brute_scc_partition(D.induced(X))) == 1)
             assert ({frozenset(c) for c in tarjan_sccs(D, within=X)}
                     == {frozenset(c) for c in tarjan_sccs(D, V - X)})
-            assert scc(D, within=X).components == scc(D, V - X).components
+            assert scc(D, within=X) == scc(D, V - X)
             Z = set(rng.sample(vs, rng.randint(1, min(2, len(vs)))))
             assert ({frozenset(c) for c in tarjan_sccs(D, Z, within=X)}
                     == {frozenset(c) for c in tarjan_sccs(D, V - X | Z)})
@@ -241,18 +239,18 @@ def test_reach_set_stops_once_it_has_seen_every_vertex():
 
 def test_is_guarded_whole_graph_and_chain():
     D = path_digraph("a", "b", "c")
-    assert is_guarded(D, {"a", "b", "c"}, set())
-    assert not is_guarded(D, {"a", "c"}, set())
-    assert is_guarded(D, {"a", "c"}, {"b"})
+    assert guard_breach(D, {"a", "b", "c"}, set()) is None
+    assert guard_breach(D, {"a", "c"}, set()) == "b"
+    assert guard_breach(D, {"a", "c"}, {"b"}) is None
 
 
 def test_is_guarded_pendant_pairs():
     D = pendant_pairs_digraph()
     S = set("bcdefg")
-    assert is_guarded(D, S, {"b", "c"})
+    assert guard_breach(D, S, {"b", "c"}) is None
     # overlapping guard vertices are treated as removed with Z
-    assert is_guarded(D, S | {"b"}, {"b", "c"}) == is_guarded(D, S, {"b", "c"})
-    assert not is_guarded(D, {"d", "e", "f", "g"}, {"b"})
+    assert guard_breach(D, S | {"b"}, {"b", "c"}) == guard_breach(D, S, {"b", "c"})
+    assert guard_breach(D, {"d", "e", "f", "g"}, {"b"}) == "a"
 
 
 def test_is_guarded_matches_walk_oracle():
@@ -263,7 +261,7 @@ def test_is_guarded_matches_walk_oracle():
         vs = list(D.vertices())
         Z = {v for v in vs if rng.random() < 0.3}
         S = {v for v in vs if v not in Z and rng.random() < 0.5}
-        assert is_guarded(D, S, Z) == brute_guarded(D, S, Z)
+        assert (guard_breach(D, S, Z) is None) == brute_guarded(D, S, Z)
 
 
 def test_guard_screen_matches_guard_breach_and_the_strong_components():
@@ -405,14 +403,14 @@ def test_menger_matches_tuple_keyed_reference():
 def test_flow_guards_survive_optimized_mode():
     # python -O strips assert statements; these guards are explicit errors
     script = (
-        "from dirtw import CutCertificate, MengerResult, digraph\n"
+        "from dirtw import MengerResult, digraph\n"
         "D = digraph.Digraph()\n"
         "D.add_bidirected(1, 2)\n"
         "net = digraph.split_network(digraph.Interned(D, [1, 2]))\n"
         "checks = [lambda: MengerResult(None, None),\n"
-        "          lambda: CutCertificate('edge-cut', frozenset()).cut_vertices(),\n"
         "          lambda: net.flow([0], [3], 1, cut=[1]),  # a reverse arc\n"
-        "          lambda: net.flow([0], [3], 1, banned=[3])]\n"
+        "          lambda: net.flow([0], [3], 1, banned=[3]),\n"
+        "          lambda: net.split_vertices([4])]  # the arc of the edge 1 -> 2\n"
         "def broken(*args):\n"
         "    digraph.tarjan_sccs = lambda D, banned=(), within=None: [{1}, {2}]  # a cyclic condensation\n"
         "    digraph.scc(D)\n"
@@ -429,7 +427,7 @@ def test_flow_guards_survive_optimized_mode():
     proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ValueError"] * 4 + ["RuntimeError", "RuntimeError"]
+    assert proc.stdout.split() == ["ValueError"] * 3 + ["RuntimeError"] * 3
 
 
 def test_split_network_reuse_after_restoring_capacities():
@@ -473,8 +471,8 @@ def test_split_network_reuse_after_restoring_capacities():
 
 def _flow_kernel_outcomes(seed: int, count: int) -> tuple[list, dict]:
     """What the flow kernel decides on `count` random mixed-id multigraphs
-    with loops and parallel arcs: flow values on split and edge networks
-    with cut and banned classes, menger's paths or separator, a
+    with loops and parallel arcs: flow values on split networks and on
+    networks whose arcs cost their multiplicity, with cut and banned classes, menger's paths or separator, a
     verify_well_linked verdict and the cut lists of a cut oracle.  Also how
     often each kind of answer came up."""
     rng = random.Random(seed)
@@ -489,7 +487,11 @@ def _flow_kernel_outcomes(seed: int, count: int) -> tuple[list, dict]:
         res = menger(D, X, Y, rng.randint(1, 3))
         found["paths" if res.paths is not None else "separator"] += 1
         out.append([p.vertices for p in res.paths] if res.paths is not None else vsorted(res.separator))
-        for net, sinks in ((split_network(G), [n + y for y in G.ids(Y)]), (edge_network(D, G), G.ids(Y))):
+        tails = [u for u, row in enumerate(G.succ) for _ in row]
+        heads = [w for row in G.succ for w in row]
+        costs = [D.mult(G.names[u], G.names[w]) for u, w in zip(tails, heads)]
+        for net, sinks in ((split_network(G), [n + y for y in G.ids(Y)]),
+                           (FlowNetwork(n, tails, heads, costs), G.ids(Y))):
             classes = range(0, net.classes, 2)
             cut = rng.sample(classes, rng.randint(0, min(2, len(classes))))
             banned = rng.sample(classes, rng.randint(0, len(classes)))

@@ -12,11 +12,10 @@ import pytest
 
 import dirtw
 from dirtw import menger, vsorted
-from dirtw.digraph import FlowNetwork, Interned, edge_network, linkage, split_network, tarjan_sccs
+from dirtw.digraph import FlowNetwork, Interned, linkage, split_network, tarjan_sccs
 from util import (
     mixed_id_digraph,
     reference_linkage,
-    reference_edge_classes,
     reference_interned_rows,
     reference_network_init,
     reference_split_classes,
@@ -72,9 +71,9 @@ def _columns(arcs: list[tuple]) -> tuple[list, list, list]:
 
 
 def _networks(rng, D, vs, reference: bool = False) -> list[FlowNetwork]:
-    """A split network with gadgets, an edge network and a network on a
-    random unsorted arc list, loops and parallel arcs included; with
-    `reference`, the first two built from their tuple-list classes."""
+    """A split network with gadgets and a network on a random unsorted arc
+    list, loops and parallel arcs included; with `reference`, the first
+    built from its tuple-list classes."""
     G = Interned(D, vs)
     n = len(vs)
     terms = rng.sample(range(n), rng.randint(0, n))
@@ -83,11 +82,11 @@ def _networks(rng, D, vs, reference: bool = False) -> list[FlowNetwork]:
             for _ in range(rng.randint(0, 12))] if nodes else []
     wide = rng.choice([None, rng.randint(1, 9)])
     if not reference:
-        return [split_network(G, terms, wide), edge_network(D, G), FlowNetwork(nodes, *_columns(arcs))]
+        return [split_network(G, terms, wide), FlowNetwork(nodes, *_columns(arcs))]
     split_nodes, split_arcs, gadget = reference_split_classes(G, terms, wide)
     split = FlowNetwork(split_nodes, *_columns(split_arcs))
     split.n, split.gadget = n, gadget
-    return [split, FlowNetwork(n, *_columns(reference_edge_classes(D, G))), FlowNetwork(nodes, *_columns(arcs))]
+    return [split, FlowNetwork(nodes, *_columns(arcs))]
 
 
 def test_network_arrays_match_the_per_arc_build(monkeypatch):
@@ -100,7 +99,7 @@ def test_network_arrays_match_the_per_arc_build(monkeypatch):
             patched.setattr(FlowNetwork, "__init__", reference_network_init)
             want = [_arrays(net) for net in _networks(rng, D, vs, reference=True)]
         assert got == want
-        seen_arcs += got[0]["classes"] > 0 and got[1]["classes"] > 0 and got[2]["classes"] > 0
+        seen_arcs += got[0]["classes"] > 0 and got[1]["classes"] > 0
     assert seen_arcs > GRAPHS // 4, seen_arcs
 
 

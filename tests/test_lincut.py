@@ -5,7 +5,6 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -14,12 +13,11 @@ from dirtw import (
     Digraph,
     TerminalSequence,
     brute_force_vertex_cut,
-    linear_edge_cut,
     linear_vertex_cut,
     reachable,
 )
 from dirtw import lincut
-from dirtw.digraph import Interned, edge_network, split_network, vkey
+from dirtw.digraph import Interned, split_network, vkey
 from dirtw.lincut import _CutOracle, _violating_path
 from util import (mixed_id_digraph, path_digraph, random_digraph, reference_path_search, reference_violating_path,
                   shuffled_digraph)
@@ -30,86 +28,6 @@ def diamond() -> Digraph:
     for u, v in [("a", "b"), ("b", "d"), ("a", "c"), ("c", "d")]:
         D.add_edge(u, v)
     return D
-
-
-def strip_classes(D: Digraph, classes) -> Digraph:
-    out = Digraph()
-    for v in D.vertices():
-        out.add_vertex(v)
-    for u, v, c in D.edge_classes():
-        if (u, v) not in classes:
-            out.add_edge(u, v, c)
-    return out
-
-
-def brute_min_edge_cut(D: Digraph, blocks, s: int):
-    """Independent oracle over all subsets of edge classes: the least-cost
-    set within budget s killing every earlier-to-later path, ties broken by
-    the vkey-sorted list of its classes, as (cost, classes); None if there
-    is none."""
-    classes = sorted(((u, v, c) for u, v, c in D.edge_classes() if u != v),
-                     key=lambda e: (vkey(e[0]), vkey(e[1])))
-    best = None
-    for k in range(len(classes) + 1):
-        for combo in combinations(classes, k):
-            cost = sum(c for _, _, c in combo)
-            rank = (cost, [(vkey(u), vkey(v)) for u, v, _ in combo])
-            if cost > s or (best is not None and rank >= best[0]):
-                continue
-            rest = strip_classes(D, {(u, v) for u, v, _ in combo})
-            if all(
-                not reachable(rest, blocks[i], blocks[j])
-                for i in range(len(blocks))
-                for j in range(i + 1, len(blocks))
-            ):
-                best = (rank, frozenset((u, v) for u, v, _ in combo))
-    return None if best is None else (best[0][0], best[1])
-
-
-def test_edge_cut_chain_lex_least():
-    D = path_digraph("a", "b", "c")
-    cut = linear_edge_cut(D, [{"a"}, {"c"}], 1)
-    assert cut.kind == "edge-cut"
-    assert cut.elements == {("a", "b")}
-
-
-def test_edge_cut_no_demand():
-    D = path_digraph("a", "b", "c")
-    cut = linear_edge_cut(D, [{"c"}, {"a"}], 0)
-    assert cut.elements == frozenset()
-
-
-def test_edge_cut_diamond():
-    assert linear_edge_cut(diamond(), [{"a"}, {"d"}], 1) is None
-    cut = linear_edge_cut(diamond(), [{"a"}, {"d"}], 2)
-    assert cut.elements == {("a", "b"), ("a", "c")}
-    assert brute_min_edge_cut(diamond(), [frozenset("a"), frozenset("d")], 2) == (2, cut.elements)
-
-
-def test_edge_cut_overlapping_blocks_unsatisfiable():
-    D = path_digraph("a", "b")
-    assert linear_edge_cut(D, [{"a", "b"}, {"b"}], 2) is None
-
-
-def test_edge_cut_multiplicity_costs_whole_class():
-    D = Digraph()
-    D.add_edge("a", "b", 2)
-    assert linear_edge_cut(D, [{"a"}, {"b"}], 1) is None
-    cut = linear_edge_cut(D, [{"a"}, {"b"}], 2)
-    assert cut.elements == {("a", "b")}
-
-
-def test_edge_cut_ignores_loops():
-    D = path_digraph("a", "b")
-    D.add_edge("a", "a")
-    cut = linear_edge_cut(D, [{"a"}, {"b"}], 1)
-    assert cut.elements == {("a", "b")}
-
-
-def test_edge_cut_trivial_sequences():
-    D = path_digraph("a", "b")
-    assert linear_edge_cut(D, [], 0).elements == frozenset()
-    assert linear_edge_cut(D, [{"a", "b"}], 0).elements == frozenset()
 
 
 def test_vertex_cut_chain_lex_least_minimum():
@@ -144,8 +62,6 @@ def test_vertex_cut_forced_by_overlap():
 def test_vertex_cut_rejects_unknown_terminal():
     with pytest.raises(ValueError):
         linear_vertex_cut(path_digraph("a", "b"), [{"a"}, {"q"}], 1)
-    with pytest.raises(ValueError):
-        linear_edge_cut(path_digraph("a", "b"), [{"a"}, {"q"}], 1)
 
 
 def test_rejects_negative_budget_and_empty_block():
@@ -155,9 +71,14 @@ def test_rejects_negative_budget_and_empty_block():
         TerminalSequence([set()])
 
 
+def ends(net, c: int) -> tuple[int, int]:
+    """The (tail, head) nodes of class c of a network."""
+    return net.head[c ^ 1], net.head[c]
+
+
 def classes_of(net) -> dict:
     """A cut network's classes as {(tail, head): cost}, in arc-id order."""
-    return {net.ends(c): net.built[c] for c in range(0, net.classes, 2)}
+    return {ends(net, c): net.built[c] for c in range(0, net.classes, 2)}
 
 
 def test_split_reduction_structure():
@@ -244,9 +165,10 @@ def test_deterministic_output():
 
 def test_mixed_ids_match_both_oracles():
     # number order inside the solver must be vkey order: with ids of every
-    # type built in shuffled order, the lex-least cuts still match the oracles
+    # type built in shuffled order, the lex-least cut of the solver still
+    # matches that of the brute-force oracle
     rng = random.Random(17)
-    checked = {"vertex": 0, "edge": 0}
+    checked = 0
     for _ in range(200):
         D = mixed_id_digraph(rng, random_digraph(rng, rng.randint(2, 7), rng.random() * 0.5))
         if rng.random() < 0.3:
@@ -262,35 +184,31 @@ def test_mixed_ids_match_both_oracles():
         assert (fast is None) == (slow is None)
         if fast is not None:
             assert fast.cut_vertices() == slow.cut_vertices() and fast.forced == slow.forced
-            checked["vertex"] += 1
-        if sum(u != v for u, v, _ in D.edge_classes()) <= 10:  # oracle tries 2^classes sets
-            edge = linear_edge_cut(D, blocks, s)
-            want = brute_min_edge_cut(D, blocks, s)
-            assert (edge is None) == (want is None)
-            if edge is not None:
-                assert (sum(D.mult(u, v) for u, v in edge.elements), edge.elements) == want
-                checked["edge"] += 1
-    assert checked["vertex"] > 60 and checked["edge"] > 40
+            checked += 1
+    assert checked > 60
 
 
 def test_violating_path_matches_vertex_keyed_reference():
+    # on the split network of a mixed-id graph, against the vertex-keyed
+    # search on the digraph of the network's classes
     rng = random.Random(5)
     found = beyond_next = 0
     for _ in range(300):
         D = mixed_id_digraph(rng, random_digraph(rng, rng.randint(2, 9), rng.random() * 0.6))
-        blocks = [frozenset(b) for b in random_blocks(rng, D, max_blocks=5)]
+        blocks = random_blocks(rng, D, max_blocks=5)
         if len(blocks) < 2:
             continue
-        classes = [(u, v) for u, v, _ in D.edge_classes() if u != v]
-        removed = frozenset(rng.sample(classes, rng.randint(0, len(classes) // 2)))
         G = Interned(D, D.vertices())
-        net = edge_network(D, G)
-        arc = {net.ends(c): c for c in range(0, net.classes, 2)}
-        got = _violating_path(net, [sorted(G.ids(b)) for b in blocks],
-                              frozenset(arc[G.index[u], G.index[v]] for u, v in removed))
-        want = reference_violating_path(D, blocks, removed)
+        net = split_network(G, G.ids(v for b in blocks for v in b))
+        blocks = [frozenset(net.gadget[v] for v in G.ids(b)) for b in blocks]
+        H = Digraph()
+        for c in range(0, net.classes, 2):
+            H.add_edge(*ends(net, c))
+        removed = frozenset(rng.sample(range(0, net.classes, 2), rng.randint(0, net.classes // 8)))
+        got = _violating_path(net, [sorted(b) for b in blocks], removed)
+        want = reference_violating_path(H, blocks, frozenset(ends(net, c) for c in removed))
         if got is not None:
-            got = [tuple(G.names[x] for x in net.ends(c)) for c in got]
+            got = [ends(net, c) for c in got]
             found += 1
             start = next(i for i, b in enumerate(blocks) if got[0][0] in b)
             beyond_next += got[-1][1] not in blocks[start + 1]
@@ -301,10 +219,11 @@ def test_violating_path_matches_vertex_keyed_reference():
 
 def test_cut_oracle_matches_the_search():
     # the important-cut oracle against the search that branches on
-    # violating paths, on edge instances and vertex-split reductions of
-    # mixed-id multigraphs with loops; like the partition engine, one oracle holds
-    # every terminal and answers several orderings, removed and banned sets
-    # and budgets, so its memo is shared between questions
+    # violating paths, on vertex-split reductions of mixed-id multigraphs
+    # with loops, built as the package builds them, with wide arcs above
+    # every budget asked; like the partition engine, one oracle holds every
+    # terminal and answers several orderings, removed and banned sets and
+    # budgets, so its memo is shared between questions
     rng = random.Random(31)
     seen: Counter = Counter()
     for _ in range(3000):
@@ -313,13 +232,8 @@ def test_cut_oracle_matches_the_search():
         while len(blocks) < 2:
             blocks = random_blocks(rng, D)
         G = Interned(D, D.vertices())
-        kind = rng.choice(["edge", "vertex"])
-        if kind == "edge":
-            net = edge_network(D, G)
-            terminals = [sorted(G.ids(b)) for b in blocks]
-        else:
-            net = split_network(G, G.ids(v for b in blocks for v in b), rng.randint(1, 3) + 1)
-            terminals = [sorted(net.gadget[v] for v in G.ids(b)) for b in blocks]
+        net = split_network(G, G.ids(v for b in blocks for v in b), 5)
+        terminals = [sorted(net.gadget[v] for v in G.ids(b)) for b in blocks]
         oracle = _CutOracle(net)
         classes = list(range(0, net.classes, 2))
         for _ in range(4):
@@ -328,12 +242,11 @@ def test_cut_oracle_matches_the_search():
             banned = frozenset(c for c in classes if c not in removed and rng.random() < 0.2)
             budget = rng.randint(0, 4)
             want = reference_path_search(net, order, removed, banned, 0, budget) is not None
-            assert oracle.feasible(order, removed, banned, budget) == want, (kind, order, removed, banned, budget)
-            seen[kind, want, len(order) > 2, bool(removed), bool(banned)] += 1
-    # both answers on both kinds, with three or more blocks, with removed
-    # and banned classes
-    assert min(seen[kind, want, True, True, True] for kind in ("edge", "vertex")
-               for want in (False, True)) > 50
+            assert oracle.feasible(order, removed, banned, budget) == want, (order, removed, banned, budget)
+            seen[want, len(order) > 2, bool(removed), bool(banned)] += 1
+    # both answers, with three or more blocks, with removed and banned
+    # classes
+    assert min(seen[want, True, True, True] for want in (False, True)) > 50, seen
 
 
 def test_interning_orders_numbers_by_vkey():
@@ -343,10 +256,12 @@ def test_interning_orders_numbers_by_vkey():
     G = Interned(D, D.vertices())
     assert G.names == D.sorted_vertices()
     assert all(G.index[v] == i for i, v in enumerate(G.names))
-    costs = classes_of(edge_network(D, G))
+    n = len(G.names)
+    costs = classes_of(split_network(G))
     assert list(costs) == sorted(costs)
-    assert [(G.names[u], G.names[v], c) for (u, v), c in costs.items()] == sorted(
-        ((u, v, c) for u, v, c in D.edge_classes() if u != v), key=lambda e: (vkey(e[0]), vkey(e[1])))
+    # the edge classes, out_u -> in_w, come in vkey order of (u, w)
+    assert [(G.names[u - n], G.names[w]) for u, w in costs if n <= u < 2 * n] == sorted(
+        ((u, v) for u, v, _ in D.edge_classes() if u != v), key=lambda e: (vkey(e[0]), vkey(e[1])))
     assert all(succ == sorted(succ) for succ in G.succ)
     for b in blocks:
         assert {G.names[v] for v in G.ids(b)} == b
@@ -366,6 +281,28 @@ def test_non_split_arc_in_a_reduction_cut_is_an_error(monkeypatch):
     monkeypatch.setattr(lincut, "_lec_solve", lambda *args: frozenset({6}))
     with pytest.raises(RuntimeError, match="non-split arc"):
         linear_vertex_cut(path_digraph("a", "b", "c"), [{"a"}, {"c"}], 1)
+
+
+def test_cut_oracle_refuses_an_affordable_wide_arc():
+    # the oracle counts a cut's classes, which prices it right only when
+    # every class within budget is a split arc; on a network whose wide
+    # arcs cost no more than the budget it raises instead of counting one
+    D = path_digraph(1, 2, 3)
+    G = Interned(D, D.vertices())
+
+    def feasible(wide: int, budget: int) -> bool:
+        net = split_network(G, [0, 1, 2], wide)
+        return _CutOracle(net).feasible([[net.gadget[v]] for v in range(3)], (), (), budget)
+
+    assert feasible(3, 2) and not feasible(3, 0)
+    with pytest.raises(RuntimeError, match="non-split arc"):
+        feasible(1, 2)
+    # the split arcs are the first n classes; any other arc is refused
+    net = split_network(G, [0, 1, 2], 3)
+    assert net.split_vertices([0, 4]) == [0, 2]
+    for arc in (2 * net.n, net.classes - 2, 1):
+        with pytest.raises(RuntimeError, match="non-split arc"):
+            net.split_vertices([0, arc])
 
 
 def test_extraction_that_leaves_a_violating_path_is_an_error():

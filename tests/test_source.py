@@ -337,6 +337,54 @@ def test_only_digraph_builds_flow_networks():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
+# every network is a split network: inside digraph, FlowNetwork is
+# constructed by split_network alone, so every class a cut within budget can
+# take is a split arc of cost one and the cut oracle prices a cut by its size
+NETWORK_BUILDER = "split_network"
+
+# digraph.edge_network, the builder of the edge-cut network, from before
+# the edge cut was removed
+EDGE_NETWORK = '''
+def edge_network(D: Digraph, G: Interned) -> FlowNetwork:
+    """The network of D's edge classes between G's vertices, on G's
+    numbering: each non-loop class is an arc costing its multiplicity."""
+    names, succ = G.names, D._succ
+    tails, heads = [], []
+    for u, row in enumerate(G.succ):
+        tails += [u] * len(row)
+        heads += row
+    return FlowNetwork(len(names), tails, heads, [succ[names[u]][names[w]] for u, w in zip(tails, heads)])
+'''
+
+
+def _networks_built_elsewhere(source: str, classes: set[str]) -> list[str]:
+    out = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        if owner == NETWORK_BUILDER:
+            continue
+        out.extend(f"line {node.lineno}: {owner} constructs {_name(node.func)}" for node in ast.walk(top)
+                   if isinstance(node, ast.Call) and _name(node.func) in classes)
+    return out
+
+
+def test_checker_flags_the_edge_network_builder():
+    assert _networks_built_elsewhere(EDGE_NETWORK, {"FlowNetwork"}) == [
+        "line 10: edge_network constructs FlowNetwork"]
+    assert _networks_built_elsewhere("def split_network(G):\n    return FlowNetwork(2, [], [], [])\n",
+                                     {"FlowNetwork"}) == []
+    assert _networks_built_elsewhere("class A:\n    def f(self):\n        return digraph.B(1)\n", {"B"}) == [
+        "line 3: A constructs B"]
+
+
+def test_only_split_network_builds_a_flow_network():
+    source = (PACKAGE / FLOW_OWNER).read_text()
+    classes = _flow_classes(source)
+    assert NETWORK_BUILDER in {fn.name for fn in ast.parse(source).body if isinstance(fn, ast.FunctionDef)}
+    found = {m.name: _networks_built_elsewhere(m.read_text(), classes) for m in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 # the residual state of a network belongs to digraph too: a pass skips the
 # reverse arcs at a node that is not marked, which is sound only while the
 # network itself sets the capacities, the arc lists and the marks

@@ -148,7 +148,7 @@ def random_digraph(rng: random.Random, n: int, p: float, isolated_ok: bool = Tru
     if not isolated_ok:
         vs = list(range(1, n + 1))
         for v in vs:
-            if not any(True for _ in D.out_neighbors(v)):
+            if not D._succ[v]:
                 D.add_edge(v, rng.choice([w for w in vs if w != v]))
     return D
 
@@ -231,7 +231,7 @@ def dfs_path_exists(D: Digraph, sources, targets) -> bool:
         if v in targets:
             return True
         visited.add(v)
-        return any(w not in visited and go(w) for w in sorted(D.out_neighbors(v), key=str))
+        return any(w not in visited and go(w) for w in sorted(D._succ[v], key=str))
 
     return any(s not in visited and go(s) for s in sources if s in D)
 
@@ -459,13 +459,6 @@ def reference_split_classes(G: Interned, terms=(), wide: int | None = None) -> t
             arcs.append((n + u, gadget[u], wide))
     arcs += [(g, t, wide) for t, g in gadget.items()]
     return 2 * n + len(gadget), arcs, gadget
-
-
-def reference_edge_classes(D: Digraph, G: Interned) -> list[tuple[int, int, int]]:
-    """digraph.edge_network's classes as tuples, as it built them before
-    the network took parallel sequences."""
-    names, succ = G.names, D._succ
-    return [(u, w, succ[names[u]][names[w]]) for u, heads in enumerate(G.succ) for w in heads]
 
 
 def reference_linkage(D: Digraph, G: Interned, net, X, Y, r: int) -> MengerResult:
