@@ -25,8 +25,7 @@ from functools import cache
 from itertools import accumulate, combinations
 from collections.abc import Callable, Iterable, Iterator
 
-from .digraph import (Digraph, Interned, Vertex, _strongly_connected, split_network, tarjan_sccs, vkey,
-                      vsorted)
+from .digraph import Digraph, Vertex, _strongly_connected, split_network, tarjan_sccs, vkey, vsorted
 from .lincut import TerminalSequence, _CutOracle, _lec_solve
 
 
@@ -192,30 +191,23 @@ def _greedy_separator(D: Digraph, Tset: frozenset, r: int, s: int, heavy) -> fro
     return None
 
 
-def _split(D: Digraph, comp: set, Tc: frozenset, s: int):
-    """An offending component interned, and its split network with a gadget
-    per terminal; other arcs than split arcs cost more than the budget s."""
-    G = Interned(D, comp)
-    return G, split_network(G, G.ids(Tc), s + 1)
-
-
-def _component_lb(G: Interned, net, bound: int) -> int:
+def _component_lb(net, bound: int) -> int:
     """Pairwise internal connectivity of an offending component, up to
     `bound`: the fewest internally vertex-disjoint u -> w paths over its
-    non-adjacent pairs, as flows from out_u to in_w.  It is exact up to the
-    budget, which the network's other arcs exceed."""
-    n = len(G.names)
+    non-adjacent pairs, as flows from out_u to in_w on its split network.
+    It is exact up to the budget, which the network's other arcs exceed."""
+    n = net.n
     # every path from a vertex with one successor to a vertex it misses runs
     # through that successor: connectivity 1, the least a strong component
     # allows, with no flow
-    if n > 2 and any(len(heads) == 1 for heads in G.succ):
+    if n > 2 and any(len(heads) == 1 for heads in net.succ):
         return 1
     # Even's bound: let S be a least separator, |S| < bound.  Then one of
     # vertices 0..|S| avoids S, and it misses or is missed by some vertex of
     # the component minus S: flows out of and into the vertices below the
     # current bound, against all their non-adjacent partners, find |S|.
     # Partners below u had their flows with u when they came first
-    near = [set(heads) for heads in G.succ]
+    near = [set(heads) for heads in net.succ]
     u = 0
     while u < min(bound, n):
         for w in range(u + 1, n):
@@ -254,16 +246,16 @@ def _flow_bounds(D: Digraph, Tset: frozenset, r: int, s: int, free: list[tuple])
     tuple ends in the split network its flows ran on, built once and shared
     with the exact engine, or None."""
     bounds = [lb for _, _, lb, _ in free]
-    splits: dict[int, tuple] = {}
+    nets: dict = {}
     # largest surplus first; the stable sort keeps least-terminal order on ties
     for i in sorted(range(len(free)), key=lambda i: -free[i][1]):
         comp, tc, _, complete = free[i]
         if not complete and (bound := min(tc - r, len(comp) - 1)) > 1:
-            splits[i] = _split(D, comp, comp & Tset, s)
-            bounds[i] = max(1, _component_lb(*splits[i], bound))
+            nets[i] = split_network(D, comp, comp & Tset, s + 1)
+            bounds[i] = max(1, _component_lb(nets[i], bound))
             if sum(bounds) > s:
                 return None
-    return [(c, tc, bounds[i], splits.get(i)) for i, (c, tc, _, _) in enumerate(free)]
+    return [(c, tc, bounds[i], nets.get(i)) for i, (c, tc, _, _) in enumerate(free)]
 
 
 def _branch_min_cut(D: Digraph, comp: set, Tc: frozenset, r: int, cap: int, lb: int) -> frozenset | None:
@@ -293,10 +285,10 @@ def _branch_min_cut(D: Digraph, comp: set, Tc: frozenset, r: int, cap: int, lb: 
 
 
 def _partition_min_cut(D: Digraph, comp: set, Tc: frozenset, r: int, cap: int, lb: int,
-                       split: tuple | None = None) -> frozenset | None:
+                       net=None) -> frozenset | None:
     """Exact engine for larger components: ordered partitions of the
     terminals, each priced as a linear cut on the component's split network
-    (`split`, else built here), with one cut oracle answering on it.  A
+    (`net`, else built here), with one cut oracle answering on it.  A
     partition's cut meets every path from a prefix of its blocks to the
     remaining terminals, so a memoized prefix flow prunes whole families of
     partitions at once.  The oracle turns down every other partition without
@@ -304,8 +296,8 @@ def _partition_min_cut(D: Digraph, comp: set, Tc: frozenset, r: int, cap: int, l
     linear cuts runs from its largest prefix flow.  The cut returned is thus
     the lex-least cheapest cut of the last partition that improved on the
     budget: what `linear_vertex_cut` gives on that partition."""
-    G, net = split or _split(D, comp, Tc, cap)
-    terms = sorted(G.ids(Tc))
+    net = net or split_network(D, comp, Tc, cap + 1)
+    terms = sorted(net.ids(Tc))
     gadget = net.gadget
     oracle = _CutOracle(net)
     best: frozenset | None = None
@@ -328,7 +320,7 @@ def _partition_min_cut(D: Digraph, comp: set, Tc: frozenset, r: int, cap: int, l
         if cut is None:
             raise RuntimeError("the cut oracle accepted a partition with no cut within budget")
         # it costs at most the budget, so it beats best
-        best = frozenset(G.names[v] for v in net.split_vertices(cut))
+        best = frozenset(net.split_vertices(cut))
         budget = len(best) - 1
         if budget < lb:
             break
@@ -343,18 +335,17 @@ def _exact_search(D: Digraph, Tset: frozenset, r: int, s: int, offenders) -> fro
     chosen: set = set()
     spent = 0
     remaining_lb = sum(lb for _, _, lb, _ in offenders)
-    for comp, _, lb, split in offenders:
+    for comp, _, lb, net in offenders:
         remaining_lb -= lb
+        # cap >= lb: the bounds sum to at most s, and each cut stays within its cap
         cap, Tc = s - spent - remaining_lb, frozenset(comp & Tset)
-        if cap < lb:
-            return None
         # on a small component, branching over its vertices beats pricing
         # every terminal partition: the partition engine alone made the exact
         # layer 2.4x slower at r = 1 on random queries with n = 6-16
         if len(comp) <= 12:
             cut = _branch_min_cut(D, comp, Tc, r, cap, lb)
         else:
-            cut = _partition_min_cut(D, comp, Tc, r, cap, lb, split)
+            cut = _partition_min_cut(D, comp, Tc, r, cap, lb, net)
         if cut is None:
             return None
         chosen.update(cut)

@@ -18,7 +18,7 @@ from collections.abc import Iterable
 from functools import cached_property
 from itertools import combinations
 
-from .digraph import Digraph, Interned, Path, Vertex, _reach_set, linkage, split_network, vkey, vsorted
+from .digraph import Digraph, Path, Vertex, _reach_set, linkage, split_network, vkey, vsorted
 from .balsep import _refine_offenders, _solve, is_balanced_separator, offending_components
 from .arboreal import LinkedSetCertificate
 
@@ -232,9 +232,8 @@ def verify_well_linked(D: Digraph, A: Iterable[Vertex]) -> bool:
             return False
     if len(items) < 4:  # no pair of disjoint 2-sets
         return True
-    G = Interned(D, D.vertices())
-    net = split_network(G)
-    ids = sorted(G.ids(items))
+    net = split_network(D, D.vertices())
+    ids = sorted(net.ids(items))
     for size in range(2, len(ids) // 2 + 1):
         door = _revolving_door(len(ids) - size, size)
         swaps = [(min(set(p) - set(q)), min(set(q) - set(p))) for p, q in zip(door, door[1:])]
@@ -298,15 +297,14 @@ def build_path_system(D: Digraph, P: Path, A: Iterable[Vertex], link_size: int, 
         if set(spines[a].vertices) & set(spines[b].vertices):
             raise RuntimeError(f"spines {a + 1} and {b + 1} share vertices")
 
-    # one interning and one split network serve every linkage
-    G = Interned(D, D.vertices())
-    net = split_network(G)
+    # one split network serves every linkage
+    net = split_network(D, D.vertices())
     linkages: dict = {}
     for i in range(order):
         for j in range(order):
             if i == j:
                 continue
-            res = linkage(D, G, net, outs[i], ins[j], link_size)
+            res = linkage(D, net, outs[i], ins[j], link_size)
             if res.separator is not None:
                 raise ValueError(f"no size-{link_size} linkage from spine {i + 1} to spine "
                                  f"{j + 1}: the anchor set is not well-linked")

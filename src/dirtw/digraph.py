@@ -398,33 +398,6 @@ def guard_screen(D: Digraph, Z: Iterable[Vertex], parts: Sequence[set]) -> list[
             for i in range(len(parts))]
 
 
-class Interned:
-    """A vertex set of D numbered 0..n-1 in vkey order, so that int order is
-    vkey order.  `names[i]` is vertex i and `index` maps names back;
-    `succ[i]` lists i's successors inside the set, loops dropped, in
-    ascending order."""
-
-    __slots__ = ("names", "index", "succ")
-
-    def __init__(self, D: Digraph, vertices: Iterable[Vertex]) -> None:
-        self.names = names = vsorted(vertices)
-        self.index = index = {v: i for i, v in enumerate(names)}
-        succ = D._succ
-        keep = None if len(index) == len(succ) else index.__contains__  # all of D keeps every head
-        self.succ = rows = [sorted(map(index.__getitem__, filter(keep, succ[v]) if keep else succ[v]))
-                            for v in names]
-        for i, v in enumerate(names):
-            if v in succ[v]:  # a loop
-                rows[i].remove(i)
-
-    def ids(self, vs: Iterable[Vertex]) -> list[int]:
-        """The numbers of vs; a vertex outside the set is a ValueError."""
-        try:
-            return [self.index[v] for v in vs]
-        except KeyError as exc:
-            raise ValueError(f"terminal {exc.args[0]!r} not in digraph") from None
-
-
 class FlowNetwork:
     """Integer-capacity max flow over int nodes by shortest augmenting paths,
     built for cut questions about its classes, the arcs a cut may remove.
@@ -441,12 +414,12 @@ class FlowNetwork:
     below `source` gets arcs source -> v and v -> sink, built switched off.
     `flow`, the one way to ask a question, first restores the capacities;
     `swap_sink` carries its flow over to the question with one sink traded.
-    `split_network` builds every network of the package and sets `n`, the
-    vertices whose split arcs are the first n classes, and `gadget`, the
-    gadget node of each terminal; a network built otherwise has n = 0."""
+    `split_network` builds every network of the package and sets the
+    vertex set it numbers: `n`, `names`, `index`, `succ` and `gadget`; a
+    network built otherwise has none (n = 0)."""
 
     __slots__ = ("adj", "fwd", "marked", "head", "cap", "built", "classes", "source", "sink",
-                 "n", "gadget")
+                 "n", "names", "index", "succ", "gadget")
 
     def __init__(self, nodes: int, tails: Sequence[int], heads: Sequence[int], costs: Sequence[int]) -> None:
         self.adj = adj = [[] for _ in range(nodes + 2)]
@@ -475,7 +448,7 @@ class FlowNetwork:
         head[classes + 2::4] = [snk] * nodes
         self.built = cap[:]
         self.marked = [False] * (nodes + 2)
-        self.n, self.gadget = 0, {}
+        self.n, self.names, self.index, self.succ, self.gadget = 0, [], {}, [], {}
 
     def reset(self) -> None:
         self.cap[:] = self.built
@@ -531,12 +504,19 @@ class FlowNetwork:
         """The out-node of vertex v of a split network."""
         return self.n + v
 
-    def split_vertices(self, arcs: Iterable[int]) -> list[int]:
+    def ids(self, vs: Iterable[Vertex]) -> list[int]:
+        """The numbers of vs; a vertex outside the set is a ValueError."""
+        try:
+            return [self.index[v] for v in vs]
+        except KeyError as exc:
+            raise ValueError(f"terminal {exc.args[0]!r} not in digraph") from None
+
+    def split_vertices(self, arcs: Iterable[int]) -> list[Vertex]:
         """The vertices of a split network whose split arcs, its first n
         classes, are `arcs`; a RuntimeError for any other arc."""
         if any(a & 1 or a >= 2 * self.n for a in arcs):
             raise RuntimeError("an affordable reduction cut holds a non-split arc")
-        return [a >> 1 for a in arcs]
+        return [self.names[a >> 1] for a in arcs]
 
     def _bfs(self, s: int, t: int) -> list[int]:
         """BFS from s over positive residual arcs until it reaches t: the arc
@@ -590,21 +570,32 @@ class FlowNetwork:
         return flow
 
 
-def split_network(G: Interned, terms: Iterable[int] = (), wide: int | None = None) -> FlowNetwork:
-    """The vertex-split network of G's n vertices: in-node v = v, out-node
-    n + v, and from 2n on a gadget node per vertex of `terms` (distinct
-    vertex numbers), in ascending order.  Its classes: each split arc
-    v -> n + v costs one; each non-loop edge u -> w gives an arc n + u -> w
-    and each terminal t the arcs n + t -> gadget and gadget -> t, all
-    costing `wide`, by default n + 1, more than every split arc together.
-    A flow between gadgets counts vertex-disjoint paths between terminals
-    that may be deleted, and with `wide` above a budget, a cut within the
-    budget holds split arcs only."""
-    n = len(G.names)
+def split_network(D: Digraph, vertices: Iterable[Vertex], terms: Iterable[Vertex] = (),
+                  wide: int | None = None) -> FlowNetwork:
+    """The split network of a vertex set of D, numbered 0..n-1 in vkey order:
+    `names[i]` is vertex i, `index` maps names back, and `succ[i]` lists i's
+    successors in the set in ascending order, loops dropped.  In-node v = v,
+    out-node n + v, and from 2n on a gadget node per vertex of `terms`
+    (distinct ids in the set) in vkey order, `gadget[v]` for vertex number
+    v.  Its classes: each split arc v -> n + v costs one; each non-loop edge
+    u -> w gives an arc n + u -> w and each terminal t the arcs
+    n + t -> gadget and gadget -> t, all costing `wide`, by default n + 1,
+    more than every split arc together.  A flow between gadgets counts
+    vertex-disjoint paths between terminals that may be deleted, and with
+    `wide` above a budget, a cut within the budget holds split arcs only."""
+    names = vsorted(vertices)
+    index = {v: i for i, v in enumerate(names)}
+    succ = D._succ
+    keep = None if len(index) == len(succ) else index.__contains__  # all of D keeps every head
+    rows = [sorted(map(index.__getitem__, filter(keep, succ[v]) if keep else succ[v])) for v in names]
+    for i, v in enumerate(names):
+        if v in succ[v]:  # a loop
+            rows[i].remove(i)
+    n = len(names)
     wide = n + 1 if wide is None else wide
-    gadget = {t: 2 * n + j for j, t in enumerate(sorted(terms))}
+    gadget = {t: 2 * n + j for j, t in enumerate(sorted(map(index.__getitem__, terms)))}
     tails, heads = list(range(n)), list(range(n, 2 * n))
-    for u, row in enumerate(G.succ):
+    for u, row in enumerate(rows):
         tails += [n + u] * len(row)
         heads += row
         if u in gadget:
@@ -613,7 +604,7 @@ def split_network(G: Interned, terms: Iterable[int] = (), wide: int | None = Non
     tails += gadget.values()
     heads += gadget
     net = FlowNetwork(2 * n + len(gadget), tails, heads, [1] * n + [wide] * (len(tails) - n))
-    net.n, net.gadget = n, gadget
+    net.n, net.names, net.index, net.succ, net.gadget = n, names, index, rows, gadget
     return net
 
 
@@ -644,21 +635,19 @@ def menger(D: Digraph, X: Iterable[Vertex], Y: Iterable[Vertex], r: int) -> Meng
     zero-length path.  Implemented as unit-capacity flow on the split
     network, with the terminal arcs of X and Y switched on.
     """
-    G = Interned(D, D.vertices())
-    return linkage(D, G, split_network(G), X, Y, r)
+    return linkage(D, split_network(D, D.vertices()), X, Y, r)
 
 
-def linkage(D: Digraph, G: Interned, net: FlowNetwork, X: Iterable[Vertex], Y: Iterable[Vertex],
-            r: int) -> MengerResult:
-    """`menger(D, X, Y, r)` on G, all of D interned, and `net`, its split
-    network, which the caller builds once for many questions."""
+def linkage(D: Digraph, net: FlowNetwork, X: Iterable[Vertex], Y: Iterable[Vertex], r: int) -> MengerResult:
+    """`menger(D, X, Y, r)` on `net`, the split network of all of D, which
+    the caller builds once for many questions."""
     if r < 1:
         raise ValueError("menger requires r >= 1")
-    n = len(G.names)
-    flow = net.flow(G.ids(vsorted(X)), [n + y for y in G.ids(vsorted(Y))], r)
+    n, names = net.n, net.names
+    flow = net.flow(net.ids(vsorted(X)), [n + y for y in net.ids(vsorted(Y))], r)
     if flow < r:
         via = net._bfs(net.source, -1)  # the residual side of the minimum cut
-        sep = {G.names[v] for v in range(n) if via[v] != -1 and via[n + v] == -1}
+        sep = {names[v] for v in range(n) if via[v] != -1 and via[n + v] == -1}
         if len(sep) > r - 1:
             raise RuntimeError(f"a flow of {flow} left a separator of {len(sep)} vertices")
         return MengerResult(None, sep)
@@ -680,7 +669,7 @@ def linkage(D: Digraph, G: Interned, net: FlowNetwork, X: Iterable[Vertex], Y: I
             taken[step] = taken.get(step, 0) + 1
             node = head[step]
             if node < n:
-                walk.append(G.names[node])
+                walk.append(names[node])
         paths.append(Path(D, walk))
     return MengerResult(paths, None)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from collections.abc import Iterable
 from itertools import combinations
 
-from .digraph import Digraph, Interned, Vertex, reachable, split_network, vsorted
+from .digraph import Digraph, Vertex, reachable, split_network, vsorted
 
 
 class TerminalSequence:
@@ -89,47 +89,29 @@ def _forced(blocks: list[frozenset]) -> frozenset:
     return frozenset(v for v, c in counts.items() if c > 1)
 
 
-def _violating_path(net, blocks, removed: frozenset):
-    """Shortest violating path between `blocks`, lists of nodes of `net`,
-    over its classes outside `removed`, as a list of classes, or None;
-    canonical when the lists are sorted.
-
-    Scans the blocks in order; for the first block i that still reaches a
-    later block, takes the BFS-shortest path to the first-discovered node
-    of the least such block (classes leave a node in ascending head order).
-    Block i+1 is the least possible, so reaching it ends the BFS.
-    """
+def _separates(net, blocks, removed) -> bool:
+    """Whether no path over the classes of `net` outside `removed` runs from
+    an earlier block of `blocks`, lists of its nodes, to a later one: the
+    reach from blocks 0..i grows a block at a time and must meet no node of
+    a block after i."""
     adj, head, classes = net.adj, net.head, net.classes
-    block_of = [-1] * len(adj)
-    for j, b in enumerate(blocks):
-        for v in b:
-            block_of[v] = j
-    for i in range(len(blocks) - 1):
-        via = dict.fromkeys(blocks[i], -1)  # the class each node was reached by
-        queue = list(blocks[i])
-        target, least = -1, len(blocks)
-        for u in queue:  # the BFS queue: nodes appended below are visited too
-            for a in adj[u]:
+    ahead = {v for b in blocks for v in b}  # the nodes of the blocks the reach has not started from
+    seen: set = set()
+    for b in blocks:
+        ahead.difference_update(b)
+        seen.update(b)
+        stack = list(b)
+        while stack:
+            for a in adj[stack.pop()]:
                 if a & 1 or a >= classes or a in removed:
                     continue
                 w = head[a]
-                if w in via:
-                    continue
-                via[w] = a
-                j = block_of[w]
-                if i < j < least:
-                    target, least = w, j
-                queue.append(w)
-            if least == i + 1:
-                break
-        if target >= 0:
-            path = []
-            while via[target] >= 0:
-                path.append(via[target])
-                target = head[via[target] ^ 1]
-            path.reverse()
-            return path
-    return None
+                if w in ahead:
+                    return False
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return True
 
 
 class _CutOracle:
@@ -248,7 +230,7 @@ def _lec_solve(oracle: _CutOracle, blocks, start: int, budget: int):
             chosen.add(cls)
         else:
             out.add(cls)
-    if _violating_path(oracle.net, blocks, frozenset(chosen)) is not None:
+    if not _separates(oracle.net, blocks, chosen):
         raise RuntimeError("lex-least extraction left a violating path")
     return frozenset(chosen)
 
@@ -270,15 +252,14 @@ def linear_vertex_cut(D: Digraph, T, s: int) -> CutCertificate | None:
     if len(blocks) < 2:
         return CutCertificate(frozenset(), forced)
 
-    body = Interned(D, [v for v in D.vertices() if v not in forced])
     # edge and gadget arcs cost s0 + 1, so affordable cuts hold split arcs only
-    net = split_network(body, body.ids(v for b in blocks for v in b), s0 + 1)
-    gadgets = [sorted(net.gadget[v] for v in body.ids(b)) for b in blocks]
+    net = split_network(D, [v for v in D.vertices() if v not in forced], [v for b in blocks for v in b], s0 + 1)
+    gadgets = [sorted(net.gadget[v] for v in net.ids(b)) for b in blocks]
     oracle = _CutOracle(net)
     cut = _lec_solve(oracle, gadgets, oracle.lower_bound(gadgets, s0), s0)
     if cut is None:
         return None
-    return CutCertificate(frozenset(map(body.names.__getitem__, net.split_vertices(cut))), forced)
+    return CutCertificate(frozenset(net.split_vertices(cut)), forced)
 
 
 def brute_force_vertex_cut(D: Digraph, T, s: int) -> CutCertificate | None:

@@ -30,6 +30,7 @@ import util
 from dirtw import arboreal, balsep, digraph, lincut
 from dirtw.bramble import TBramble, order_parameter
 from dirtw.balsep import offending_components
+from dirtw.digraph import split_network
 from util import (
     bidirected_clique,
     bidirected_cycle,
@@ -480,9 +481,9 @@ def test_component_bound_matches_brute_internal_connectivity():
                          for S in combinations(set(vs) - {u, w}, size)
                          if not dfs_path_exists(D.minus(S), {u}, {w}))
                     for u, w in pairs)
-        G, net = balsep._split(D, set(vs), frozenset(), len(vs))
-        assert balsep._component_lb(G, net, len(vs) - 1) == truth
-        shortcut[any(len(heads) == 1 for heads in G.succ)] += 1
+        net = split_network(D, vs, (), len(vs) + 1)
+        assert balsep._component_lb(net, len(vs) - 1) == truth
+        shortcut[any(len(heads) == 1 for heads in net.succ)] += 1
     assert min(shortcut[True], shortcut[False]) >= 30, shortcut
 
 
@@ -498,8 +499,8 @@ def test_component_bound_matches_the_all_pairs_reference():
         for _ in range(int(rng.uniform(0, 1.2) * n * n)):  # dense, often not complete
             D.add_edge(*rng.sample(vs, 2))
         bound = rng.randint(1, n)
-        got = balsep._component_lb(*balsep._split(D, set(vs), frozenset(), n), bound)
-        assert got == reference_component_lb(*balsep._split(D, set(vs), frozenset(), n), bound)
+        got = balsep._component_lb(split_network(D, vs, (), n + 1), bound)
+        assert got == reference_component_lb(split_network(D, vs, (), n + 1), bound)
         below[got < bound and got > 1] += 1
     assert below[True] > 300, below
 
@@ -540,10 +541,10 @@ def test_partition_engine_searches_only_where_a_cut_exists(monkeypatch):
     # balsep-exact's n = 20, t = 4 Linked query (generator seed 2): the
     # partition engine prices hundreds of orderings, and the important-cut
     # oracle turns every one down before any cut is extracted, so the
-    # extraction's violating-path check never runs
+    # extraction's check for a violating path never runs
     D = dirtw.cli._gen_graph("random", 20, 2, 60)
     engine, paths = [], []
-    real_engine, real_path = balsep._partition_min_cut, lincut._violating_path
+    real_engine, real_path = balsep._partition_min_cut, lincut._separates
 
     def spy_engine(*args):
         engine.append(real_engine(*args))
@@ -554,40 +555,34 @@ def test_partition_engine_searches_only_where_a_cut_exists(monkeypatch):
         return real_path(*args)
 
     monkeypatch.setattr(balsep, "_partition_min_cut", spy_engine)
-    monkeypatch.setattr(lincut, "_violating_path", spy_path)
+    monkeypatch.setattr(lincut, "_separates", spy_path)
     assert solve(D, D.sorted_vertices()[:4], 1, 2).linked
     assert engine and all(cut is None for cut in engine)
     assert paths == []
 
 
 def test_each_offending_component_is_interned_and_built_once(monkeypatch):
-    # the same balsep-exact query: the flow bounds intern each
-    # component its connectivity bound needs flows for once and builds one
-    # split network on it, which the partition engine then prices on
+    # the same balsep-exact query: the flow bounds build one split network
+    # on each component their connectivity bound needs flows for, which
+    # numbers the component once, and the partition engine then prices on it
     D = dirtw.cli._gen_graph("random", 20, 2, 60)
-    interned, built, engine = [], [], []
-    real_interned, real_split, real_engine = balsep.Interned, balsep.split_network, balsep._partition_min_cut
+    built, engine = [], []
+    real_split, real_engine = balsep.split_network, balsep._partition_min_cut
 
-    def spy_interned(*args):
-        interned.append(real_interned(*args))
-        return interned[-1]
+    def spy_split(*args):
+        built.append(real_split(*args))
+        return built[-1]
 
-    def spy_split(G, *args):
-        built.append(G)
-        return real_split(G, *args)
+    def spy_engine(D, comp, Tc, r, cap, lb, net=None):
+        engine.append((frozenset(comp), net))
+        return real_engine(D, comp, Tc, r, cap, lb, net)
 
-    def spy_engine(D, comp, *args):
-        engine.append(frozenset(comp))
-        return real_engine(D, comp, *args)
-
-    monkeypatch.setattr(balsep, "Interned", spy_interned)
     monkeypatch.setattr(balsep, "split_network", spy_split)
     monkeypatch.setattr(balsep, "_partition_min_cut", spy_engine)
     assert solve(D, D.sorted_vertices()[:4], 1, 2).linked
-    components = Counter(frozenset(G.names) for G in interned)
+    components = Counter(frozenset(net.names) for net in built)
     assert components and set(components.values()) == {1}
-    assert list(map(id, built)) == list(map(id, interned))
-    assert engine and set(engine) <= set(components)
+    assert engine and all(net in built and frozenset(net.names) == comp for comp, net in engine)
 
 
 def _record_layers(monkeypatch, seen: dict) -> None:

@@ -399,6 +399,22 @@ def test_validate_welllinked_tampering(tmp_path, capsys):
         assert code == 1 and "an anchor is listed twice" in err
 
 
+def test_validate_welllinked_refuses_anchors_that_fail_menger(tmp_path, capsys):
+    # on the line 1 -> 2 -> 3 -> 4 no path runs from anchor 3 back to anchor 1
+    line = write(tmp_path, "line.txt", "1 2\n2 3\n3 4\n")
+    art = write(tmp_path, "wl.json", json.dumps({"path": [1, 2, 3, 4], "A": [1, 3]}))
+    code, _, err = run_cli(["validate", line, art], capsys)
+    assert code == 1 and "Menger check failed" in err
+
+
+def test_validate_welllinked_above_the_menger_cap_is_shape_checked_only(tmp_path, capsys):
+    n = cli.MENGER_CAP + 1
+    clique = write(tmp_path, "clique.txt", serialize_edge_list(bidirected_clique(n)))
+    art = write(tmp_path, "wl.json", json.dumps({"path": list(range(1, n + 1)), "A": list(range(1, n + 1))}))
+    code, _, err = run_cli(["validate", clique, art], capsys)
+    assert code == 0 and "shape-checked only" in err and "Menger-verified" not in err
+
+
 def test_validate_pathsystem(tmp_path, capsys):
     D = bidirected_clique(6)
     ps = build_path_system(D, Path(D, [1, 2, 3, 4]), {1, 2, 3, 4}, 1, 2)
@@ -411,6 +427,19 @@ def test_validate_pathsystem(tmp_path, capsys):
     bad = write(tmp_path, "ps2.json", json.dumps(js))
     code, _, err = run_cli(["validate", k6f, bad], capsys)
     assert code == 1 and "expected 1 paths" in err
+
+
+def test_validate_pathsystem_refuses_linkage_paths_that_share_a_vertex(tmp_path, capsys):
+    # two spines of four anchors on K_10, linkages of two paths; the
+    # tampered linkage is sound but for the vertex 9 both its paths use
+    D = bidirected_clique(10)
+    js = build_path_system(D, Path(D, list(range(1, 9))), set(range(1, 9)), 2, 2).to_json()
+    k10 = write(tmp_path, "k10.txt", serialize_edge_list(D))
+    assert run_cli(["validate", k10, write(tmp_path, "ps.json", json.dumps(js))], capsys)[0] == 0
+    assert js["anchors_out"][0] == [3, 4] and js["anchors_in"][1] == [5, 6]
+    js["linkages"]["1,2"] = [[3, 9, 5], [4, 9, 6]]
+    code, _, err = run_cli(["validate", k10, write(tmp_path, "bad.json", json.dumps(js))], capsys)
+    assert code == 1 and err.splitlines() == ["linkage 1,2: paths share vertices"]
 
 
 def _k6_path_system(tmp_path):

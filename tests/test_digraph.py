@@ -24,8 +24,8 @@ from dirtw import (
 )
 from dirtw.arboreal import _structure_violations
 from dirtw.bramble import verify_well_linked
-from dirtw.digraph import (FlowNetwork, Interned, _reach_set, _strongly_connected, guard_breach, guard_screen,
-                           split_network, tarjan_sccs)
+from dirtw.digraph import (FlowNetwork, _reach_set, _strongly_connected, guard_breach, guard_screen, split_network,
+                           tarjan_sccs)
 from dirtw.lincut import _CutOracle
 from util import (
     bidirected_clique,
@@ -87,6 +87,23 @@ def test_induced_subgraph_keeps_multiplicities():
     D.add_edge(3, 1)
     sub = D.minus({3})
     assert sub.n == 2 and sub.m == 3 and sub.mult(1, 2) == 3
+
+
+def test_add_edge_refuses_a_multiplicity_below_one():
+    D = Digraph()
+    for mult in (0, -1):
+        with pytest.raises(ValueError, match="multiplicity must be positive"):
+            D.add_edge(1, 2, mult)
+    assert D.n == 0 and D.m == 0
+
+
+def test_split_network_ids_refuse_a_vertex_outside_its_set():
+    # the network numbers the vertex set it is built on, not all of D
+    net = split_network(path_digraph(1, 2, 3), [3, 1])
+    assert net.names == [1, 3] and net.ids([3, 1]) == [1, 0]
+    for vs in ([1, 2], ["absent"]):
+        with pytest.raises(ValueError, match="not in digraph"):
+            net.ids(vs)
 
 
 def test_path_validates_against_host():
@@ -406,7 +423,7 @@ def test_flow_guards_survive_optimized_mode():
         "from dirtw import MengerResult, digraph\n"
         "D = digraph.Digraph()\n"
         "D.add_bidirected(1, 2)\n"
-        "net = digraph.split_network(digraph.Interned(D, [1, 2]))\n"
+        "net = digraph.split_network(D, [1, 2])\n"
         "checks = [lambda: MengerResult(None, None),\n"
         "          lambda: net.flow([0], [3], 1, cut=[1]),  # a reverse arc\n"
         "          lambda: net.flow([0], [3], 1, banned=[3]),\n"
@@ -434,20 +451,19 @@ def test_split_network_reuse_after_restoring_capacities():
     rng = random.Random(5)
     for _ in range(30):
         D = random_digraph(rng, 7, 0.35)
-        G = Interned(D, D.vertices())
-        n = len(G.names)
+        net = split_network(D, D.vertices())
+        n = len(net.names)
         vs = D.sorted_vertices()
         X, Y = set(rng.sample(vs, 2)), set(rng.sample(vs, 2))
-        Xi, Yi = G.ids(X), G.ids(Y)
+        Xi, Yi = net.ids(X), net.ids(Y)
         u, w = rng.sample(range(n), 2)
         limit = rng.choice([n + 1, 1, 2])  # n + 1: more than any flow
-        net = split_network(G)
         src, snk = net.source, net.sink
         assert (src, snk) == (2 * n, 2 * n + 1)
         Yo = [net.out(y) for y in Yi]  # paths end on the out-nodes of Y
         first = net.flow(Xi, Yo, limit)
         assert net.flow(Xi, Yo, limit) == first
-        assert split_network(G).flow(Xi, Yo, limit) == first
+        assert split_network(D, D.vertices()).flow(Xi, Yo, limit) == first
         # without the restore the saturated paths stay used up
         if net.max_flow(src, snk) > 0:
             assert net.max_flow(src, snk) == 0
@@ -460,13 +476,13 @@ def test_split_network_reuse_after_restoring_capacities():
         # between the two nodes of a fresh network
         first = net.flow([n + u], [w], limit)
         assert net.flow([n + u], [w], limit) == first
-        fresh = split_network(G)
+        fresh = split_network(D, D.vertices())
         assert fresh.max_flow(n + u, w, limit=limit) == first
         # reset() restores the capacities as built: terminal arcs off
         net.reset()
         assert net.max_flow(src, snk) == 0
         net.reset()
-        assert net.max_flow(n + u, w) == split_network(G).max_flow(n + u, w)
+        assert net.max_flow(n + u, w) == split_network(D, D.vertices()).max_flow(n + u, w)
 
 
 def _flow_kernel_outcomes(seed: int, count: int) -> tuple[list, dict]:
@@ -481,21 +497,21 @@ def _flow_kernel_outcomes(seed: int, count: int) -> tuple[list, dict]:
     for _ in range(count):
         D = mixed_id_digraph(rng, shuffled_digraph(rng, rng.randint(1, 8)))
         vs = D.sorted_vertices()
-        G = Interned(D, vs)
+        split = split_network(D, vs)
         n = len(vs)
         X, Y = rng.sample(vs, rng.randint(1, n)), rng.sample(vs, rng.randint(1, n))
         res = menger(D, X, Y, rng.randint(1, 3))
         found["paths" if res.paths is not None else "separator"] += 1
         out.append([p.vertices for p in res.paths] if res.paths is not None else vsorted(res.separator))
-        tails = [u for u, row in enumerate(G.succ) for _ in row]
-        heads = [w for row in G.succ for w in row]
-        costs = [D.mult(G.names[u], G.names[w]) for u, w in zip(tails, heads)]
-        for net, sinks in ((split_network(G), [n + y for y in G.ids(Y)]),
-                           (FlowNetwork(n, tails, heads, costs), G.ids(Y))):
+        tails = [u for u, row in enumerate(split.succ) for _ in row]
+        heads = [w for row in split.succ for w in row]
+        costs = [D.mult(split.names[u], split.names[w]) for u, w in zip(tails, heads)]
+        for net, sinks in ((split, [n + y for y in split.ids(Y)]),
+                           (FlowNetwork(n, tails, heads, costs), split.ids(Y))):
             classes = range(0, net.classes, 2)
             cut = rng.sample(classes, rng.randint(0, min(2, len(classes))))
             banned = rng.sample(classes, rng.randint(0, len(classes)))
-            flow = net.flow(G.ids(X), sinks, rng.randint(1, n + 1), cut, banned)
+            flow = net.flow(split.ids(X), sinks, rng.randint(1, n + 1), cut, banned)
             found["flow"] += flow > 1
             out.append(flow)
         verdict = verify_well_linked(D, rng.sample(vs, rng.randint(1, min(4, n))))
@@ -504,7 +520,7 @@ def _flow_kernel_outcomes(seed: int, count: int) -> tuple[list, dict]:
         if n >= 3:
             terms = rng.sample(range(n), rng.randint(3, min(5, n)))
             budget = rng.randint(0, 3)
-            net = split_network(G, terms, budget + 1)
+            net = split_network(D, vs, [vs[t] for t in terms], budget + 1)
             gadgets = [net.gadget[t] for t in terms]
             cuts = sorted(rng.sample(range(1, len(gadgets)), 2))
             blocks = [gadgets[:cuts[0]], gadgets[cuts[0]:cuts[1]], gadgets[cuts[1]:]]
@@ -568,7 +584,7 @@ def test_no_pass_scans_a_reverse_arc_at_an_unmarked_node(monkeypatch):
     assert counts["odd at unmarked"] == 0
     # the forward lists are the even arcs of adj, in adj's order, and a
     # reset clears every mark
-    net = split_network(Interned(D, D.vertices()), [1, 2], 4)
+    net = split_network(D, D.vertices(), [2, 3], 4)
     net.flow([net.gadget[1]], [net.gadget[2]], 3)
     assert any(net.marked)
     assert [[a for a in arcs if not a & 1] for arcs in net.adj] == net.fwd
@@ -644,7 +660,7 @@ def test_a_pass_to_the_sink_pops_no_node_after_a_free_sink_arc_is_found(monkeypa
 
 def test_flow_refuses_reverse_arcs_in_cut_and_banned():
     # a reverse arc given room at an unmarked node would go unscanned
-    net = split_network(Interned(bidirected_clique(3), [1, 2, 3]))
+    net = split_network(bidirected_clique(3), [1, 2, 3])
     for arcs in ({"cut": [0, 1]}, {"banned": [5]}):
         with pytest.raises(ValueError, match="reverse arc"):
             net.flow([0], [net.out(1)], 1, **arcs)

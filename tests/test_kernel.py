@@ -12,7 +12,7 @@ import pytest
 
 import dirtw
 from dirtw import menger, vsorted
-from dirtw.digraph import FlowNetwork, Interned, linkage, split_network, tarjan_sccs
+from dirtw.digraph import FlowNetwork, linkage, split_network, tarjan_sccs
 from util import (
     mixed_id_digraph,
     reference_linkage,
@@ -53,9 +53,9 @@ def test_interned_rows_match_the_generator_form():
     for rng, D, vs in _graphs(0x1E7, GRAPHS, 12):
         some = set(rng.sample(vs, rng.randint(0, len(vs))))
         for chosen, want in ((D.vertices(), vs), (vs, vs), (some, vsorted(some))):
-            G = Interned(D, chosen)
-            assert G.names == want and G.index == {v: i for i, v in enumerate(want)}
-            assert G.succ == reference_interned_rows(D, G)
+            net = split_network(D, chosen)
+            assert net.names == want and net.index == {v: i for i, v in enumerate(want)}
+            assert net.succ == reference_interned_rows(D, net)
         partial += len(some) < len(vs)
         loops += any(D.has_edge(v, v) for v in some)
     assert min(loops, partial) > GRAPHS // 4, (loops, partial)
@@ -74,16 +74,16 @@ def _networks(rng, D, vs, reference: bool = False) -> list[FlowNetwork]:
     """A split network with gadgets and a network on a random unsorted arc
     list, loops and parallel arcs included; with `reference`, the first
     built from its tuple-list classes."""
-    G = Interned(D, vs)
     n = len(vs)
     terms = rng.sample(range(n), rng.randint(0, n))
     nodes = rng.randint(0, 6)
     arcs = [(rng.randrange(nodes), rng.randrange(nodes), rng.randint(0, 4))
             for _ in range(rng.randint(0, 12))] if nodes else []
     wide = rng.choice([None, rng.randint(1, 9)])
+    net = split_network(D, vs, [vs[t] for t in terms], wide)
     if not reference:
-        return [split_network(G, terms, wide), FlowNetwork(nodes, *_columns(arcs))]
-    split_nodes, split_arcs, gadget = reference_split_classes(G, terms, wide)
+        return [net, FlowNetwork(nodes, *_columns(arcs))]
+    split_nodes, split_arcs, gadget = reference_split_classes(net, terms, wide)
     split = FlowNetwork(split_nodes, *_columns(split_arcs))
     split.n, split.gadget = n, gadget
     return [split, FlowNetwork(nodes, *_columns(arcs))]
@@ -110,13 +110,12 @@ def _outcome(res) -> list:
 def test_menger_matches_the_used_list_decomposition():
     kinds = {"paths": 0, "separator": 0}
     for rng, D, vs in _graphs(0xD3C, GRAPHS, 9):
-        G = Interned(D, D.vertices())
-        net = split_network(G)
+        net = split_network(D, D.vertices())
         for _ in range(2):
             X, Y = rng.sample(vs, rng.randint(1, len(vs))), rng.sample(vs, rng.randint(1, len(vs)))
             r = rng.randint(1, 4)
-            got = _outcome(linkage(D, G, net, X, Y, r))
-            assert got == _outcome(reference_linkage(D, G, split_network(G), X, Y, r))
+            got = _outcome(linkage(D, net, X, Y, r))
+            assert got == _outcome(reference_linkage(D, split_network(D, D.vertices()), X, Y, r))
             assert got == _outcome(menger(D, X, Y, r))
             kinds["paths" if got[:1] != ["sep"] else "separator"] += 1
     assert min(kinds.values()) > GRAPHS // 4, kinds

@@ -17,10 +17,10 @@ from dirtw import (
     reachable,
 )
 from dirtw import lincut
-from dirtw.digraph import Interned, split_network, vkey
-from dirtw.lincut import _CutOracle, _violating_path
-from util import (mixed_id_digraph, path_digraph, random_digraph, reference_path_search, reference_violating_path,
-                  shuffled_digraph)
+from dirtw.digraph import split_network, vkey
+from dirtw.lincut import _CutOracle, _separates
+from util import (mixed_id_digraph, network_violating_path, path_digraph, random_digraph, reference_path_search,
+                  reference_violating_path, shuffled_digraph)
 
 
 def diamond() -> Digraph:
@@ -84,13 +84,12 @@ def classes_of(net) -> dict:
 def test_split_reduction_structure():
     # the split layout: v_in = v, v_out = n + v, terminal gadgets from 2n up
     D = diamond()
-    G = Interned(D, D.vertices())
     blocks = [frozenset("a"), frozenset("d")]
-    net = split_network(G, G.ids(v for b in blocks for v in b), 3)
+    net = split_network(D, D.vertices(), (v for b in blocks for v in b), 3)
     costs = classes_of(net)
-    n, a, b, d = D.n, G.index["a"], G.index["b"], G.index["d"]
+    n, a, b, d = D.n, net.index["a"], net.index["b"], net.index["d"]
     assert net.source == 2 * n + 2
-    assert [[net.gadget[v] for v in G.ids(b)] for b in blocks] == [[2 * n], [2 * n + 1]]
+    assert [[net.gadget[v] for v in net.ids(b)] for b in blocks] == [[2 * n], [2 * n + 1]]
     assert costs[(a, n + a)] == 1
     assert costs[(n + a, b)] == 3
     assert costs[(2 * n, a)] == 3
@@ -190,7 +189,10 @@ def test_mixed_ids_match_both_oracles():
 
 def test_violating_path_matches_vertex_keyed_reference():
     # on the split network of a mixed-id graph, against the vertex-keyed
-    # search on the digraph of the network's classes
+    # search on the digraph of the network's classes: the extraction's
+    # check says yes exactly when the reference finds no path, and the
+    # int-keyed path that the oracle's reference search branches on is the
+    # reference's path
     rng = random.Random(5)
     found = beyond_next = 0
     for _ in range(300):
@@ -198,15 +200,15 @@ def test_violating_path_matches_vertex_keyed_reference():
         blocks = random_blocks(rng, D, max_blocks=5)
         if len(blocks) < 2:
             continue
-        G = Interned(D, D.vertices())
-        net = split_network(G, G.ids(v for b in blocks for v in b))
-        blocks = [frozenset(net.gadget[v] for v in G.ids(b)) for b in blocks]
+        net = split_network(D, D.vertices(), (v for b in blocks for v in b))
+        blocks = [frozenset(net.gadget[v] for v in net.ids(b)) for b in blocks]
         H = Digraph()
         for c in range(0, net.classes, 2):
             H.add_edge(*ends(net, c))
         removed = frozenset(rng.sample(range(0, net.classes, 2), rng.randint(0, net.classes // 8)))
-        got = _violating_path(net, [sorted(b) for b in blocks], removed)
         want = reference_violating_path(H, blocks, frozenset(ends(net, c) for c in removed))
+        assert _separates(net, [sorted(b) for b in blocks], removed) == (want is None)
+        got = network_violating_path(net, [sorted(b) for b in blocks], removed)
         if got is not None:
             got = [ends(net, c) for c in got]
             found += 1
@@ -231,9 +233,8 @@ def test_cut_oracle_matches_the_search():
         blocks = []
         while len(blocks) < 2:
             blocks = random_blocks(rng, D)
-        G = Interned(D, D.vertices())
-        net = split_network(G, G.ids(v for b in blocks for v in b), 5)
-        terminals = [sorted(net.gadget[v] for v in G.ids(b)) for b in blocks]
+        net = split_network(D, D.vertices(), (v for b in blocks for v in b), 5)
+        terminals = [sorted(net.gadget[v] for v in net.ids(b)) for b in blocks]
         oracle = _CutOracle(net)
         classes = list(range(0, net.classes, 2))
         for _ in range(4):
@@ -253,24 +254,24 @@ def test_interning_orders_numbers_by_vkey():
     rng = random.Random(2)
     D = mixed_id_digraph(rng, random_digraph(rng, 9, 0.4))
     blocks = random_blocks(rng, D)
-    G = Interned(D, D.vertices())
-    assert G.names == D.sorted_vertices()
-    assert all(G.index[v] == i for i, v in enumerate(G.names))
-    n = len(G.names)
-    costs = classes_of(split_network(G))
+    net = split_network(D, D.vertices())
+    assert net.names == D.sorted_vertices()
+    assert all(net.index[v] == i for i, v in enumerate(net.names))
+    n = len(net.names)
+    costs = classes_of(net)
     assert list(costs) == sorted(costs)
     # the edge classes, out_u -> in_w, come in vkey order of (u, w)
-    assert [(G.names[u - n], G.names[w]) for u, w in costs if n <= u < 2 * n] == sorted(
+    assert [(net.names[u - n], net.names[w]) for u, w in costs if n <= u < 2 * n] == sorted(
         ((u, v) for u, v, _ in D.edge_classes() if u != v), key=lambda e: (vkey(e[0]), vkey(e[1])))
-    assert all(succ == sorted(succ) for succ in G.succ)
+    assert all(succ == sorted(succ) for succ in net.succ)
     for b in blocks:
-        assert {G.names[v] for v in G.ids(b)} == b
+        assert {net.names[v] for v in net.ids(b)} == b
     # a vertex subset keeps vkey order and drops the edges leaving it
-    keep = G.names[::2]
-    sub = Interned(D, keep)
+    keep = net.names[::2]
+    sub = split_network(D, keep)
     assert sub.names == keep
     assert [[sub.names[w] for w in succ] for succ in sub.succ] == [
-        [w for w in G.names if w in keep and w != v and D.has_edge(v, w)] for v in keep]
+        [w for w in net.names if w in keep and w != v and D.has_edge(v, w)] for v in keep]
 
 
 def test_non_split_arc_in_a_reduction_cut_is_an_error(monkeypatch):
@@ -288,18 +289,18 @@ def test_cut_oracle_refuses_an_affordable_wide_arc():
     # every class within budget is a split arc; on a network whose wide
     # arcs cost no more than the budget it raises instead of counting one
     D = path_digraph(1, 2, 3)
-    G = Interned(D, D.vertices())
 
     def feasible(wide: int, budget: int) -> bool:
-        net = split_network(G, [0, 1, 2], wide)
+        net = split_network(D, D.vertices(), [1, 2, 3], wide)
         return _CutOracle(net).feasible([[net.gadget[v]] for v in range(3)], (), (), budget)
 
     assert feasible(3, 2) and not feasible(3, 0)
     with pytest.raises(RuntimeError, match="non-split arc"):
         feasible(1, 2)
-    # the split arcs are the first n classes; any other arc is refused
-    net = split_network(G, [0, 1, 2], 3)
-    assert net.split_vertices([0, 4]) == [0, 2]
+    # the split arcs are the first n classes, named by their vertices; any
+    # other arc is refused
+    net = split_network(D, D.vertices(), [1, 2, 3], 3)
+    assert net.split_vertices([0, 4]) == [1, 3]
     for arc in (2 * net.n, net.classes - 2, 1):
         with pytest.raises(RuntimeError, match="non-split arc"):
             net.split_vertices([0, arc])

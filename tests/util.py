@@ -12,9 +12,7 @@ from dirtw import (BalancedSeparatorInstance, Digraph, MengerResult, Path, TBram
                    balanced_separator, decompose, linear_vertex_cut, vkey, vsorted)
 from dirtw.arboreal import (ArborealDecomposition, LinkedSetCertificate, ValidationReport, Violation,
                             _structure_violations)
-from dirtw.digraph import (Interned, _parse_token, _strongly_connected, guard_breach, scc, split_network,
-                           tarjan_sccs)
-from dirtw.lincut import _violating_path
+from dirtw.digraph import _parse_token, _strongly_connected, guard_breach, scc, split_network, tarjan_sccs
 
 
 # -- named instances --------------------------------------------------------
@@ -311,7 +309,7 @@ def brute_min_vertex_separator(D: Digraph, X, Y) -> int:
 
 
 def reference_violating_path(D: Digraph, blocks, removed: frozenset):
-    """The vertex-keyed violating-path search that lincut._violating_path
+    """The vertex-keyed violating-path search that network_violating_path
     replaced, kept verbatim as its reference: re-sorts every successor list
     on every BFS step and scans all later blocks for each new vertex."""
     succ = D._succ
@@ -438,22 +436,23 @@ def reference_network_init(net, nodes: int, tails, heads, costs) -> None:
     net.n, net.gadget = 0, {}
 
 
-def reference_interned_rows(D: Digraph, G: Interned) -> list[list[int]]:
-    """Interned's successor rows as they were before the rows were mapped
-    in bulk, kept as their referee: a generator per vertex."""
-    index = G.index
-    return [sorted(index[w] for w in D._succ[v] if w != v and w in index) for v in G.names]
+def reference_interned_rows(D: Digraph, net) -> list[list[int]]:
+    """A split network's successor rows as they were before the rows were
+    mapped in bulk, kept as their referee: a generator per vertex."""
+    index = net.index
+    return [sorted(index[w] for w in D._succ[v] if w != v and w in index) for v in net.names]
 
 
-def reference_split_classes(G: Interned, terms=(), wide: int | None = None) -> tuple[int, list, dict]:
+def reference_split_classes(net, terms=(), wide: int | None = None) -> tuple[int, list, dict]:
     """digraph.split_network's classes as it built them before the network
     took parallel sequences, kept as their referee: (nodes, a (tail, head,
-    cost) tuple per class, the gadget map)."""
-    n = len(G.names)
+    cost) tuple per class, the gadget map), with `terms` as vertex numbers
+    of `net`."""
+    n = len(net.names)
     wide = n + 1 if wide is None else wide
     gadget = {t: 2 * n + j for j, t in enumerate(sorted(terms))}
     arcs = [(v, n + v, 1) for v in range(n)]
-    for u, heads in enumerate(G.succ):
+    for u, heads in enumerate(net.succ):
         arcs += [(n + u, w, wide) for w in heads]
         if u in gadget:
             arcs.append((n + u, gadget[u], wide))
@@ -461,16 +460,16 @@ def reference_split_classes(G: Interned, terms=(), wide: int | None = None) -> t
     return 2 * n + len(gadget), arcs, gadget
 
 
-def reference_linkage(D: Digraph, G: Interned, net, X, Y, r: int) -> MengerResult:
+def reference_linkage(D: Digraph, net, X, Y, r: int) -> MengerResult:
     """digraph.linkage as it was before its decomposition walked the
     forward arcs, kept verbatim as its referee: a `used` entry per arc."""
     if r < 1:
         raise ValueError("menger requires r >= 1")
-    n = len(G.names)
-    flow = net.flow(G.ids(vsorted(X)), [n + y for y in G.ids(vsorted(Y))], r)
+    n = len(net.names)
+    flow = net.flow(net.ids(vsorted(X)), [n + y for y in net.ids(vsorted(Y))], r)
     if flow < r:
         via = net._bfs(net.source, -1)  # the residual side of the minimum cut
-        sep = {G.names[v] for v in range(n) if via[v] != -1 and via[n + v] == -1}
+        sep = {net.names[v] for v in range(n) if via[v] != -1 and via[n + v] == -1}
         if len(sep) > r - 1:
             raise RuntimeError(f"a flow of {flow} left a separator of {len(sep)} vertices")
         return MengerResult(None, sep)
@@ -487,19 +486,19 @@ def reference_linkage(D: Digraph, G: Interned, net, X, Y, r: int) -> MengerResul
             used[step] -= 1
             node = net.head[step]
             if node < n:
-                walk.append(G.names[node])
+                walk.append(net.names[node])
         paths.append(Path(D, walk))
     return MengerResult(paths, None)
 
 
-def reference_component_lb(G: Interned, net, bound: int) -> int:
+def reference_component_lb(net, bound: int) -> int:
     """balsep._component_lb as it was before Even's bound, kept verbatim as
     its referee: a flow for every non-adjacent ordered pair."""
-    n = len(G.names)
-    if n > 2 and any(len(heads) == 1 for heads in G.succ):
+    n = len(net.names)
+    if n > 2 and any(len(heads) == 1 for heads in net.succ):
         return 1
     for u in range(n):
-        near = set(G.succ[u])
+        near = set(net.succ[u])
         source = (net.out(u),)
         for w in range(n):
             if u == w or w in near:
@@ -556,9 +555,8 @@ def reference_verify_well_linked(D: Digraph, A) -> bool:
     """bramble.verify_well_linked as it was before the reach walks and the
     revolving door, kept verbatim as its referee: a fresh flow for every
     pair X, Y, the single pairs too.  Meant for A without repeats."""
-    G = Interned(D, D.vertices())
-    net = split_network(G)
-    items = sorted(G.ids(A))
+    net = split_network(D, D.vertices())
+    items = sorted(net.ids(A))
     for size in range(1, len(items) // 2 + 1):
         for X in combinations(items, size):
             rest = [net.out(v) for v in items if v not in X]  # the sink arcs leave out-nodes
@@ -701,6 +699,51 @@ def reference_menger(D: Digraph, X, Y, r: int) -> MengerResult:
     return MengerResult(paths, None)
 
 
+def network_violating_path(net, blocks, removed: frozenset):
+    """Shortest violating path between `blocks`, lists of nodes of `net`,
+    over its classes outside `removed`, as a list of classes, or None;
+    canonical when the lists are sorted.  The check after lincut's
+    extraction, from before it asked yes or no, kept for
+    reference_path_search, which branches on the path's classes.
+
+    Scans the blocks in order; for the first block i that still reaches a
+    later block, takes the BFS-shortest path to the first-discovered node
+    of the least such block (classes leave a node in ascending head order).
+    Block i+1 is the least possible, so reaching it ends the BFS.
+    """
+    adj, head, classes = net.adj, net.head, net.classes
+    block_of = [-1] * len(adj)
+    for j, b in enumerate(blocks):
+        for v in b:
+            block_of[v] = j
+    for i in range(len(blocks) - 1):
+        via = dict.fromkeys(blocks[i], -1)  # the class each node was reached by
+        queue = list(blocks[i])
+        target, least = -1, len(blocks)
+        for u in queue:  # the BFS queue: nodes appended below are visited too
+            for a in adj[u]:
+                if a & 1 or a >= classes or a in removed:
+                    continue
+                w = head[a]
+                if w in via:
+                    continue
+                via[w] = a
+                j = block_of[w]
+                if i < j < least:
+                    target, least = w, j
+                queue.append(w)
+            if least == i + 1:
+                break
+        if target >= 0:
+            path = []
+            while via[target] >= 0:
+                path.append(via[target])
+                target = head[via[target] ^ 1]
+            path.reverse()
+            return path
+    return None
+
+
 def reference_path_search(net, blocks, removed: frozenset, banned: frozenset, spent: int,
                           budget: int) -> frozenset | None:
     """The search that chose the partition engine's cuts before the
@@ -709,7 +752,7 @@ def reference_path_search(net, blocks, removed: frozenset, banned: frozenset, sp
     cost grows with the path length.  Returns `removed` plus classes of the
     cut network `net` outside `banned` that cut `blocks`, with `spent` plus
     their costs at most `budget`, or None."""
-    path = _violating_path(net, blocks, removed)
+    path = network_violating_path(net, blocks, removed)
     if path is None:
         return removed
     if spent >= budget:
@@ -733,14 +776,13 @@ def reference_partition_min_cut(sub: Digraph, Tc: frozenset, r: int, cap: int, l
     a fresh flow lower bound per partition.  Its cut is the one
     linear_vertex_cut returns for the last partition that improved."""
     flow_memo: dict = {}
-    G = Interned(sub, sub.vertices())
-    net = split_network(G)
+    net = split_network(sub, sub.vertices())
 
     def prefix_bound(U: frozenset) -> int:
         if U not in flow_memo:
             # min vertices (terminals deletable) meeting every U -> rest path
             rest = Tc - U
-            flow_memo[U] = (net.flow(G.ids(U), [net.out(v) for v in G.ids(rest)], cap + 1)
+            flow_memo[U] = (net.flow(net.ids(U), [net.out(v) for v in net.ids(rest)], cap + 1)
                             if U and rest else 0)
         return flow_memo[U]
 
