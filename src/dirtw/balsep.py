@@ -251,7 +251,7 @@ def _flow_bounds(D: Digraph, Tset: frozenset, r: int, s: int, free: list[tuple])
     for i in sorted(range(len(free)), key=lambda i: -free[i][1]):
         comp, tc, _, complete = free[i]
         if not complete and (bound := min(tc - r, len(comp) - 1)) > 1:
-            nets[i] = split_network(D, comp, comp & Tset, s + 1)
+            nets[i] = split_network(D, comp)
             bounds[i] = max(1, _component_lb(nets[i], bound))
             if sum(bounds) > s:
                 return None
@@ -296,9 +296,8 @@ def _partition_min_cut(D: Digraph, comp: set, Tc: frozenset, r: int, cap: int, l
     linear cuts runs from its largest prefix flow.  The cut returned is thus
     the lex-least cheapest cut of the last partition that improved on the
     budget: what `linear_vertex_cut` gives on that partition."""
-    net = net or split_network(D, comp, Tc, cap + 1)
-    terms = sorted(net.ids(Tc))
-    gadget = net.gadget
+    net = net or split_network(D, comp)
+    numbers = sorted(net.ids(Tc))
     oracle = _CutOracle(net)
     best: frozenset | None = None
     budget = cap
@@ -307,16 +306,15 @@ def _partition_min_cut(D: Digraph, comp: set, Tc: frozenset, r: int, cap: int, l
     def prefix_bound(U: frozenset) -> int:
         # min vertices (terminals deletable) meeting every U -> rest path;
         # with no rest there is no path to meet, and no flow to ask
-        if len(U) == len(terms):
+        if len(U) == len(numbers):
             return 0
-        return oracle.lower_bound([[gadget[v] for v in U], [gadget[v] for v in terms if v not in U]], cap)
+        return oracle.lower_bound([U, [v for v in numbers if v not in U]], cap)
 
-    for blocks in _partitions(tuple(terms), r, lambda U: prefix_bound(U) <= budget):
-        gblocks = [[gadget[v] for v in b] for b in blocks]
-        if not oracle.feasible(gblocks, (), (), budget):
+    for blocks in _partitions(tuple(numbers), r, lambda U: prefix_bound(U) <= budget):
+        if not oracle.feasible(blocks, (), (), budget):
             continue
         start = max(prefix_bound(U) for U in accumulate(blocks, frozenset.union))
-        cut = _lec_solve(oracle, gblocks, start, budget)
+        cut = _lec_solve(oracle, blocks, start, budget)
         if cut is None:
             raise RuntimeError("the cut oracle accepted a partition with no cut within budget")
         # it costs at most the budget, so it beats best

@@ -62,14 +62,15 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _load_graph(path: str) -> Digraph | int:
+def _load_graph(path: str) -> Digraph:
+    """Every input graph is read here; one that cannot be read or parsed exits 2."""
     try:
         with open(path, encoding="utf-8") as fh:
             return parse_edge_list(fh.read())
     except OSError as exc:
-        return _fail(2, f"cannot read {path}: {exc}")
+        raise SystemExit(_fail(2, f"cannot read {path}: {exc}")) from None
     except ValueError as exc:
-        return _fail(2, f"cannot parse {path}: {exc}")
+        raise SystemExit(_fail(2, f"cannot parse {path}: {exc}")) from None
 
 
 def _write(path: str, text: str) -> None:
@@ -110,8 +111,6 @@ def _dot_export(dec: ArborealDecomposition) -> str:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     D = _load_graph(args.file)
-    if isinstance(D, int):
-        return D
     if D.n == 0:
         return _fail(2, "empty graph: decompositions need at least one vertex")
     if args.k < 1:
@@ -134,8 +133,6 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 def cmd_balsep(args: argparse.Namespace) -> int:
     D = _load_graph(args.file)
-    if isinstance(D, int):
-        return D
     T = _vertex_list(args.terminals)
     try:
         inst = BalancedSeparatorInstance(D, T, args.r, args.s)
@@ -161,8 +158,6 @@ def cmd_balsep(args: argparse.Namespace) -> int:
 
 def cmd_welllinked(args: argparse.Namespace) -> int:
     D = _load_graph(args.file)
-    if isinstance(D, int):
-        return D
     if D.n == 0:
         return _fail(2, "empty graph")
     if args.k < 1:
@@ -318,8 +313,6 @@ def _detect_artifact(js: object) -> str | None:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     D = _load_graph(args.file)
-    if isinstance(D, int):
-        return D
     try:
         with open(args.artifact, encoding="utf-8") as fh:
             js = json.load(fh)

@@ -415,11 +415,11 @@ class FlowNetwork:
     `flow`, the one way to ask a question, first restores the capacities;
     `swap_sink` carries its flow over to the question with one sink traded.
     `split_network` builds every network of the package and sets the
-    vertex set it numbers: `n`, `names`, `index`, `succ` and `gadget`; a
-    network built otherwise has none (n = 0)."""
+    vertex set it numbers: `n`, `names`, `index` and `succ`; a network
+    built otherwise has none (n = 0)."""
 
     __slots__ = ("adj", "fwd", "marked", "head", "cap", "built", "classes", "source", "sink",
-                 "n", "names", "index", "succ", "gadget")
+                 "n", "names", "index", "succ")
 
     def __init__(self, nodes: int, tails: Sequence[int], heads: Sequence[int], costs: Sequence[int]) -> None:
         self.adj = adj = [[] for _ in range(nodes + 2)]
@@ -448,7 +448,7 @@ class FlowNetwork:
         head[classes + 2::4] = [snk] * nodes
         self.built = cap[:]
         self.marked = [False] * (nodes + 2)
-        self.n, self.names, self.index, self.succ, self.gadget = 0, [], {}, [], {}
+        self.n, self.names, self.index, self.succ = 0, [], {}, []
 
     def reset(self) -> None:
         self.cap[:] = self.built
@@ -570,19 +570,15 @@ class FlowNetwork:
         return flow
 
 
-def split_network(D: Digraph, vertices: Iterable[Vertex], terms: Iterable[Vertex] = (),
-                  wide: int | None = None) -> FlowNetwork:
+def split_network(D: Digraph, vertices: Iterable[Vertex]) -> FlowNetwork:
     """The split network of a vertex set of D, numbered 0..n-1 in vkey order:
     `names[i]` is vertex i, `index` maps names back, and `succ[i]` lists i's
     successors in the set in ascending order, loops dropped.  In-node v = v,
-    out-node n + v, and from 2n on a gadget node per vertex of `terms`
-    (distinct ids in the set) in vkey order, `gadget[v]` for vertex number
-    v.  Its classes: each split arc v -> n + v costs one; each non-loop edge
-    u -> w gives an arc n + u -> w and each terminal t the arcs
-    n + t -> gadget and gadget -> t, all costing `wide`, by default n + 1,
-    more than every split arc together.  A flow between gadgets counts
-    vertex-disjoint paths between terminals that may be deleted, and with
-    `wide` above a budget, a cut within the budget holds split arcs only."""
+    out-node n + v.  Its classes: each split arc v -> n + v costs one, and
+    each non-loop edge u -> w gives an arc n + u -> w costing n + 1, more
+    than every split arc together.  A flow from in-nodes to out-nodes
+    counts vertex-disjoint paths whose ends may be deleted, and a cut
+    costing at most n holds split arcs only."""
     names = vsorted(vertices)
     index = {v: i for i, v in enumerate(names)}
     succ = D._succ
@@ -592,19 +588,12 @@ def split_network(D: Digraph, vertices: Iterable[Vertex], terms: Iterable[Vertex
         if v in succ[v]:  # a loop
             rows[i].remove(i)
     n = len(names)
-    wide = n + 1 if wide is None else wide
-    gadget = {t: 2 * n + j for j, t in enumerate(sorted(map(index.__getitem__, terms)))}
     tails, heads = list(range(n)), list(range(n, 2 * n))
     for u, row in enumerate(rows):
         tails += [n + u] * len(row)
         heads += row
-        if u in gadget:
-            tails.append(n + u)
-            heads.append(gadget[u])
-    tails += gadget.values()
-    heads += gadget
-    net = FlowNetwork(2 * n + len(gadget), tails, heads, [1] * n + [wide] * (len(tails) - n))
-    net.n, net.names, net.index, net.succ, net.gadget = n, names, index, rows, gadget
+    net = FlowNetwork(2 * n, tails, heads, [1] * n + [n + 1] * (len(tails) - n))
+    net.n, net.names, net.index, net.succ = n, names, index, rows
     return net
 
 

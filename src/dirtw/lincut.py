@@ -3,11 +3,11 @@ blocks, remove at most `s` vertices so that no directed path runs from an
 earlier block to a later one.
 
 The vertex cut reduces to an arc cut on `digraph.split_network`: every
-vertex v becomes an arc v_in -> v_out of cost one, every original edge an
-arc of cost s+1, and each terminal hangs off a fresh gadget vertex attached
-by arcs of cost s+1 each way, so affordable cuts consist of split arcs only,
-one per deleted vertex.  Vertices are deletable even when they are
-terminals; deleting a terminal discharges the demands it participates in.
+vertex v becomes an arc v_in -> v_out of cost one and every original edge
+an arc of cost n+1, above every budget the oracle asks (it caps them at n),
+so affordable cuts consist of split arcs only, one per deleted vertex.
+Paths run from in-nodes to out-nodes, so terminals are deletable too, each
+deletion discharging the demands the terminal participates in.
 
 The linear cut, and every ordered partition that the balanced-separator
 engine prices, are solved exactly by one extraction, `_lec_solve`, on
@@ -91,14 +91,14 @@ def _forced(blocks: list[frozenset]) -> frozenset:
 
 def _separates(net, blocks, removed) -> bool:
     """Whether no path over the classes of `net` outside `removed` runs from
-    an earlier block of `blocks`, lists of its nodes, to a later one: the
-    reach from blocks 0..i grows a block at a time and must meet no node of
-    a block after i."""
-    adj, head, classes = net.adj, net.head, net.classes
-    ahead = {v for b in blocks for v in b}  # the nodes of the blocks the reach has not started from
+    an earlier block of `blocks`, lists of vertex numbers, to a later one:
+    the reach from the in-nodes of blocks 0..i grows a block at a time and
+    must meet no out-node of a block after i."""
+    adj, head, classes, n = net.adj, net.head, net.classes, net.n
+    ahead = {n + v for b in blocks for v in b}  # the out-nodes of the blocks the reach has not started from
     seen: set = set()
     for b in blocks:
-        ahead.difference_update(b)
+        ahead.difference_update(n + v for v in b)
         seen.update(b)
         stack = list(b)
         while stack:
@@ -115,13 +115,15 @@ def _separates(net, blocks, removed) -> bool:
 
 
 class _CutOracle:
-    """Exact yes/no answers about one split network (`digraph.split_network`,
-    built with `wide` above every budget asked), whose classes are its class
-    arc ids: is there a set of at most b classes, avoiding `banned`, whose
-    removal together with `removed` kills every path from an earlier block
-    to a later one?  Only split arcs, each costing one, fit in a budget, so
-    a cut's cost is its size.  The blocks are asked per question, so one
-    oracle serves every ordering of the network's terminals.
+    """Exact yes/no answers about one split network (`digraph.split_network`),
+    whose classes are its class arc ids: is there a set of at most b
+    classes, avoiding `banned`, whose removal together with `removed` kills
+    every path from the in-nodes of an earlier block of vertex numbers to
+    the out-nodes of a later one?  `feasible` caps budgets at n, which no
+    cut of split arcs needs more than, so only split arcs, each costing one,
+    fit in a budget, and a cut's cost is its size.
+    The blocks are asked per question, so one oracle serves every ordering
+    of the network's terminals.
 
     A linear cut is Skew Edge Multicut, so by the pushing lemma (Chen, Liu,
     Lu, O'Sullivan and Razgon, JACM 2008) some cheapest solution contains an
@@ -142,26 +144,25 @@ class _CutOracle:
     def feasible(self, blocks, removed, banned, budget: int) -> bool:
         """Whether some set of at most `budget` classes outside `banned`
         kills every earlier-to-later path between `blocks` (lists of the
-        network's nodes) once the classes in `removed` are gone."""
+        network's vertex numbers) once the classes in `removed` are gone."""
+        budget = min(budget, self.net.n)
         return self._decide([tuple(b) for b in blocks], frozenset(removed), frozenset(banned), budget)
 
     def lower_bound(self, blocks, s: int) -> int:
         """Max-flow over every earlier/later split of `blocks` lower-bounds
         the cut cost; returns the largest bound, stopping as soon as one
         split exceeds s."""
-        bound = 0
+        bound, n = 0, self.net.n
         for cut in range(1, len(blocks)):
             earlier = [x for b in blocks[:cut] for x in b]
-            later = [y for b in blocks[cut:] for y in b]
+            later = [n + y for b in blocks[cut:] for y in b]
             bound = max(bound, self.net.flow(earlier, later, s + 1))
             if bound > s:
                 break
         return bound
 
     def _decide(self, blocks: list, removed: frozenset, banned: frozenset, budget: int) -> bool:
-        if len(blocks) < 2:
-            return True
-        sinks = frozenset(y for b in blocks[1:] for y in b)
+        sinks = frozenset(self.net.n + y for b in blocks[1:] for y in b)
         if len(blocks) == 2:  # any cut of the last pair will do
             return self.net.flow(blocks[0], sinks, budget + 1, removed, banned) <= budget
         key = (blocks[0], sinks, budget, removed, banned)
@@ -204,11 +205,11 @@ class _CutOracle:
         # carry flow, and removed classes and the sink arcs of R carry none
         e = next(a for u in R for a in adj[u] if not a & 1 and reaches[head[a]] and cap[a ^ 1] > 0)
         # it carries flow, at most the budget, so it costs no more: a split
-        # arc, unless the network's wide arcs are within the budget
+        # arc, unless an edge arc, costing n + 1, is within the budget
         if e >= 2 * net.n:
             raise RuntimeError("an affordable important cut holds a non-split arc")
         self._important(R, Y, removed, banned, F | {e}, budget - 1, found)
-        if head[e] not in Y:
+        if head[e] not in Y:  # a later terminal's own split arc ends in a sink
             self._important(R + [head[e]], Y, removed, banned, F, budget, found)
 
 
@@ -252,11 +253,10 @@ def linear_vertex_cut(D: Digraph, T, s: int) -> CutCertificate | None:
     if len(blocks) < 2:
         return CutCertificate(frozenset(), forced)
 
-    # edge and gadget arcs cost s0 + 1, so affordable cuts hold split arcs only
-    net = split_network(D, [v for v in D.vertices() if v not in forced], [v for b in blocks for v in b], s0 + 1)
-    gadgets = [sorted(net.gadget[v] for v in net.ids(b)) for b in blocks]
+    net = split_network(D, [v for v in D.vertices() if v not in forced])
+    numbered = [sorted(net.ids(b)) for b in blocks]
     oracle = _CutOracle(net)
-    cut = _lec_solve(oracle, gadgets, oracle.lower_bound(gadgets, s0), s0)
+    cut = _lec_solve(oracle, numbered, oracle.lower_bound(numbered, s0), s0)
     if cut is None:
         return None
     return CutCertificate(frozenset(net.split_vertices(cut)), forced)

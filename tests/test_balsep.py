@@ -481,7 +481,7 @@ def test_component_bound_matches_brute_internal_connectivity():
                          for S in combinations(set(vs) - {u, w}, size)
                          if not dfs_path_exists(D.minus(S), {u}, {w}))
                     for u, w in pairs)
-        net = split_network(D, vs, (), len(vs) + 1)
+        net = split_network(D, vs)
         assert balsep._component_lb(net, len(vs) - 1) == truth
         shortcut[any(len(heads) == 1 for heads in net.succ)] += 1
     assert min(shortcut[True], shortcut[False]) >= 30, shortcut
@@ -499,8 +499,8 @@ def test_component_bound_matches_the_all_pairs_reference():
         for _ in range(int(rng.uniform(0, 1.2) * n * n)):  # dense, often not complete
             D.add_edge(*rng.sample(vs, 2))
         bound = rng.randint(1, n)
-        got = balsep._component_lb(split_network(D, vs, (), n + 1), bound)
-        assert got == reference_component_lb(split_network(D, vs, (), n + 1), bound)
+        got = balsep._component_lb(split_network(D, vs), bound)
+        assert got == reference_component_lb(split_network(D, vs), bound)
         below[got < bound and got > 1] += 1
     assert below[True] > 300, below
 

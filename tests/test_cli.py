@@ -696,6 +696,21 @@ def test_bench_rejects_malformed_suites(tmp_path, capsys):
     assert run_cli(["bench", write(tmp_path, "d.json", json.dumps([{**good, "edges": 7}]))], capsys)[0] == 0
 
 
+@pytest.mark.parametrize("command", ["balsep", "welllinked", "validate"])
+@pytest.mark.parametrize("kind", ["read", "parse"])
+def test_unreadable_input_graphs_exit_2(tmp_path, command, kind, capsys):
+    # every subcommand reads its graph in one place, as decompose does: a
+    # missing file and a line of three tokens each exit 2, before anything
+    # else is read
+    graph = (str(tmp_path / "missing.txt") if kind == "read"
+             else write(tmp_path, "bad.txt", "one two three\n"))
+    argv = {"balsep": ["balsep", "-T", "1", "-r", "1", "-s", "0", graph],
+            "welllinked": ["welllinked", "-k", "1", graph],
+            "validate": ["validate", graph, write(tmp_path, "a.json", "{}")]}[command]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == "" and f"cannot {kind} {graph}: " in err, err
+
+
 def test_unwritable_output_paths_exit_3(tmp_path, k6, capsys):
     missing = str(tmp_path / "missing" / "out")
     k15 = write(tmp_path, "k15.txt", serialize_edge_list(bidirected_clique(15)))

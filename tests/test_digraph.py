@@ -520,11 +520,9 @@ def _flow_kernel_outcomes(seed: int, count: int) -> tuple[list, dict]:
         if n >= 3:
             terms = rng.sample(range(n), rng.randint(3, min(5, n)))
             budget = rng.randint(0, 3)
-            net = split_network(D, vs, [vs[t] for t in terms], budget + 1)
-            gadgets = [net.gadget[t] for t in terms]
-            cuts = sorted(rng.sample(range(1, len(gadgets)), 2))
-            blocks = [gadgets[:cuts[0]], gadgets[cuts[0]:cuts[1]], gadgets[cuts[1]:]]
-            oracle = _CutOracle(net)
+            cuts = sorted(rng.sample(range(1, len(terms)), 2))
+            blocks = [terms[:cuts[0]], terms[cuts[0]:cuts[1]], terms[cuts[1]:]]
+            oracle = _CutOracle(split)
             out.append(oracle.feasible(blocks, (), (), budget))
             out.append(list(oracle.memo.items()))
             found["cuts"] += any(len(cuts) > 1 for cuts in oracle.memo.values())
@@ -577,15 +575,15 @@ def test_no_pass_scans_a_reverse_arc_at_an_unmarked_node(monkeypatch):
             counts["in pass"] = False
 
     monkeypatch.setattr(FlowNetwork, "_bfs", counted)
-    _flow_kernel_outcomes(29, 200)
+    _flow_kernel_outcomes(29, 300)
     D = bidirected_clique(9)
     assert verify_well_linked(D, [1, 3, 5, 7])
     assert counts["scans"] > 10_000 and counts["marked"] > 1_000, counts
     assert counts["odd at unmarked"] == 0
     # the forward lists are the even arcs of adj, in adj's order, and a
     # reset clears every mark
-    net = split_network(D, D.vertices(), [2, 3], 4)
-    net.flow([net.gadget[1]], [net.gadget[2]], 3)
+    net = split_network(D, D.vertices())
+    net.flow([1], [net.out(2)], 3)
     assert any(net.marked)
     assert [[a for a in arcs if not a & 1] for arcs in net.adj] == net.fwd
     net.reset()

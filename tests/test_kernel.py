@@ -25,7 +25,7 @@ from util import (
 )
 
 GRAPHS = 2000
-ARRAYS = ("adj", "fwd", "head", "cap", "built", "marked", "classes", "source", "sink", "n", "gadget")
+ARRAYS = ("adj", "fwd", "head", "cap", "built", "marked", "classes", "source", "sink", "n")
 
 
 def _graphs(seed: int, count: int, largest: int):
@@ -71,21 +71,18 @@ def _columns(arcs: list[tuple]) -> tuple[list, list, list]:
 
 
 def _networks(rng, D, vs, reference: bool = False) -> list[FlowNetwork]:
-    """A split network with gadgets and a network on a random unsorted arc
-    list, loops and parallel arcs included; with `reference`, the first
-    built from its tuple-list classes."""
-    n = len(vs)
-    terms = rng.sample(range(n), rng.randint(0, n))
+    """A split network and a network on a random unsorted arc list, loops
+    and parallel arcs included; with `reference`, the first built from its
+    tuple-list classes."""
     nodes = rng.randint(0, 6)
     arcs = [(rng.randrange(nodes), rng.randrange(nodes), rng.randint(0, 4))
             for _ in range(rng.randint(0, 12))] if nodes else []
-    wide = rng.choice([None, rng.randint(1, 9)])
-    net = split_network(D, vs, [vs[t] for t in terms], wide)
+    net = split_network(D, vs)
     if not reference:
         return [net, FlowNetwork(nodes, *_columns(arcs))]
-    split_nodes, split_arcs, gadget = reference_split_classes(net, terms, wide)
+    split_nodes, split_arcs, _ = reference_split_classes(net)
     split = FlowNetwork(split_nodes, *_columns(split_arcs))
-    split.n, split.gadget = n, gadget
+    split.n = len(vs)
     return [split, FlowNetwork(nodes, *_columns(arcs))]
 
 

@@ -19,8 +19,8 @@ from dirtw import (
 from dirtw import lincut
 from dirtw.digraph import split_network, vkey
 from dirtw.lincut import _CutOracle, _separates
-from util import (mixed_id_digraph, network_violating_path, path_digraph, random_digraph, reference_path_search,
-                  reference_violating_path, shuffled_digraph)
+from util import (mixed_id_digraph, network_violating_path, path_digraph, random_digraph, reference_gadget_network,
+                  reference_path_search, reference_violating_path, shuffled_digraph)
 
 
 def diamond() -> Digraph:
@@ -81,22 +81,23 @@ def classes_of(net) -> dict:
     return {ends(net, c): net.built[c] for c in range(0, net.classes, 2)}
 
 
+def gadget_classes(net, G, classes) -> frozenset:
+    """The classes of the gadget network G with the ends of `classes` of net."""
+    of = {ends(G, c): c for c in range(0, G.classes, 2)}
+    return frozenset(of[ends(net, c)] for c in classes)
+
+
 def test_split_reduction_structure():
-    # the split layout: v_in = v, v_out = n + v, terminal gadgets from 2n up
+    # the split layout: v_in = v, v_out = n + v, and no other node
     D = diamond()
-    blocks = [frozenset("a"), frozenset("d")]
-    net = split_network(D, D.vertices(), (v for b in blocks for v in b), 3)
+    net = split_network(D, D.vertices())
     costs = classes_of(net)
-    n, a, b, d = D.n, net.index["a"], net.index["b"], net.index["d"]
-    assert net.source == 2 * n + 2
-    assert [[net.gadget[v] for v in net.ids(b)] for b in blocks] == [[2 * n], [2 * n + 1]]
+    n, a, b = D.n, net.index["a"], net.index["b"]
+    assert net.source == 2 * n
     assert costs[(a, n + a)] == 1
-    assert costs[(n + a, b)] == 3
-    assert costs[(2 * n, a)] == 3
-    assert costs[(n + a, 2 * n)] == 3
-    assert costs[(n + d, 2 * n + 1)] == 3
+    assert costs[(n + a, b)] == n + 1
     assert list(costs) == sorted(costs)
-    assert len(costs) == n + D.m + 2 * 2
+    assert len(costs) == n + D.m
     # then a source arc and a sink arc per node, switched off
     assert len(net.head) - net.classes == 4 * net.source and not any(net.built[net.classes:])
 
@@ -189,10 +190,11 @@ def test_mixed_ids_match_both_oracles():
 
 def test_violating_path_matches_vertex_keyed_reference():
     # on the split network of a mixed-id graph, against the vertex-keyed
-    # search on the digraph of the network's classes: the extraction's
-    # check says yes exactly when the reference finds no path, and the
-    # int-keyed path that the oracle's reference search branches on is the
-    # reference's path
+    # search on the digraph of the classes of the gadget network, where
+    # each terminal hangs off a gadget node, with the classes of the same
+    # ends removed: the extraction's check says yes exactly when the
+    # reference finds no path, and the int-keyed path that the oracle's
+    # reference search branches on is the reference's path
     rng = random.Random(5)
     found = beyond_next = 0
     for _ in range(300):
@@ -200,17 +202,19 @@ def test_violating_path_matches_vertex_keyed_reference():
         blocks = random_blocks(rng, D, max_blocks=5)
         if len(blocks) < 2:
             continue
-        net = split_network(D, D.vertices(), (v for b in blocks for v in b))
-        blocks = [frozenset(net.gadget[v] for v in net.ids(b)) for b in blocks]
+        net = split_network(D, D.vertices())
+        numbered = [sorted(net.ids(b)) for b in blocks]
+        G, gadget = reference_gadget_network(net, [v for b in numbered for v in b])
+        blocks = [frozenset(gadget[v] for v in b) for b in numbered]
         H = Digraph()
-        for c in range(0, net.classes, 2):
-            H.add_edge(*ends(net, c))
+        for c in range(0, G.classes, 2):
+            H.add_edge(*ends(G, c))
         removed = frozenset(rng.sample(range(0, net.classes, 2), rng.randint(0, net.classes // 8)))
         want = reference_violating_path(H, blocks, frozenset(ends(net, c) for c in removed))
-        assert _separates(net, [sorted(b) for b in blocks], removed) == (want is None)
-        got = network_violating_path(net, [sorted(b) for b in blocks], removed)
+        assert _separates(net, numbered, removed) == (want is None)
+        got = network_violating_path(G, [sorted(b) for b in blocks], gadget_classes(net, G, removed))
         if got is not None:
-            got = [ends(net, c) for c in got]
+            got = [ends(G, c) for c in got]
             found += 1
             start = next(i for i, b in enumerate(blocks) if got[0][0] in b)
             beyond_next += got[-1][1] not in blocks[start + 1]
@@ -220,12 +224,14 @@ def test_violating_path_matches_vertex_keyed_reference():
 
 
 def test_cut_oracle_matches_the_search():
-    # the important-cut oracle against the search that branches on
-    # violating paths, on vertex-split reductions of mixed-id multigraphs
-    # with loops, built as the package builds them, with wide arcs above
-    # every budget asked; like the partition engine, one oracle holds every
-    # terminal and answers several orderings, removed and banned sets and
-    # budgets, so its memo is shared between questions
+    # the important-cut oracle on vertex-split reductions of mixed-id
+    # multigraphs with loops, built as the package builds them, against the
+    # search that branches on violating paths between the gadgets of the
+    # gadget network, with wide arcs above every budget asked and the
+    # classes of the same ends removed and banned; like the partition
+    # engine, one oracle holds every terminal and answers several orderings,
+    # removed and banned sets and budgets, so its memo is shared between
+    # questions
     rng = random.Random(31)
     seen: Counter = Counter()
     for _ in range(3000):
@@ -233,8 +239,9 @@ def test_cut_oracle_matches_the_search():
         blocks = []
         while len(blocks) < 2:
             blocks = random_blocks(rng, D)
-        net = split_network(D, D.vertices(), (v for b in blocks for v in b), 5)
-        terminals = [sorted(net.gadget[v] for v in net.ids(b)) for b in blocks]
+        net = split_network(D, D.vertices())
+        terminals = [sorted(net.ids(b)) for b in blocks]
+        G, gadget = reference_gadget_network(net, [v for b in terminals for v in b], 5)
         oracle = _CutOracle(net)
         classes = list(range(0, net.classes, 2))
         for _ in range(4):
@@ -242,7 +249,8 @@ def test_cut_oracle_matches_the_search():
             removed = frozenset(c for c in classes if rng.random() < 0.15)
             banned = frozenset(c for c in classes if c not in removed and rng.random() < 0.2)
             budget = rng.randint(0, 4)
-            want = reference_path_search(net, order, removed, banned, 0, budget) is not None
+            want = reference_path_search(G, [[gadget[v] for v in b] for b in order], gadget_classes(net, G, removed),
+                                         gadget_classes(net, G, banned), 0, budget) is not None
             assert oracle.feasible(order, removed, banned, budget) == want, (order, removed, banned, budget)
             seen[want, len(order) > 2, bool(removed), bool(banned)] += 1
     # both answers, with three or more blocks, with removed and banned
@@ -286,20 +294,24 @@ def test_non_split_arc_in_a_reduction_cut_is_an_error(monkeypatch):
 
 def test_cut_oracle_refuses_an_affordable_wide_arc():
     # the oracle counts a cut's classes, which prices it right only when
-    # every class within budget is a split arc; on a network whose wide
-    # arcs cost no more than the budget it raises instead of counting one
+    # every class within budget is a split arc; `feasible` caps a budget
+    # above n, where an edge arc, costing n + 1, would be affordable, so
+    # with every split arc banned no budget buys a cut
     D = path_digraph(1, 2, 3)
+    net = split_network(D, D.vertices())
 
-    def feasible(wide: int, budget: int) -> bool:
-        net = split_network(D, D.vertices(), [1, 2, 3], wide)
-        return _CutOracle(net).feasible([[net.gadget[v]] for v in range(3)], (), (), budget)
+    def feasible(banned, budget: int) -> bool:
+        return _CutOracle(net).feasible([[0], [1], [2]], (), banned, budget)
 
-    assert feasible(3, 2) and not feasible(3, 0)
+    assert feasible((), 2) and not feasible((), 0)
+    assert not any(feasible({0, 2, 4}, budget) for budget in range(8))
+    one = split_network(path_digraph(1, 2), [1, 2])
+    assert not _CutOracle(one).feasible([[0], [1]], (), {0, 2}, 3)
+    # asked past the cap, the search raises instead of counting an edge arc
     with pytest.raises(RuntimeError, match="non-split arc"):
-        feasible(1, 2)
+        _CutOracle(net)._decide([(0,), (1,), (2,)], frozenset(), frozenset({0, 2, 4}), net.n + 1)
     # the split arcs are the first n classes, named by their vertices; any
     # other arc is refused
-    net = split_network(D, D.vertices(), [1, 2, 3], 3)
     assert net.split_vertices([0, 4]) == [1, 3]
     for arc in (2 * net.n, net.classes - 2, 1):
         with pytest.raises(RuntimeError, match="non-split arc"):

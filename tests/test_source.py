@@ -381,6 +381,8 @@ def test_only_split_network_builds_a_flow_network():
     source = (PACKAGE / FLOW_OWNER).read_text()
     classes = _flow_classes(source)
     assert NETWORK_BUILDER in {fn.name for fn in ast.parse(source).body if isinstance(fn, ast.FunctionDef)}
+    # and every split network has one shape, built on a digraph and a vertex set alone
+    assert list(inspect.signature(dirtw.digraph.split_network).parameters) == ["D", "vertices"]
     found = {m.name: _networks_built_elsewhere(m.read_text(), classes) for m in sorted(PACKAGE.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
 

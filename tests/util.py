@@ -12,7 +12,8 @@ from dirtw import (BalancedSeparatorInstance, Digraph, MengerResult, Path, TBram
                    balanced_separator, decompose, linear_vertex_cut, vkey, vsorted)
 from dirtw.arboreal import (ArborealDecomposition, LinkedSetCertificate, ValidationReport, Violation,
                             _structure_violations)
-from dirtw.digraph import _parse_token, _strongly_connected, guard_breach, scc, split_network, tarjan_sccs
+from dirtw.digraph import (FlowNetwork, _parse_token, _strongly_connected, guard_breach, scc, split_network,
+                           tarjan_sccs)
 
 
 # -- named instances --------------------------------------------------------
@@ -433,7 +434,7 @@ def reference_network_init(net, nodes: int, tails, heads, costs) -> None:
     cap += [0] * (4 * nodes)
     net.built = cap[:]
     net.marked = [False] * (nodes + 2)
-    net.n, net.gadget = 0, {}
+    net.n = 0
 
 
 def reference_interned_rows(D: Digraph, net) -> list[list[int]]:
@@ -458,6 +459,16 @@ def reference_split_classes(net, terms=(), wide: int | None = None) -> tuple[int
             arcs.append((n + u, gadget[u], wide))
     arcs += [(g, t, wide) for t, g in gadget.items()]
     return 2 * n + len(gadget), arcs, gadget
+
+
+def reference_gadget_network(net, terms, wide: int | None = None) -> tuple[FlowNetwork, dict]:
+    """The network that split_network built on the vertex set of `net` when
+    the cut layer asked its flows between gadgets: a gadget node per vertex
+    number in `terms`, joined by arcs n + t -> gadget -> t costing `wide`,
+    from reference_split_classes.  Kept as the network the cut layer's
+    referees run on; returns it and the gadget map."""
+    nodes, arcs, gadget = reference_split_classes(net, terms, wide)
+    return FlowNetwork(nodes, *zip(*arcs)), gadget
 
 
 def reference_linkage(D: Digraph, net, X, Y, r: int) -> MengerResult:
