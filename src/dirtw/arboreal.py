@@ -404,32 +404,21 @@ def decompose(D: Digraph, k: int) -> ArborealDecomposition | LinkedSetCertificat
 
     bags: dict[int, set] = {0: set(D.vertices())}
     guards: dict[tuple[int, int], frozenset] = {}
-    parent: dict[int, tuple[int, int]] = {}
-    children: dict[int, list[int]] = {0: []}
-
-    def coverage_size(node: int) -> int:
-        cov = set(bags[node])
-        arc = parent.get(node)
-        if arc is not None:
-            cov |= guards[arc]
-        for child in children[node]:
-            cov |= guards[(node, child)]
-        return len(cov)
-
+    incident: dict[int, frozenset] = {0: frozenset()}  # node -> the guards of its arcs, united
     rank = {v: i for i, v in enumerate(D.sorted_vertices())}
     # the too-large leaves in ascending order; a split changes only the
     # split leaf and its new children, whose ids exceed every other
-    pending = [0] if coverage_size(0) >= 3 * k else []
+    pending = [0] if len(bags[0]) >= 3 * k else []
     measure = sum(len(bags[node]) for node in pending)
     while pending:
         r0 = pending[0]
-        arc0 = parent.get(r0)
-        T = guards[arc0] if arc0 is not None else frozenset()
+        # a pending node is a leaf: its one arc, if any, comes from its parent
+        T = incident[r0]
         result = balanced_separator(BalancedSeparatorInstance(D, T, k - 1, k - 1))
         if result.linked:
             if len(T) != 2 * k - 1:
                 raise RuntimeError(f"linked guard of size {len(T)}, not {2 * k - 1}")
-            return LinkedSetCertificate(frozenset(T), k - 1, k - 1)
+            return LinkedSetCertificate(T, k - 1, k - 1)
         free = bags[r0] - result.separator
         if len(free) < 2:
             raise RuntimeError(f"separator leaves {len(free)} free vertices in bag {r0}")
@@ -450,17 +439,16 @@ def decompose(D: Digraph, k: int) -> ArborealDecomposition | LinkedSetCertificat
                     continue
                 node = len(bags)
                 bags[node] = set(piece)
-                children[node] = []
-                children[r0].append(node)
-                arc = (r0, node)
-                parent[node] = arc
-                guards[arc] = frozenset(Z | (comp & T))
-                if len(guards[arc]) > 2 * k - 1:
-                    raise RuntimeError(f"guard of size {len(guards[arc])} above {2 * k - 1}")
+                guard = guards[(r0, node)] = frozenset(Z | (comp & T))
+                incident[node] = guard
+                incident[r0] |= guard
+                if len(guard) > 2 * k - 1:
+                    raise RuntimeError(f"guard of size {len(guard)} above {2 * k - 1}")
         bags[r0] &= Z
-        if not bags[r0] or coverage_size(r0) > 3 * k - 1:
+        if not bags[r0] or len(bags[r0] | incident[r0]) > 3 * k - 1:
             raise RuntimeError(f"split bag {r0} is empty or covers more than {3 * k - 1}")
-        pending = pending[1:] + [node for node in range(first, len(bags)) if coverage_size(node) >= 3 * k]
+        pending = pending[1:] + [node for node in range(first, len(bags))
+                                 if len(bags[node] | incident[node]) >= 3 * k]
         next_measure = sum(len(bags[node]) for node in pending)
         if next_measure >= measure:
             raise RuntimeError(f"leaf measure did not decrease ({measure} -> {next_measure})")

@@ -12,7 +12,7 @@ bounds that need no flow (kappa is |C| - 1 on a complete C, at least 1 on
 any other) are summed before a greedy separator is tried, and flows bound
 the other components after it.  Only when all of that is inconclusive does
 the exact layer run, independently per offending component: small
-components use offender-hitting branch and bound; larger ones try every
+components scan their vertex sets by size; larger ones try every
 ordered partition of their terminals into blocks of size at most r, each
 priced as a linear cut, keeping the cheapest cut (the partition/linear-cut
 equivalence makes this exhaustive search complete, so a returned Linked
@@ -258,29 +258,16 @@ def _flow_bounds(D: Digraph, Tset: frozenset, r: int, s: int, free: list[tuple])
     return [(c, tc, bounds[i], nets.get(i)) for i, (c, tc, _, _) in enumerate(free)]
 
 
-def _branch_min_cut(D: Digraph, comp: set, Tc: frozenset, r: int, cap: int, lb: int) -> frozenset | None:
-    """Exact engine for small components: iterative-deepening branch and
-    bound.  Any valid deletion set must hit every currently offending strong
-    component, so branching over the canonical offender is complete."""
-    heavy = [set(comp)]  # an offending strong component is its own offender list
-    for b in range(max(lb, 1), cap + 1):
-        failed: set = set()
-
-        def dfs(removed: frozenset, offenders: list, left: int) -> frozenset | None:
-            if not offenders:
-                return removed
-            if left == 0 or removed in failed:
-                return None
-            for v in vsorted(offenders[0]):
-                got = dfs(removed | {v}, _refine_offenders(D, Tc, r, offenders, (v,)), left - 1)
-                if got is not None:
-                    return got
-            failed.add(removed)
-            return None
-
-        got = dfs(frozenset(), heavy, b)
-        if got is not None:
-            return got
+def _scan_min_cut(D: Digraph, comp: set, Tc: frozenset, r: int, cap: int, lb: int) -> frozenset | None:
+    """Exact engine for small components: the first vertex set, by size from
+    the lower bound `lb` up to `cap` and lexicographic within a size, that
+    leaves no offender, or None.  With a sound `lb` that is the lex-least
+    minimum deletion set.  Its work is the number of sets it tries."""
+    heavy, order = [comp], vsorted(comp)  # an offending strong component is its own offender list
+    for size in range(max(lb, 1), cap + 1):
+        for Z in combinations(order, size):
+            if not _refine_offenders(D, Tc, r, heavy, Z):
+                return frozenset(Z)
     return None
 
 
@@ -329,7 +316,8 @@ def _exact_search(D: Digraph, Tset: frozenset, r: int, s: int, offenders) -> fro
     """Per offending component, the exact minimum set of deletions making
     every strong component of the strongly connected D.induced(comp) hold
     <= r terminals, within what the budget leaves it; None once one exceeds
-    that.  Both engines stop early once the lower bound is met."""
+    that.  The scan starts at the lower bound; the partition engine stops
+    once it is met."""
     chosen: set = set()
     spent = 0
     remaining_lb = sum(lb for _, _, lb, _ in offenders)
@@ -337,11 +325,10 @@ def _exact_search(D: Digraph, Tset: frozenset, r: int, s: int, offenders) -> fro
         remaining_lb -= lb
         # cap >= lb: the bounds sum to at most s, and each cut stays within its cap
         cap, Tc = s - spent - remaining_lb, frozenset(comp & Tset)
-        # on a small component, branching over its vertices beats pricing
-        # every terminal partition: the partition engine alone made the exact
-        # layer 2.4x slower at r = 1 on random queries with n = 6-16
+        # a small component has few vertex sets within the cap, each tested
+        # by one refinement, where every terminal partition costs flows
         if len(comp) <= 12:
-            cut = _branch_min_cut(D, comp, Tc, r, cap, lb)
+            cut = _scan_min_cut(D, comp, Tc, r, cap, lb)
         else:
             cut = _partition_min_cut(D, comp, Tc, r, cap, lb, net)
         if cut is None:

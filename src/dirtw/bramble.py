@@ -18,7 +18,7 @@ from collections.abc import Iterable
 from functools import cached_property
 from itertools import combinations
 
-from .digraph import Digraph, Path, Vertex, _reach_set, linkage, split_network, vkey, vsorted
+from .digraph import Digraph, Path, Vertex, _reach_set, menger, split_network, vkey, vsorted
 from .balsep import _refine_offenders, _solve, is_balanced_separator, offending_components
 from .arboreal import LinkedSetCertificate
 
@@ -304,7 +304,7 @@ def build_path_system(D: Digraph, P: Path, A: Iterable[Vertex], link_size: int, 
         for j in range(order):
             if i == j:
                 continue
-            res = linkage(D, net, outs[i], ins[j], link_size)
+            res = menger(D, outs[i], ins[j], link_size, net)
             if res.separator is not None:
                 raise ValueError(f"no size-{link_size} linkage from spine {i + 1} to spine "
                                  f"{j + 1}: the anchor set is not well-linked")

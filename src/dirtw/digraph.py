@@ -614,24 +614,21 @@ class MengerResult:
         return f"MengerResult(separator={vsorted(self.separator)!r})"
 
 
-def menger(D: Digraph, X: Iterable[Vertex], Y: Iterable[Vertex], r: int) -> MengerResult:
+def menger(D: Digraph, X: Iterable[Vertex], Y: Iterable[Vertex], r: int,
+           net: FlowNetwork | None = None) -> MengerResult:
     """Either r pairwise vertex-disjoint X-to-Y paths, or a separator of at
     most r-1 vertices whose removal kills every X-to-Y path.
 
     Disjointness includes endpoints: each vertex of the graph lies on at most
     one returned path, which is what every caller (well-linkedness checks,
     linkage construction) needs.  A vertex in both X and Y yields a
-    zero-length path.  Implemented as unit-capacity flow on the split
-    network, with the terminal arcs of X and Y switched on.
+    zero-length path.  Implemented as unit-capacity flow on `net`, the split
+    network of all of D (built here unless a caller asking many questions
+    passes its own), from the in-nodes of X to the out-nodes of Y.
     """
-    return linkage(D, split_network(D, D.vertices()), X, Y, r)
-
-
-def linkage(D: Digraph, net: FlowNetwork, X: Iterable[Vertex], Y: Iterable[Vertex], r: int) -> MengerResult:
-    """`menger(D, X, Y, r)` on `net`, the split network of all of D, which
-    the caller builds once for many questions."""
     if r < 1:
         raise ValueError("menger requires r >= 1")
+    net = net or split_network(D, D.vertices())
     n, names = net.n, net.names
     flow = net.flow(net.ids(vsorted(X)), [n + y for y in net.ids(vsorted(Y))], r)
     if flow < r:

@@ -39,6 +39,7 @@ from util import (
     mixed_id_digraph,
     path_digraph,
     random_digraph,
+    reference_branch_min_cut,
     reference_component_lb,
     reference_offending_components,
     reference_partition_min_cut,
@@ -518,6 +519,29 @@ def test_partition_engine_matches_the_reference_engine():
             (i, vsorted(Tc), r, cap, lb)
 
 
+def test_scan_engine_matches_the_branch_and_bound_reference():
+    # with a lower bound no larger than the true minimum, the first set of
+    # the scan is the lex-least minimum set the reference's DFS finds; a
+    # wrong first scan draws a bound the reference then disagrees with
+    rng = random.Random(0x5CA)
+    answers = Counter()
+    for i in range(1000):
+        n = rng.randint(3, 12)
+        D = random_strong_component(rng, n)
+        vs = D.sorted_vertices()
+        for _ in range(int(rng.uniform(0, 0.6) * n * n)):
+            D.add_edge(*rng.sample(vs, 2))
+        r = rng.randint(1, min(4, n - 1))
+        Tc = frozenset(rng.sample(vs, rng.randint(r + 1, n)))
+        cap = rng.randint(1, 5)
+        least = balsep._scan_min_cut(D, set(vs), Tc, r, cap, 1)
+        lb = rng.randint(1, cap if least is None else len(least))
+        got = balsep._scan_min_cut(D, set(vs), Tc, r, cap, lb)
+        assert got == least == reference_branch_min_cut(D, set(vs), Tc, r, cap, lb), (i, vsorted(Tc), r, cap, lb)
+        answers[got is None] += 1
+    assert answers[False] >= 500 and answers[True] >= 100, answers
+
+
 def test_partition_engine_asks_no_flow_into_no_sinks(monkeypatch):
     # the prefix bound of the whole terminal set is 0 with no rest to cut
     # off; the engine knows it without asking the network
@@ -721,9 +745,9 @@ def test_deletion_loops_make_no_whole_graph_pass_per_deleted_vertex(monkeypatch)
     # both greedy passes fail after deleting 5 and then 6 terminals of K_8
     assert balsep._greedy_separator(K8, T8, 1, 5, heavy) is None
     assert whole == []
-    # K_6 needs five deletions: iterative deepening walks every tree up to four
+    # K_6 needs five deletions: the scan tests every set of one to four
     K6 = bidirected_clique(6)
-    assert balsep._branch_min_cut(K6, set(K6.vertices()), frozenset(K6.vertices()), 1, 4, 1) is None
+    assert balsep._scan_min_cut(K6, set(K6.vertices()), frozenset(K6.vertices()), 1, 4, 1) is None
     assert whole == []
     P = dirtw.hitting_path(dirtw.TBramble(bidirected_cycle(9), frozenset(range(1, 10)), 3))
     assert len(P) > 1 and len(whole) == 1

@@ -561,7 +561,7 @@ def test_result_guards_survive_optimized_mode():
         "    bramble.extend_split = lambda state: state\n"
         "    bramble.well_linked_set(D, LinkedSetCertificate(frozenset(range(1, 10)), 4, 4), 2)\n"
         "def empty_linkage():\n"
-        "    bramble.linkage = lambda D, net, X, Y, r: MengerResult([], None)\n"
+        "    bramble.menger = lambda D, X, Y, r, net=None: MengerResult([], None)\n"
         "    bramble.build_path_system(D, Path(D, [1, 2, 3, 4]), {1, 2, 3, 4}, 1, 2)\n"
         "for check in [linked_without_guard, no_anchor_planted, empty_linkage]:\n"
         "    try:\n"

@@ -579,10 +579,10 @@ def test_validate_refuses_non_vertex_ids(tmp_path, capsys, text, kind):
 
 
 def test_validate_unknown_or_broken_artifacts(tmp_path, k6, capsys):
-    weird = write(tmp_path, "x.json", '{"zzz": 1}')
-    assert run_cli(["validate", k6, weird], capsys)[0] == 2
-    broken = write(tmp_path, "y.json", "{nope")
-    assert run_cli(["validate", k6, broken], capsys)[0] == 2
+    for text, message in [('{"zzz": 1}', "unrecognized artifact shape"), ("[1, 2]", "unrecognized artifact shape"),
+                          ("{nope", "cannot read artifact")]:
+        code, out, err = run_cli(["validate", k6, write(tmp_path, "x.json", text)], capsys)
+        assert code == 2 and out == "" and message in err, text
 
 
 # artifact shapes for the fuzz test: "int" is a small integer and
@@ -682,6 +682,9 @@ def test_bench_cap_override(tmp_path, capsys, monkeypatch):
 
 
 def test_bench_rejects_malformed_suites(tmp_path, capsys):
+    for suite in [str(tmp_path / "missing.json"), write(tmp_path, "broken.json", "[{nope")]:
+        code, _, err = run_cli(["bench", suite], capsys)
+        assert code == 2 and "cannot read suite" in err, suite
     assert run_cli(["bench", write(tmp_path, "a.json", '{"not": "a list"}')],
                    capsys)[0] == 2
     assert run_cli(["bench", write(tmp_path, "b.json", '[{"family": "random"}]')],

@@ -12,7 +12,7 @@ import pytest
 
 import dirtw
 from dirtw import menger, vsorted
-from dirtw.digraph import FlowNetwork, linkage, split_network, tarjan_sccs
+from dirtw.digraph import FlowNetwork, split_network, tarjan_sccs
 from util import (
     mixed_id_digraph,
     reference_linkage,
@@ -111,7 +111,7 @@ def test_menger_matches_the_used_list_decomposition():
         for _ in range(2):
             X, Y = rng.sample(vs, rng.randint(1, len(vs))), rng.sample(vs, rng.randint(1, len(vs)))
             r = rng.randint(1, 4)
-            got = _outcome(linkage(D, net, X, Y, r))
+            got = _outcome(menger(D, X, Y, r, net))
             assert got == _outcome(reference_linkage(D, split_network(D, D.vertices()), X, Y, r))
             assert got == _outcome(menger(D, X, Y, r))
             kinds["paths" if got[:1] != ["sep"] else "separator"] += 1

@@ -12,6 +12,7 @@ from dirtw import (BalancedSeparatorInstance, Digraph, MengerResult, Path, TBram
                    balanced_separator, decompose, linear_vertex_cut, vkey, vsorted)
 from dirtw.arboreal import (ArborealDecomposition, LinkedSetCertificate, ValidationReport, Violation,
                             _structure_violations)
+from dirtw.balsep import _refine_offenders
 from dirtw.digraph import (FlowNetwork, _parse_token, _strongly_connected, guard_breach, scc, split_network,
                            tarjan_sccs)
 
@@ -777,6 +778,33 @@ def reference_path_search(net, blocks, removed: frozenset, banned: frozenset, sp
         res = reference_path_search(net, blocks, removed | {cls}, banned, spent + c, budget)
         if res is not None:
             return res
+    return None
+
+
+def reference_branch_min_cut(D: Digraph, comp: set, Tc: frozenset, r: int, cap: int, lb: int) -> frozenset | None:
+    """balsep's small-component engine as it was before the scan of vertex
+    sets, kept verbatim as its referee: iterative-deepening branch and
+    bound.  Any valid deletion set must hit every currently offending strong
+    component, so branching over the canonical offender is complete."""
+    heavy = [set(comp)]  # an offending strong component is its own offender list
+    for b in range(max(lb, 1), cap + 1):
+        failed: set = set()
+
+        def dfs(removed: frozenset, offenders: list, left: int) -> frozenset | None:
+            if not offenders:
+                return removed
+            if left == 0 or removed in failed:
+                return None
+            for v in vsorted(offenders[0]):
+                got = dfs(removed | {v}, _refine_offenders(D, Tc, r, offenders, (v,)), left - 1)
+                if got is not None:
+                    return got
+            failed.add(removed)
+            return None
+
+        got = dfs(frozenset(), heavy, b)
+        if got is not None:
+            return got
     return None
 
 
