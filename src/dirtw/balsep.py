@@ -25,7 +25,8 @@ from functools import cache
 from itertools import accumulate, combinations
 from collections.abc import Callable, Iterable, Iterator
 
-from .digraph import Digraph, Vertex, _strongly_connected, split_network, tarjan_sccs, vkey, vsorted
+from .digraph import (Digraph, Vertex, _check_terminals, _strongly_connected, split_network, tarjan_sccs,
+                      vkey, vsorted)
 from .lincut import TerminalSequence, _CutOracle, _lec_solve
 
 
@@ -40,9 +41,7 @@ class BalancedSeparatorInstance:
         self.T = frozenset(self.T)
         if self.r < 0 or self.s < 0:
             raise ValueError("r and s must be non-negative")
-        for v in self.T:
-            if v not in self.D:
-                raise ValueError(f"terminal {v!r} not in digraph")
+        _check_terminals(self.D, self.T)
 
 
 class BalancedSeparatorResult:
@@ -119,12 +118,16 @@ def offending_components(D: Digraph, T: Iterable[Vertex], r: int, Z: Iterable[Ve
     whole = _one_row_component(D, Z)
     if whole is not None:
         return [whole] if len(whole & Tset) > r else []
-    heavy = [c for c in tarjan_sccs(D, Z) if len(c & Tset) > r]
-    # a negative quota also counts components without terminals; those
-    # keep their emission order ahead of the rest
-    if len(heavy) > 1:
-        heavy.sort(key=lambda c: min(map(vkey, c & Tset), default=()))
-    return heavy
+    return _by_least_terminal([c for c in tarjan_sccs(D, Z) if len(c & Tset) > r], Tset)
+
+
+def _by_least_terminal(comps: list[set], Tset: frozenset) -> list[set]:
+    """`comps`, sorted in place by their least terminal.  A negative quota
+    also counts components without terminals; those keep their emission
+    order ahead of the rest."""
+    if len(comps) > 1:
+        comps.sort(key=lambda c: min(map(vkey, c & Tset), default=()))
+    return comps
 
 
 def _refine_offenders(D: Digraph, Tset: frozenset, r: int, heavy: list[set], W: Iterable[Vertex]) -> list[set]:
@@ -147,9 +150,7 @@ def _refine_offenders(D: Digraph, Tset: frozenset, r: int, heavy: list[set], W: 
             out.append(rest)
         else:
             out.extend(c for c in tarjan_sccs(D, within=rest) if len(c & Tset) > r)
-    if len(out) > 1:
-        out.sort(key=lambda c: min(map(vkey, c & Tset)))
-    return out
+    return _by_least_terminal(out, Tset)
 
 
 def is_balanced_separator(D: Digraph, T: Iterable[Vertex], r: int, Z: Iterable[Vertex]) -> bool:
@@ -213,7 +214,7 @@ def _component_lb(net, bound: int) -> int:
         for w in range(u + 1, n):
             for x, y in ((u, w), (w, u)):
                 if y not in near[x]:
-                    f = net.flow((net.out(x),), (y,), bound)
+                    f = net.flow((n + x,), (y,), bound)
                     if f < bound:
                         bound = f
                         if bound <= 1:
@@ -314,7 +315,7 @@ def _partition_min_cut(D: Digraph, comp: set, Tc: frozenset, r: int, cap: int, l
 
 def _exact_search(D: Digraph, Tset: frozenset, r: int, s: int, offenders) -> frozenset | None:
     """Per offending component, the exact minimum set of deletions making
-    every strong component of the strongly connected D.induced(comp) hold
+    every strong component of D inside the strongly connected comp hold
     <= r terminals, within what the budget leaves it; None once one exceeds
     that.  The scan starts at the lower bound; the partition engine stops
     once it is met."""

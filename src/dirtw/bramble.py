@@ -18,7 +18,7 @@ from collections.abc import Iterable
 from functools import cached_property
 from itertools import combinations
 
-from .digraph import Digraph, Path, Vertex, _reach_set, menger, split_network, vkey, vsorted
+from .digraph import Digraph, Path, Vertex, _check_terminals, _reach_set, menger, split_network, vkey, vsorted
 from .balsep import _refine_offenders, _solve, is_balanced_separator, offending_components
 from .arboreal import LinkedSetCertificate
 
@@ -34,9 +34,7 @@ class TBramble:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "T", frozenset(self.T))
-        for v in self.T:
-            if v not in self.D:
-                raise ValueError(f"terminal {v!r} not in digraph")
+        _check_terminals(self.D, self.T)
         if self.k < 1:
             raise ValueError("bramble threshold must be >= 1")
 
@@ -222,9 +220,7 @@ def verify_well_linked(D: Digraph, A: Iterable[Vertex]) -> bool:
     larger X the Y's come in revolving-door order and share one flow: each
     step trades one sink for another and augments once."""
     items = list(dict.fromkeys(A))
-    for v in items:
-        if v not in D:
-            raise ValueError(f"terminal {v!r} not in digraph")
+    _check_terminals(D, items)
     if len(items) < 2:
         return True
     for forward in (True, False):
@@ -238,7 +234,7 @@ def verify_well_linked(D: Digraph, A: Iterable[Vertex]) -> bool:
         door = _revolving_door(len(ids) - size, size)
         swaps = [(min(set(p) - set(q)), min(set(q) - set(p))) for p, q in zip(door, door[1:])]
         for X in combinations(ids, size):
-            rest = [net.out(v) for v in ids if v not in X]  # the sink arcs leave out-nodes
+            rest = [net.n + v for v in ids if v not in X]  # the sink arcs leave out-nodes
             if net.flow(X, [rest[i] for i in door[0]], size) < size:
                 return False
             for old, new in swaps:

@@ -125,6 +125,13 @@ class Digraph:
         return f"Digraph(n={self.n}, m={self.m})"
 
 
+def _check_terminals(D: Digraph, vs: Iterable[Vertex]) -> None:
+    """A ValueError naming the first of vs, in their order, outside D."""
+    for v in vs:
+        if v not in D._succ:
+            raise ValueError(f"terminal {v!r} not in digraph")
+
+
 class Path:
     """A directed path, validated against its host digraph on construction.
 
@@ -412,8 +419,10 @@ class FlowNetwork:
     cost `costs[i]`, in ascending (tail, head) order; they are the even ids
     below `classes`, each costing its capacity as built.  Then each node v
     below `source` gets arcs source -> v and v -> sink, built switched off.
-    `flow`, the one way to ask a question, first restores the capacities;
-    `swap_sink` carries its flow over to the question with one sink traded.
+    Every question runs from the source to the sink, switching on the
+    source arcs into X and the sink arcs out of Y: `flow`, the one way to
+    ask one, first restores the capacities; `swap_sink` carries its flow
+    over to the question with one sink traded.
     `split_network` builds every network of the package and sets the
     vertex set it numbers: `n`, `names`, `index` and `succ`; a network
     built otherwise has none (n = 0)."""
@@ -450,20 +459,18 @@ class FlowNetwork:
         self.marked = [False] * (nodes + 2)
         self.n, self.names, self.index, self.succ = 0, [], {}, []
 
-    def reset(self) -> None:
-        self.cap[:] = self.built
-        self.marked[:] = [False] * len(self.marked)
-
     def flow(self, X: Iterable[int], Y: Iterable[int], limit: int,
              cut: Iterable[int] = (), banned: Iterable[int] = ()) -> int:
         """The max flow from the nodes X to the nodes Y, stopping at `limit`,
-        with the arcs in `cut` gone and those in `banned` uncuttable: reset
-        the network, switch on the source arcs into X and the sink arcs out
-        of Y, and give them and the banned arcs capacity `limit`, which no
-        cut that stops the flow below it can pay.  `cut` and `banned` hold
-        even arc ids: a reverse arc given room would go unscanned."""
-        self.reset()
+        with the arcs in `cut` gone and those in `banned` uncuttable: restore
+        the capacities and marks as built, switch on the source arcs into X
+        and the sink arcs out of Y, and give them and the banned arcs
+        capacity `limit`, which no cut that stops the flow below it can pay.
+        `cut` and `banned` hold even arc ids: a reverse arc given room would
+        go unscanned."""
         cap, base = self.cap, self.classes
+        cap[:] = self.built
+        self.marked[:] = [False] * len(self.marked)
         for a in banned:
             if a & 1:
                 raise ValueError(f"banned arc {a} is a reverse arc")
@@ -476,7 +483,7 @@ class FlowNetwork:
             cap[base + 4 * x] = limit
         for y in Y:
             cap[base + 4 * y + 2] = limit
-        return self.max_flow(self.source, self.sink, limit=limit)
+        return self.max_flow(limit)
 
     def swap_sink(self, old: int, new: int) -> int:
         """Carry the flow of the last question over to one whose sinks trade
@@ -498,11 +505,7 @@ class FlowNetwork:
                 cap[b ^ 1] += 1
                 node = head[b]
         cap[self.classes + 4 * new + 2], cap[a] = cap[a], 0
-        return self.max_flow(self.source, self.sink, limit=1)
-
-    def out(self, v: int) -> int:
-        """The out-node of vertex v of a split network."""
-        return self.n + v
+        return self.max_flow(1)
 
     def ids(self, vs: Iterable[Vertex]) -> list[int]:
         """The numbers of vs; a vertex outside the set is a ValueError."""
@@ -518,49 +521,47 @@ class FlowNetwork:
             raise RuntimeError("an affordable reduction cut holds a non-split arc")
         return [self.names[a >> 1] for a in arcs]
 
-    def _bfs(self, s: int, t: int) -> list[int]:
-        """BFS from s over positive residual arcs until it reaches t: the arc
-        each node was first reached by, -2 at s, -1 if unreached.  An
-        unmarked node's reverse arcs have no room, so it scans `fwd`.
+    def _bfs(self) -> list[int]:
+        """BFS from the source over positive residual arcs until it finds a
+        node with room on its sink arc: the arc each node was first reached
+        by, -2 at the source, -1 if unreached.  An unmarked node's reverse
+        arcs have no room, so it scans `fwd`.
 
         Only sink arcs enter the sink, and nodes are scanned in the order
-        they are found, so from the source the sink's parent is the first
-        node found with room on its sink arc: the pass stops when it finds
-        that node, on the path a full pass would take."""
+        they are found, so the sink's parent is the first node found with
+        room on its sink arc: the pass stops there, on the path a full pass
+        would take.  A pass that finds none reaches every node it can."""
         adj, fwd, marked, head, cap = self.adj, self.fwd, self.marked, self.head, self.cap
         via = [-1] * len(adj)
-        via[s] = -2
-        last = s if t == self.sink and s == self.source else 0  # nodes below it have sink arcs
+        via[self.source] = -2
         sinkarc = self.classes + 2
-        queue = [s]
+        queue = [self.source]
         for u in queue:  # the BFS queue: nodes appended below are visited too
             for a in adj[u] if marked[u] else fwd[u]:
                 if cap[a] > 0:
                     w = head[a]
                     if via[w] == -1:
                         via[w] = a
-                        if w < last and cap[sinkarc + 4 * w] > 0:
-                            via[t] = sinkarc + 4 * w
-                            return via
-                        if w == t:  # its path is fixed once it is reached
+                        if cap[sinkarc + 4 * w] > 0:
+                            via[self.sink] = sinkarc + 4 * w
                             return via
                         queue.append(w)
         return via
 
-    def max_flow(self, s: int, t: int, limit: int | None = None) -> int:
-        head, cap, marked = self.head, self.cap, self.marked
-        room = float("inf") if limit is None else limit
+    def max_flow(self, limit: int) -> int:
+        """The flow augmented from the source to the sink, up to `limit`."""
+        head, cap, marked, src, snk = self.head, self.cap, self.marked, self.source, self.sink
         flow = 0
-        while flow < room:
-            via = self._bfs(s, t)
-            if via[t] == -1:
+        while flow < limit:
+            via = self._bfs()
+            if via[snk] == -1:
                 break
             path = []
-            node = t
-            while node != s:
+            node = snk
+            while node != src:
                 path.append(via[node])
                 node = head[via[node] ^ 1]
-            bottleneck = min(room - flow, *(cap[a] for a in path))
+            bottleneck = min(limit - flow, *(cap[a] for a in path))
             for a in path:
                 cap[a] -= bottleneck
                 cap[a ^ 1] += bottleneck
@@ -632,7 +633,9 @@ def menger(D: Digraph, X: Iterable[Vertex], Y: Iterable[Vertex], r: int,
     n, names = net.n, net.names
     flow = net.flow(net.ids(vsorted(X)), [n + y for y in net.ids(vsorted(Y))], r)
     if flow < r:
-        via = net._bfs(net.source, -1)  # the residual side of the minimum cut
+        # a maximum flow leaves no sink arc in reach, so the pass walks the
+        # whole residual side of the minimum cut
+        via = net._bfs()
         sep = {names[v] for v in range(n) if via[v] != -1 and via[n + v] == -1}
         if len(sep) > r - 1:
             raise RuntimeError(f"a flow of {flow} left a separator of {len(sep)} vertices")

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from collections.abc import Iterable
 from itertools import combinations
 
-from .digraph import Digraph, Vertex, reachable, split_network, vsorted
+from .digraph import Digraph, Vertex, _check_terminals, reachable, split_network, vsorted
 
 
 class TerminalSequence:
@@ -70,20 +70,7 @@ class CutCertificate:
         return self.elements | self.forced
 
 
-def _coerce_blocks(T) -> list[frozenset]:
-    if isinstance(T, TerminalSequence):
-        return list(T.blocks)
-    return list(TerminalSequence(T).blocks)
-
-
-def _check_blocks_in(D: Digraph, blocks: list[frozenset]) -> None:
-    for b in blocks:
-        for v in b:
-            if v not in D:
-                raise ValueError(f"terminal {v!r} not in digraph")
-
-
-def _forced(blocks: list[frozenset]) -> frozenset:
+def _forced(blocks: Iterable[frozenset]) -> frozenset:
     """Vertices in two or more blocks: every vertex cut deletes them."""
     counts = Counter(v for b in blocks for v in b)
     return frozenset(v for v, c in counts.items() if c > 1)
@@ -93,12 +80,12 @@ def _separates(net, blocks, removed) -> bool:
     """Whether no path over the classes of `net` outside `removed` runs from
     an earlier block of `blocks`, lists of vertex numbers, to a later one:
     the reach from the in-nodes of blocks 0..i grows a block at a time and
-    must meet no out-node of a block after i."""
+    must meet no out-node of a block after i, even that of a vertex an
+    earlier block holds too."""
     adj, head, classes, n = net.adj, net.head, net.classes, net.n
-    ahead = {n + v for b in blocks for v in b}  # the out-nodes of the blocks the reach has not started from
     seen: set = set()
-    for b in blocks:
-        ahead.difference_update(n + v for v in b)
+    for i, b in enumerate(blocks):
+        ahead = {n + v for later in blocks[i + 1:] for v in later}
         seen.update(b)
         stack = list(b)
         while stack:
@@ -241,8 +228,8 @@ def linear_vertex_cut(D: Digraph, T, s: int) -> CutCertificate | None:
     every earlier-to-later terminal path, or None."""
     if s < 0:
         raise ValueError("budget must be non-negative")
-    blocks = _coerce_blocks(T)
-    _check_blocks_in(D, blocks)
+    blocks = TerminalSequence(T).blocks
+    _check_terminals(D, (v for b in blocks for v in b))
 
     forced = _forced(blocks)
     if len(forced) > s:
@@ -266,7 +253,7 @@ def brute_force_vertex_cut(D: Digraph, T, s: int) -> CutCertificate | None:
     """Ground-truth oracle: tries every vertex subset in canonical order
     (size ascending, then lexicographic) and returns the first valid cut.
     Semantics match linear_vertex_cut, including deletable terminals."""
-    blocks = _coerce_blocks(T)
+    blocks = TerminalSequence(T).blocks
     forced = _forced(blocks)
 
     universe = D.sorted_vertices()

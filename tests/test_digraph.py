@@ -106,6 +106,37 @@ def test_split_network_ids_refuse_a_vertex_outside_its_set():
             net.ids(vs)
 
 
+def test_every_entry_point_names_the_terminal_outside_the_digraph():
+    # one message at every entry point that takes terminals, for int, str
+    # and tuple ids alike, and python -O strips none of the checks
+    script = (
+        "from dirtw import (BalancedSeparatorInstance, Digraph, TBramble, linear_vertex_cut, menger,\n"
+        "                   verify_well_linked)\n"
+        "D = Digraph()\n"
+        "for i in range(1, 6):\n"
+        "    D.add_bidirected(i, i % 5 + 1)\n"
+        "D.add_vertex('lone')\n"
+        "for x in (9, 'ghost', (9,)):\n"
+        "    for call in (lambda: BalancedSeparatorInstance(D, {1, x}, 1, 1),\n"
+        "                 lambda: TBramble(D, {1, x}, 1),\n"
+        "                 lambda: verify_well_linked(D, [1, 'lone', x, 2]),\n"
+        "                 lambda: linear_vertex_cut(D, [{1}, {'lone', x}], 1),\n"
+        "                 lambda: menger(D, [1], [x, 'lone'], 1),\n"
+        "                 lambda: menger(D, [x], [2], 1)):\n"
+        "        try:\n"
+        "            call()\n"
+        "        except ValueError as exc:\n"
+        "            print(exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dirtw.__file__)))
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [f"terminal {x!r} not in digraph"
+                                            for x in (9, "ghost", (9,)) for _ in range(6)]
+
+
 def test_path_validates_against_host():
     D = path_digraph("a", "b", "c")
     p = Path(D, ["a", "b", "c"])
@@ -460,29 +491,28 @@ def test_split_network_reuse_after_restoring_capacities():
         limit = rng.choice([n + 1, 1, 2])  # n + 1: more than any flow
         src, snk = net.source, net.sink
         assert (src, snk) == (2 * n, 2 * n + 1)
-        Yo = [net.out(y) for y in Yi]  # paths end on the out-nodes of Y
+        Yo = [n + y for y in Yi]  # paths end on the out-nodes of Y
         first = net.flow(Xi, Yo, limit)
         assert net.flow(Xi, Yo, limit) == first
         assert split_network(D, D.vertices()).flow(Xi, Yo, limit) == first
         # without the restore the saturated paths stay used up
-        if net.max_flow(src, snk) > 0:
-            assert net.max_flow(src, snk) == 0
+        if net.max_flow(n + 1) > 0:
+            assert net.max_flow(n + 1) == 0
         assert net.flow(Xi, Yo, n + 1) == brute_min_vertex_separator(D, X, Y)
         # cut split arcs carry nothing; banned ones cannot be cut
         assert net.flow(Xi, Yo, n + 1, cut=range(0, 2 * n, 2)) == 0
         assert net.flow(Xi, Yo, 2, banned=range(0, 2 * n, 2)) == (2 if reachable(D, X, Y) else 0)
         # an inner flow, out_u -> in_w, through the same entry point: asking
-        # again restores the network, and it equals the flow run straight
-        # between the two nodes of a fresh network
+        # again restores the network, and it equals the flow asked of a
+        # fresh network
         first = net.flow([n + u], [w], limit)
         assert net.flow([n + u], [w], limit) == first
         fresh = split_network(D, D.vertices())
-        assert fresh.max_flow(n + u, w, limit=limit) == first
-        # reset() restores the capacities as built: terminal arcs off
-        net.reset()
-        assert net.max_flow(src, snk) == 0
-        net.reset()
-        assert net.max_flow(n + u, w) == split_network(D, D.vertices()).max_flow(n + u, w)
+        assert fresh.flow([n + u], [w], limit) == first
+        # a question restores the capacities as built: terminal arcs off
+        # but its own
+        assert net.flow([], [], n + 1) == 0
+        assert net.flow([n + u], [w], n + 1) == split_network(D, D.vertices()).flow([n + u], [w], n + 1)
 
 
 def _flow_kernel_outcomes(seed: int, count: int) -> tuple[list, dict]:
@@ -535,7 +565,7 @@ def test_flow_kernel_matches_the_full_scan_reference(monkeypatch):
     # minimum cut menger reads off and every oracle branch must be the same
     got, found = _flow_kernel_outcomes(23, 2000)
     assert min(found.values()) > 50, found
-    monkeypatch.setattr(FlowNetwork, "_bfs", reference_bfs)
+    monkeypatch.setattr(FlowNetwork, "_bfs", lambda net: reference_bfs(net, net.source, net.sink))
     assert _flow_kernel_outcomes(23, 2000) == (got, found)
 
 
@@ -563,14 +593,14 @@ def test_no_pass_scans_a_reverse_arc_at_an_unmarked_node(monkeypatch):
     counts = {"in pass": False, "scans": 0, "marked": 0, "odd at unmarked": 0}
     real = FlowNetwork._bfs
 
-    def counted(net, s, t):
+    def counted(net):
         for name in ("adj", "fwd"):
             lists = getattr(net, name)
             if not isinstance(lists[0], _CountedArcs):
                 setattr(net, name, [_CountedArcs(arcs, net, u, counts) for u, arcs in enumerate(lists)])
         counts["in pass"] = True
         try:
-            return real(net, s, t)
+            return real(net)
         finally:
             counts["in pass"] = False
 
@@ -581,12 +611,12 @@ def test_no_pass_scans_a_reverse_arc_at_an_unmarked_node(monkeypatch):
     assert counts["scans"] > 10_000 and counts["marked"] > 1_000, counts
     assert counts["odd at unmarked"] == 0
     # the forward lists are the even arcs of adj, in adj's order, and a
-    # reset clears every mark
+    # new question clears every mark
     net = split_network(D, D.vertices())
-    net.flow([1], [net.out(2)], 3)
+    net.flow([1], [net.n + 2], 3)
     assert any(net.marked)
     assert [[a for a in arcs if not a & 1] for arcs in net.adj] == net.fwd
-    net.reset()
+    assert net.flow([], [], 3) == 0
     assert not any(net.marked)
 
 
@@ -617,23 +647,31 @@ def test_a_pass_to_the_sink_pops_no_node_after_a_free_sink_arc_is_found(monkeypa
     # a pass from the source to the sink stops on finding the first node
     # with room on its sink arc, on the full pass's path; the residual walk
     # menger reads its separator off still pops every node it reaches
-    state = {"log": None}
+    state = {"log": None, "augmenting": False}
     counts = Counter()
-    real = FlowNetwork._bfs
+    real, real_max_flow = FlowNetwork._bfs, FlowNetwork.max_flow
 
-    def counted(net, s, t):
+    def augmenting(net, limit):
+        state["augmenting"] = True
+        try:
+            return real_max_flow(net, limit)
+        finally:
+            state["augmenting"] = False
+
+    def counted(net):
         for name in ("adj", "fwd"):
             lists = getattr(net, name)
             if not isinstance(lists[0], _PoppedArcs):
                 setattr(net, name, [_PoppedArcs(arcs, u, state) for u, arcs in enumerate(lists)])
         state["log"] = popped = []
         try:
-            via = real(net, s, t)
+            via = real(net)
         finally:
             state["log"] = None
+        s, t = net.source, net.sink
         full = reference_bfs(net, s, t)
         found = [w for w, a in enumerate(via) if a != -1 and w != t]
-        if t == net.sink and s == net.source:
+        if state["augmenting"]:
             assert _path_to(via, net.head, t) == _path_to(full, net.head, t)
             free = [w for w in found if w < s and net.cap[net.classes + 4 * w + 2] > 0]
             if via[t] == -1:
@@ -645,12 +683,13 @@ def test_a_pass_to_the_sink_pops_no_node_after_a_free_sink_arc_is_found(monkeypa
                 assert popped[-1] == net.head[via[goal] ^ 1]  # its finder was the last node popped
                 counts["stopped"] += 1
                 counts["left queued"] += len(found) - len(popped)
-        else:
-            assert t == -1 and via == full and sorted(popped) == found
+        else:  # menger's walk of the residual side, after a maximum flow
+            assert via[t] == -1 and via == full and sorted(popped) == found
             counts["residual walk"] += 1
         return via
 
     monkeypatch.setattr(FlowNetwork, "_bfs", counted)
+    monkeypatch.setattr(FlowNetwork, "max_flow", augmenting)
     _flow_kernel_outcomes(31, 300)
     assert verify_well_linked(bidirected_clique(9), [1, 3, 5, 7])
     assert min(counts.values()) > 100 and counts["left queued"] > 2 * counts["stopped"], counts
@@ -661,8 +700,8 @@ def test_flow_refuses_reverse_arcs_in_cut_and_banned():
     net = split_network(bidirected_clique(3), [1, 2, 3])
     for arcs in ({"cut": [0, 1]}, {"banned": [5]}):
         with pytest.raises(ValueError, match="reverse arc"):
-            net.flow([0], [net.out(1)], 1, **arcs)
-    assert net.flow([0], [net.out(1)], 1, cut=[0], banned=[2]) == 0
+            net.flow([0], [net.n + 1], 1, **arcs)
+    assert net.flow([0], [net.n + 1], 1, cut=[0], banned=[2]) == 0
 
 
 def test_edge_list_round_trip():

@@ -223,6 +223,36 @@ def test_violating_path_matches_vertex_keyed_reference():
     assert found > 100 and beyond_next > 5
 
 
+def test_separates_meets_a_later_block_that_shares_a_vertex():
+    # a vertex in blocks 0 and 2 reaches its own out-node through its split
+    # arc: a path from block 0 to block 2 that only deleting it kills
+    D = Digraph()
+    D.add_vertex("a")
+    D.add_vertex("b")
+    net = split_network(D, D.vertices())
+    a, b = net.ids(["a", "b"])
+    assert not _separates(net, [[a], [b], [a]], frozenset())
+    assert _separates(net, [[a], [b], [a]], frozenset({2 * a}))
+    assert _separates(net, [[a], [b]], frozenset())
+    # on random blocks drawn with repeats, against reachability in D minus
+    # the vertices whose split arcs are removed
+    rng = random.Random(8)
+    shared = 0
+    for _ in range(300):
+        D = mixed_id_digraph(rng, random_digraph(rng, rng.randint(2, 7), rng.random() * 0.5))
+        vs = D.sorted_vertices()
+        blocks = [set(rng.sample(vs, rng.randint(1, min(2, len(vs))))) for _ in range(rng.randint(2, 4))]
+        R = set(rng.sample(vs, rng.randint(0, len(vs) // 3)))
+        net = split_network(D, vs)
+        rest = D.minus(R)
+        want = not any(reachable(rest, blocks[i] - R, blocks[j] - R)
+                       for i in range(len(blocks)) for j in range(i + 1, len(blocks)))
+        removed = frozenset(2 * v for v in net.ids(R))
+        assert _separates(net, [sorted(net.ids(b)) for b in blocks], removed) == want
+        shared += any(blocks[i] & blocks[j] - R for i in range(len(blocks)) for j in range(i + 1, len(blocks)))
+    assert shared > 50
+
+
 def test_cut_oracle_matches_the_search():
     # the important-cut oracle on vertex-split reductions of mixed-id
     # multigraphs with loops, built as the package builds them, against the

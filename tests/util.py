@@ -480,7 +480,7 @@ def reference_linkage(D: Digraph, net, X, Y, r: int) -> MengerResult:
     n = len(net.names)
     flow = net.flow(net.ids(vsorted(X)), [n + y for y in net.ids(vsorted(Y))], r)
     if flow < r:
-        via = net._bfs(net.source, -1)  # the residual side of the minimum cut
+        via = net._bfs()  # the residual side of the minimum cut
         sep = {net.names[v] for v in range(n) if via[v] != -1 and via[n + v] == -1}
         if len(sep) > r - 1:
             raise RuntimeError(f"a flow of {flow} left a separator of {len(sep)} vertices")
@@ -511,7 +511,7 @@ def reference_component_lb(net, bound: int) -> int:
         return 1
     for u in range(n):
         near = set(net.succ[u])
-        source = (net.out(u),)
+        source = (n + u,)
         for w in range(n):
             if u == w or w in near:
                 continue
@@ -571,7 +571,7 @@ def reference_verify_well_linked(D: Digraph, A) -> bool:
     items = sorted(net.ids(A))
     for size in range(1, len(items) // 2 + 1):
         for X in combinations(items, size):
-            rest = [net.out(v) for v in items if v not in X]  # the sink arcs leave out-nodes
+            rest = [net.n + v for v in items if v not in X]  # the sink arcs leave out-nodes
             for Y in combinations(rest, size):
                 if net.flow(X, Y, size) < size:
                     return False
@@ -821,7 +821,7 @@ def reference_partition_min_cut(sub: Digraph, Tc: frozenset, r: int, cap: int, l
         if U not in flow_memo:
             # min vertices (terminals deletable) meeting every U -> rest path
             rest = Tc - U
-            flow_memo[U] = (net.flow(net.ids(U), [net.out(v) for v in net.ids(rest)], cap + 1)
+            flow_memo[U] = (net.flow(net.ids(U), [net.n + v for v in net.ids(rest)], cap + 1)
                             if U and rest else 0)
         return flow_memo[U]
 
