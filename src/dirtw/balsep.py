@@ -12,22 +12,22 @@ bounds that need no flow (kappa is |C| - 1 on a complete C, at least 1 on
 any other) are summed before a greedy separator is tried, and flows bound
 the other components after it.  Only when all of that is inconclusive does
 the exact layer run, independently per offending component: small
-components scan their vertex sets by size; larger ones try every
-ordered partition of their terminals into blocks of size at most r, each
-priced as a linear cut, keeping the cheapest cut (the partition/linear-cut
-equivalence makes this exhaustive search complete, so a returned Linked
-verdict is exact).
+components scan their vertex sets by size; larger ones ask the linear-cut
+oracle whether some ordered partition of their terminals into blocks of
+size at most r has a cut within a budget, one memoized question per set of
+remaining terminals, and extract the cheapest cut of the first such
+partition (the partition/linear-cut equivalence makes this search
+complete, so a returned Linked verdict is exact).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from itertools import accumulate, combinations
-from collections.abc import Callable, Iterable, Iterator
+from itertools import combinations
+from collections.abc import Iterable, Iterator
 
 from .digraph import (Digraph, Vertex, _check_terminals, _strongly_connected, split_network, tarjan_sccs,
                       vkey, vsorted)
-from .lincut import TerminalSequence, _CutOracle, _lec_solve
+from .lincut import TerminalSequence, _CutOracle, _lec_solve, _next_blocks
 
 
 @dataclass
@@ -65,24 +65,15 @@ class BalancedSeparatorResult:
         return f"BalancedSeparatorResult(Z={vsorted(self.separator)!r})"
 
 
-def _partitions(items: tuple, r: int, keep: Callable[[frozenset], bool]) -> Iterator[tuple]:
+def _partitions(items: tuple, r: int) -> Iterator[tuple]:
     """Every ordered partition of the sorted tuple `items` into non-empty
     blocks of size <= r, exactly once, in canonical order: blocks are chosen
-    left to right, larger blocks first, lexicographic within a size.  The
-    walk asks `keep` of each union of leading blocks it reaches; a false
-    answer skips every partition starting with those blocks."""
-
-    def rec(remaining: tuple, blocks: tuple, U: frozenset):
-        if not remaining:
-            yield blocks
-        for size in range(min(r, len(remaining)), 0, -1):
-            for combo in combinations(remaining, size):
-                block = frozenset(combo)
-                if keep(U | block):
-                    rest = tuple(v for v in remaining if v not in block)
-                    yield from rec(rest, blocks + (block,), U | block)
-
-    return rec(items, (), frozenset())
+    left to right, larger blocks first, lexicographic within a size."""
+    if not items:
+        yield ()
+    for block, rest in _next_blocks(items, r):
+        for tail in _partitions(rest, r):
+            yield (frozenset(block),) + tail
 
 
 def ordered_partitions(T: Iterable[Vertex], r: int) -> Iterator[TerminalSequence]:
@@ -90,7 +81,7 @@ def ordered_partitions(T: Iterable[Vertex], r: int) -> Iterator[TerminalSequence
     exactly once, in the canonical order of `_partitions`."""
     if r < 1:
         raise ValueError("block size bound must be >= 1")
-    return map(TerminalSequence, _partitions(tuple(vsorted(set(T))), r, lambda U: True))
+    return map(TerminalSequence, _partitions(tuple(vsorted(set(T))), r))
 
 
 def _one_row_component(D: Digraph, Z: set) -> set | None:
@@ -274,43 +265,30 @@ def _scan_min_cut(D: Digraph, comp: set, Tc: frozenset, r: int, cap: int, lb: in
 
 def _partition_min_cut(D: Digraph, comp: set, Tc: frozenset, r: int, cap: int, lb: int,
                        net=None) -> frozenset | None:
-    """Exact engine for larger components: ordered partitions of the
-    terminals, each priced as a linear cut on the component's split network
-    (`net`, else built here), with one cut oracle answering on it.  A
-    partition's cut meets every path from a prefix of its blocks to the
-    remaining terminals, so a memoized prefix flow prunes whole families of
-    partitions at once.  The oracle turns down every other partition without
-    a cut within budget; on one it accepts, the lex-least extraction of
-    linear cuts runs from its largest prefix flow.  The cut returned is thus
-    the lex-least cheapest cut of the last partition that improved on the
-    budget: what `linear_vertex_cut` gives on that partition."""
+    """Exact engine for larger components, on the component's split network
+    (`net`, else built here) with one cut oracle answering on it.  The
+    budget is the least from `cap` down to `lb` at which some ordered
+    partition of the terminals into blocks of at most r has a cut
+    (`any_order`, one memoized question per set of remaining terminals).
+    The cut returned is the lex-least cheapest cut of the first such
+    partition in canonical order (`first_order`): what `linear_vertex_cut`
+    gives on that partition.  A walk over every ordering that keeps each
+    cheaper cut until one meets `lb` ends on the same partition, because
+    every partition before it costs more than that budget."""
     net = net or split_network(D, comp)
-    numbers = sorted(net.ids(Tc))
+    numbers = tuple(sorted(net.ids(Tc)))
     oracle = _CutOracle(net)
-    best: frozenset | None = None
+    if not oracle.any_order(numbers, r, frozenset(), cap):
+        return None
+    # descending meets one budget the oracle turns down; ascending, many
     budget = cap
-
-    @cache
-    def prefix_bound(U: frozenset) -> int:
-        # min vertices (terminals deletable) meeting every U -> rest path;
-        # with no rest there is no path to meet, and no flow to ask
-        if len(U) == len(numbers):
-            return 0
-        return oracle.lower_bound([U, [v for v in numbers if v not in U]], cap)
-
-    for blocks in _partitions(tuple(numbers), r, lambda U: prefix_bound(U) <= budget):
-        if not oracle.feasible(blocks, (), (), budget):
-            continue
-        start = max(prefix_bound(U) for U in accumulate(blocks, frozenset.union))
-        cut = _lec_solve(oracle, blocks, start, budget)
-        if cut is None:
-            raise RuntimeError("the cut oracle accepted a partition with no cut within budget")
-        # it costs at most the budget, so it beats best
-        best = frozenset(net.split_vertices(cut))
-        budget = len(best) - 1
-        if budget < lb:
-            break
-    return best
+    while budget > lb and oracle.any_order(numbers, r, frozenset(), budget - 1):
+        budget -= 1
+    blocks = oracle.first_order(numbers, r, budget)
+    cut = _lec_solve(oracle, blocks, oracle.lower_bound(blocks, budget), budget)
+    if cut is None:
+        raise RuntimeError("the cut oracle accepted a partition with no cut within budget")
+    return frozenset(net.split_vertices(cut))
 
 
 def _exact_search(D: Digraph, Tset: frozenset, r: int, s: int, offenders) -> frozenset | None:

@@ -9,13 +9,15 @@ so affordable cuts consist of split arcs only, one per deleted vertex.
 Paths run from in-nodes to out-nodes, so terminals are deletable too, each
 deletion discharging the demands the terminal participates in.
 
-The linear cut, and every ordered partition that the balanced-separator
-engine prices, are solved exactly by one extraction, `_lec_solve`, on
+The linear cut is solved exactly by one extraction, `_lec_solve`, on
 `_CutOracle`, a yes/no test for a cut within budget that branches over
 important cuts: the optimum is the least budget it accepts from a lower
 bound on, and the lexicographically least cheapest cut is read off its
 answers one split arc at a time.  So every cut returned is the lex-least
-cheapest one.
+cheapest one.  The same oracle answers the balanced-separator engine's
+question over every ordering of a terminal set at once (`any_order`),
+memoized per set of remaining terminals, and finds the first ordering in
+canonical order that fits a budget (`first_order`).
 """
 from __future__ import annotations
 
@@ -76,6 +78,15 @@ def _forced(blocks: Iterable[frozenset]) -> frozenset:
     return frozenset(v for v, c in counts.items() if c > 1)
 
 
+def _next_blocks(R: tuple, r: int):
+    """Each first block B of an ordered partition of the sorted tuple R into
+    blocks of at most r, with the rest R - B, in canonical order: larger
+    blocks first, lexicographic within a size."""
+    for size in range(min(r, len(R)), 0, -1):
+        for B in combinations(R, size):
+            yield B, tuple(v for v in R if v not in B)
+
+
 def _separates(net, blocks, removed) -> bool:
     """Whether no path over the classes of `net` outside `removed` runs from
     an earlier block of `blocks`, lists of vertex numbers, to a later one:
@@ -119,14 +130,16 @@ class _CutOracle:
     with the cut removed; the cost grows with the budget, not with the
     graph.  Every flow asks the network with the flow limit b + 1, which
     banned classes get as capacity: no cut within budget can pay them, as it
-    cannot pay an arc that costs more than b.  The lists of cuts are
-    memoized for the oracle's life."""
+    cannot pay an arc that costs more than b.  The lists of cuts (`memo`)
+    and the answers of `any_order` (`orders`) are memoized for the oracle's
+    life."""
 
-    __slots__ = ("net", "memo")
+    __slots__ = ("net", "memo", "orders")
 
     def __init__(self, net) -> None:
         self.net = net
         self.memo: dict = {}
+        self.orders: dict = {}
 
     def feasible(self, blocks, removed, banned, budget: int) -> bool:
         """Whether some set of at most `budget` classes outside `banned`
@@ -148,17 +161,73 @@ class _CutOracle:
                 break
         return bound
 
+    def any_order(self, R: tuple, r: int, removed: frozenset, budget: int) -> bool:
+        """Whether some ordered partition of the sorted tuple R of terminal
+        numbers into blocks of at most r has a cut within `budget` once the
+        classes in `removed` are gone: the OR of `feasible` over those
+        partitions, asked once per (R, r, removed, budget)."""
+        budget = min(budget, self.net.n)
+        key = (R, r, removed, budget)
+        answer = self.orders.get(key)
+        if answer is None:
+            answer = self.orders[key] = any(self._fits(B, rest, r, removed, budget)
+                                            for B, rest in _next_blocks(R, r))
+        return answer
+
+    def first_order(self, R: tuple, r: int, budget: int) -> list[tuple]:
+        """The first ordered partition of the sorted tuple R into blocks of at
+        most r, in canonical order, that has a cut within `budget`.  A state
+        is a (removed, budget) pair that the important cuts of the blocks
+        taken so far reach.  Each step takes the first block that leaves the
+        rest some ordering within budget from one of the states, and goes
+        on from the states that block's cuts reach from those."""
+        budget = min(budget, self.net.n)
+        states = [(frozenset(), budget)]
+        blocks: list = []
+        while R:
+            for B, rest in _next_blocks(R, r):
+                kept = [(removed, b) for removed, b in states if self._fits(B, rest, r, removed, b)]
+                if kept:
+                    break
+            else:
+                raise RuntimeError("no ordering of the terminals fits the budget")
+            blocks.append(B)
+            if len(rest) > r:  # a later step needs the cuts this block took
+                sinks = frozenset(self.net.n + y for y in rest)
+                kept = list(dict.fromkeys((removed | F, b - len(F)) for removed, b in kept
+                                          for F in self._cuts(B, sinks, removed, frozenset(), b)))
+            states, R = kept, rest
+        return blocks
+
+    def _fits(self, B: tuple, rest: tuple, r: int, removed: frozenset, budget: int) -> bool:
+        """Whether the block B, put first, leaves the terminals `rest` some
+        ordering within budget.  With at most r of them, the one block
+        `rest` asks the least, so a flow decides, as in `_decide`."""
+        if not rest:
+            return True
+        sinks = frozenset(self.net.n + y for y in rest)
+        if len(rest) <= r:
+            return self.net.flow(B, sinks, budget + 1, removed, ()) <= budget
+        return any(self.any_order(rest, r, removed | F, budget - len(F))
+                   for F in self._cuts(B, sinks, removed, frozenset(), budget))
+
     def _decide(self, blocks: list, removed: frozenset, banned: frozenset, budget: int) -> bool:
         sinks = frozenset(self.net.n + y for b in blocks[1:] for y in b)
         if len(blocks) == 2:  # any cut of the last pair will do
             return self.net.flow(blocks[0], sinks, budget + 1, removed, banned) <= budget
-        key = (blocks[0], sinks, budget, removed, banned)
+        return any(self._decide(blocks[1:], removed | F, banned, budget - len(F))
+                   for F in self._cuts(blocks[0], sinks, removed, banned, budget))
+
+    def _cuts(self, X: tuple, sinks: frozenset, removed: frozenset, banned: frozenset, budget: int) -> list:
+        """The memoized important-cut superset of `_important` from X to
+        `sinks` within `budget`, without repeats."""
+        key = (X, sinks, budget, removed, banned)
         cuts = self.memo.get(key)
         if cuts is None:
             found: list = []
-            self._important(blocks[0], sinks, removed, banned, frozenset(), budget, found)
+            self._important(X, sinks, removed, banned, frozenset(), budget, found)
             cuts = self.memo[key] = list(dict.fromkeys(found))
-        return any(self._decide(blocks[1:], removed | F, banned, budget - len(F)) for F in cuts)
+        return cuts
 
     def _important(self, X, Y: frozenset, removed: frozenset, banned: frozenset,
                    F: frozenset, budget: int, found: list) -> None:

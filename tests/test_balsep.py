@@ -6,7 +6,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from itertools import accumulate, combinations
+from itertools import combinations
 from math import comb
 from pathlib import Path
 
@@ -113,24 +113,6 @@ def test_partition_bound_must_be_positive():
 
 def test_empty_terminal_set_has_one_partition():
     assert list(ordered_partitions([], 3)) == [TerminalSequence([])]
-
-
-def test_pruned_walk_equals_filtered_ordered_partitions():
-    # skipping a prefix family drops exactly the partitions that start with
-    # it, and changes neither the order nor the other partitions
-    rng = random.Random(17)
-    for _ in range(60):
-        items = tuple(sorted(rng.sample(range(20), rng.randint(0, 6))))
-        r = rng.randint(1, 4)
-        rejected = {frozenset(rng.sample(items, rng.randint(1, len(items))))
-                    for _ in range(rng.randint(0, 4)) if items}
-
-        def keep(U):
-            return U not in rejected
-
-        want = [p.blocks for p in ordered_partitions(items, r)
-                if all(keep(U) for U in accumulate(p.blocks, frozenset.union))]
-        assert list(balsep._partitions(items, r, keep)) == want, (items, r, rejected)
 
 
 # ---------------------------------------------------------- balance checking
@@ -519,6 +501,53 @@ def test_partition_engine_matches_the_reference_engine():
             (i, vsorted(Tc), r, cap, lb)
 
 
+def test_any_order_and_first_order_match_the_ordered_partitions():
+    # the memoized question over every ordering is the OR of the oracle's
+    # answers on each ordered partition, and the walk it prunes reaches the
+    # first partition, in canonical order, that the oracle accepts
+    rng = random.Random(0xA0D)
+    answers = Counter()
+    for i in range(320):
+        D = random_strong_component(rng, rng.randint(5, 12))
+        net = split_network(D, D.sorted_vertices())
+        r = rng.randint(1, 3)
+        numbers = tuple(sorted(rng.sample(range(net.n), rng.randint(r + 1, min(net.n, r + 3)))))
+        budget = rng.randint(0, 4)
+        reference = lincut._CutOracle(net)
+        first = next((p.blocks for p in ordered_partitions(numbers, r)
+                      if reference.feasible(p.blocks, (), (), budget)), None)
+        oracle = lincut._CutOracle(net)
+        assert oracle.any_order(numbers, r, frozenset(), budget) == (first is not None), (i, numbers, r, budget)
+        if first is not None:
+            assert tuple(map(frozenset, oracle.first_order(numbers, r, budget))) == first, (i, numbers, r, budget)
+        answers[first is not None, len(first or ()) > 2] += 1
+    assert min(answers.values()) >= 40, answers
+
+
+def test_dense_hosts_agree_with_the_brute_force_oracle():
+    # dense 13-14-vertex hosts with |T| = 8-9 and r >= 2: each query took
+    # 1-17 s when the engine asked the oracle once per ordered partition;
+    # one question per set of remaining terminals answers them together in
+    # a few seconds
+    rng = random.Random(0xDE45)
+    engine = []
+    real = balsep._partition_min_cut
+
+    def spy(*args):
+        engine.append(args)
+        return real(*args)
+
+    for i in range(30):
+        D = random_digraph(rng, rng.randint(13, 14), rng.uniform(0.5, 0.65))
+        T = rng.sample(D.sorted_vertices(), rng.randint(8, 9))
+        r, s = rng.randint(2, 3), rng.randint(3, 5)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(balsep, "_partition_min_cut", spy)
+            got = balanced_separator(BalancedSeparatorInstance(D, frozenset(T), r, s))
+        assert got == brute_force_balanced_separator(D, T, r, s), (i, vsorted(T), r, s)
+    assert len(engine) >= 15, len(engine)
+
+
 def test_scan_engine_matches_the_branch_and_bound_reference():
     # with a lower bound no larger than the true minimum, the first set of
     # the scan is the lex-least minimum set the reference's DFS finds; a
@@ -543,7 +572,7 @@ def test_scan_engine_matches_the_branch_and_bound_reference():
 
 
 def test_partition_engine_asks_no_flow_into_no_sinks(monkeypatch):
-    # the prefix bound of the whole terminal set is 0 with no rest to cut
+    # a block that takes every remaining terminal leaves no rest to cut
     # off; the engine knows it without asking the network
     sinks, real = [], digraph.FlowNetwork.flow
 
@@ -563,8 +592,8 @@ def test_partition_engine_asks_no_flow_into_no_sinks(monkeypatch):
 
 def test_partition_engine_searches_only_where_a_cut_exists(monkeypatch):
     # balsep-exact's n = 20, t = 4 Linked query (generator seed 2): the
-    # partition engine prices hundreds of orderings, and the important-cut
-    # oracle turns every one down before any cut is extracted, so the
+    # important-cut oracle, asked about every ordering of the terminals at
+    # once, turns them all down before any cut is extracted, so the
     # extraction's check for a violating path never runs
     D = dirtw.cli._gen_graph("random", 20, 2, 60)
     engine, paths = [], []
@@ -588,7 +617,8 @@ def test_partition_engine_searches_only_where_a_cut_exists(monkeypatch):
 def test_each_offending_component_is_interned_and_built_once(monkeypatch):
     # the same balsep-exact query: the flow bounds build one split network
     # on each component their connectivity bound needs flows for, which
-    # numbers the component once, and the partition engine then prices on it
+    # numbers the component once, and the partition engine then asks its
+    # oracle on it
     D = dirtw.cli._gen_graph("random", 20, 2, 60)
     built, engine = [], []
     real_split, real_engine = balsep.split_network, balsep._partition_min_cut

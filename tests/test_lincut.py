@@ -351,24 +351,32 @@ def test_cut_oracle_refuses_an_affordable_wide_arc():
 def test_extraction_that_leaves_a_violating_path_is_an_error():
     # an oracle that says yes to everything makes the empty set look like
     # a cut; the check after the one extraction catches it, for the linear
-    # cut and the partition engine alike, under python -O as well
+    # cut and the partition engine alike, under python -O as well.  An
+    # `any_order` that says yes to everything sends the engine below the
+    # triangle's one-vertex cut, where the walk to the first fitting
+    # ordering finds none and says so
     script = (
         "from dirtw import balsep, lincut\n"
         "from dirtw.digraph import Digraph\n"
-        "lincut._CutOracle.feasible = lambda self, *args: True\n"
-        "lincut._CutOracle.lower_bound = lambda self, *args: 0\n"
+        "feasible, lower_bound = lincut._CutOracle.feasible, lincut._CutOracle.lower_bound\n"
         "D = Digraph()\n"
         "for u, v in [(1, 2), (2, 3), (3, 1)]:\n"
         "    D.add_edge(u, v)\n"
-        "for call in (lambda: lincut.linear_vertex_cut(D, [{1}, {3}], 1),\n"
-        "             lambda: balsep._partition_min_cut(D, {1, 2, 3}, frozenset({1, 2}), 1, 1, 1)):\n"
+        "def lying(name, answer, call):\n"
+        "    setattr(lincut._CutOracle, name, lambda self, *args: answer)\n"
         "    try:\n"
         "        call()\n"
         "    except RuntimeError as exc:\n"
         "        print(exc)\n"
+        "lincut._CutOracle.lower_bound = lambda self, *args: 0\n"
+        "lying('feasible', True, lambda: lincut.linear_vertex_cut(D, [{1}, {3}], 1))\n"
+        "lying('feasible', True, lambda: balsep._partition_min_cut(D, {1, 2, 3}, frozenset({1, 2}), 1, 1, 1))\n"
+        "lincut._CutOracle.feasible, lincut._CutOracle.lower_bound = feasible, lower_bound\n"
+        "lying('any_order', True, lambda: balsep._partition_min_cut(D, {1, 2, 3}, frozenset({1, 2, 3}), 1, 1, 0))\n"
     )
     src = str(Path(lincut.__file__).resolve().parent.parent)
     proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "lex-least extraction left a violating path\n" * 2
+    assert proc.stdout == ("lex-least extraction left a violating path\n" * 2
+                           + "no ordering of the terminals fits the budget\n")
