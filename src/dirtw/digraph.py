@@ -420,15 +420,19 @@ class FlowNetwork:
     below `classes`, each costing its capacity as built.  Then each node v
     below `source` gets arcs source -> v and v -> sink, built switched off.
     Every question runs from the source to the sink, switching on the
-    source arcs into X and the sink arcs out of Y: `flow`, the one way to
-    ask one, first restores the capacities; `swap_sink` carries its flow
-    over to the question with one sink traded.
+    source arcs into X and the sink arcs out of Y; `sources` lists the nodes
+    whose source arcs are on, in node order, and a pass starts at those.
+    `flow` asks a question afresh, restoring the capacities first.  The
+    other steps carry the flow they find over to a nearby question:
+    `swap_sink` trades one sink, and an important-cut search branches with
+    `cut_unit` and `extend`, keeping each branch's residual network with
+    `snapshot` and `restore`.
     `split_network` builds every network of the package and sets the
     vertex set it numbers: `n`, `names`, `index` and `succ`; a network
     built otherwise has none (n = 0)."""
 
     __slots__ = ("adj", "fwd", "marked", "head", "cap", "built", "classes", "source", "sink",
-                 "n", "names", "index", "succ")
+                 "sources", "n", "names", "index", "succ")
 
     def __init__(self, nodes: int, tails: Sequence[int], heads: Sequence[int], costs: Sequence[int]) -> None:
         self.adj = adj = [[] for _ in range(nodes + 2)]
@@ -457,6 +461,7 @@ class FlowNetwork:
         head[classes + 2::4] = [snk] * nodes
         self.built = cap[:]
         self.marked = [False] * (nodes + 2)
+        self.sources: list[int] = []
         self.n, self.names, self.index, self.succ = 0, [], {}, []
 
     def flow(self, X: Iterable[int], Y: Iterable[int], limit: int,
@@ -479,33 +484,87 @@ class FlowNetwork:
             if a & 1:
                 raise ValueError(f"cut arc {a} is a reverse arc")
             cap[a] = 0
-        for x in X:
-            cap[base + 4 * x] = limit
+        self.sources = []
+        self._switch_on(X, limit)
         for y in Y:
             cap[base + 4 * y + 2] = limit
         return self.max_flow(limit)
+
+    def _switch_on(self, X: Iterable[int], limit: int) -> None:
+        """Give the source arcs into X that are off capacity `limit`; one
+        already on keeps its residual capacity."""
+        cap, base = self.cap, self.classes
+        new = set(X).difference(self.sources)
+        for x in new:
+            cap[base + 4 * x] = limit
+        if new:
+            self.sources = sorted(new.union(self.sources))
+
+    def _cancel(self, arc: int) -> None:
+        """Cancel one unit of the flow through `arc`, an even arc carrying
+        one: off the arc itself, then off arcs carrying flow from its head
+        on to the sink and from the source on to its tail."""
+        cap, head, fwd, adj = self.cap, self.head, self.fwd, self.adj
+        cap[arc] += 1
+        cap[arc ^ 1] -= 1
+        node = head[arc]
+        while node != self.sink:
+            for a in fwd[node]:  # conservation leaves an arc carrying flow out
+                if cap[a ^ 1]:
+                    break
+            cap[a] += 1
+            cap[a ^ 1] -= 1
+            node = head[a]
+        node = head[arc ^ 1]
+        while node != self.source:
+            # a reverse arc with room here is that of an arc carrying flow in
+            for b in adj[node]:
+                if b & 1 and cap[b]:
+                    break
+            cap[b] -= 1
+            cap[b ^ 1] += 1
+            node = head[b]
 
     def swap_sink(self, old: int, new: int) -> int:
         """Carry the flow of the last question over to one whose sinks trade
         node `old` for `new`, where no node carries more than one unit (so
         on a split network's vertex nodes): cancel the unit leaving through
-        old's sink arc, walking back to the source along the arcs that carry
-        it, move that arc's capacity to new's sink arc and augment once.
-        The flow gained, 0 or 1; the flow lost is the unit cancelled."""
-        cap, head, adj = self.cap, self.head, self.adj
+        old's sink arc, move that arc's capacity to new's sink arc and
+        augment once.  The flow gained, 0 or 1; the flow lost is the unit
+        cancelled."""
+        cap = self.cap
         a = self.classes + 4 * old + 2
         if cap[a ^ 1]:  # old's sink arc carries a unit
-            cap[a] += 1
-            cap[a ^ 1] -= 1
-            node = old
-            while node != self.source:
-                # the one reverse arc with room here is that of the arc carrying the unit in
-                b = next(b for b in adj[node] if b & 1 and cap[b])
-                cap[b] -= 1
-                cap[b ^ 1] += 1
-                node = head[b]
+            self._cancel(a)
         cap[self.classes + 4 * new + 2], cap[a] = cap[a], 0
         return self.max_flow(1)
+
+    def cut_unit(self, arc: int, X: Iterable[int], limit: int) -> None:
+        """The cut step of an important-cut search, from a maximum flow whose
+        sources grow to X, the source side of a minimum cut that `arc`, a
+        class of capacity one, leaves: cancel the unit through the arc,
+        remove the arc and switch on the source arcs into X at `limit`.  The
+        cut loses exactly that arc, so the flow left, one unit less, is
+        maximum and no pass confirms it."""
+        self._cancel(arc)
+        self.cap[arc] = 0
+        self._switch_on(X, limit)
+
+    def extend(self, X: Iterable[int], limit: int, flow: int) -> int:
+        """The extend step of an important-cut search, from a maximum flow of
+        value `flow` whose sources grow to X: switch on the source arcs into
+        X at `limit` and augment the flow up to `limit`; its new value."""
+        self._switch_on(X, limit)
+        return flow + self.max_flow(limit - flow)
+
+    def snapshot(self) -> tuple:
+        """The residual network for `restore`: copies of the capacities and
+        marks, and the sources, a list no step changes in place."""
+        return self.cap[:], self.marked[:], self.sources
+
+    def restore(self, state: tuple) -> None:
+        """Return to a `snapshot`, which is taken over, not copied."""
+        self.cap, self.marked, self.sources = state
 
     def ids(self, vs: Iterable[Vertex]) -> list[int]:
         """The numbers of vs; a vertex outside the set is a ValueError."""
@@ -524,20 +583,24 @@ class FlowNetwork:
     def _bfs(self) -> list[int]:
         """BFS from the source over positive residual arcs until it finds a
         node with room on its sink arc: the arc each node was first reached
-        by, -2 at the source, -1 if unreached.  An unmarked node's reverse
-        arcs have no room, so it scans `fwd`.
+        by, -2 at the source, -1 if unreached.  Only the source arcs into
+        `sources` can have room, so the source scans those alone, in the
+        order of its arc list; an unmarked node's reverse arcs have no room,
+        so it scans `fwd`.
 
         Only sink arcs enter the sink, and nodes are scanned in the order
         they are found, so the sink's parent is the first node found with
         room on its sink arc: the pass stops there, on the path a full pass
         would take.  A pass that finds none reaches every node it can."""
         adj, fwd, marked, head, cap = self.adj, self.fwd, self.marked, self.head, self.cap
+        src = self.source
         via = [-1] * len(adj)
-        via[self.source] = -2
+        via[src] = -2
         sinkarc = self.classes + 2
-        queue = [self.source]
+        starts = [self.classes + 4 * x for x in self.sources]
+        queue = [src]
         for u in queue:  # the BFS queue: nodes appended below are visited too
-            for a in adj[u] if marked[u] else fwd[u]:
+            for a in starts if u == src else adj[u] if marked[u] else fwd[u]:
                 if cap[a] > 0:
                     w = head[a]
                     if via[w] == -1:

@@ -17,7 +17,9 @@ answers one split arc at a time.  So every cut returned is the lex-least
 cheapest one.  The same oracle answers the balanced-separator engine's
 question over every ordering of a terminal set at once (`any_order`),
 memoized per set of remaining terminals, and finds the first ordering in
-canonical order that fits a budget (`first_order`).
+canonical order that fits a budget (`first_order`).  The branching asks one
+fresh flow per list of cuts: each branch goes on from its parent's maximum
+flow, and a list found at one budget serves every lower one.
 """
 from __future__ import annotations
 
@@ -128,11 +130,14 @@ class _CutOracle:
     important (B_1, B_2 ∪ … ∪ B_t)-cut (Marx, TCS 2006).  The oracle branches
     over a superset of those cuts within budget, then recurses on B_2..B_t
     with the cut removed; the cost grows with the budget, not with the
-    graph.  Every flow asks the network with the flow limit b + 1, which
+    graph.  A fresh flow asks the network with the flow limit b + 1, which
     banned classes get as capacity: no cut within budget can pay them, as it
-    cannot pay an arc that costs more than b.  The lists of cuts (`memo`)
-    and the answers of `any_order` (`orders`) are memoized for the oracle's
-    life."""
+    cannot pay an arc that costs more than b.  The branches of one search
+    go on from that flow: the capacities it gave stay above their budgets,
+    so the furthest minimum cut they read off is a fresh flow's.
+    The lists of cuts (`memo`, one per question, kept at the largest budget
+    asked) and the answers of `any_order` (`orders`) are memoized for the
+    oracle's life."""
 
     __slots__ = ("net", "memo", "orders")
 
@@ -219,44 +224,56 @@ class _CutOracle:
                    for F in self._cuts(blocks[0], sinks, removed, banned, budget))
 
     def _cuts(self, X: tuple, sinks: frozenset, removed: frozenset, banned: frozenset, budget: int) -> list:
-        """The memoized important-cut superset of `_important` from X to
-        `sinks` within `budget`, without repeats."""
-        key = (X, sinks, budget, removed, banned)
-        cuts = self.memo.get(key)
-        if cuts is None:
+        """The important-cut superset of `_important` from X to `sinks`
+        within `budget`, without repeats, memoized per (X, sinks, removed,
+        banned) with the budget it was found at.  A cut's need, the largest
+        flow + |F| on its branch, is its size: a cut step keeps flow + |F|
+        and an extend step raises the flow.  So a lower budget finds the
+        cuts of the stored list that fit it, in the same order."""
+        key = (X, sinks, removed, banned)
+        held = self.memo.get(key)
+        if held is None or held[0] < budget:
             found: list = []
-            self._important(X, sinks, removed, banned, frozenset(), budget, found)
-            cuts = self.memo[key] = list(dict.fromkeys(found))
-        return cuts
+            flow = self.net.flow(X, sinks, budget + 1, removed, banned)
+            if flow <= budget:
+                self._important(sinks, frozenset(), budget, flow, found)
+            held = self.memo[key] = (budget, list(dict.fromkeys(found)))
+        top, cuts = held
+        return cuts if top == budget else [F for F in cuts if len(F) <= budget]
 
-    def _important(self, X, Y: frozenset, removed: frozenset, banned: frozenset,
-                   F: frozenset, budget: int, found: list) -> None:
+    def _important(self, Y: frozenset, F: frozenset, budget: int, flow: int, found: list) -> None:
         """Append to `found` every class set F ∪ C that a branch reaches,
-        with C of at most `budget` classes cutting X from Y once `removed` and
-        F are gone: a superset of the important cuts.  Each step takes the
-        furthest minimum cut R and the least class leaving it, then either
-        cuts the class or moves its head to the source side; both raise
-        2 * budget - flow, so the branching ends."""
-        net = self.net
-        flow = net.flow(X, Y, budget + 1, removed | F, banned)
-        if flow > budget:
-            return
+        with C of at most `budget` classes cutting the network's sources
+        from Y once the question's removed classes and F are gone: a
+        superset of the important cuts.  The network holds a maximum flow of
+        value `flow`, at most the budget, for that question.  Each step
+        takes the furthest minimum cut R and the least class leaving it,
+        then either cuts the class or moves its head to the source side;
+        both raise 2 * budget - flow, so the branching ends.  R and the
+        class are the same for every maximum flow, so each branch goes on
+        from its parent's flow: the cut branch cancels the class's unit, and
+        the extend branch restores the parent's residual network and
+        augments it."""
         if flow == 0:
             found.append(F)
             return
-        adj, head, cap, sink = net.adj, net.head, net.cap, net.sink
+        net = self.net
+        adj, head, cap, src = net.adj, net.head, net.cap, net.source
         # the furthest minimum cut: the nodes that cannot reach the sink in
-        # the residual network
+        # the residual network, walked back from the sinks with room
         reaches = [False] * len(adj)
-        reaches[sink] = True
-        queue = [sink]
+        queue = [y for y in Y if cap[net.classes + 4 * y + 2] > 0]  # y's sink arc has room
+        for y in queue:
+            reaches[y] = True
         for y in queue:  # the BFS queue: nodes appended below are visited too
             for a in adj[y]:
                 x = head[a]
                 if not reaches[x] and cap[a ^ 1] > 0:
                     reaches[x] = True
                     queue.append(x)
-        R = [v for v in range(net.source) if not reaches[v]]
+        if reaches[src]:
+            raise RuntimeError("the flow handed to the important-cut search is not maximum")
+        R = [v for v in range(src) if not reaches[v]]
         # its least leaving class: arcs leaving R are saturated, so they
         # carry flow, and removed classes and the sink arcs of R carry none
         e = next(a for u in R for a in adj[u] if not a & 1 and reaches[head[a]] and cap[a ^ 1] > 0)
@@ -264,9 +281,16 @@ class _CutOracle:
         # arc, unless an edge arc, costing n + 1, is within the budget
         if e >= 2 * net.n:
             raise RuntimeError("an affordable important cut holds a non-split arc")
-        self._important(R, Y, removed, banned, F | {e}, budget - 1, found)
-        if head[e] not in Y:  # a later terminal's own split arc ends in a sink
-            self._important(R + [head[e]], Y, removed, banned, F, budget, found)
+        extends = head[e] not in Y  # a later terminal's own split arc ends in a sink
+        if extends:
+            parent = net.snapshot()
+        net.cut_unit(e, R, budget)
+        self._important(Y, F | {e}, budget - 1, flow - 1, found)
+        if extends:
+            net.restore(parent)
+            flow = net.extend(R + [head[e]], budget + 1, flow)
+            if flow <= budget:
+                self._important(Y, F, budget, flow, found)
 
 
 def _lec_solve(oracle: _CutOracle, blocks, start: int, budget: int):

@@ -555,7 +555,7 @@ def _flow_kernel_outcomes(seed: int, count: int) -> tuple[list, dict]:
             oracle = _CutOracle(split)
             out.append(oracle.feasible(blocks, (), (), budget))
             out.append(list(oracle.memo.items()))
-            found["cuts"] += any(len(cuts) > 1 for cuts in oracle.memo.values())
+            found["cuts"] += any(len(cuts) > 1 for _, cuts in oracle.memo.values())
     return out, found
 
 
@@ -588,8 +588,9 @@ class _CountedArcs(list):
 
 
 def test_no_pass_scans_a_reverse_arc_at_an_unmarked_node(monkeypatch):
-    # the menger decomposition, the oracle's furthest cut and the
-    # violating-path check read adj outside the passes, and are not counted
+    # the menger decomposition, the walks cancelling a unit, the oracle's
+    # furthest cut and the violating-path check read adj outside the
+    # passes, and are not counted
     counts = {"in pass": False, "scans": 0, "marked": 0, "odd at unmarked": 0}
     real = FlowNetwork._bfs
 
@@ -605,7 +606,7 @@ def test_no_pass_scans_a_reverse_arc_at_an_unmarked_node(monkeypatch):
             counts["in pass"] = False
 
     monkeypatch.setattr(FlowNetwork, "_bfs", counted)
-    _flow_kernel_outcomes(29, 300)
+    _flow_kernel_outcomes(29, 500)
     D = bidirected_clique(9)
     assert verify_well_linked(D, [1, 3, 5, 7])
     assert counts["scans"] > 10_000 and counts["marked"] > 1_000, counts
@@ -669,6 +670,10 @@ def test_a_pass_to_the_sink_pops_no_node_after_a_free_sink_arc_is_found(monkeypa
         finally:
             state["log"] = None
         s, t = net.source, net.sink
+        # the source is popped first and scans its switched-on arcs alone,
+        # never its arc list of every node
+        assert s not in popped
+        popped.insert(0, s)
         full = reference_bfs(net, s, t)
         found = [w for w, a in enumerate(via) if a != -1 and w != t]
         if state["augmenting"]:

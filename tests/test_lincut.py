@@ -17,10 +17,11 @@ from dirtw import (
     reachable,
 )
 from dirtw import lincut
-from dirtw.digraph import split_network, vkey
+from dirtw.digraph import FlowNetwork, split_network, vkey
 from dirtw.lincut import _CutOracle, _separates
-from util import (mixed_id_digraph, network_violating_path, path_digraph, random_digraph, reference_gadget_network,
-                  reference_path_search, reference_violating_path, shuffled_digraph)
+from util import (furthest_cut, mixed_id_digraph, network_violating_path, path_digraph, random_digraph,
+                  reference_cuts, reference_gadget_network, reference_path_search, reference_violating_path,
+                  shuffled_digraph)
 
 
 def diamond() -> Digraph:
@@ -380,3 +381,141 @@ def test_extraction_that_leaves_a_violating_path_is_an_error():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ("lex-least extraction left a violating path\n" * 2
                            + "no ordering of the terminals fits the budget\n")
+
+
+def _cut_question(rng: random.Random, net) -> tuple:
+    """Random arguments of `_CutOracle._cuts` on a split network: sources X
+    and sinks on distinct vertices, removed classes and banned split arcs."""
+    n = net.n
+    vs = rng.sample(range(n), rng.randint(2, n))
+    cut = rng.randint(1, 2)
+    X = tuple(sorted(vs[:cut]))
+    sinks = frozenset(n + y for y in vs[cut:])
+    removed = frozenset(rng.sample(range(0, net.classes, 2), rng.randint(0, 1)))
+    banned = frozenset(rng.sample(range(0, 2 * n, 2), rng.randint(0, 1))) - removed
+    return X, sinks, removed, banned
+
+
+def test_carried_cut_lists_match_the_fresh_flow_reference():
+    # each branch of the important-cut search carries its parent's flow,
+    # and a budget below the one a list was found at filters that list; the
+    # parent search, a fresh flow at every node, must give the same sets in
+    # the same order, filtered lists included
+    rng = random.Random(30)
+    seen = Counter()
+    for _ in range(2000):
+        D = random_digraph(rng, rng.randint(5, 11), rng.uniform(0.25, 0.6))
+        net = split_network(D, D.vertices())
+        oracle = _CutOracle(net)
+        question = _cut_question(rng, net)
+        # mostly the largest budget first, so that the lower ones filter its list
+        budgets = ([4] + rng.sample(range(4), rng.randint(0, 3)) if rng.random() < 0.7
+                   else rng.sample(range(5), rng.randint(1, 3)))
+        for budget in budgets:
+            held = oracle.memo.get(question)
+            got = oracle._cuts(*question, budget)
+            assert got == reference_cuts(net, *question, budget), (question, budget)
+            filtered = held is not None and held[0] > budget
+            seen["filtered" if filtered else "searched"] += 1
+            seen["several"] += len(got) > 1
+            seen["filtered several"] += filtered and len(got) > 1
+            seen["filtered out"] += filtered and len(got) < len(held[1])
+    assert min(seen.values()) > 200, seen
+
+
+def test_each_branch_step_leaves_the_flow_and_cut_of_a_fresh_flow(monkeypatch):
+    # after the cut step (a unit cancelled, no pass) and the extend step (an
+    # augmentation from the parent's flow) the network must hold a maximum
+    # flow for the branch's question: its value and furthest minimum cut
+    # are those of a fresh flow on a second copy of the network, and an
+    # extend step that passes the budget stops where a fresh flow does
+    real_cuts, real_important = _CutOracle._cuts, _CutOracle._important
+    real_cut_unit, real_extend = FlowNetwork.cut_unit, FlowNetwork.extend
+    state = {"step": None, "question": None, "branch": []}
+    steps = Counter()
+
+    def fresh_flow(X, Y, limit, F):
+        removed, banned = state["question"]
+        fresh = split_network(*state["graph"])
+        return fresh.flow(X, Y, limit, removed | F, banned), fresh
+
+    def cuts(self, X, sinks, removed, banned, budget):
+        state["question"] = (removed, banned)
+        return real_cuts(self, X, sinks, removed, banned, budget)
+
+    def important(self, Y, F, budget, flow, found):
+        value, fresh = fresh_flow(self.net.sources, Y, budget + 1, F)
+        assert value == flow and furthest_cut(fresh) == furthest_cut(self.net)
+        steps[state["step"]] += 1
+        state["step"] = None
+        state["branch"].append((Y, F))
+        try:
+            return real_important(self, Y, F, budget, flow, found)
+        finally:
+            state["branch"].pop()
+
+    def cut_unit(self, *args):
+        state["step"] = "cut"
+        return real_cut_unit(self, *args)
+
+    def extend(self, X, limit, flow):
+        state["step"] = "extend"
+        value = real_extend(self, X, limit, flow)
+        Y, F = state["branch"][-1]
+        assert value == fresh_flow(X, Y, limit, F)[0]
+        steps["extend past the budget"] += value == limit
+        return value
+
+    monkeypatch.setattr(_CutOracle, "_cuts", cuts)
+    monkeypatch.setattr(_CutOracle, "_important", important)
+    monkeypatch.setattr(FlowNetwork, "cut_unit", cut_unit)
+    monkeypatch.setattr(FlowNetwork, "extend", extend)
+    rng = random.Random(31)
+    for _ in range(1000):
+        D = random_digraph(rng, rng.randint(5, 11), rng.uniform(0.25, 0.6))
+        state["graph"] = (D, list(D.vertices()))
+        net = split_network(*state["graph"])
+        _CutOracle(net)._cuts(*_cut_question(rng, net), rng.randint(2, 4))
+    assert min(steps[step] for step in ("cut", "extend", None, "extend past the budget")) > 300, steps
+
+
+def test_a_flow_handed_over_that_is_not_maximum_is_an_error(monkeypatch):
+    # the cut step confirms its flow with no pass; the furthest-cut pass
+    # that follows every step refuses a flow the source can still augment,
+    # with an explicit error that holds under python -O as well
+    D = Digraph()
+    D.add_edge(1, 2)
+    D.add_edge(3, 4)
+    net = split_network(D, D.vertices())
+    X, Y = [0, 2], frozenset({net.n + 1, net.n + 3})
+    assert net.flow(X, Y, 1) == 1  # one of two units
+    with pytest.raises(RuntimeError, match="not maximum"):
+        _CutOracle(net)._important(Y, frozenset(), 2, 1, [])
+    # an extend step that switches the new source on without augmenting
+    # hands its branch a flow the source can still augment
+    monkeypatch.setattr(FlowNetwork, "extend",
+                        lambda self, X, limit, flow: self._switch_on(X, limit) or flow + 1)
+    # (on the path 1 -> 2 -> 3 with 3's split arc banned, the least cut is
+    # 2's split arc, and moving its head to the source side is such a step)
+    path = split_network(path_digraph(1, 2, 3), [1, 2, 3])
+    with pytest.raises(RuntimeError, match="not maximum"):
+        _CutOracle(path)._cuts((0,), frozenset({path.n + 2}), frozenset(), frozenset({4}), 2)
+    script = (
+        "from dirtw.digraph import Digraph, split_network\n"
+        "from dirtw.lincut import _CutOracle\n"
+        "D = Digraph()\n"
+        "D.add_edge(1, 2)\n"
+        "D.add_edge(3, 4)\n"
+        "net = split_network(D, D.vertices())\n"
+        "X, Y = [0, 2], frozenset({net.n + 1, net.n + 3})\n"
+        "flow = net.flow(X, Y, 1)\n"
+        "try:\n"
+        "    _CutOracle(net)._important(Y, frozenset(), 2, flow, [])\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(lincut.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "the flow handed to the important-cut search is not maximum\n"

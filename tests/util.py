@@ -781,6 +781,59 @@ def reference_path_search(net, blocks, removed: frozenset, banned: frozenset, sp
     return None
 
 
+def reference_cuts(net, X: tuple, sinks: frozenset, removed: frozenset, banned: frozenset,
+                   budget: int) -> list:
+    """lincut._CutOracle._cuts and _important as they were before each
+    branch carried its parent's flow, kept as their referee with the same
+    steps: a fresh flow at every node of the search, and one list per
+    budget."""
+    found: list = []
+
+    def important(X, Y: frozenset, removed: frozenset, banned: frozenset,
+                  F: frozenset, budget: int) -> None:
+        flow = net.flow(X, Y, budget + 1, removed | F, banned)
+        if flow > budget:
+            return
+        if flow == 0:
+            found.append(F)
+            return
+        adj, head, cap, sink = net.adj, net.head, net.cap, net.sink
+        reaches = [False] * len(adj)
+        reaches[sink] = True
+        queue = [sink]
+        for y in queue:
+            for a in adj[y]:
+                x = head[a]
+                if not reaches[x] and cap[a ^ 1] > 0:
+                    reaches[x] = True
+                    queue.append(x)
+        R = [v for v in range(net.source) if not reaches[v]]
+        e = next(a for u in R for a in adj[u] if not a & 1 and reaches[head[a]] and cap[a ^ 1] > 0)
+        if e >= 2 * net.n:
+            raise RuntimeError("an affordable important cut holds a non-split arc")
+        important(R, Y, removed, banned, F | {e}, budget - 1)
+        if head[e] not in Y:
+            important(R + [head[e]], Y, removed, banned, F, budget)
+
+    important(X, sinks, removed, banned, frozenset(), budget)
+    return list(dict.fromkeys(found))
+
+
+def furthest_cut(net) -> list[int]:
+    """The nodes below the source of `net` that cannot reach its sink in the
+    residual network, walked back from the sink over every arc."""
+    reaches = [False] * len(net.adj)
+    reaches[net.sink] = True
+    queue = [net.sink]
+    for y in queue:
+        for a in net.adj[y]:
+            x = net.head[a]
+            if not reaches[x] and net.cap[a ^ 1] > 0:
+                reaches[x] = True
+                queue.append(x)
+    return [v for v in range(net.source) if not reaches[v]]
+
+
 def reference_branch_min_cut(D: Digraph, comp: set, Tc: frozenset, r: int, cap: int, lb: int) -> frozenset | None:
     """balsep's small-component engine as it was before the scan of vertex
     sets, kept verbatim as its referee: iterative-deepening branch and
