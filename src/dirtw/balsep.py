@@ -266,15 +266,15 @@ def _scan_min_cut(D: Digraph, comp: set, Tc: frozenset, r: int, cap: int, lb: in
 def _partition_min_cut(D: Digraph, comp: set, Tc: frozenset, r: int, cap: int, lb: int,
                        net=None) -> frozenset | None:
     """Exact engine for larger components, on the component's split network
-    (`net`, else built here) with one cut oracle answering on it.  The
-    budget is the least from `cap` down to `lb` at which some ordered
-    partition of the terminals into blocks of at most r has a cut
-    (`any_order`, one memoized question per set of remaining terminals).
-    The cut returned is the lex-least cheapest cut of the first such
-    partition in canonical order (`first_order`): what `linear_vertex_cut`
-    gives on that partition.  A walk over every ordering that keeps each
-    cheaper cut until one meets `lb` ends on the same partition, because
-    every partition before it costs more than that budget."""
+    (`net`, else built here) with one cut oracle answering on it.  As for
+    `_scan_min_cut`, `lb` must be a sound lower bound on the fewest
+    deletions.  The budget is the least from `cap` down to `lb` at which
+    some ordered partition of the terminals into blocks of at most r has a
+    cut (`any_order`, one memoized question per set of remaining
+    terminals); a cut within a budget is within every larger one, so with
+    a sound `lb` that budget is the minimum.  The cut returned is the
+    lex-least cheapest cut of the first such partition in canonical order
+    (`first_order`): what `linear_vertex_cut` gives on that partition."""
     net = net or split_network(D, comp)
     numbers = tuple(sorted(net.ids(Tc)))
     oracle = _CutOracle(net)

@@ -422,11 +422,11 @@ class FlowNetwork:
     Every question runs from the source to the sink, switching on the
     source arcs into X and the sink arcs out of Y; `sources` lists the nodes
     whose source arcs are on, in node order, and a pass starts at those.
-    `flow` asks a question afresh, restoring the capacities first.  The
-    other steps carry the flow they find over to a nearby question:
-    `swap_sink` trades one sink, and an important-cut search branches with
-    `cut_unit` and `extend`, keeping each branch's residual network with
-    `snapshot` and `restore`.
+    `flow` asks a question afresh, restoring the capacities, then removing
+    the classes the question cuts.  The other steps carry the flow they
+    find over to a nearby question: `swap_sink` trades one sink, and an
+    important-cut search branches with `cut_unit` and `extend`, keeping
+    each branch's residual network with `snapshot` and `restore`.
     `split_network` builds every network of the package and sets the
     vertex set it numbers: `n`, `names`, `index` and `succ`; a network
     built otherwise has none (n = 0)."""
@@ -464,22 +464,16 @@ class FlowNetwork:
         self.sources: list[int] = []
         self.n, self.names, self.index, self.succ = 0, [], {}, []
 
-    def flow(self, X: Iterable[int], Y: Iterable[int], limit: int,
-             cut: Iterable[int] = (), banned: Iterable[int] = ()) -> int:
+    def flow(self, X: Iterable[int], Y: Iterable[int], limit: int, cut: Iterable[int] = ()) -> int:
         """The max flow from the nodes X to the nodes Y, stopping at `limit`,
-        with the arcs in `cut` gone and those in `banned` uncuttable: restore
-        the capacities and marks as built, switch on the source arcs into X
-        and the sink arcs out of Y, and give them and the banned arcs
-        capacity `limit`, which no cut that stops the flow below it can pay.
-        `cut` and `banned` hold even arc ids: a reverse arc given room would
-        go unscanned."""
+        with the arcs in `cut` gone: restore the capacities and marks as
+        built, switch on the source arcs into X and the sink arcs out of Y,
+        and give them capacity `limit`, which no cut that stops the flow
+        below it can pay.  `cut` holds even arc ids; an odd one, a reverse
+        arc, is a ValueError."""
         cap, base = self.cap, self.classes
         cap[:] = self.built
         self.marked[:] = [False] * len(self.marked)
-        for a in banned:
-            if a & 1:
-                raise ValueError(f"banned arc {a} is a reverse arc")
-            cap[a] = limit
         for a in cut:
             if a & 1:
                 raise ValueError(f"cut arc {a} is a reverse arc")

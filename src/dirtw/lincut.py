@@ -13,13 +13,12 @@ The linear cut is solved exactly by one extraction, `_lec_solve`, on
 `_CutOracle`, a yes/no test for a cut within budget that branches over
 important cuts: the optimum is the least budget it accepts from a lower
 bound on, and the lexicographically least cheapest cut is read off its
-answers one split arc at a time.  So every cut returned is the lex-least
-cheapest one.  The same oracle answers the balanced-separator engine's
-question over every ordering of a terminal set at once (`any_order`),
-memoized per set of remaining terminals, and finds the first ordering in
-canonical order that fits a budget (`first_order`).  The branching asks one
-fresh flow per list of cuts: each branch goes on from its parent's maximum
-flow, and a list found at one budget serves every lower one.
+answers one split arc at a time.  The same branching answers the
+balanced-separator engine's question over every ordering of a terminal set
+(`any_order`, memoized per set of remaining terminals) and finds the first
+ordering in canonical order that fits a budget (`first_order`).  It asks
+one fresh flow per list of cuts: each branch goes on from its parent's
+maximum flow, and a list found at one budget serves every lower one.
 """
 from __future__ import annotations
 
@@ -117,24 +116,23 @@ def _separates(net, blocks, removed) -> bool:
 class _CutOracle:
     """Exact yes/no answers about one split network (`digraph.split_network`),
     whose classes are its class arc ids: is there a set of at most b
-    classes, avoiding `banned`, whose removal together with `removed` kills
-    every path from the in-nodes of an earlier block of vertex numbers to
-    the out-nodes of a later one?  `feasible` caps budgets at n, which no
-    cut of split arcs needs more than, so only split arcs, each costing one,
-    fit in a budget, and a cut's cost is its size.
-    The blocks are asked per question, so one oracle serves every ordering
-    of the network's terminals.
+    classes whose removal together with `removed` kills every path from the
+    in-nodes of an earlier block of vertex numbers to the out-nodes of a
+    later one?  Budgets are capped at n, which no cut of split arcs needs
+    more than, so only split arcs, each costing one, fit in a budget, and a
+    cut's cost is its size.  The blocks are asked per question, so one
+    oracle serves every ordering of the network's terminals.
 
     A linear cut is Skew Edge Multicut, so by the pushing lemma (Chen, Liu,
     Lu, O'Sullivan and Razgon, JACM 2008) some cheapest solution contains an
     important (B_1, B_2 ∪ … ∪ B_t)-cut (Marx, TCS 2006).  The oracle branches
     over a superset of those cuts within budget, then recurses on B_2..B_t
     with the cut removed; the cost grows with the budget, not with the
-    graph.  A fresh flow asks the network with the flow limit b + 1, which
-    banned classes get as capacity: no cut within budget can pay them, as it
-    cannot pay an arc that costs more than b.  The branches of one search
-    go on from that flow: the capacities it gave stay above their budgets,
-    so the furthest minimum cut they read off is a fresh flow's.
+    graph.  Every question, about fixed blocks, any ordering or the first
+    ordering that fits, runs through that one recursion, `_fits`.  A fresh
+    flow asks the network with the flow limit b + 1, and the branches of
+    one search go on from it: the capacities it gave stay above their
+    budgets, so the furthest minimum cut they read off is a fresh flow's.
     The lists of cuts (`memo`, one per question, kept at the largest budget
     asked) and the answers of `any_order` (`orders`) are memoized for the
     oracle's life."""
@@ -146,12 +144,13 @@ class _CutOracle:
         self.memo: dict = {}
         self.orders: dict = {}
 
-    def feasible(self, blocks, removed, banned, budget: int) -> bool:
-        """Whether some set of at most `budget` classes outside `banned`
-        kills every earlier-to-later path between `blocks` (lists of the
-        network's vertex numbers) once the classes in `removed` are gone."""
-        budget = min(budget, self.net.n)
-        return self._decide([tuple(b) for b in blocks], frozenset(removed), frozenset(banned), budget)
+    def feasible(self, blocks, removed, budget: int) -> bool:
+        """Whether some set of at most `budget` classes kills every
+        earlier-to-later path between `blocks` (lists of the network's
+        vertex numbers) once the classes in `removed` are gone."""
+        last = tuple(sorted(blocks[-1]))
+        return self._fits([tuple(b) for b in blocks[:-1]], last, len(last), frozenset(removed),
+                          min(budget, self.net.n))
 
     def lower_bound(self, blocks, s: int) -> int:
         """Max-flow over every earlier/later split of `blocks` lower-bounds
@@ -169,72 +168,61 @@ class _CutOracle:
     def any_order(self, R: tuple, r: int, removed: frozenset, budget: int) -> bool:
         """Whether some ordered partition of the sorted tuple R of terminal
         numbers into blocks of at most r has a cut within `budget` once the
-        classes in `removed` are gone: the OR of `feasible` over those
-        partitions, asked once per (R, r, removed, budget)."""
+        classes in `removed` are gone: the OR of `_fits` over the first
+        blocks of those partitions, asked once per (R, r, removed, budget)."""
         budget = min(budget, self.net.n)
         key = (R, r, removed, budget)
         answer = self.orders.get(key)
         if answer is None:
-            answer = self.orders[key] = any(self._fits(B, rest, r, removed, budget)
+            answer = self.orders[key] = any(self._fits([B], rest, r, removed, budget)
                                             for B, rest in _next_blocks(R, r))
         return answer
 
     def first_order(self, R: tuple, r: int, budget: int) -> list[tuple]:
         """The first ordered partition of the sorted tuple R into blocks of at
-        most r, in canonical order, that has a cut within `budget`.  A state
-        is a (removed, budget) pair that the important cuts of the blocks
-        taken so far reach.  Each step takes the first block that leaves the
-        rest some ordering within budget from one of the states, and goes
-        on from the states that block's cuts reach from those."""
+        most r, in canonical order, that has a cut within `budget`: block by
+        block, the first that leaves the rest some ordering after the blocks
+        taken so far; at most r terminals left make one block, which fits."""
         budget = min(budget, self.net.n)
-        states = [(frozenset(), budget)]
         blocks: list = []
-        while R:
+        while len(R) > r:
             for B, rest in _next_blocks(R, r):
-                kept = [(removed, b) for removed, b in states if self._fits(B, rest, r, removed, b)]
-                if kept:
+                if self._fits(blocks + [B], rest, r, frozenset(), budget):
                     break
             else:
                 raise RuntimeError("no ordering of the terminals fits the budget")
             blocks.append(B)
-            if len(rest) > r:  # a later step needs the cuts this block took
-                sinks = frozenset(self.net.n + y for y in rest)
-                kept = list(dict.fromkeys((removed | F, b - len(F)) for removed, b in kept
-                                          for F in self._cuts(B, sinks, removed, frozenset(), b)))
-            states, R = kept, rest
-        return blocks
+            R = rest
+        return blocks + [R] if R else blocks
 
-    def _fits(self, B: tuple, rest: tuple, r: int, removed: frozenset, budget: int) -> bool:
-        """Whether the block B, put first, leaves the terminals `rest` some
-        ordering within budget.  With at most r of them, the one block
-        `rest` asks the least, so a flow decides, as in `_decide`."""
-        if not rest:
-            return True
-        sinks = frozenset(self.net.n + y for y in rest)
-        if len(rest) <= r:
-            return self.net.flow(B, sinks, budget + 1, removed, ()) <= budget
-        return any(self.any_order(rest, r, removed | F, budget - len(F))
-                   for F in self._cuts(B, sinks, removed, frozenset(), budget))
+    def _fits(self, blocks: list, R: tuple, r: int, removed: frozenset, budget: int) -> bool:
+        """Whether `blocks`, in their order, followed by some ordering of the
+        sorted tuple R into blocks of at most r, have a cut within budget
+        once the classes in `removed` are gone.  It branches over the cuts
+        of the first block toward every later terminal; with one block left
+        and at most r terminals after it, they form the one block that asks
+        the least, so a flow decides."""
+        X, later, n = blocks[0], blocks[1:], self.net.n
+        if not later and len(R) <= r:
+            return not R or self.net.flow(X, [n + y for y in R], budget + 1, removed) <= budget
+        sinks = frozenset(n + y for b in later + [R] for y in b)
+        cuts = self._cuts(X, sinks, removed, budget)
+        if later:
+            return any(self._fits(later, R, r, removed | F, budget - len(F)) for F in cuts)
+        return any(self.any_order(R, r, removed | F, budget - len(F)) for F in cuts)
 
-    def _decide(self, blocks: list, removed: frozenset, banned: frozenset, budget: int) -> bool:
-        sinks = frozenset(self.net.n + y for b in blocks[1:] for y in b)
-        if len(blocks) == 2:  # any cut of the last pair will do
-            return self.net.flow(blocks[0], sinks, budget + 1, removed, banned) <= budget
-        return any(self._decide(blocks[1:], removed | F, banned, budget - len(F))
-                   for F in self._cuts(blocks[0], sinks, removed, banned, budget))
-
-    def _cuts(self, X: tuple, sinks: frozenset, removed: frozenset, banned: frozenset, budget: int) -> list:
+    def _cuts(self, X: tuple, sinks: frozenset, removed: frozenset, budget: int) -> list:
         """The important-cut superset of `_important` from X to `sinks`
-        within `budget`, without repeats, memoized per (X, sinks, removed,
-        banned) with the budget it was found at.  A cut's need, the largest
-        flow + |F| on its branch, is its size: a cut step keeps flow + |F|
-        and an extend step raises the flow.  So a lower budget finds the
-        cuts of the stored list that fit it, in the same order."""
-        key = (X, sinks, removed, banned)
+        within `budget`, without repeats, memoized per (X, sinks, removed)
+        with the budget it was found at.  A cut's need, the largest flow +
+        |F| on its branch, is its size: a cut step keeps flow + |F| and an
+        extend step raises the flow.  So a lower budget finds the cuts of
+        the stored list that fit it, in the same order."""
+        key = (X, sinks, removed)
         held = self.memo.get(key)
         if held is None or held[0] < budget:
             found: list = []
-            flow = self.net.flow(X, sinks, budget + 1, removed, banned)
+            flow = self.net.flow(X, sinks, budget + 1, removed)
             if flow <= budget:
                 self._important(sinks, frozenset(), budget, flow, found)
             held = self.memo[key] = (budget, list(dict.fromkeys(found)))
@@ -298,19 +286,17 @@ def _lec_solve(oracle: _CutOracle, blocks, start: int, budget: int):
     that cuts `blocks` within `budget`, or None: the least budget from
     `start`, a lower bound on the size, that the oracle accepts, then each
     split arc in canonical order, kept iff a smallest cut extends the arcs
-    kept so far by it and avoids the ones left out."""
-    optimum = next((b for b in range(start, budget + 1) if oracle.feasible(blocks, (), (), b)), None)
+    kept so far by it.  No later probe, extending more, can take an arc
+    left out, so none needs to ban it."""
+    optimum = next((b for b in range(start, budget + 1) if oracle.feasible(blocks, (), b)), None)
     if optimum is None:
         return None
     chosen: set = set()
-    out: set = set()
     for cls in range(0, 2 * oracle.net.n, 2):
         if len(chosen) == optimum:  # a set of the optimum's size is a whole cut
             break
-        if oracle.feasible(blocks, chosen | {cls}, out, optimum - len(chosen) - 1):
+        if oracle.feasible(blocks, chosen | {cls}, optimum - len(chosen) - 1):
             chosen.add(cls)
-        else:
-            out.add(cls)
     if not _separates(oracle.net, blocks, chosen):
         raise RuntimeError("lex-least extraction left a violating path")
     return frozenset(chosen)

@@ -515,7 +515,7 @@ def test_any_order_and_first_order_match_the_ordered_partitions():
         budget = rng.randint(0, 4)
         reference = lincut._CutOracle(net)
         first = next((p.blocks for p in ordered_partitions(numbers, r)
-                      if reference.feasible(p.blocks, (), (), budget)), None)
+                      if reference.feasible(p.blocks, (), budget)), None)
         oracle = lincut._CutOracle(net)
         assert oracle.any_order(numbers, r, frozenset(), budget) == (first is not None), (i, numbers, r, budget)
         if first is not None:
@@ -576,9 +576,9 @@ def test_partition_engine_asks_no_flow_into_no_sinks(monkeypatch):
     # off; the engine knows it without asking the network
     sinks, real = [], digraph.FlowNetwork.flow
 
-    def spy_flow(net, X, Y, limit, cut=(), banned=()):
+    def spy_flow(net, X, Y, limit, cut=()):
         sinks.append(len(Y))
-        return real(net, X, Y, limit, cut, banned)
+        return real(net, X, Y, limit, cut)
 
     monkeypatch.setattr(digraph.FlowNetwork, "flow", spy_flow)
     rng = random.Random(29)

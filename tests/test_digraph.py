@@ -457,13 +457,12 @@ def test_flow_guards_survive_optimized_mode():
         "net = digraph.split_network(D, [1, 2])\n"
         "checks = [lambda: MengerResult(None, None),\n"
         "          lambda: net.flow([0], [3], 1, cut=[1]),  # a reverse arc\n"
-        "          lambda: net.flow([0], [3], 1, banned=[3]),\n"
         "          lambda: net.split_vertices([4])]  # the arc of the edge 1 -> 2\n"
         "def broken(*args):\n"
         "    digraph.tarjan_sccs = lambda D, banned=(), within=None: [{1}, {2}]  # a cyclic condensation\n"
         "    digraph.scc(D)\n"
         "def unrouted(*args):\n"
-        "    digraph.FlowNetwork.flow = lambda net, X, Y, limit, cut=(), banned=(): limit  # a flow never routed\n"
+        "    digraph.FlowNetwork.flow = lambda net, X, Y, limit, cut=(): limit  # a flow never routed\n"
         "    digraph.menger(D, {1}, {2}, 1)\n"
         "for check in checks + [broken, unrouted]:\n"
         "    try:\n"
@@ -475,7 +474,7 @@ def test_flow_guards_survive_optimized_mode():
     proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ValueError"] * 3 + ["RuntimeError"] * 3
+    assert proc.stdout.split() == ["ValueError"] * 2 + ["RuntimeError"] * 3
 
 
 def test_split_network_reuse_after_restoring_capacities():
@@ -499,9 +498,8 @@ def test_split_network_reuse_after_restoring_capacities():
         if net.max_flow(n + 1) > 0:
             assert net.max_flow(n + 1) == 0
         assert net.flow(Xi, Yo, n + 1) == brute_min_vertex_separator(D, X, Y)
-        # cut split arcs carry nothing; banned ones cannot be cut
+        # cut split arcs carry nothing
         assert net.flow(Xi, Yo, n + 1, cut=range(0, 2 * n, 2)) == 0
-        assert net.flow(Xi, Yo, 2, banned=range(0, 2 * n, 2)) == (2 if reachable(D, X, Y) else 0)
         # an inner flow, out_u -> in_w, through the same entry point: asking
         # again restores the network, and it equals the flow asked of a
         # fresh network
@@ -518,7 +516,7 @@ def test_split_network_reuse_after_restoring_capacities():
 def _flow_kernel_outcomes(seed: int, count: int) -> tuple[list, dict]:
     """What the flow kernel decides on `count` random mixed-id multigraphs
     with loops and parallel arcs: flow values on split networks and on
-    networks whose arcs cost their multiplicity, with cut and banned classes, menger's paths or separator, a
+    networks whose arcs cost their multiplicity, with cut classes, menger's paths or separator, a
     verify_well_linked verdict and the cut lists of a cut oracle.  Also how
     often each kind of answer came up."""
     rng = random.Random(seed)
@@ -540,8 +538,7 @@ def _flow_kernel_outcomes(seed: int, count: int) -> tuple[list, dict]:
                            (FlowNetwork(n, tails, heads, costs), split.ids(Y))):
             classes = range(0, net.classes, 2)
             cut = rng.sample(classes, rng.randint(0, min(2, len(classes))))
-            banned = rng.sample(classes, rng.randint(0, len(classes)))
-            flow = net.flow(split.ids(X), sinks, rng.randint(1, n + 1), cut, banned)
+            flow = net.flow(split.ids(X), sinks, rng.randint(1, n + 1), cut)
             found["flow"] += flow > 1
             out.append(flow)
         verdict = verify_well_linked(D, rng.sample(vs, rng.randint(1, min(4, n))))
@@ -553,7 +550,7 @@ def _flow_kernel_outcomes(seed: int, count: int) -> tuple[list, dict]:
             cuts = sorted(rng.sample(range(1, len(terms)), 2))
             blocks = [terms[:cuts[0]], terms[cuts[0]:cuts[1]], terms[cuts[1]:]]
             oracle = _CutOracle(split)
-            out.append(oracle.feasible(blocks, (), (), budget))
+            out.append(oracle.feasible(blocks, (), budget))
             out.append(list(oracle.memo.items()))
             found["cuts"] += any(len(cuts) > 1 for _, cuts in oracle.memo.values())
     return out, found
@@ -700,13 +697,12 @@ def test_a_pass_to_the_sink_pops_no_node_after_a_free_sink_arc_is_found(monkeypa
     assert min(counts.values()) > 100 and counts["left queued"] > 2 * counts["stopped"], counts
 
 
-def test_flow_refuses_reverse_arcs_in_cut_and_banned():
-    # a reverse arc given room at an unmarked node would go unscanned
+def test_flow_refuses_reverse_arcs_in_cut():
+    # a cut names classes, which are even arc ids
     net = split_network(bidirected_clique(3), [1, 2, 3])
-    for arcs in ({"cut": [0, 1]}, {"banned": [5]}):
-        with pytest.raises(ValueError, match="reverse arc"):
-            net.flow([0], [net.n + 1], 1, **arcs)
-    assert net.flow([0], [net.n + 1], 1, cut=[0], banned=[2]) == 0
+    with pytest.raises(ValueError, match="reverse arc"):
+        net.flow([0], [net.n + 1], 1, cut=[0, 1])
+    assert net.flow([0], [net.n + 1], 1, cut=[0]) == 0
 
 
 def test_edge_list_round_trip():

@@ -259,10 +259,9 @@ def test_cut_oracle_matches_the_search():
     # multigraphs with loops, built as the package builds them, against the
     # search that branches on violating paths between the gadgets of the
     # gadget network, with wide arcs above every budget asked and the
-    # classes of the same ends removed and banned; like the partition
-    # engine, one oracle holds every terminal and answers several orderings,
-    # removed and banned sets and budgets, so its memo is shared between
-    # questions
+    # classes of the same ends removed; like the partition engine, one
+    # oracle holds every terminal and answers several orderings, removed
+    # sets and budgets, so its memo is shared between questions
     rng = random.Random(31)
     seen: Counter = Counter()
     for _ in range(3000):
@@ -278,15 +277,48 @@ def test_cut_oracle_matches_the_search():
         for _ in range(4):
             order = rng.sample(terminals, len(terminals))
             removed = frozenset(c for c in classes if rng.random() < 0.15)
-            banned = frozenset(c for c in classes if c not in removed and rng.random() < 0.2)
             budget = rng.randint(0, 4)
             want = reference_path_search(G, [[gadget[v] for v in b] for b in order], gadget_classes(net, G, removed),
-                                         gadget_classes(net, G, banned), 0, budget) is not None
-            assert oracle.feasible(order, removed, banned, budget) == want, (order, removed, banned, budget)
-            seen[want, len(order) > 2, bool(removed), bool(banned)] += 1
-    # both answers, with three or more blocks, with removed and banned
-    # classes
-    assert min(seen[want, True, True, True] for want in (False, True)) > 50, seen
+                                         frozenset(), 0, budget) is not None
+            assert oracle.feasible(order, removed, budget) == want, (order, removed, budget)
+            seen[want, len(order) > 2, bool(removed)] += 1
+    # both answers, with three or more blocks, with removed classes
+    assert min(seen[want, True, True] for want in (False, True)) > 50, seen
+
+
+def test_the_extraction_needs_no_banned_classes():
+    # `_lec_solve` leaves a split arc out when no cut of the optimum's size
+    # holds it with the arcs kept so far; those only grow, so no later
+    # probe's cut can hold it.  Each probe, asked with nothing banned, must
+    # answer as the search over violating paths does with every arc left
+    # out so far banned, and the greedy must end on `_lec_solve`'s cut
+    rng = random.Random(37)
+    probes: Counter = Counter()
+    for _ in range(1000):
+        D = mixed_id_digraph(rng, shuffled_digraph(rng, rng.randint(3, 9)))
+        blocks = []
+        while len(blocks) < 2:
+            blocks = random_blocks(rng, D)
+        net = split_network(D, D.vertices())
+        numbered = [sorted(net.ids(b)) for b in blocks]
+        G, gadget = reference_gadget_network(net, [v for b in numbered for v in b])
+        gblocks = [[gadget[v] for v in b] for b in numbered]
+        oracle = _CutOracle(net)
+        optimum = next(b for b in range(net.n + 1) if oracle.feasible(numbered, (), b))
+        chosen: set = set()
+        out: set = set()
+        for cls in range(0, 2 * net.n, 2):
+            if len(chosen) == optimum:
+                break
+            budget = optimum - len(chosen) - 1
+            got = oracle.feasible(numbered, chosen | {cls}, budget)
+            want = reference_path_search(G, gblocks, gadget_classes(net, G, chosen | {cls}),
+                                         gadget_classes(net, G, out), 0, budget) is not None
+            assert got == want, (numbered, chosen, cls, out)
+            probes[bool(out), got] += 1
+            (chosen if got else out).add(cls)
+        assert lincut._lec_solve(_CutOracle(net), numbered, 0, net.n) == frozenset(chosen)
+    assert probes[True, False] >= 200, probes
 
 
 def test_interning_orders_numbers_by_vkey():
@@ -323,24 +355,32 @@ def test_non_split_arc_in_a_reduction_cut_is_an_error(monkeypatch):
         linear_vertex_cut(path_digraph("a", "b", "c"), [{"a"}, {"c"}], 1)
 
 
+def widened(net, arcs):
+    """`net` with the classes `arcs` built wider than every flow limit, as
+    no cut can pay."""
+    for a in arcs:
+        net.built[a] = 10 * net.n
+    return net
+
+
 def test_cut_oracle_refuses_an_affordable_wide_arc():
     # the oracle counts a cut's classes, which prices it right only when
     # every class within budget is a split arc; `feasible` caps a budget
     # above n, where an edge arc, costing n + 1, would be affordable, so
-    # with every split arc banned no budget buys a cut
+    # with every split arc widened beyond reach no budget buys a cut
     D = path_digraph(1, 2, 3)
-    net = split_network(D, D.vertices())
 
-    def feasible(banned, budget: int) -> bool:
-        return _CutOracle(net).feasible([[0], [1], [2]], (), banned, budget)
+    def feasible(wide, budget: int) -> bool:
+        return _CutOracle(widened(split_network(D, D.vertices()), wide)).feasible([[0], [1], [2]], (), budget)
 
     assert feasible((), 2) and not feasible((), 0)
     assert not any(feasible({0, 2, 4}, budget) for budget in range(8))
-    one = split_network(path_digraph(1, 2), [1, 2])
-    assert not _CutOracle(one).feasible([[0], [1]], (), {0, 2}, 3)
+    one = widened(split_network(path_digraph(1, 2), [1, 2]), {0, 2})
+    assert not _CutOracle(one).feasible([[0], [1]], (), 3)
     # asked past the cap, the search raises instead of counting an edge arc
+    net = widened(split_network(D, D.vertices()), {0, 2, 4})
     with pytest.raises(RuntimeError, match="non-split arc"):
-        _CutOracle(net)._decide([(0,), (1,), (2,)], frozenset(), frozenset({0, 2, 4}), net.n + 1)
+        _CutOracle(net)._fits([(0,), (1,)], (2,), 1, frozenset(), net.n + 1)
     # the split arcs are the first n classes, named by their vertices; any
     # other arc is refused
     assert net.split_vertices([0, 4]) == [1, 3]
@@ -385,15 +425,14 @@ def test_extraction_that_leaves_a_violating_path_is_an_error():
 
 def _cut_question(rng: random.Random, net) -> tuple:
     """Random arguments of `_CutOracle._cuts` on a split network: sources X
-    and sinks on distinct vertices, removed classes and banned split arcs."""
+    and sinks on distinct vertices, and removed classes."""
     n = net.n
     vs = rng.sample(range(n), rng.randint(2, n))
     cut = rng.randint(1, 2)
     X = tuple(sorted(vs[:cut]))
     sinks = frozenset(n + y for y in vs[cut:])
     removed = frozenset(rng.sample(range(0, net.classes, 2), rng.randint(0, 1)))
-    banned = frozenset(rng.sample(range(0, 2 * n, 2), rng.randint(0, 1))) - removed
-    return X, sinks, removed, banned
+    return X, sinks, removed
 
 
 def test_carried_cut_lists_match_the_fresh_flow_reference():
@@ -431,17 +470,16 @@ def test_each_branch_step_leaves_the_flow_and_cut_of_a_fresh_flow(monkeypatch):
     # extend step that passes the budget stops where a fresh flow does
     real_cuts, real_important = _CutOracle._cuts, _CutOracle._important
     real_cut_unit, real_extend = FlowNetwork.cut_unit, FlowNetwork.extend
-    state = {"step": None, "question": None, "branch": []}
+    state = {"step": None, "removed": None, "branch": []}
     steps = Counter()
 
     def fresh_flow(X, Y, limit, F):
-        removed, banned = state["question"]
         fresh = split_network(*state["graph"])
-        return fresh.flow(X, Y, limit, removed | F, banned), fresh
+        return fresh.flow(X, Y, limit, state["removed"] | F), fresh
 
-    def cuts(self, X, sinks, removed, banned, budget):
-        state["question"] = (removed, banned)
-        return real_cuts(self, X, sinks, removed, banned, budget)
+    def cuts(self, X, sinks, removed, budget):
+        state["removed"] = removed
+        return real_cuts(self, X, sinks, removed, budget)
 
     def important(self, Y, F, budget, flow, found):
         value, fresh = fresh_flow(self.net.sources, Y, budget + 1, F)
@@ -495,11 +533,15 @@ def test_a_flow_handed_over_that_is_not_maximum_is_an_error(monkeypatch):
     # hands its branch a flow the source can still augment
     monkeypatch.setattr(FlowNetwork, "extend",
                         lambda self, X, limit, flow: self._switch_on(X, limit) or flow + 1)
-    # (on the path 1 -> 2 -> 3 with 3's split arc banned, the least cut is
-    # 2's split arc, and moving its head to the source side is such a step)
-    path = split_network(path_digraph(1, 2, 3), [1, 2, 3])
+    # (from 1 to the sinks 3 and 4 of 1 -> 2 -> {3, 4}, the furthest least
+    # cut is 2's split arc, and moving its head to the source side is such
+    # a step)
+    fork = Digraph()
+    for u, v in [(1, 2), (2, 3), (2, 4)]:
+        fork.add_edge(u, v)
+    fork = split_network(fork, fork.vertices())
     with pytest.raises(RuntimeError, match="not maximum"):
-        _CutOracle(path)._cuts((0,), frozenset({path.n + 2}), frozenset(), frozenset({4}), 2)
+        _CutOracle(fork)._cuts((0,), frozenset({fork.n + 2, fork.n + 3}), frozenset(), 2)
     script = (
         "from dirtw.digraph import Digraph, split_network\n"
         "from dirtw.lincut import _CutOracle\n"

@@ -781,17 +781,15 @@ def reference_path_search(net, blocks, removed: frozenset, banned: frozenset, sp
     return None
 
 
-def reference_cuts(net, X: tuple, sinks: frozenset, removed: frozenset, banned: frozenset,
-                   budget: int) -> list:
+def reference_cuts(net, X: tuple, sinks: frozenset, removed: frozenset, budget: int) -> list:
     """lincut._CutOracle._cuts and _important as they were before each
     branch carried its parent's flow, kept as their referee with the same
     steps: a fresh flow at every node of the search, and one list per
     budget."""
     found: list = []
 
-    def important(X, Y: frozenset, removed: frozenset, banned: frozenset,
-                  F: frozenset, budget: int) -> None:
-        flow = net.flow(X, Y, budget + 1, removed | F, banned)
+    def important(X, Y: frozenset, removed: frozenset, F: frozenset, budget: int) -> None:
+        flow = net.flow(X, Y, budget + 1, removed | F)
         if flow > budget:
             return
         if flow == 0:
@@ -811,11 +809,11 @@ def reference_cuts(net, X: tuple, sinks: frozenset, removed: frozenset, banned: 
         e = next(a for u in R for a in adj[u] if not a & 1 and reaches[head[a]] and cap[a ^ 1] > 0)
         if e >= 2 * net.n:
             raise RuntimeError("an affordable important cut holds a non-split arc")
-        important(R, Y, removed, banned, F | {e}, budget - 1)
+        important(R, Y, removed, F | {e}, budget - 1)
         if head[e] not in Y:
-            important(R + [head[e]], Y, removed, banned, F, budget)
+            important(R + [head[e]], Y, removed, F, budget)
 
-    important(X, sinks, removed, banned, frozenset(), budget)
+    important(X, sinks, removed, frozenset(), budget)
     return list(dict.fromkeys(found))
 
 
