@@ -274,7 +274,8 @@ def _partition_min_cut(D: Digraph, comp: set, Tc: frozenset, r: int, cap: int, l
     terminals); a cut within a budget is within every larger one, so with
     a sound `lb` that budget is the minimum.  The cut returned is the
     lex-least cheapest cut of the first such partition in canonical order
-    (`first_order`): what `linear_vertex_cut` gives on that partition."""
+    (`first_order`): what `linear_vertex_cut` gives on that partition.  No
+    partition has a cut below the budget, so the extraction starts at it."""
     net = net or split_network(D, comp)
     numbers = tuple(sorted(net.ids(Tc)))
     oracle = _CutOracle(net)
@@ -285,7 +286,7 @@ def _partition_min_cut(D: Digraph, comp: set, Tc: frozenset, r: int, cap: int, l
     while budget > lb and oracle.any_order(numbers, r, frozenset(), budget - 1):
         budget -= 1
     blocks = oracle.first_order(numbers, r, budget)
-    cut = _lec_solve(oracle, blocks, oracle.lower_bound(blocks, budget), budget)
+    cut = _lec_solve(oracle, blocks, budget, budget)
     if cut is None:
         raise RuntimeError("the cut oracle accepted a partition with no cut within budget")
     return frozenset(net.split_vertices(cut))

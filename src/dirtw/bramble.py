@@ -198,27 +198,21 @@ def well_linked_set(D: Digraph, cert: LinkedSetCertificate, k: int) -> tuple[Pat
     return path, anchors
 
 
-def _revolving_door(n: int, t: int) -> list[tuple]:
-    """The t-subsets of range(n), each an ascending tuple, in revolving-door
-    order (Knuth, TAOCP 4A, §7.2.1.3): each differs from the one before it
-    by one element dropped and one added."""
-    if t == 0:
-        return [()]
-    if t > n:
-        return []
-    return _revolving_door(n - 1, t) + [c + (n - 1,) for c in reversed(_revolving_door(n - 1, t - 1))]
-
-
 def verify_well_linked(D: Digraph, A: Iterable[Vertex]) -> bool:
     """Exhaustive Menger check: every pair of disjoint equal-size subsets
     X, Y of A is joined by |X| vertex-disjoint X -> Y paths.  Exponential in
-    |A|; meant for small anchor sets.  A vertex of A outside D is a
+    |A| at worst; meant for small anchor sets.  A vertex of A outside D is a
     ValueError; repeats in A count once.
 
     The pairs of single vertices ask that A lie in one strong component,
-    which a forward and a backward walk from one vertex of A decide.  For a
-    larger X the Y's come in revolving-door order and share one flow: each
-    step trades one sink for another and augments once."""
+    which a forward and a backward walk from one vertex of A decide.  A
+    larger pair X, Y of size m needs no flow when each x in X reaches each
+    y in Y by an arc or by m internally disjoint paths: a set of fewer than
+    m vertices misses some x and some y, so it cannot meet all of those
+    paths.  So A is well-linked once every ordered pair of A is an arc, or
+    else has t = |A| // 2 such paths (Even, 1975), one flow per pair; a
+    pair's flow is asked only when a check first needs it.  Each pair
+    X, Y that this leaves open asks one flow of its own."""
     items = list(dict.fromkeys(A))
     _check_terminals(D, items)
     if len(items) < 2:
@@ -228,17 +222,26 @@ def verify_well_linked(D: Digraph, A: Iterable[Vertex]) -> bool:
             return False
     if len(items) < 4:  # no pair of disjoint 2-sets
         return True
+    succ = D._succ
+    if all(y in succ[x] for x in items for y in items if y != x):
+        return True
     net = split_network(D, D.vertices())
-    ids = sorted(net.ids(items))
-    for size in range(2, len(ids) // 2 + 1):
-        door = _revolving_door(len(ids) - size, size)
-        swaps = [(min(set(p) - set(q)), min(set(q) - set(p))) for p, q in zip(door, door[1:])]
+    n, names, t, ids = net.n, net.names, len(items) // 2, sorted(net.ids(items))
+    paths: dict = {}  # (x, y) -> internally disjoint x -> y paths, up to t; an arc counts t
+
+    def joined(x: int, y: int) -> int:
+        if (x, y) not in paths:
+            paths[x, y] = t if names[y] in succ[names[x]] else net.flow((n + x,), (y,), t)
+        return paths[x, y]
+
+    if all(joined(x, y) == t for x in ids for y in ids if y != x):
+        return True
+    for size in range(2, t + 1):
         for X in combinations(ids, size):
-            rest = [net.n + v for v in ids if v not in X]  # the sink arcs leave out-nodes
-            if net.flow(X, [rest[i] for i in door[0]], size) < size:
-                return False
-            for old, new in swaps:
-                if not net.swap_sink(rest[old], rest[new]):
+            for Y in combinations([v for v in ids if v not in X], size):
+                if all(joined(x, y) >= size for x in X for y in Y):
+                    continue
+                if net.flow(X, [n + y for y in Y], size) < size:  # the sink arcs leave out-nodes
                     return False
     return True
 

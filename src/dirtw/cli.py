@@ -41,7 +41,9 @@ from .digraph import Digraph, Path, parse_edge_list, serialize_edge_list, vkey, 
 from .digraph import _parse_token
 
 BRUTE_CAP_DEFAULT = (12, 4)
-# anchor sets up to this size get the exhaustive Menger check
+# anchor sets up to this size get the Menger check; the cap is for its last
+# step alone, one flow per pair X, Y that the pair connectivities leave open,
+# which grows exponentially with |A|
 MENGER_CAP = 8
 
 

@@ -423,10 +423,10 @@ class FlowNetwork:
     source arcs into X and the sink arcs out of Y; `sources` lists the nodes
     whose source arcs are on, in node order, and a pass starts at those.
     `flow` asks a question afresh, restoring the capacities, then removing
-    the classes the question cuts.  The other steps carry the flow they
-    find over to a nearby question: `swap_sink` trades one sink, and an
-    important-cut search branches with `cut_unit` and `extend`, keeping
-    each branch's residual network with `snapshot` and `restore`.
+    the classes the question cuts.  An important-cut search carries the
+    flow it finds over to nearby questions: it branches with `cut_unit` and
+    `extend`, keeping each branch's residual network with `snapshot` and
+    `restore`.
     `split_network` builds every network of the package and sets the
     vertex set it numbers: `n`, `names`, `index` and `succ`; a network
     built otherwise has none (n = 0)."""
@@ -518,20 +518,6 @@ class FlowNetwork:
             cap[b] -= 1
             cap[b ^ 1] += 1
             node = head[b]
-
-    def swap_sink(self, old: int, new: int) -> int:
-        """Carry the flow of the last question over to one whose sinks trade
-        node `old` for `new`, where no node carries more than one unit (so
-        on a split network's vertex nodes): cancel the unit leaving through
-        old's sink arc, move that arc's capacity to new's sink arc and
-        augment once.  The flow gained, 0 or 1; the flow lost is the unit
-        cancelled."""
-        cap = self.cap
-        a = self.classes + 4 * old + 2
-        if cap[a ^ 1]:  # old's sink arc carries a unit
-            self._cancel(a)
-        cap[self.classes + 4 * new + 2], cap[a] = cap[a], 0
-        return self.max_flow(1)
 
     def cut_unit(self, arc: int, X: Iterable[int], limit: int) -> None:
         """The cut step of an important-cut search, from a maximum flow whose

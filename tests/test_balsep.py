@@ -489,13 +489,16 @@ def test_component_bound_matches_the_all_pairs_reference():
 
 
 def test_partition_engine_matches_the_reference_engine():
+    # `lb` is a sound lower bound, as every caller passes: at most the
+    # reference's optimum, or at most the cap when it finds no cut
     rng = random.Random(23)
     for i in range(300):
         D = random_strong_component(rng, rng.randint(13, 22))
         r = rng.randint(1, 3)
         Tc = frozenset(rng.sample(D.sorted_vertices(), rng.randint(r + 1, min(5, r + 2))))
         cap = rng.randint(1, 4)
-        lb = rng.randint(1, cap)
+        optimum = reference_partition_min_cut(D, Tc, r, cap, 1)
+        lb = rng.randint(1, cap if optimum is None else len(optimum))
         assert (balsep._partition_min_cut(D, set(D.vertices()), Tc, r, cap, lb)
                 == reference_partition_min_cut(D, Tc, r, cap, lb)), \
             (i, vsorted(Tc), r, cap, lb)

@@ -7,12 +7,13 @@ import subprocess
 import sys
 
 import pytest
+from collections import Counter
 from itertools import combinations
 
 import dirtw
 from dirtw import bramble
 from dirtw.balsep import offending_components
-from dirtw.digraph import _reach_set, scc
+from dirtw.digraph import FlowNetwork, _reach_set, scc, split_network
 from dirtw import (
     Digraph,
     LinkedSetCertificate,
@@ -42,6 +43,7 @@ from util import (
     path_digraph,
     random_digraph,
     reference_complement_order_at_most,
+    reference_reach_set,
     reference_verify_well_linked,
     shuffled_digraph,
 )
@@ -418,25 +420,53 @@ def test_verify_well_linked_examples():
     assert verify_well_linked(bidirected_cycle(6), {2, 5})
 
 
-def test_revolving_door_visits_each_subset_once_one_swap_apart():
-    for n in range(7):
-        for t in range(n + 2):
-            door = bramble._revolving_door(n, t)
-            assert sorted(door) == list(combinations(range(n), t))
-            assert all(len(set(p) ^ set(q)) == 2 for p, q in zip(door, door[1:]))
+def _well_linked_steps(monkeypatch) -> list:
+    """Spy on the flows of the split network `verify_well_linked` builds:
+    one entry per network, listing "pair" for a flow between one vertex's
+    out-node and another's in-node and "sets" for a flow from a set X."""
+    nets: list = []
+    real_network, real_flow = bramble.split_network, FlowNetwork.flow
+
+    def network(*args):
+        net = real_network(*args)
+        nets.append((net, []))
+        return net
+
+    def flow(net, X, Y, limit, cut=()):
+        X = list(X)
+        for mine, log in nets:
+            if net is mine:
+                log.append("pair" if X[0] >= net.n else "sets")
+        return real_flow(net, X, Y, limit, cut)
+
+    monkeypatch.setattr(bramble, "split_network", network)
+    monkeypatch.setattr(FlowNetwork, "flow", flow)
+    return nets
 
 
-def test_verify_well_linked_matches_the_per_pair_flows():
-    # the walks settle the single pairs and the revolving door carries one
-    # flow per X; the reference asks a fresh flow for every pair
+def test_verify_well_linked_matches_the_per_pair_flows(monkeypatch):
+    # the walks settle the single pairs, the arcs or the pair flows settle
+    # many sets, and the rest ask a flow per open pair X, Y; the reference
+    # asks a fresh flow for every pair.  The second corpus, random hosts
+    # with A in their largest strong component, reaches the per-set flows
+    # with a well-linked A far more often than the first
+    nets = _well_linked_steps(monkeypatch)
     rng = random.Random(47)
     kinds = dict.fromkeys(["well-linked, |A| >= 5", "refused by a flow", "A over several components",
-                           "refused by the backward walk alone"], 0)
-    for _ in range(2000):
-        D = mixed_id_digraph(rng, shuffled_digraph(rng, rng.randint(1, 9)))
-        vs = D.sorted_vertices()
-        A = rng.sample(vs, rng.randint(0, min(6, len(vs))))
+                           "refused by the backward walk alone", "settled by the pair flows",
+                           "well-linked after the per-set flows"], 0)
+    for i in range(2300):
+        if i < 2000:
+            D = mixed_id_digraph(rng, shuffled_digraph(rng, rng.randint(1, 9)))
+            vs = D.sorted_vertices()
+            A = rng.sample(vs, rng.randint(0, min(6, len(vs))))
+        else:
+            D = mixed_id_digraph(rng, random_digraph(rng, rng.randint(10, 14), rng.uniform(0.2, 0.35)))
+            big = vsorted(max(scc(D), key=len))
+            A = rng.sample(big, min(len(big), rng.randint(4, 7)))
+        nets.clear()
         verdict = verify_well_linked(D, A)
+        steps = [step for _, log in nets for step in log]
         assert verdict == reference_verify_well_linked(D, A), (sorted(D.edge_classes(), key=repr), A)
         comps = {c for c in scc(D) if not c.isdisjoint(A)}
         if len(comps) > 1:
@@ -444,15 +474,63 @@ def test_verify_well_linked_matches_the_per_pair_flows():
             kinds["refused by the backward walk alone"] += set(A) <= _reach_set(D, A[:1], set(), True)
         elif verdict:
             kinds["well-linked, |A| >= 5"] += len(A) >= 5
-        else:
+            kinds["settled by the pair flows"] += "pair" in steps and "sets" not in steps
+            kinds["well-linked after the per-set flows"] += "sets" in steps
+        else:  # the walks pass A in one component, so a per-set flow refuses it
+            assert "sets" in steps
             kinds["refused by a flow"] += 1
     assert min(kinds.values()) > 50, kinds
 
 
+def test_pairs_the_rule_skips_are_linked():
+    # the rule behind the pair flows: if each x in X reaches each y in Y by
+    # an arc or by |X| internally disjoint paths (no set of fewer vertices
+    # outside x and y separates them, found by brute force), then X and Y
+    # are joined by |X| disjoint paths, as a fresh flow finds
+    rng = random.Random(0x5EED)
+    skipped = Counter()
+    for _ in range(120):
+        D = shuffled_digraph(rng, rng.randint(4, 9))
+        vs = D.sorted_vertices()
+        A = rng.sample(vs, rng.randint(4, len(vs)))
+        t = len(A) // 2
+        net = split_network(D, vs)
+        # per ordered pair: t for an arc, else the least separator up to t
+        paths = {(x, y): t if D.has_edge(x, y) else next(
+            (size for size in range(t) for S in combinations([v for v in vs if v not in (x, y)], size)
+             if y not in reference_reach_set(D, [x], set(S), True)), t)
+            for x in A for y in A if x != y}
+        for m in range(2, t + 1):
+            for X in combinations(A, m):
+                for Y in combinations([v for v in A if v not in X], m):
+                    if all(paths[x, y] >= m for x in X for y in Y):
+                        assert net.flow(net.ids(X), [net.n + y for y in net.ids(Y)], m) == m, (D, X, Y)
+                        skipped["by arcs alone" if all(D.has_edge(x, y) for x in X for y in Y)
+                                else "by paths"] += 1
+    assert min(skipped.values()) > 1000, skipped
+
+
+def test_a_complete_anchor_set_asks_no_flow(monkeypatch):
+    # every ordered pair of A an arc: the check answers before it builds a
+    # network
+    nets = _well_linked_steps(monkeypatch)
+    assert verify_well_linked(bidirected_clique(30), [1, 4, 9, 12, 17, 22, 25, 30])
+    assert nets == []
+    # an arc short of that, the pair flows run, and settle it
+    D = bidirected_clique(30)
+    E = Digraph()
+    for u, v, c in D.edge_classes():
+        if (u, v) != (1, 4):
+            E.add_edge(u, v, c)
+    assert verify_well_linked(E, [1, 4, 9, 12, 17, 22, 25, 30])
+    assert [log for _, log in nets] == [["pair"]]
+
+
 def test_verify_well_linked_input_contract():
-    # the walks and the early returns come before any interning: a vertex
-    # outside D is still refused, repeats count once, and python -O strips
-    # no guard
+    # the membership check comes before the walks, the early returns and
+    # the split network, so a vertex outside D is refused whichever step
+    # would settle A; repeats count once, the pair flows settle
+    # [1, 2, 3, 4], and python -O strips no guard
     script = (
         "from dirtw import Digraph, verify_well_linked\n"
         "D = Digraph()\n"

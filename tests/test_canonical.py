@@ -7,13 +7,16 @@ import hashlib
 import random
 from collections import Counter
 
-from dirtw import BalancedSeparatorInstance, balanced_separator, linear_vertex_cut, vsorted
-from dirtw import balsep, lincut
+from dirtw import BalancedSeparatorInstance, balanced_separator, linear_vertex_cut, menger, scc, vsorted
+from dirtw import balsep, lincut, verify_well_linked
+from dirtw.digraph import split_network
 
 from util import random_digraph
 
 LINEAR_CUT_PIN = "5c10bb042b584481d29a6d6bb2859ab9863d8d081d575d1b19c1ec4ef2c48ba3"
 BALANCED_SEPARATOR_PIN = "eeb87f869946a5923c20427186082dc08d08c1707c16d9d0e8bff0c54e48a747"
+MENGER_PIN = "c087521f9ae0c13a9ac98b662345171409041b8605dc8ea077c5317581340daf"
+WELL_LINKED_PIN = "e7c754bf445cf0201dbc36f8bbfeff304302d062731a8774d36cdeb7aabcb576"
 
 
 def _digest(outputs: list) -> str:
@@ -73,3 +76,51 @@ def test_balanced_separators_keep_their_pinned_outputs(monkeypatch):
     deep = sum(size >= 3 for size in sizes)
     assert len(engine) >= 50 and deep >= 20 and outputs.count(None) >= 20, (len(engine), deep, outputs.count(None))
     assert _digest(outputs) == BALANCED_SEPARATOR_PIN
+
+
+def test_menger_keeps_its_pinned_outputs():
+    # 1,500 queries on 4-14 vertices: the paths, each a vertex list, or the
+    # sorted separator; X and Y may share vertices
+    rng = random.Random(2032)
+    outputs, seen = [], Counter()
+    for _ in range(1500):
+        D = random_digraph(rng, rng.randint(4, 14), rng.uniform(0.1, 0.45))
+        vs = D.sorted_vertices()
+        X, Y = rng.sample(vs, rng.randint(1, 4)), rng.sample(vs, rng.randint(1, 4))
+        res = menger(D, X, Y, rng.randint(1, 4))
+        if res.paths is not None:
+            outputs.append([p.vertices for p in res.paths])
+            seen["paths"] += 1
+            seen["two paths or more, one of 3+ vertices"] += len(res.paths) > 1 and max(map(len, outputs[-1])) > 2
+        else:
+            outputs.append(vsorted(res.separator))
+            seen["separator"] += 1
+            seen["separator of 2+ vertices"] += len(res.separator) > 1
+    assert min(seen.values()) >= 50, seen
+    assert _digest(outputs) == MENGER_PIN
+
+
+def test_well_linked_verdicts_keep_their_pinned_outputs():
+    # 400 anchor sets of 4-8 vertices in the largest strong component of
+    # 8-24-vertex hosts.  Each is counted by what settles it: every ordered
+    # pair an arc, or each other pair joined by |A| // 2 internally disjoint
+    # paths; otherwise the per-set flows
+    rng = random.Random(2033)
+    outputs, seen = [], Counter()
+    for _ in range(400):
+        D = random_digraph(rng, rng.randint(8, 24), rng.uniform(0.1, 0.6))
+        big = vsorted(max(scc(D), key=len))
+        A = rng.sample(big, min(len(big), rng.randint(4, 8)))
+        verdict = verify_well_linked(D, A)
+        outputs.append(verdict)
+        if len(A) < 4:
+            continue
+        seen[f"{verdict}, |A| >= 5"] += len(A) >= 5
+        net, t = split_network(D, D.vertices()), len(A) // 2
+        n, ids = net.n, net.ids(A)
+        if all(y in net.succ[x] or net.flow((n + x,), (y,), t) == t for x in ids for y in ids if y != x):
+            seen["settled by the arcs or the pair flows"] += 1
+        else:
+            seen[f"{verdict} after the per-set flows"] += 1
+    assert min(seen.values()) >= 50 and len(seen) == 5, seen
+    assert _digest(outputs) == WELL_LINKED_PIN

@@ -390,9 +390,11 @@ def test_cut_oracle_refuses_an_affordable_wide_arc():
 
 
 def test_extraction_that_leaves_a_violating_path_is_an_error():
-    # an oracle that says yes to everything makes the empty set look like
-    # a cut; the check after the one extraction catches it, for the linear
-    # cut and the partition engine alike, under python -O as well.  An
+    # an oracle that says yes to everything makes a set look like a cut
+    # that is none: the empty set for the linear cut; for the engine, which
+    # starts its extraction at the budget of 1, vertex 1, which leaves the
+    # arc 2 -> 3.  The check after the one extraction catches both, under
+    # python -O as well.  An
     # `any_order` that says yes to everything sends the engine below the
     # triangle's one-vertex cut, where the walk to the first fitting
     # ordering finds none and says so
@@ -411,7 +413,7 @@ def test_extraction_that_leaves_a_violating_path_is_an_error():
         "        print(exc)\n"
         "lincut._CutOracle.lower_bound = lambda self, *args: 0\n"
         "lying('feasible', True, lambda: lincut.linear_vertex_cut(D, [{1}, {3}], 1))\n"
-        "lying('feasible', True, lambda: balsep._partition_min_cut(D, {1, 2, 3}, frozenset({1, 2}), 1, 1, 1))\n"
+        "lying('feasible', True, lambda: balsep._partition_min_cut(D, {1, 2, 3}, frozenset({2, 3}), 1, 1, 1))\n"
         "lincut._CutOracle.feasible, lincut._CutOracle.lower_bound = feasible, lower_bound\n"
         "lying('any_order', True, lambda: balsep._partition_min_cut(D, {1, 2, 3}, frozenset({1, 2, 3}), 1, 1, 0))\n"
     )
