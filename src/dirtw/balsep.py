@@ -27,7 +27,7 @@ from collections.abc import Iterable, Iterator
 
 from .digraph import (Digraph, Vertex, _check_terminals, _strongly_connected, split_network, tarjan_sccs,
                       vkey, vsorted)
-from .lincut import TerminalSequence, _CutOracle, _lec_solve, _next_blocks
+from .lincut import TerminalSequence, _CutOracle, _lec_solve, _least_budget, _next_blocks
 
 
 @dataclass
@@ -216,10 +216,10 @@ def _component_lb(net, bound: int) -> int:
 
 def _free_bounds(D: Digraph, Tset: frozenset, r: int, s: int, heavy) -> list[tuple] | None:
     """None, the Linked verdict, once bounds that need no flow exceed the
-    budget; else (C, tc, bound, complete) per offending component C in
-    canonical order.  A complete C, every vertex with an arc to every other
-    (a loop is none), needs min(tc - r, |C| - 1) deletions; any other C
-    needs 1.  A sparse C fails at its first vertex on out-degree alone."""
+    budget; else (C, tc, bound) per offending component C in canonical
+    order.  A complete C, every vertex with an arc to every other (a loop
+    is none), needs min(tc - r, |C| - 1) deletions; any other C needs 1.
+    A sparse C fails at its first vertex on out-degree alone."""
     if len(heavy) > s:
         return None
     free, total, succ = [], 0, D._succ
@@ -227,27 +227,27 @@ def _free_bounds(D: Digraph, Tset: frozenset, r: int, s: int, heavy) -> list[tup
         tc, rest = len(comp & Tset), len(comp) - 1
         complete = len(succ[next(iter(comp))]) >= rest and all(not comp.difference(succ[v], (v,)) for v in comp)
         lb = min(tc - r, rest) if complete else 1
-        free.append((comp, tc, lb, complete))
+        free.append((comp, tc, lb))
         total += lb
     return None if total > s else free
 
 
 def _flow_bounds(D: Digraph, Tset: frozenset, r: int, s: int, free: list[tuple]):
-    """`free` with flows raising the bound of each component that is not
-    complete, or None (Linked) once the bounds exceed the budget.  Each
-    tuple ends in the split network its flows ran on, built once and shared
-    with the exact engine, or None."""
-    bounds = [lb for _, _, lb, _ in free]
+    """`free` with flows raising each bound below min(tc - r, |C| - 1),
+    which only a component that is not complete has, or None (Linked) once
+    the bounds exceed the budget.  Each tuple ends in the split network its
+    flows ran on, built once and shared with the exact engine, or None."""
+    bounds = [lb for _, _, lb in free]
     nets: dict = {}
     # largest surplus first; the stable sort keeps least-terminal order on ties
     for i in sorted(range(len(free)), key=lambda i: -free[i][1]):
-        comp, tc, _, complete = free[i]
-        if not complete and (bound := min(tc - r, len(comp) - 1)) > 1:
+        comp, tc, lb = free[i]
+        if (bound := min(tc - r, len(comp) - 1)) > lb:
             nets[i] = split_network(D, comp)
             bounds[i] = max(1, _component_lb(nets[i], bound))
             if sum(bounds) > s:
                 return None
-    return [(c, tc, bounds[i], nets.get(i)) for i, (c, tc, _, _) in enumerate(free)]
+    return [(c, tc, bounds[i], nets.get(i)) for i, (c, tc, _) in enumerate(free)]
 
 
 def _scan_min_cut(D: Digraph, comp: set, Tc: frozenset, r: int, cap: int, lb: int) -> frozenset | None:
@@ -271,25 +271,19 @@ def _partition_min_cut(D: Digraph, comp: set, Tc: frozenset, r: int, cap: int, l
     deletions.  The budget is the least from `cap` down to `lb` at which
     some ordered partition of the terminals into blocks of at most r has a
     cut (`any_order`, one memoized question per set of remaining
-    terminals); a cut within a budget is within every larger one, so with
-    a sound `lb` that budget is the minimum.  The cut returned is the
-    lex-least cheapest cut of the first such partition in canonical order
-    (`first_order`): what `linear_vertex_cut` gives on that partition.  No
-    partition has a cut below the budget, so the extraction starts at it."""
+    terminals), found by the search `linear_vertex_cut` runs
+    (`_least_budget`); with a sound `lb` that budget is the minimum.  The
+    cut returned is the lex-least cut of that size of the first such
+    partition in canonical order (`first_order`): no partition has a
+    cheaper one, so it is what `linear_vertex_cut` gives on that partition."""
     net = net or split_network(D, comp)
     numbers = tuple(sorted(net.ids(Tc)))
     oracle = _CutOracle(net)
-    if not oracle.any_order(numbers, r, frozenset(), cap):
+    budget = _least_budget(lambda b: oracle.any_order(numbers, r, frozenset(), b), lb, cap)
+    if budget is None:
         return None
-    # descending meets one budget the oracle turns down; ascending, many
-    budget = cap
-    while budget > lb and oracle.any_order(numbers, r, frozenset(), budget - 1):
-        budget -= 1
     blocks = oracle.first_order(numbers, r, budget)
-    cut = _lec_solve(oracle, blocks, budget, budget)
-    if cut is None:
-        raise RuntimeError("the cut oracle accepted a partition with no cut within budget")
-    return frozenset(net.split_vertices(cut))
+    return frozenset(net.split_vertices(_lec_solve(oracle, blocks, budget)))
 
 
 def _exact_search(D: Digraph, Tset: frozenset, r: int, s: int, offenders) -> frozenset | None:

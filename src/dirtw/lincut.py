@@ -9,16 +9,18 @@ so affordable cuts consist of split arcs only, one per deleted vertex.
 Paths run from in-nodes to out-nodes, so terminals are deletable too, each
 deletion discharging the demands the terminal participates in.
 
-The linear cut is solved exactly by one extraction, `_lec_solve`, on
-`_CutOracle`, a yes/no test for a cut within budget that branches over
-important cuts: the optimum is the least budget it accepts from a lower
-bound on, and the lexicographically least cheapest cut is read off its
-answers one split arc at a time.  The same branching answers the
-balanced-separator engine's question over every ordering of a terminal set
-(`any_order`, memoized per set of remaining terminals) and finds the first
-ordering in canonical order that fits a budget (`first_order`).  It asks
-one fresh flow per list of cuts: each branch goes on from its parent's
-maximum flow, and a list found at one budget serves every lower one.
+The linear cut is solved exactly on `_CutOracle`, a yes/no test for a cut
+within budget that branches over important cuts.  Its optimum is the least
+budget the oracle accepts, found by lowering the budget from s or, if fewer,
+the terminals outside the largest block, a cut (`_least_budget`); one
+extraction, `_lec_solve`, reads the lexicographically least cut of that size
+off the answers one split arc at a time.  The same branching and search
+answer the balanced-separator engine's question over every ordering of a
+terminal set (`any_order`, memoized per set of remaining terminals), and
+find the first ordering in canonical order that fits a budget
+(`first_order`).  It asks one fresh flow per list of cuts: each branch goes
+on from its parent's maximum flow, and a list found at one budget serves
+every lower one.
 """
 from __future__ import annotations
 
@@ -135,7 +137,7 @@ class _CutOracle:
     budgets, so the furthest minimum cut they read off is a fresh flow's.
     The lists of cuts (`memo`, one per question, kept at the largest budget
     asked) and the answers of `any_order` (`orders`) are memoized for the
-    oracle's life."""
+    oracle's life; callers ask the largest budget first (`_least_budget`)."""
 
     __slots__ = ("net", "memo", "orders")
 
@@ -151,19 +153,6 @@ class _CutOracle:
         last = tuple(sorted(blocks[-1]))
         return self._fits([tuple(b) for b in blocks[:-1]], last, len(last), frozenset(removed),
                           min(budget, self.net.n))
-
-    def lower_bound(self, blocks, s: int) -> int:
-        """Max-flow over every earlier/later split of `blocks` lower-bounds
-        the cut cost; returns the largest bound, stopping as soon as one
-        split exceeds s."""
-        bound, n = 0, self.net.n
-        for cut in range(1, len(blocks)):
-            earlier = [x for b in blocks[:cut] for x in b]
-            later = [n + y for b in blocks[cut:] for y in b]
-            bound = max(bound, self.net.flow(earlier, later, s + 1))
-            if bound > s:
-                break
-        return bound
 
     def any_order(self, R: tuple, r: int, removed: frozenset, budget: int) -> bool:
         """Whether some ordered partition of the sorted tuple R of terminal
@@ -281,16 +270,24 @@ class _CutOracle:
                 self._important(Y, F, budget, flow, found)
 
 
-def _lec_solve(oracle: _CutOracle, blocks, start: int, budget: int):
-    """The lexicographically least minimum set of the oracle's split arcs
-    that cuts `blocks` within `budget`, or None: the least budget from
-    `start`, a lower bound on the size, that the oracle accepts, then each
-    split arc in canonical order, kept iff a smallest cut extends the arcs
-    kept so far by it.  No later probe, extending more, can take an arc
-    left out, so none needs to ban it."""
-    optimum = next((b for b in range(start, budget + 1) if oracle.feasible(blocks, (), b)), None)
-    if optimum is None:
+def _least_budget(fits, lb: int, cap: int) -> int | None:
+    """The least budget from `cap` down to `lb` that `fits`, a yes/no
+    question monotone in the budget, accepts, or None when it turns `cap`
+    down.  Lowering meets one budget it turns down; climbing, many."""
+    if not fits(cap):
         return None
+    budget = cap
+    while budget > lb and fits(budget - 1):
+        budget -= 1
+    return budget
+
+
+def _lec_solve(oracle: _CutOracle, blocks, optimum: int) -> frozenset:
+    """The lexicographically least set of `optimum` split arcs of the oracle
+    that cuts `blocks`, whose cheapest cut has that size: each split arc in
+    canonical order, kept iff a smallest cut extends the arcs kept so far
+    by it.  No later probe, extending more, can take an arc left out, so
+    none needs to ban it."""
     chosen: set = set()
     for cls in range(0, 2 * oracle.net.n, 2):
         if len(chosen) == optimum:  # a set of the optimum's size is a whole cut
@@ -322,10 +319,12 @@ def linear_vertex_cut(D: Digraph, T, s: int) -> CutCertificate | None:
     net = split_network(D, [v for v in D.vertices() if v not in forced])
     numbered = [sorted(net.ids(b)) for b in blocks]
     oracle = _CutOracle(net)
-    cut = _lec_solve(oracle, numbered, oracle.lower_bound(numbered, s0), s0)
-    if cut is None:
+    # the blocks are disjoint, so deleting every terminal outside the largest is a cut
+    sizes = [len(b) for b in blocks]
+    optimum = _least_budget(lambda b: oracle.feasible(numbered, (), b), 0, min(s0, sum(sizes) - max(sizes)))
+    if optimum is None:
         return None
-    return CutCertificate(frozenset(net.split_vertices(cut)), forced)
+    return CutCertificate(frozenset(net.split_vertices(_lec_solve(oracle, numbered, optimum))), forced)
 
 
 def brute_force_vertex_cut(D: Digraph, T, s: int) -> CutCertificate | None:

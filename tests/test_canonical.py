@@ -4,11 +4,14 @@ returns, and must say which outputs moved and why."""
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 from collections import Counter
 
-from dirtw import BalancedSeparatorInstance, balanced_separator, linear_vertex_cut, menger, scc, vsorted
+from dirtw import ArborealDecomposition, BalancedSeparatorInstance, balanced_separator, decompose
+from dirtw import linear_vertex_cut, menger, scc, validate, vsorted
 from dirtw import balsep, lincut, verify_well_linked
+from dirtw.cli import _gen_graph
 from dirtw.digraph import split_network
 
 from util import random_digraph
@@ -17,6 +20,8 @@ LINEAR_CUT_PIN = "5c10bb042b584481d29a6d6bb2859ab9863d8d081d575d1b19c1ec4ef2c48b
 BALANCED_SEPARATOR_PIN = "eeb87f869946a5923c20427186082dc08d08c1707c16d9d0e8bff0c54e48a747"
 MENGER_PIN = "c087521f9ae0c13a9ac98b662345171409041b8605dc8ea077c5317581340daf"
 WELL_LINKED_PIN = "e7c754bf445cf0201dbc36f8bbfeff304302d062731a8774d36cdeb7aabcb576"
+DISJOINT_CUT_PIN = "01126bc2526d7c9482c28f6b2737835ed93d32cba9caf0c05f38b00ffadc6f7b"
+DECOMPOSE_PIN = "4bec3b6b2a553614a3fc5d8bfcc7f03c9cf3bac9e9914d61aeae5e775880fb09"
 
 
 def _digest(outputs: list) -> str:
@@ -45,6 +50,29 @@ def test_linear_cuts_keep_their_pinned_outputs():
         seen["three blocks or more"] += cut is not None and k > 2 and bool(cut.elements)
     assert min(seen.values()) >= 150, seen
     assert _digest(outputs) == LINEAR_CUT_PIN
+
+
+def test_linear_cuts_on_disjoint_blocks_keep_their_pinned_outputs():
+    # 1,200 queries on 8-16-vertex hosts with 2-4 disjoint blocks, at s in
+    # 1-6 or s = n.  Deleting every terminal outside the largest block is a
+    # cut, so the optimum is at most that many or s; queries whose optimum
+    # is 2 or more below it are counted
+    rng = random.Random(2034)
+    outputs, seen = [], Counter()
+    for _ in range(1200):
+        n, k = rng.randint(8, 16), rng.randint(2, 4)
+        D = random_digraph(rng, n, rng.uniform(0.1, 0.4))
+        pool = rng.sample(D.sorted_vertices(), rng.randint(k, min(n, 3 * k)))
+        blocks = [pool[i::k] for i in range(k)]
+        s = n if rng.random() < 0.3 else rng.randint(1, 6)
+        cut = linear_vertex_cut(D, blocks, s)
+        outputs.append(None if cut is None else vsorted(cut.elements))
+        cap = min(s, len(pool) - max(map(len, blocks)))
+        seen["none"] += cut is None
+        seen["optimum 2+ below the cap"] += cut is not None and cut.size <= cap - 2
+        seen["cut over three blocks or more"] += cut is not None and k > 2 and bool(cut.elements)
+    assert min(seen.values()) >= 150, seen
+    assert _digest(outputs) == DISJOINT_CUT_PIN
 
 
 def test_balanced_separators_keep_their_pinned_outputs(monkeypatch):
@@ -124,3 +152,24 @@ def test_well_linked_verdicts_keep_their_pinned_outputs():
             seen[f"{verdict} after the per-set flows"] += 1
     assert min(seen.values()) >= 50 and len(seen) == 5, seen
     assert _digest(outputs) == WELL_LINKED_PIN
+
+
+def test_decompositions_keep_their_pinned_outputs():
+    # decompose on 40 hosts of `dirtw gen` (random with 1.3-3n arcs,
+    # bicycle, dag) of 15-60 vertices at k 1-3; each decomposition must
+    # validate as nice
+    rng = random.Random(2035)
+    outputs, seen = [], Counter()
+    for _ in range(40):
+        family, n = rng.choice(["random", "bicycle", "dag"]), rng.randint(15, 60)
+        edges = int(rng.uniform(1.3, 3) * n) if family == "random" else None
+        D = _gen_graph(family, n, rng.randrange(10 ** 6), edges)
+        result = decompose(D, rng.randint(1, 3))
+        outputs.append(json.dumps(result.to_json(), sort_keys=True))
+        if isinstance(result, ArborealDecomposition):
+            assert validate(D, result, nice=True).ok
+            seen["decomposition"] += 1
+        else:
+            seen["certificate"] += 1
+    assert min(seen.values()) >= 10 and len(seen) == 2, seen
+    assert _digest(outputs) == DECOMPOSE_PIN

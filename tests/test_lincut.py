@@ -141,6 +141,58 @@ def test_vertex_cut_matches_brute_force():
     assert checked > 100
 
 
+def test_least_budget_lowers_from_the_cap_to_the_least_yes():
+    # a counting fake over a question that says yes from `least` up: the
+    # search asks the cap, then each lower budget while the answer stays
+    # yes and the budget is above lb, so it meets one no at most
+    def search(least: int, lb: int, cap: int):
+        asked = []
+
+        def fits(budget: int) -> bool:
+            asked.append(budget)
+            return budget >= least
+
+        return lincut._least_budget(fits, lb, cap), asked
+
+    assert search(3, 0, 6) == (3, [6, 5, 4, 3, 2])
+    assert search(0, 0, 2) == (0, [2, 1, 0])
+    assert search(5, 5, 5) == (5, [5])
+    assert search(7, 0, 6) == (None, [6])
+    # at lb it stops without asking below
+    assert search(1, 4, 6) == (4, [6, 5, 4])
+
+
+def test_linear_cut_asks_no_budget_above_the_terminals_outside_the_largest_block(monkeypatch):
+    # with disjoint blocks, deleting every terminal outside the largest
+    # block is a cut, so no budget above that many is asked however large
+    # s is, and the cut is still the brute-force oracle's
+    asked: list = []
+    real = _CutOracle.feasible
+
+    def spy(self, blocks, removed, budget):
+        asked.append(budget)
+        return real(self, blocks, removed, budget)
+
+    monkeypatch.setattr(_CutOracle, "feasible", spy)
+    rng = random.Random(43)
+    seen: Counter = Counter()
+    for _ in range(200):
+        D = random_digraph(rng, rng.randint(3, 9), rng.random() * 0.6)
+        blocks = random_blocks(rng, D)
+        if len(blocks) < 2:
+            continue
+        sizes = [len(b) for b in blocks]
+        cap = sum(sizes) - max(sizes)
+        s = D.n if rng.random() < 0.5 else cap + rng.randint(0, 2)
+        asked.clear()
+        fast = linear_vertex_cut(D, blocks, s)
+        assert max(asked) == cap, (blocks, s, asked)
+        assert fast.cut_vertices() == brute_force_vertex_cut(D, blocks, s).cut_vertices()
+        seen["s above the cap"] += s > cap
+        seen["optimum below the cap"] += fast.size < cap
+    assert min(seen.values()) >= 50, seen
+
+
 def test_budget_monotonicity():
     rng = random.Random(3)
     for _ in range(60):
@@ -317,7 +369,7 @@ def test_the_extraction_needs_no_banned_classes():
             assert got == want, (numbered, chosen, cls, out)
             probes[bool(out), got] += 1
             (chosen if got else out).add(cls)
-        assert lincut._lec_solve(_CutOracle(net), numbered, 0, net.n) == frozenset(chosen)
+        assert lincut._lec_solve(_CutOracle(net), numbered, optimum) == frozenset(chosen)
     assert probes[True, False] >= 200, probes
 
 
@@ -401,7 +453,7 @@ def test_extraction_that_leaves_a_violating_path_is_an_error():
     script = (
         "from dirtw import balsep, lincut\n"
         "from dirtw.digraph import Digraph\n"
-        "feasible, lower_bound = lincut._CutOracle.feasible, lincut._CutOracle.lower_bound\n"
+        "feasible = lincut._CutOracle.feasible\n"
         "D = Digraph()\n"
         "for u, v in [(1, 2), (2, 3), (3, 1)]:\n"
         "    D.add_edge(u, v)\n"
@@ -411,10 +463,9 @@ def test_extraction_that_leaves_a_violating_path_is_an_error():
         "        call()\n"
         "    except RuntimeError as exc:\n"
         "        print(exc)\n"
-        "lincut._CutOracle.lower_bound = lambda self, *args: 0\n"
         "lying('feasible', True, lambda: lincut.linear_vertex_cut(D, [{1}, {3}], 1))\n"
         "lying('feasible', True, lambda: balsep._partition_min_cut(D, {1, 2, 3}, frozenset({2, 3}), 1, 1, 1))\n"
-        "lincut._CutOracle.feasible, lincut._CutOracle.lower_bound = feasible, lower_bound\n"
+        "lincut._CutOracle.feasible = feasible\n"
         "lying('any_order', True, lambda: balsep._partition_min_cut(D, {1, 2, 3}, frozenset({1, 2, 3}), 1, 1, 0))\n"
     )
     src = str(Path(lincut.__file__).resolve().parent.parent)

@@ -132,7 +132,7 @@ def test_no_question_about_d_minus_z_copies_d():
 # the linear cut's inner loops, the lex-least extraction and the
 # important-cut oracle, with its questions over every ordering, run on the
 # interned graph: no vertex-keyed sorting, no subgraph copies
-HOT = {"_separates", "_lec_solve", "feasible", "_important", "lower_bound",
+HOT = {"_separates", "_lec_solve", "feasible", "_important", "_least_budget",
        "any_order", "first_order", "_fits", "_cuts", "_next_blocks"}
 NAME_KEYED = {"vkey", "vsorted"}
 COPIES = {"minus", "induced"}
