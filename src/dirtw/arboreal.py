@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from collections import deque
 from collections.abc import Iterable
 
-from .digraph import (Digraph, Vertex, _covers, _reach_set, _strongly_connected, guard_breach, guard_screen,
-                      scc, vsorted)
+from .digraph import (_NATIVE, Digraph, Vertex, _covers, _reach_set, _strongly_connected, guard_breach,
+                      guard_screen, scc, vsorted)
 from .balsep import BalancedSeparatorInstance, balanced_separator, offending_components
 
 
@@ -374,14 +374,27 @@ def _walks_back(succ: dict, out: list, Z: frozenset, pos: dict, lo: int, hi: int
     return False
 
 
-def _split_components(D: Digraph, bag: set, Z: frozenset) -> list[frozenset]:
+def _split_components(D: Digraph, bag: frozenset, Z: frozenset, T: frozenset | None = None) -> list[frozenset]:
     """The strong components of D - Z that the bag reaches, in the order
     scc(D, Z) gives them.  They are those of the bag's forward closure: no
     arc leaves the closure, so the components outside it never hold back one
     inside it.  The closure is walked from one free bag vertex, and from the
     bag vertices that walk missed; when it missed none, one backward walk
     from that vertex, stopping once it has met all of the closure, tells
-    whether the closure is one component."""
+    whether the closure is one component.
+
+    T is given when the bag is closed: strongly connected, with every arc
+    that leaves it entering T, its guard.  With W = Z & bag the answer is
+    then [bag - W] without those walks when two tests pass.  No arc from
+    bag - W enters T - Z, read off the in-rows of T - Z; every other arc
+    leaving bag - W enters Z, so bag - W is the whole closure.  And
+    `_rest_strongly_connected` finds bag - W strongly connected."""
+    if T is not None:
+        W = Z & bag
+        if all(p not in bag or p in W for t in T - Z for p in D._pred[t]):
+            rest = frozenset(bag - W)
+            if _rest_strongly_connected(D, W, rest):
+                return [rest]
     start = next(v for v in bag if v not in Z)
     closure = _reach_set(D, (start,), Z, forward=True)
     missed = [v for v in bag if v not in closure and v not in Z]
@@ -390,6 +403,21 @@ def _split_components(D: Digraph, bag: set, Z: frozenset) -> list[frozenset]:
     elif _covers(D._pred, start, closure):
         return [frozenset(closure)]
     return scc(D, within=closure)
+
+
+def _rest_strongly_connected(D: Digraph, W: frozenset, rest: frozenset) -> bool:
+    """True iff rest is strongly connected, given that W and rest are
+    disjoint, W is not empty and W | rest is strongly connected.  One
+    out-neighbour q0 of W in rest must reach W's other out-neighbours in
+    rest, and W's in-neighbours in rest must reach q0, by walks inside rest
+    that stop once they have met them.  That is enough: a path of W | rest
+    that detours p -> W ... -> q becomes p ~> q0 ~> q."""
+    outs = {q for w in W for q in D._succ[w] if q in rest}
+    ins = {p for w in W for p in D._pred[w] if p in rest}
+    if not outs or not ins:
+        raise RuntimeError("no arc runs from Z to the rest of a closed bag, or none back")
+    q0 = next(iter(outs))
+    return _covers(D._succ, q0, outs, rest) and _covers(D._pred, q0, ins, rest)
 
 
 def decompose(D: Digraph, k: int) -> ArborealDecomposition | LinkedSetCertificate:
@@ -402,10 +430,18 @@ def decompose(D: Digraph, k: int) -> ArborealDecomposition | LinkedSetCertificat
     if k < 1:
         raise ValueError("parameter k must be >= 1 for a non-empty digraph")
 
-    bags: dict[int, set] = {0: set(D.vertices())}
+    bags: dict[int, frozenset] = {0: frozenset(D.vertices())}
     guards: dict[tuple[int, int], frozenset] = {}
     incident: dict[int, frozenset] = {0: frozenset()}  # node -> the guards of its arcs, united
-    rank = {v: i for i, v in enumerate(D.sorted_vertices())}
+    closed: set[int] = set()  # leaves whose bag is closed, in `_split_components`' sense
+    # Z's extra vertex is the least free one: by plain min for ids all int or
+    # all str (vsorted's rule), else by a rank computed once
+    key = None if set(map(type, D._succ)) in _NATIVE else \
+        {v: i for i, v in enumerate(D.sorted_vertices())}.__getitem__
+
+    def coverage(node: int) -> int:
+        return len(bags[node]) + len(incident[node] - bags[node])
+
     # the too-large leaves in ascending order; a split changes only the
     # split leaf and its new children, whose ids exceed every other
     pending = [0] if len(bags[0]) >= 3 * k else []
@@ -419,36 +455,41 @@ def decompose(D: Digraph, k: int) -> ArborealDecomposition | LinkedSetCertificat
             if len(T) != 2 * k - 1:
                 raise RuntimeError(f"linked guard of size {len(T)}, not {2 * k - 1}")
             return LinkedSetCertificate(T, k - 1, k - 1)
-        free = bags[r0] - result.separator
+        bag = bags[r0]
+        free = bag - result.separator
         if len(free) < 2:
             raise RuntimeError(f"separator leaves {len(free)} free vertices in bag {r0}")
-        Z = frozenset(result.separator | {min(free, key=rank.__getitem__)})
+        Z = frozenset(result.separator | {min(free, key=key)})
         first = len(bags)
-        for comp in _split_components(D, bags[r0], Z):
-            if not comp & bags[r0]:
+        comps = _split_components(D, bag, Z, T if r0 in closed else None)
+        for comp in comps:
+            if comp.isdisjoint(bag):
                 continue  # its pieces all miss the split bag
             pieces = [comp]
             if comp & T:  # two walks settle a rest that stays strongly connected
                 rest = comp - T
                 pieces = [rest] if _strongly_connected(D, rest) else scc(D, within=rest)
             for piece in pieces:
-                inside = piece & bags[r0]
-                if inside and inside != piece:  # guarded bags split cleanly
-                    raise RuntimeError(f"a piece straddles bag {r0}")
-                if not inside:
+                if piece.isdisjoint(bag):
                     continue
+                if not piece <= bag:  # guarded bags split cleanly
+                    raise RuntimeError(f"a piece straddles bag {r0}")
                 node = len(bags)
-                bags[node] = set(piece)
+                bags[node] = piece
                 guard = guards[(r0, node)] = frozenset(Z | (comp & T))
                 incident[node] = guard
                 incident[r0] |= guard
                 if len(guard) > 2 * k - 1:
                     raise RuntimeError(f"guard of size {len(guard)} above {2 * k - 1}")
-        bags[r0] &= Z
-        if not bags[r0] or len(bags[r0] | incident[r0]) > 3 * k - 1:
+        # a closure that is one component and misses T became the one child's
+        # bag (it holds a free bag vertex), and every arc leaving it enters Z,
+        # the child's guard
+        if len(comps) == 1 and not comps[0] & T:
+            closed.add(first)
+        bags[r0] = bag & Z
+        if not bags[r0] or coverage(r0) > 3 * k - 1:
             raise RuntimeError(f"split bag {r0} is empty or covers more than {3 * k - 1}")
-        pending = pending[1:] + [node for node in range(first, len(bags))
-                                 if len(bags[node] | incident[node]) >= 3 * k]
+        pending = pending[1:] + [node for node in range(first, len(bags)) if coverage(node) >= 3 * k]
         next_measure = sum(len(bags[node]) for node in pending)
         if next_measure >= measure:
             raise RuntimeError(f"leaf measure did not decrease ({measure} -> {next_measure})")

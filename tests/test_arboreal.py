@@ -4,6 +4,7 @@ and haven queries."""
 import json
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -23,6 +24,7 @@ from dirtw.digraph import scc, tarjan_sccs, vsorted
 from util import (
     bidirected_clique,
     bidirected_cycle,
+    chorded_cycle,
     core_with_pendants,
     mixed_id_digraph,
     path_digraph,
@@ -461,6 +463,100 @@ def test_decompose_splits_inside_the_forward_closure(monkeypatch):
     dec = decompose(D, 2)
     assert isinstance(dec, ArborealDecomposition) and len(dec.guards) > 100
     assert whole == []
+
+
+def test_decompose_peels_closed_bags_as_the_whole_graph_split_reference(monkeypatch):
+    # path-like trees: most bags a split is handed as closed (strongly
+    # connected, every arc leaving them entering their guard) peel W = Z & bag
+    # off without a walk; the rest go through the walking split, turned down
+    # by the exit test or by the connectivity test
+    seen = Counter()
+    real = arboreal._split_components
+
+    def spy(D, bag, Z, T=None):
+        out = real(D, bag, Z, T)
+        if T is None:
+            return out
+        assert scc(D, within=set(bag)) == [frozenset(bag)]
+        assert all(w in bag or w in T for v in bag for w in D._succ[v])
+        rest = frozenset(bag - Z)
+        if any(w in T and w not in Z for v in rest for w in D._succ[v]):
+            seen["refused: exit"] += 1
+        elif len(scc(D, within=set(rest))) > 1:
+            seen["refused: connectivity"] += 1
+        else:
+            seen["taken"] += 1
+            assert out == [rest]
+        return out
+    monkeypatch.setattr(arboreal, "_split_components", spy)
+    rng = random.Random(0x9EE1)
+    for i in range(3000):
+        if i % 3 != 1:
+            D = chorded_cycle(rng, rng.randint(3, 40))
+        else:
+            D = shuffled_digraph(rng, rng.randint(1, 12)) if i % 2 else \
+                core_with_pendants(rng, rng.randint(4, 8), rng.randint(1, 14))
+        if rng.random() < 0.3:
+            D = mixed_id_digraph(rng, D)
+        k = rng.randint(1, 3)
+        out = decompose(D, k)
+        want = reference_decompose(D, k)
+        if isinstance(want, LinkedSetCertificate):
+            assert out == want
+            seen["cert"] += 1
+        else:
+            assert isinstance(out, ArborealDecomposition) and out.to_json() == want.to_json()
+            seen["dec"] += 1
+    assert min(seen.values()) >= 100 and len(seen) == 5, seen
+
+
+def test_rest_strong_connectivity_is_decided_by_walks_from_one_out_neighbour():
+    # B strongly connected, W a set of 1-3 of its vertices, B - W not empty:
+    # the walks from q0 answer as the two whole walks over B - W do
+    rng = random.Random(0x90)
+    seen = Counter()
+    while min(seen.values(), default=0) < 200 or len(seen) < 4:
+        D = shuffled_digraph(rng, rng.randint(2, 14))
+        if rng.random() < 0.3:
+            D = mixed_id_digraph(rng, D)
+        within = set(rng.sample(D.sorted_vertices(), rng.randint(2, D.n)))
+        B = max(scc(D, within=within), key=len)
+        if len(B) < 2:
+            continue
+        W = frozenset(rng.sample(vsorted(B), rng.randint(1, min(3, len(B) - 1))))
+        want = digraph._strongly_connected(D, B - W)
+        assert arboreal._rest_strongly_connected(D, W, B - W) == want
+        seen[(want, len(W) >= 2)] += 1
+    D = path_digraph(1, 2, 3)  # W = {1} has no in-neighbour in the rest
+    D.add_edge(3, 2)
+    with pytest.raises(RuntimeError):
+        arboreal._rest_strongly_connected(D, frozenset({1}), frozenset({2, 3}))
+
+
+def test_decompose_walks_a_path_like_tree_a_fixed_number_of_times(monkeypatch):
+    # every split of bidirected_cycle(n) but the first three peels a vertex
+    # off a closed bag, which takes no forward-closure walk and no Tarjan pass
+    calls = Counter()
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (arboreal, balsep, digraph):
+        for name in ("_reach_set", "tarjan_sccs"):
+            if hasattr(module, name):
+                spy(module, name)
+    counts = []
+    for n in (100, 400):
+        calls.clear()
+        dec = decompose(bidirected_cycle(n), 2)
+        assert isinstance(dec, ArborealDecomposition) and len(dec.guards) == n - 3
+        counts.append(dict(calls))
+    assert counts[0] == counts[1], counts
 
 
 def test_decomposition_json_round_trip():

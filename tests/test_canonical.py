@@ -10,11 +10,11 @@ from collections import Counter
 
 from dirtw import ArborealDecomposition, BalancedSeparatorInstance, balanced_separator, decompose
 from dirtw import linear_vertex_cut, menger, scc, validate, vsorted
-from dirtw import balsep, lincut, verify_well_linked
+from dirtw import balsep, build_path_system, lincut, order_parameter, verify_well_linked, well_linked_set
 from dirtw.cli import _gen_graph
-from dirtw.digraph import split_network
+from dirtw.digraph import Digraph, split_network
 
-from util import random_digraph
+from util import chorded_cycle, random_digraph
 
 LINEAR_CUT_PIN = "5c10bb042b584481d29a6d6bb2859ab9863d8d081d575d1b19c1ec4ef2c48ba3"
 BALANCED_SEPARATOR_PIN = "eeb87f869946a5923c20427186082dc08d08c1707c16d9d0e8bff0c54e48a747"
@@ -22,6 +22,8 @@ MENGER_PIN = "c087521f9ae0c13a9ac98b662345171409041b8605dc8ea077c5317581340daf"
 WELL_LINKED_PIN = "e7c754bf445cf0201dbc36f8bbfeff304302d062731a8774d36cdeb7aabcb576"
 DISJOINT_CUT_PIN = "01126bc2526d7c9482c28f6b2737835ed93d32cba9caf0c05f38b00ffadc6f7b"
 DECOMPOSE_PIN = "4bec3b6b2a553614a3fc5d8bfcc7f03c9cf3bac9e9914d61aeae5e775880fb09"
+PATH_LIKE_PIN = "2e7000ca70cc0da7e2a5d3f0e6ecce6a47668d5966380093347293d0fea98c39"
+PIPELINE_PIN = "c9c159dc9d481a7b201371b4cd8aa8a127e2963236b73f9698847e04904ec3c9"
 
 
 def _digest(outputs: list) -> str:
@@ -173,3 +175,52 @@ def test_decompositions_keep_their_pinned_outputs():
             seen["certificate"] += 1
     assert min(seen.values()) >= 10 and len(seen) == 2, seen
     assert _digest(outputs) == DECOMPOSE_PIN
+
+
+def test_path_like_decompositions_keep_their_pinned_outputs():
+    # decompose and validate --nice on the path-like trees of bicycles of
+    # 100-400 vertices at k 2-3 and of 200 chorded cycles (3-40 vertices,
+    # with pendants) at k 1-3: the decomposition or certificate, and the
+    # width and violations of each decomposition
+    rng = random.Random(2036)
+    outputs, seen = [], Counter()
+    hosts = [(_gen_graph("bicycle", n, 0, None), rng.randint(2, 3)) for n in (100, 150, 250, 400)]
+    hosts += [(chorded_cycle(rng, rng.randint(3, 40)), rng.randint(1, 3)) for _ in range(200)]
+    for D, k in hosts:
+        result = decompose(D, k)
+        outputs.append(json.dumps(result.to_json(), sort_keys=True))
+        if isinstance(result, ArborealDecomposition):
+            report = validate(D, result, nice=True)
+            outputs.append((report.width, report.violations))
+            seen["decomposition"] += 1
+            seen["nice"] += report.ok
+            seen["50 nodes or more"] += len(result.bags) >= 50
+        else:
+            seen["certificate"] += 1
+    assert seen["nice"] == seen["decomposition"] and seen["50 nodes or more"] >= 4, seen
+    assert min(seen.values()) >= 4 and seen["certificate"] >= 50, seen
+    assert _digest(outputs) == PATH_LIKE_PIN
+
+
+def test_well_linked_pipeline_keeps_its_pinned_outputs():
+    # decompose(D, g(k)), well_linked_set, verify_well_linked and a path
+    # system over the first four anchors along the path, on bidirected
+    # cliques of 3g(k) vertices for k = 3, 4, 5 (21, 42 and 51 vertices),
+    # once on int ids and once on str ids, whose order differs
+    outputs = []
+    for k in (3, 4, 5):
+        g = order_parameter(k)
+        for ids in ([3 * i + 1 for i in range(3 * g)], [f"v{i}" for i in range(3 * g)]):
+            D = Digraph()
+            for u in ids:
+                for v in ids:
+                    if u != v:
+                        D.add_edge(u, v)
+            cert = decompose(D, g)
+            P, A = well_linked_set(D, cert, k)
+            along = [v for v in P.vertices if v in A]
+            system = build_path_system(D, P, along[:4], 1, 2) if k >= 4 else None
+            outputs.append((vsorted(cert.T), P.vertices, vsorted(A), verify_well_linked(D, A),
+                            system and json.dumps(system.to_json(), sort_keys=True)))
+    assert all(out[3] for out in outputs) and sum(out[4] is not None for out in outputs) == 4
+    assert _digest(outputs) == PIPELINE_PIN

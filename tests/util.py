@@ -137,6 +137,35 @@ def core_with_pendants(rng: random.Random, n: int, extra: int) -> Digraph:
     return D
 
 
+def chorded_cycle(rng: random.Random, n: int) -> Digraph:
+    """A one-way or two-way cycle on the n >= 3 vertices 1..n with up to
+    n // 3 random chords, one-way each, and up to 3 pendant vertices, each
+    joined to one cycle vertex by one or two arcs; built in shuffled order.  Its
+    decompositions are path-like trees: most splits peel a vertex off a bag
+    that stays one strong component, and the chords and pendants make some
+    fall apart or lead out of the bag."""
+    D = Digraph()
+    pend = list(range(n + 1, n + rng.randint(0, 3) + 1))
+    vs = list(range(1, n + 1)) + pend
+    rng.shuffle(vs)
+    for v in vs:
+        D.add_vertex(v)
+    ring = list(range(1, n + 1))
+    if rng.random() < 0.25:  # ids out of ring order: the least free vertex may cut the bag
+        rng.shuffle(ring)
+    arcs = [(ring[i - 1], ring[i]) for i in range(n)]
+    if rng.random() < 0.7:
+        arcs += [(v, u) for u, v in arcs]
+    arcs += [tuple(rng.sample(ring, 2)) for _ in range(rng.randint(0, n // 3))]
+    for x in pend:  # both ways to u, or one: a pendant that u alone holds in the bag
+        u = rng.randint(1, n)
+        arcs += [(u, x), (x, u)] if rng.random() < 0.7 else [rng.choice([(u, x), (x, u)])]
+    rng.shuffle(arcs)
+    for u, v in arcs:
+        D.add_edge(u, v)
+    return D
+
+
 def random_digraph(rng: random.Random, n: int, p: float, isolated_ok: bool = True) -> Digraph:
     D = Digraph()
     for v in range(1, n + 1):
