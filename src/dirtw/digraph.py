@@ -177,21 +177,16 @@ class Path:
 def _covers(adj, start: Vertex, X: set, region: set | None = None) -> bool:
     """True iff the walk from start along `adj` (D._succ, D._pred, or lists
     indexed by int nodes) through `region`, a superset of X (X itself when
-    None), crosses all of X off a `todo` set; it stops once that is empty,
-    at once if a dict row at start holds all X."""
+    None), meets all of X; it stops once it has, at once if a dict row at
+    start holds all X."""
     todo = set(X)
     todo.discard(start)
     if isinstance(adj, dict) and adj[start].keys() >= todo:
         return True
-    stack = [start]
-    if region is None:  # the walk through X is what crosses X off
-        while stack and todo:
-            for w in adj[stack.pop()]:
-                if w in todo:
-                    todo.remove(w)
-                    stack.append(w)
-        return not todo
+    if region is None:
+        region = X
     seen = {start}
+    stack = [start]
     while stack and todo:
         for w in adj[stack.pop()]:
             if w not in seen and w in region:

@@ -21,6 +21,7 @@ from dirtw import (
 from dirtw import arboreal, balsep, digraph
 from dirtw.cli import _gen_graph
 from dirtw.digraph import scc, tarjan_sccs, vsorted
+import util
 from util import (
     bidirected_clique,
     bidirected_cycle,
@@ -489,8 +490,21 @@ def test_decompose_peels_closed_bags_as_the_whole_graph_split_reference(monkeypa
             assert out == [rest]
         return out
     monkeypatch.setattr(arboreal, "_split_components", spy)
+    # the reference asks of each host the separator queries decompose asked;
+    # a memo solves each once, so the test's time goes to the splits
+    solved = {}
+    solve = arboreal.balanced_separator
+
+    def memo(inst):
+        key = (id(inst.D), inst.T, inst.r, inst.s)
+        if key not in solved:
+            solved[key] = solve(inst)
+        return solved[key]
+    monkeypatch.setattr(arboreal, "balanced_separator", memo)
+    monkeypatch.setattr(util, "balanced_separator", memo)
     rng = random.Random(0x9EE1)
     for i in range(3000):
+        solved.clear()
         if i % 3 != 1:
             D = chorded_cycle(rng, rng.randint(3, 40))
         else:
